@@ -2,7 +2,7 @@
 
 The weight at a word is a pure function of (seed, word), so a realization is
 a reproducible object: re-running, extending the depth, pruning lazily or
-splitting the tree across workers all yield the same measure bit for bit.
+spreading trials over threads all yield the same measure bit for bit.
 """
 import numpy as np
 
@@ -30,9 +30,18 @@ print(f"weight at word {w}: {draw_weight(law, rng, w):.6f} "
 cm = cascade_measure(uniform, full2, law, 12, rng)
 print(f"\npercolation cascade, depth 12: {len(cm)} surviving words, "
       f"total mass {cm.total_mass:.4f}")
-parallel = cascade_measure(uniform, full2, law, 12, rng, workers=4)
-print("4-worker rebuild identical:",
-      bool(np.array_equal(cm.masses, parallel.masses)))
+# two more levels reuse every weight above them: the depth-14 survivors are
+# children of depth-12 survivors, and each mass is its parent's times the two
+# new keyed weights and the base factor 1/4
+deeper = cascade_measure(uniform, full2, law, 14, rng)
+parent = np.searchsorted(cm.codes, deeper.codes // 4)
+extra = [
+    draw_weight(law, rng, word.prefix(13)) * draw_weight(law, rng, word)
+    for word in deeper.words()
+]
+print("depth extension keeps the depth-12 weights:",
+      bool(np.array_equal(cm.codes[parent], deeper.codes // 4)
+           and np.allclose(deeper.masses, cm.masses[parent] * np.array(extra) / 4, rtol=1e-12, atol=0)))
 
 trace = cascade_mass_trace(uniform, full2, law, 12, rng)
 print("total-mass martingale by level:", np.round(trace, 3))

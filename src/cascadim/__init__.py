@@ -25,7 +25,6 @@ from .dimension import (
 from .euclid import (
     AtomicMeasure,
     IntervalSet,
-    ball_mass,
     bernoulli_convolution,
     convolve,
     marginal,

@@ -3,8 +3,8 @@
 The i.i.d. weight family is indexed by finite words, so the generator keys
 every draw to its word instead of consuming a sequential stream: the weight
 at a word is a pure function of (master seed, word).  That makes lazy
-pruning, depth extension and parallel subtree generation reproduce the same
-realization bit for bit.
+pruning, depth extension and any split of the work across threads reproduce
+the same realization bit for bit.
 
 Hashing: a word is encoded as its length followed by its one-byte letters,
 and absorbed token by token through the splitmix64 finalizer (the published
@@ -13,20 +13,20 @@ and absorbed token by token through the splitmix64 finalizer (the published
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import CapExceeded, DegenerateCascadeWarning
+from .errors import DegenerateCascadeWarning
 from .symbolic import (
     DEFAULT_WORD_CAP,
     Subshift,
     SymbolicMeasure,
     Word,
     codes_to_letters,
+    walk_tree,
 )
 
 __all__ = [
@@ -212,18 +212,6 @@ class CylinderMeasure:
             Word(tuple(int(v) for v in row), self.alphabet_size) for row in self.letters()
         ]
 
-    def mass_of(self, u: Word | Sequence[int]) -> float:
-        letters = u.letters if isinstance(u, Word) else tuple(u)
-        if len(letters) != self.depth:
-            raise ValueError("word length must equal the measure depth")
-        code = 0
-        for l in letters:
-            code = code * self.alphabet_size + (l - 1)
-        i = np.searchsorted(self.codes, code)
-        if i < len(self.codes) and self.codes[i] == code:
-            return float(self.masses[i])
-        return 0.0
-
     def positive_codes(self) -> np.ndarray:
         return self.codes[self.masses > 0]
 
@@ -262,114 +250,19 @@ class CylinderMeasure:
         return len(self.codes)
 
 
-def _walk_level(
-    base: SymbolicMeasure,
-    x: Subshift,
-    law: WeightLaw | None,
-    rng: KeyedRng,
-    codes: np.ndarray,
-    masses: np.ndarray,
-    level: int,
-    prune: bool,
-):
-    """Extend one tree level: admissible children, base factor, keyed weight."""
-    a = x.alphabet_size
-    if x.is_full_shift and base.kind == "bernoulli":
-        child_codes = (codes[:, None] * a + np.arange(a, dtype=np.int64)[None, :]).ravel()
-        step = np.asarray(base.probs)
-        child_masses = (masses[:, None] * step[None, :]).ravel()
-    else:
-        last = (codes % a).astype(np.int64)  # 0-based last letter; level >= 1
-        A = x.matrix() > 0
-        parts_c, parts_m = [], []
-        P = None
-        if base.kind == "markov":
-            P = np.array(base.transition)
-        for v in range(a):
-            mask = last == v
-            if not mask.any():
-                continue
-            nxt = np.flatnonzero(A[v])
-            if nxt.size == 0:
-                continue
-            if base.kind == "bernoulli":
-                step = np.asarray(base.probs)[nxt]
-            else:
-                step = P[v, nxt]
-            parts_c.append((codes[mask][:, None] * a + nxt[None, :]).ravel())
-            parts_m.append((masses[mask][:, None] * step[None, :]).ravel())
-        if not parts_c:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        child_codes = np.concatenate(parts_c)
-        child_masses = np.concatenate(parts_m)
-        order = np.argsort(child_codes, kind="stable")
-        child_codes = child_codes[order]
-        child_masses = child_masses[order]
-    if law is not None:
-        letters = codes_to_letters(child_codes, level, a)
-        u = _to_uniform(rng.word_hashes(letters))
-        child_masses = child_masses * law.weights_from_uniforms(u)
-    if prune:
-        keep = child_masses > 0
-        child_codes = child_codes[keep]
-        child_masses = child_masses[keep]
-    return child_codes, child_masses
-
-
-def _first_letter_roots(base: SymbolicMeasure, x: Subshift, law, rng, prune):
-    a = x.alphabet_size
-    codes = np.arange(a, dtype=np.int64)
-    masses = base.letter_probs().astype(np.float64).copy()
-    if law is not None:
-        letters = codes_to_letters(codes, 1, a)
-        u = _to_uniform(rng.word_hashes(letters))
-        masses = masses * law.weights_from_uniforms(u)
-    if prune:
-        keep = masses > 0
-        codes, masses = codes[keep], masses[keep]
-    return codes, masses
-
-
-def _grow(base, x, law, rng, depth, cap, prune, collect_trace=False, workers: int = 1):
-    """Level-by-level tree walk shared by the cascade generators."""
+def _grow(base, x, law, rng, depth, cap):
+    """Keyed cascade walk: depth-n codes and masses, and the total mass per level."""
     if base.alphabet_size != x.alphabet_size:
         raise ValueError("measure and subshift alphabets differ")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    a = x.alphabet_size
 
-    def run(codes, masses, start_level):
-        trace = []
-        for level in range(start_level, depth + 1):
-            if level > start_level:
-                codes_local, masses_local = _walk_level(
-                    base, x, law, rng, codes, masses, level, prune
-                )
-                codes, masses = codes_local, masses_local
-            if len(codes) > cap:
-                raise CapExceeded(len(codes), cap, what="tree nodes")
-            if collect_trace:
-                trace.append(float(masses.sum()))
-            if len(codes) == 0:
-                if collect_trace:
-                    trace.extend(0.0 for _ in range(depth - level))
-                break
-        return codes, masses, trace
+    def weigh(codes, length):
+        letters = codes_to_letters(codes, length, a)
+        return law.weights_from_uniforms(_to_uniform(rng.word_hashes(letters)))
 
-    roots_c, roots_m = _first_letter_roots(base, x, law, rng, prune)
-    if workers <= 1 or len(roots_c) <= 1 or collect_trace:
-        codes, masses, trace = run(roots_c, roots_m, 1)
-        return codes, masses, trace
-    # parallel over first-letter subtrees; keyed weights make the result
-    # identical to the serial walk, so subtrees just concatenate in order
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [
-            pool.submit(run, roots_c[i : i + 1], roots_m[i : i + 1], 1)
-            for i in range(len(roots_c))
-        ]
-        results = [f.result() for f in futs]
-    codes = np.concatenate([r[0] for r in results]) if results else np.empty(0, dtype=np.int64)
-    masses = np.concatenate([r[1] for r in results]) if results else np.empty(0)
-    return codes, masses, []
+    return walk_tree(x.successor_table() * base.step_table(), depth, cap, weigh)
 
 
 def cascade_measure(
@@ -379,7 +272,6 @@ def cascade_measure(
     depth: int,
     rng: KeyedRng,
     cap: int = DEFAULT_WORD_CAP,
-    workers: int = 1,
 ) -> CylinderMeasure:
     """One realization of the depth-n cascade stage of the base measure.
 
@@ -397,7 +289,7 @@ def cascade_measure(
             "the cascade limit is degenerate (finite stages still computed)",
             DegenerateCascadeWarning,
         )
-    codes, masses, _ = _grow(base, x, law, rng, depth, cap, prune=True, workers=workers)
+    codes, masses, _ = _grow(base, x, law, rng, depth, cap)
     return CylinderMeasure(codes, masses, depth, x.alphabet_size, meta)
 
 
@@ -407,9 +299,7 @@ def percolation_codes(
     """Codes of the admissible depth-n words whose every prefix weight is positive."""
     law = WeightLaw.percolation(p)
     base = SymbolicMeasure.uniform(x.alphabet_size)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateCascadeWarning)
-        codes, _, _ = _grow(base, x, law, rng, depth, cap, prune=True)
+    codes, _, _ = _grow(base, x, law, rng, depth, cap)
     return codes
 
 
@@ -431,7 +321,5 @@ def cascade_mass_trace(
     cap: int = DEFAULT_WORD_CAP,
 ) -> np.ndarray:
     """Total cascade mass per level k = 1..depth for one realization."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateCascadeWarning)
-        _, _, trace = _grow(base, x, law, rng, depth, cap, prune=True, collect_trace=True)
+    _, _, trace = _grow(base, x, law, rng, depth, cap)
     return np.asarray(trace)

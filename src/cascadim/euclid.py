@@ -32,7 +32,6 @@ __all__ = [
     "convolve",
     "sumset",
     "bernoulli_convolution",
-    "ball_mass",
 ]
 
 _BRUTE_PAIR_LIMIT = 1 << 22
@@ -508,7 +507,3 @@ def bernoulli_convolution(
     cm = cascade_measure(base, Subshift.full(2), law, depth, rng)
     return pushforward(cm, ifs)
 
-
-def ball_mass(m: AtomicMeasure, center, r: float) -> float:
-    """Mass of the closed ball B(center, r); errors below the resolution."""
-    return m.ball_mass(center, r)

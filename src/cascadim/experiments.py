@@ -20,7 +20,7 @@ import numpy as np
 
 from .cascade import KeyedRng, WeightLaw, cascade_measure, percolation_codes
 from .dimension import box_dimension, default_scales, entropy_dimension
-from .errors import ConfigError
+from .errors import CascadimError, ConfigError
 from .euclid import (
     bernoulli_convolution,
     convolve,
@@ -178,6 +178,12 @@ def validate_config(cfg: dict) -> dict:
                 value = float(value)
             elif not isinstance(value, types):
                 raise ConfigError(f"key {key!r} must have type {types}")
+            if isinstance(value, list):
+                # subshift matrices and IFS maps are lists of rows
+                rows = value if str in types else [value]
+                if not all(isinstance(r, list) and all(map(_is_number, r)) for r in rows):
+                    what = "lists of numbers" if str in types else "numbers"
+                    raise ConfigError(f"key {key!r} must be a list of {what}")
         out[key] = value
     for key, (types, default) in schema.items():
         out.setdefault(key, default)
@@ -189,7 +195,20 @@ def validate_config(cfg: dict) -> dict:
     for key in ("p", "p_a", "p_b"):
         if key in out and out[key] is not None and not 0.0 < out[key] <= 1.0:
             raise ConfigError(f"{key} must lie in (0,1]")
+    for key in ("alphabet", "alphabet_a", "alphabet_b"):
+        if key in out and (out[key] is None or out[key] < 2):
+            raise ConfigError(f"{key} must be an integer >= 2")
+    for key, alphabet in (("base_probs", "alphabet"), ("probs_a", "alphabet_a"), ("probs_b", "alphabet_b")):
+        probs = out.get(key)
+        if probs is not None and (
+            len(probs) != out[alphabet] or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-12
+        ):
+            raise ConfigError(f"{key} must be a probability vector of length {alphabet} = {out[alphabet]}")
     return out
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _build_subshift(spec, alphabet: int) -> Subshift:
@@ -219,7 +238,10 @@ def _build_law(cfg: dict) -> WeightLaw:
     if kind == "discrete":
         if not cfg["values"] or not cfg["probs"]:
             raise ConfigError("discrete law needs values and probs")
-        return WeightLaw.discrete(cfg["values"], cfg["probs"])
+        try:
+            return WeightLaw.discrete(cfg["values"], cfg["probs"])
+        except ValueError as exc:
+            raise ConfigError(f"bad discrete law: {exc}") from exc
     raise ConfigError(f"unknown weight law {kind!r}")
 
 
@@ -294,23 +316,23 @@ def _collect_surviving(master: KeyedRng, need: int, worker, threads: int):
     discarded = 0
     draw = 0
     wave = max(threads, 1) * 2
-    while len(results) < need:
-        idxs = list(range(draw, draw + wave))
-        draw += wave
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outs = list(pool.map(lambda i: worker(master.derive(i), i), idxs))
-        else:
-            outs = [worker(master.derive(i), i) for i in idxs]
-        for out in outs:
-            if len(results) == need:
-                break  # draws past the last accepted one never count
-            if out is None:
-                discarded += 1
-            else:
-                results.append(out)
-        if draw > 1000 * max(need, 1):
-            raise RuntimeError("survival conditioning failed: almost every draw degenerate")
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        run = pool.map if threads > 1 else map
+        while len(results) < need:
+            outs = list(run(lambda i: worker(master.derive(i), i), range(draw, draw + wave)))
+            draw += wave
+            for out in outs:
+                if len(results) == need:
+                    break  # draws past the last accepted one never count
+                if out is None:
+                    discarded += 1
+                else:
+                    results.append(out)
+            if draw > 1000 * max(need, 1):
+                raise CascadimError(
+                    f"survival conditioning gave up after {draw} draws with {len(results)} of "
+                    f"{need} realizations alive: the process almost surely dies out by this depth"
+                )
     return results, discarded
 
 

@@ -144,14 +144,6 @@ class OverlapProfile:
     fit_window: tuple[int, int]
     delta: float
 
-    def as_dict(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "gamma_estimate": self.gamma_estimate,
-            "fit_window": list(self.fit_window),
-            "delta": self.delta,
-        }
-
 
 def overlap_count(
     x: Subshift,

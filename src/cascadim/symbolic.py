@@ -31,6 +31,7 @@ __all__ = [
     "SymbolicMeasure",
     "codes_to_letters",
     "letters_to_codes",
+    "walk_tree",
 ]
 
 
@@ -59,6 +60,47 @@ def letters_to_codes(letters: np.ndarray, alphabet_size: int) -> np.ndarray:
     for j in range(letters.shape[1]):
         codes = codes * alphabet_size + (letters[:, j] - 1)
     return codes
+
+
+def walk_tree(table: np.ndarray, depth: int, cap: int, weigh=None):
+    """Grow the word tree one letter per level down to ``depth``.
+
+    ``table`` is ``(a+1, a)``: a word ending in letter ``i+1`` (row ``a``: the
+    empty word) passes ``table[i, j]`` times its mass to its child with letter
+    ``j+1``.  ``weigh(codes, length)``, when given, multiplies in one more
+    factor per child.  Children of zero mass are dropped, so a zero entry marks
+    a forbidden step.  Masses take the table's dtype: a boolean table just
+    enumerates words.  Children are made parent by parent, letter by letter,
+    which keeps the codes sorted.
+
+    Returns the codes and masses of the length-``depth`` words and the total
+    mass at each level.  Codes are int64, so a walk past 62 bits of code
+    range raises ``CapExceeded`` instead of wrapping.
+    """
+    a = table.shape[1]
+    if depth * math.log2(a) > 62:
+        raise CapExceeded(a**depth, 2**62, what="code range")
+    letters = np.arange(a, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    masses = np.ones(1, dtype=table.dtype)
+    totals = []
+    for length in range(1, depth + 1):
+        rows = np.take(table, codes % a if length > 1 else [a], axis=0)
+        rows *= masses[:, None]
+        codes = (codes[:, None] * a + letters).ravel()
+        masses = rows.ravel()
+        if weigh is not None:
+            masses *= weigh(codes, length)
+        keep = masses > 0
+        if not keep.all():
+            codes, masses = codes[keep], masses[keep]
+        if len(codes) > cap:
+            raise CapExceeded(len(codes), cap, what="tree nodes")
+        totals.append(masses.sum())
+        if not codes.size:
+            totals += [0.0] * (depth - length)
+            break
+    return codes, masses, totals
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,6 +250,18 @@ class Subshift:
             k >>= 1
         return sum(sum(row) for row in power)
 
+    def successor_table(self) -> np.ndarray:
+        """Boolean ``(a+1, a)`` table of the letters allowed after each letter.
+
+        Row ``i`` lists the successors of letter ``i+1``, row ``a`` the first
+        letters (the empty word).  Only live letters are allowed, so every
+        word the table spells indexes a nonempty cylinder.
+        """
+        a = self.alphabet_size
+        live = np.zeros(a, dtype=bool)
+        live[self._live_letters()] = True
+        return np.vstack([(self.matrix() > 0) & live, live])
+
     def admissible_codes(self, n: int, cap: int = DEFAULT_WORD_CAP) -> np.ndarray:
         """Sorted int64 codes of the admissible length-n words."""
         if n < 0:
@@ -215,39 +269,7 @@ class Subshift:
         count = self.word_count(n)
         if count > cap:
             raise CapExceeded(count, cap, what="words")
-        if n * math.log2(self.alphabet_size) > 62:
-            raise CapExceeded(self.alphabet_size ** n, 2 ** 62, what="code range")
-        if n == 0:
-            return np.zeros(1, dtype=np.int64)
-        a = self.alphabet_size
-        if self.transition is None:
-            codes = np.arange(a, dtype=np.int64)
-            for _ in range(n - 1):
-                codes = (codes[:, None] * a + np.arange(a, dtype=np.int64)[None, :]).ravel()
-            return codes
-        live = self._live_letters()
-        codes = live.astype(np.int64)
-        last = codes.copy()
-        live_mask = np.zeros(a, dtype=bool)
-        live_mask[live] = True
-        allowed = [
-            np.flatnonzero(np.array(row, dtype=np.int64) * live_mask) for row in self.transition
-        ]
-        for _ in range(n - 1):
-            parts = []
-            last_parts = []
-            for v in range(a):
-                mask = last == v
-                if not mask.any():
-                    continue
-                nxt = allowed[v]
-                parts.append((codes[mask][:, None] * a + nxt[None, :]).ravel())
-                last_parts.append(np.broadcast_to(nxt, (int(mask.sum()), nxt.size)).ravel())
-            codes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            last = np.concatenate(last_parts) if last_parts else np.empty(0, dtype=np.int64)
-            order = np.argsort(codes, kind="stable")
-            codes = codes[order]
-            last = last[order]
+        codes, _, _ = walk_tree(self.successor_table(), n, cap)
         return codes
 
     def admissible_words(self, n: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
@@ -256,13 +278,6 @@ class Subshift:
         letters = codes_to_letters(codes, n, self.alphabet_size)
         a = self.alphabet_size
         return [Word(tuple(int(v) for v in row), a) for row in letters]
-
-    def step_allowed(self, last_letters: np.ndarray) -> list[np.ndarray]:
-        """Per-letter successor tables used by tree walks; internal helper."""
-        if self.transition is None:
-            nxt = np.arange(1, self.alphabet_size + 1, dtype=np.int64)
-            return [nxt for _ in range(self.alphabet_size)]
-        return [np.flatnonzero(np.array(row, dtype=np.int64)) + 1 for row in self.transition]
 
     # -- spectral quantities ----------------------------------------------
 
@@ -435,11 +450,12 @@ class SymbolicMeasure:
             out *= P[letters[:, j - 1] - 1, letters[:, j] - 1]
         return out
 
-    def step_probs(self, last_letter: int | None) -> np.ndarray:
-        """Next-letter distribution given the last emitted letter (None = first)."""
-        if self.kind == "bernoulli" or last_letter is None:
-            return self.letter_probs()
-        return np.array(self.transition[last_letter - 1])
+    def step_table(self) -> np.ndarray:
+        """``(a+1, a)`` next-letter probabilities: row ``i`` after letter ``i+1``,
+        row ``a`` for the first letter."""
+        if self.kind == "bernoulli":
+            return np.tile(self.probs, (self.alphabet_size + 1, 1))
+        return np.vstack([self.transition, self.initial])
 
     # -- conditioning on the past --------------------------------------------
 

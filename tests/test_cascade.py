@@ -142,13 +142,11 @@ class TestCascadeMeasure:
     def test_cap_exceeded(self, uniform2):
         with pytest.raises(CapExceeded):
             cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(1.0), 12, KeyedRng(1), cap=100)
-
-    def test_workers_bitwise_identical(self, uniform2):
-        law = WeightLaw.percolation(0.7)
-        serial = cascade_measure(uniform2, Subshift.full(2), law, 12, KeyedRng(5), workers=1)
-        parallel = cascade_measure(uniform2, Subshift.full(2), law, 12, KeyedRng(5), workers=4)
-        assert np.array_equal(serial.codes, parallel.codes)
-        assert np.array_equal(serial.masses, parallel.masses)
+        # binary words longer than 62 letters have no int64 code: raise, never wrap
+        with pytest.raises(CapExceeded, match="code range"):
+            percolation_codes(Subshift.full(2), 0.6, 64, KeyedRng(5))
+        with pytest.raises(CapExceeded, match="code range"):
+            cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.6), 64, KeyedRng(5))
 
 
 class TestCoarsening:
@@ -174,6 +172,12 @@ class TestCoarsening:
 class TestPercolation:
     def test_unit_retention_keeps_everything(self, golden_mean):
         assert len(percolation_set(golden_mean, 1.0, 6, KeyedRng(1))) == golden_mean.word_count(6)
+        # letter 2 has no successor, so no infinite word passes through it
+        dead_end = Subshift.sft([[1, 1], [0, 0]])
+        for n in (1, 3, 6):
+            codes = percolation_codes(dead_end, 1.0, n, KeyedRng(1))
+            assert np.array_equal(codes, dead_end.admissible_codes(n))
+            assert codes.size == dead_end.word_count(n)
 
     def test_support_equality_with_cascade(self, uniform2):
         for seed in range(20):

@@ -48,6 +48,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="p"):
             validate_config({"experiment": "cascade-dim", "p": 1.5})
 
+    @pytest.mark.parametrize(
+        "extra, match",
+        [
+            ({"experiment": "cascade-dim", "alphabet": 1}, "alphabet"),
+            ({"experiment": "projection-scan", "probs_a": [0.5]}, "probability vector"),
+            ({"experiment": "cascade-dim", "base_probs": [0.7, 0.7]}, "probability vector"),
+            ({"experiment": "sumset-dim", "s_values": ["x"]}, "list of numbers"),
+            ({"experiment": "perc-image-dim", "subshift": [[1, "a"], [1, 1]]}, "list of lists"),
+        ],
+    )
+    def test_bad_values_rejected(self, extra, match):
+        with pytest.raises(ConfigError, match=match):
+            validate_config(extra)
+
     def test_defaults_applied(self):
         cfg = validate_config({"experiment": "cascade-dim"})
         assert cfg["depth"] == 16
@@ -225,6 +239,23 @@ class TestCli:
         out = self._run("gamma", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert out.returncode == 1
         assert "unknown key" in out.stderr
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"experiment": "cascade-dim", "alphabet": 1},
+            {"experiment": "projection-scan", "probs_a": [0.5]},
+            {"experiment": "sumset-dim", "s_values": ["x"]},
+            # subcritical: almost every realization is extinct at depth 16
+            {"experiment": "cascade-dim", "p": 0.3, "trials": 1},
+        ],
+    )
+    def test_bad_config_one_error_line(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = self._run(cfg["experiment"], "--config", str(path), "--out", str(tmp_path / "out"))
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
 
     def test_subcommand_config_mismatch(self, tmp_path):
         cfg = tmp_path / "cfg.json"
