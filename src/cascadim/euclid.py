@@ -34,15 +34,12 @@ __all__ = [
     "bernoulli_convolution",
 ]
 
-_BRUTE_PAIR_LIMIT = 1 << 22
-
-
 class AtomicMeasure:
     """Weighted atoms in dimension 1 or 2.
 
     1-d atoms are kept sorted by coordinate with exact duplicates merged;
-    2-d atoms keep insertion order.  ``resolution`` bounds the positional
-    uncertainty of every atom.
+    2-d atoms are sorted by x, then y (duplicates kept).  ``resolution``
+    bounds the positional uncertainty of every atom.
     """
 
     def __init__(self, points, weights, resolution: float, _sorted: bool = False):
@@ -224,15 +221,6 @@ class IntervalSet:
             los, his = his[::-1], los[::-1]
         return IntervalSet(los, his, self.source_scale * abs(c), _merged=True)
 
-    def complement_within(self, lo: float, hi: float) -> "IntervalSet":
-        """Closure of [lo,hi] minus the set."""
-        if len(self) == 0:
-            return IntervalSet(np.array([lo]), np.array([hi]), self.source_scale, _merged=True)
-        los = np.concatenate([[lo], self.his])
-        his = np.concatenate([self.los, [hi]])
-        keep = his > los
-        return IntervalSet(los[keep], his[keep], self.source_scale, _merged=True)
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("lo,hi\n")
@@ -296,6 +284,28 @@ def set_image(words, ifs: AffineIfs, length: int | None = None) -> IntervalSet:
 # products, projections, convolutions
 
 
+def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: KeyedRng | None):
+    """Coordinates and weights (xs, ys, ws) of the atoms of product(m1, m2)."""
+    if m1.dim != 1 or m2.dim != 1:
+        raise ValueError("product needs two 1-d measures")
+    n1, n2 = len(m1), len(m2)
+    if n1 * n2 <= atom_cap:
+        # x-major over sorted factors: already in lexicographic order
+        xs = np.repeat(m1.points, n2)
+        ys = np.tile(m2.points, n1)
+        ws = (m1.weights[:, None] * m2.weights[None, :]).ravel()
+        return xs, ys, ws
+    rng = rng or KeyedRng(0)
+    u1 = rng.counter_uniforms(0xA1, atom_cap)
+    u2 = rng.counter_uniforms(0xA2, atom_cap)
+    c1 = np.cumsum(m1.weights) / m1.total_weight
+    c2 = np.cumsum(m2.weights) / m2.total_weight
+    i = np.minimum(np.searchsorted(c1, u1, side="right"), n1 - 1)
+    j = np.minimum(np.searchsorted(c2, u2, side="right"), n2 - 1)
+    w = m1.total_weight * m2.total_weight / atom_cap
+    return m1.points[i], m2.points[j], np.full(atom_cap, w)
+
+
 def product(
     m1: AtomicMeasure,
     m2: AtomicMeasure,
@@ -308,25 +318,8 @@ def product(
     weights (an exact sampler for the product law) and gives every sampled
     atom the weight total/atom_cap.
     """
-    if m1.dim != 1 or m2.dim != 1:
-        raise ValueError("product needs two 1-d measures")
-    res = max(m1.resolution, m2.resolution)
-    n1, n2 = len(m1), len(m2)
-    if n1 * n2 <= atom_cap:
-        xs = np.repeat(m1.points, n2)
-        ys = np.tile(m2.points, n1)
-        ws = (m1.weights[:, None] * m2.weights[None, :]).ravel()
-        return AtomicMeasure(np.column_stack([xs, ys]), ws, res)
-    rng = rng or KeyedRng(0)
-    u1 = rng.counter_uniforms(0xA1, atom_cap)
-    u2 = rng.counter_uniforms(0xA2, atom_cap)
-    c1 = np.cumsum(m1.weights) / m1.total_weight
-    c2 = np.cumsum(m2.weights) / m2.total_weight
-    i = np.minimum(np.searchsorted(c1, u1, side="right"), n1 - 1)
-    j = np.minimum(np.searchsorted(c2, u2, side="right"), n2 - 1)
-    w = m1.total_weight * m2.total_weight / atom_cap
-    pts = np.column_stack([m1.points[i], m2.points[j]])
-    return AtomicMeasure(pts, np.full(atom_cap, w), res)
+    xs, ys, ws = _product_pairs(m1, m2, atom_cap, rng)
+    return AtomicMeasure(np.column_stack([xs, ys]), ws, max(m1.resolution, m2.resolution))
 
 
 def project(m: AtomicMeasure, s: float, sign: int, delta: float) -> AtomicMeasure:
@@ -359,67 +352,27 @@ def convolve(
 
     Identical to projecting the product with unit coefficient; the projection
     family is already the affinely normalized form, so the normalization pair
-    relating the two is (scale, shift) = (1, 0).  Cap semantics as product().
+    relating the two is (scale, shift) = (1, 0).  Cap semantics as product(),
+    without building the planar measure.
     """
-    prod = product(m1, m2, atom_cap=atom_cap, rng=rng)
-    coords = prod.points[:, 0] + prod.points[:, 1]
-    return AtomicMeasure(coords, prod.weights, m1.resolution + m2.resolution)
+    xs, ys, ws = _product_pairs(m1, m2, atom_cap, rng)
+    return AtomicMeasure(xs + ys, ws, m1.resolution + m2.resolution)
 
 
 # ---------------------------------------------------------------------------
 # sumsets
 
 
-def _brute_sumset(a_lo, a_hi, b_lo, b_hi, source: float) -> IntervalSet:
-    """Chunked exact pairwise Minkowski sums, merged as they accumulate."""
-    n, m = a_lo.size, b_lo.size
-    chunk = max(1, _BRUTE_PAIR_LIMIT // max(m, 1))
-    acc: IntervalSet | None = None
-    for start in range(0, n, chunk):
-        al = a_lo[start : start + chunk]
-        ah = a_hi[start : start + chunk]
-        los = (al[:, None] + b_lo[None, :]).ravel()
-        his = (ah[:, None] + b_hi[None, :]).ravel()
-        piece = IntervalSet(los, his, source)
-        if acc is None:
-            acc = piece
-        else:
-            acc = IntervalSet(
-                np.concatenate([acc.los, piece.los]),
-                np.concatenate([acc.his, piece.his]),
-                source,
-            )
-    return acc if acc is not None else IntervalSet.empty()
-
-
-def _merge_pieces(lo: np.ndarray, hi: np.ndarray):
-    """Sort interval pieces and merge overlapping or touching ones."""
-    if lo.size <= 1:
-        return lo, hi
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    hi = hi[order]
-    cummax = np.maximum.accumulate(hi)
-    starts = np.flatnonzero(np.concatenate([[True], lo[1:] > cummax[:-1]]))
-    ends = np.concatenate([starts[1:], [lo.size]]) - 1
-    return lo[starts], cummax[ends]
-
-
 def _intersect_sorted(c_lo, c_hi, d_lo, d_hi):
-    """Intersection of a sorted disjoint family C with a sorted family D.
+    """Intersection of two sorted families of disjoint open intervals.
 
-    D intervals may overlap each other; the result is re-merged.  Degenerate
-    single-point intersections are dropped: with positive-length summands the
-    uncovered set these calls build is open, so it has no isolated points.
+    D may hold empty pieces (hi <= lo).  The result is sorted and disjoint
+    again, with its empty pieces dropped.
     """
-    if c_lo.size == 0 or d_lo.size == 0:
-        return np.empty(0), np.empty(0)
     first = np.searchsorted(d_hi, c_lo, side="left")
     last = np.searchsorted(d_lo, c_hi, side="right")
     counts = last - first
     keep = counts > 0
-    if not keep.any():
-        return np.empty(0), np.empty(0)
     c_lo, c_hi, first, counts = c_lo[keep], c_hi[keep], first[keep], counts[keep]
     total = int(counts.sum())
     rep = np.repeat(np.arange(c_lo.size), counts)
@@ -428,40 +381,29 @@ def _intersect_sorted(c_lo, c_hi, d_lo, d_hi):
     lo = np.maximum(c_lo[rep], d_lo[didx])
     hi = np.minimum(c_hi[rep], d_hi[didx])
     pos = hi > lo
-    return _merge_pieces(lo[pos], hi[pos])
+    return lo[pos], hi[pos]
 
 
 def _erosion_sumset(a_lo, a_hi, b_lo, b_hi, source: float) -> IntervalSet:
     """Exact sumset via its complement.
 
     x misses A+B exactly when, for every summand interval J of B, the
-    translate x - J fits inside a single gap of A.  Intersecting those
-    per-interval admissible sets over all of B yields the complement; the
-    candidate set shrinks geometrically, so dense instances resolve fast.
+    translate x - J fits inside a single gap of A.  For one J those x form
+    sorted, disjoint open intervals, one per gap; intersecting them over all
+    of B leaves the uncovered set in the same form.  The sumset is the closed
+    stretches between consecutive uncovered intervals, so two that touch
+    leave an isolated point of A+B.
     """
-    hull_lo = a_lo[0] + b_lo[0]
-    hull_hi = a_hi[-1] + b_hi[-1]
-    b_len = b_hi - b_lo
-    # boundary rays stand in for the unbounded gaps of A^c; the translates
-    # x - B_j they must absorb range over [hull_lo - max(B), hull_hi - min(B)]
-    ray_lo = min(hull_lo - b_hi[-1], a_lo[0]) - 1.0
-    ray_hi = max(hull_hi - b_lo[0], a_hi[-1]) + 1.0
-    gap_lo = np.concatenate([[ray_lo], a_hi])
-    gap_hi = np.concatenate([a_lo, [ray_hi]])
-    order = np.argsort(-b_len, kind="stable")  # long summands shrink fastest
-    c_lo = c_hi = None
-    for j in order:
-        d_lo = gap_lo + b_hi[j]
-        d_hi = gap_hi + b_lo[j]
-        if c_lo is None:
-            pos = d_hi > d_lo
-            c_lo, c_hi = _merge_pieces(d_lo[pos], d_hi[pos])
-        else:
-            c_lo, c_hi = _intersect_sorted(c_lo, c_hi, d_lo, d_hi)
-        if c_lo.size == 0:
-            return IntervalSet(np.array([hull_lo]), np.array([hull_hi]), source, _merged=True)
-    uncovered = IntervalSet(c_lo, c_hi, source, _merged=True)
-    return uncovered.complement_within(hull_lo, hull_hi)
+    if b_lo.size > a_lo.size:  # A+B = B+A: loop over the shorter family
+        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+    # the unbounded gaps of A^c are rays, so the first uncovered interval
+    # ends at min(A) + min(B) and the last starts at max(A) + max(B)
+    gap_lo = np.concatenate([[-np.inf], a_hi])
+    gap_hi = np.concatenate([a_lo, [np.inf]])
+    c_lo, c_hi = np.array([-np.inf]), np.array([np.inf])
+    for j in np.argsort(b_lo - b_hi, kind="stable"):  # long summands shrink fastest
+        c_lo, c_hi = _intersect_sorted(c_lo, c_hi, gap_lo + b_hi[j], gap_hi + b_lo[j])
+    return IntervalSet(c_hi[:-1], c_lo[1:], source, _merged=True)
 
 
 def sumset(
@@ -470,7 +412,12 @@ def sumset(
     s: float,
     pair_cap: int = 5_000_000,
 ) -> IntervalSet:
-    """The arithmetic sum {x + s*y} of two interval sets, exactly merged."""
+    """The arithmetic sum {x + s*y} of two interval sets, exactly merged.
+
+    One exact algorithm serves every input (complement erosion, see
+    ``_erosion_sumset``).  Its endpoints are the floating-point sums of
+    endpoints that the pairwise Minkowski sums would give.
+    """
     if s == 0:
         raise ValueError("s must be nonzero")
     if len(s1) == 0 or len(s2) == 0:
@@ -479,10 +426,7 @@ def sumset(
     if pairs > pair_cap:
         raise CapExceeded(pairs, pair_cap, what="interval pairs")
     sb = s2.scale(s)
-    source = s1.source_scale + sb.source_scale
-    if pairs <= _BRUTE_PAIR_LIMIT:
-        return _brute_sumset(s1.los, s1.his, sb.los, sb.his, source)
-    return _erosion_sumset(s1.los, s1.his, sb.los, sb.his, source)
+    return _erosion_sumset(s1.los, s1.his, sb.los, sb.his, s1.source_scale + sb.source_scale)
 
 
 # ---------------------------------------------------------------------------

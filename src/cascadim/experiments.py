@@ -169,9 +169,12 @@ def validate_config(cfg: dict) -> dict:
     for key, value in cfg.items():
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} for experiment {name!r}")
-        types, _ = schema[key]
+        types, default = schema[key]
         types = types if isinstance(types, tuple) else (types,)
-        if value is not None:
+        if value is None:
+            if default is not None:
+                raise ConfigError(f"key {key!r} must not be null")
+        else:
             if int in types and isinstance(value, bool):
                 raise ConfigError(f"key {key!r} must be an integer")
             if float in types and isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -190,14 +193,20 @@ def validate_config(cfg: dict) -> dict:
     if out["tolerance"] is None:
         out["tolerance"] = EXPERIMENTS[name]["_tolerance"]
     for key in ("trials", "threads"):
-        if out[key] is not None and out[key] < 1:
+        if out[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
     for key in ("p", "p_a", "p_b"):
-        if key in out and out[key] is not None and not 0.0 < out[key] <= 1.0:
+        if key in out and not 0.0 < out[key] <= 1.0:
             raise ConfigError(f"{key} must lie in (0,1]")
     for key in ("alphabet", "alphabet_a", "alphabet_b"):
-        if key in out and (out[key] is None or out[key] < 2):
+        if key in out and out[key] < 2:
             raise ConfigError(f"{key} must be an integer >= 2")
+    for key in ("gamma_nmax", "n_max"):
+        if key in out and out[key] < 4:
+            raise ConfigError(f"{key} must be >= 4")
+    for key in ("beta_a", "beta_b"):
+        if key in out and not 0.0 < out[key] < 1.0:
+            raise ConfigError(f"{key} must lie in (0,1)")
     for key, alphabet in (("base_probs", "alphabet"), ("probs_a", "alphabet_a"), ("probs_b", "alphabet_b")):
         probs = out.get(key)
         if probs is not None and (
@@ -217,7 +226,10 @@ def _build_subshift(spec, alphabet: int) -> Subshift:
     if spec == "golden-mean":
         return Subshift.golden_mean()
     if isinstance(spec, list):
-        return Subshift.sft(spec)
+        try:
+            return Subshift.sft(spec)
+        except ValueError as exc:
+            raise ConfigError(f"bad subshift matrix: {exc}") from exc
     raise ConfigError(f"bad subshift spec {spec!r}")
 
 
@@ -231,17 +243,17 @@ def _build_ifs(spec, alphabet: int) -> AffineIfs:
 
 def _build_law(cfg: dict) -> WeightLaw:
     kind = cfg["law"]
-    if kind == "percolation":
-        return WeightLaw.percolation(cfg["p"])
-    if kind == "lognormal":
-        return WeightLaw.lognormal(cfg["sigma"])
-    if kind == "discrete":
-        if not cfg["values"] or not cfg["probs"]:
-            raise ConfigError("discrete law needs values and probs")
-        try:
+    if kind == "discrete" and (not cfg["values"] or not cfg["probs"]):
+        raise ConfigError("discrete law needs values and probs")
+    try:
+        if kind == "percolation":
+            return WeightLaw.percolation(cfg["p"])
+        if kind == "lognormal":
+            return WeightLaw.lognormal(cfg["sigma"])
+        if kind == "discrete":
             return WeightLaw.discrete(cfg["values"], cfg["probs"])
-        except ValueError as exc:
-            raise ConfigError(f"bad discrete law: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} law: {exc}") from exc
     raise ConfigError(f"unknown weight law {kind!r}")
 
 

@@ -120,8 +120,9 @@ class AffineIfs:
         return x
 
     def intervals_for_codes(self, codes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-        los = self.points_for_codes(codes, length, self.attractor_min)
-        his = self.points_for_codes(codes, length, self.attractor_max)
+        letters = codes_to_letters(codes, length, self.alphabet_size)
+        los = self.points_for_letters(letters, self.attractor_min)
+        his = self.points_for_letters(letters, self.attractor_max)
         return los, his
 
     def contractions_for_codes(self, codes: np.ndarray, length: int) -> np.ndarray:

@@ -195,6 +195,12 @@ class TestConvolve:
         assert np.allclose(np.sort(conv.points), np.sort(proj.points), atol=0)
         for center in (0.3, 0.85):
             assert conv.ball_mass(center, 0.2) == pytest.approx(proj.ball_mass(center, 0.2), abs=1e-15)
+        # exact grid and sampled mode give the projected product bit for bit
+        for kwargs in ({}, {"atom_cap": 5, "rng": KeyedRng(3)}):
+            conv = convolve(m1, m2, **kwargs)
+            proj = project(product(m1, m2, **kwargs), 0.0, +1, 0.5)
+            assert np.array_equal(conv.points, proj.points)
+            assert np.array_equal(conv.weights, proj.weights)
 
     def test_general_exponent_reduces_to_scaled_convolution(self):
         # project(product, s, +) == convolve(scaled(m1, delta^s), m2), (1, 0) map
@@ -255,21 +261,26 @@ class TestSumset:
         assert np.allclose(out.his, [m[1] for m in merged], atol=1e-15)
 
     def test_erosion_path_equals_brute(self):
-        import cascadim.euclid as E
-
+        # oracle: every pairwise Minkowski sum, merged; families mix
+        # zero-length intervals with positive ones, and |A| < |B| as well as |A| > |B|
         rng = np.random.default_rng(12)
-        for _ in range(8):
-            lo1 = np.sort(rng.random(120)) * 2
-            a = IntervalSet(lo1, lo1 + rng.random(120) * 0.01)
-            lo2 = np.sort(rng.random(90)) * 1.5 + 3
-            b = IntervalSet(lo2, lo2 + rng.random(90) * 0.02)
-            for s in (0.8, -1.3):
-                bs = b.scale(s)
-                brute = E._brute_sumset(a.los, a.his, bs.los, bs.his, 0.0)
-                eroded = E._erosion_sumset(a.los, a.his, bs.los, bs.his, 0.0)
-                assert len(brute) == len(eroded)
-                assert np.allclose(brute.los, eroded.los, atol=1e-13)
-                assert np.allclose(brute.his, eroded.his, atol=1e-13)
+        for n, m in ((120, 90), (40, 150), (1, 30), (25, 1)):
+            for _ in range(4):
+                lo1 = np.sort(rng.random(n)) * 2
+                a = IntervalSet(lo1, lo1 + rng.random(n) * 0.01 * (rng.random(n) < 0.7))
+                lo2 = np.sort(rng.random(m)) * 1.5 + 3
+                b = IntervalSet(lo2, lo2 + rng.random(m) * 0.02 * (rng.random(m) < 0.7))
+                for s in (0.8, -1.3):
+                    bs = b.scale(s)
+                    los, his = np.add.outer(a.los, bs.los), np.add.outer(a.his, bs.his)
+                    brute = IntervalSet(los.ravel(), his.ravel())
+                    eroded = sumset(a, b, s)
+                    assert np.array_equal(brute.los, eroded.los)
+                    assert np.array_equal(brute.his, eroded.his)
+        # isolated points survive: {0, 1} + {0}
+        pts = IntervalSet([0.0, 1.0], [0.0, 1.0])
+        out = sumset(pts, IntervalSet([0.0], [0.0]), 1.0)
+        assert out.los.tolist() == [0.0, 1.0] and out.his.tolist() == [0.0, 1.0]
 
     def test_reflection_identity(self):
         # {x + s y} = s * {y + (1/s) x}

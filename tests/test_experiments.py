@@ -56,6 +56,11 @@ class TestConfigValidation:
             ({"experiment": "cascade-dim", "base_probs": [0.7, 0.7]}, "probability vector"),
             ({"experiment": "sumset-dim", "s_values": ["x"]}, "list of numbers"),
             ({"experiment": "perc-image-dim", "subshift": [[1, "a"], [1, 1]]}, "list of lists"),
+            ({"experiment": "cascade-dim", "trials": None}, "null"),
+            ({"experiment": "cascade-dim", "depth": None}, "null"),
+            ({"experiment": "perc-image-dim", "gamma_nmax": 2}, "gamma_nmax"),
+            ({"experiment": "gamma", "n_max": 2}, "n_max"),
+            ({"experiment": "bconv", "beta_a": 1.5}, "beta_a"),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
@@ -246,6 +251,13 @@ class TestCli:
             {"experiment": "cascade-dim", "alphabet": 1},
             {"experiment": "projection-scan", "probs_a": [0.5]},
             {"experiment": "sumset-dim", "s_values": ["x"]},
+            {"experiment": "cascade-dim", "law": "lognormal", "sigma": -1},
+            {"experiment": "perc-image-dim", "gamma_nmax": 2},
+            {"experiment": "gamma", "n_max": 2},
+            {"experiment": "bconv", "beta_a": 1.5},
+            {"experiment": "perc-image-dim", "subshift": [[1, 2], [1, 1]]},
+            {"experiment": "cascade-dim", "trials": None},
+            {"experiment": "cascade-dim", "depth": None},
             # subcritical: almost every realization is extinct at depth 16
             {"experiment": "cascade-dim", "p": 0.3, "trials": 1},
         ],
