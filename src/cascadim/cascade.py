@@ -9,6 +9,10 @@ the same realization bit for bit.
 Hashing: a word is encoded as its length followed by its one-byte letters,
 and absorbed token by token through the splitmix64 finalizer (the published
 64-bit avalanche mixer); uniforms take the top 53 bits of the final state.
+``KeyedRng.word_hashes`` is that definition.  The tree walk gets the same
+hashes from per-level prefix states (``KeyedRng.tree_hashes``): the state
+after the length and the first j letters depends only on the depth-j prefix,
+so each prefix of a depth-k walk is absorbed once, not once per descendant.
 """
 from __future__ import annotations
 
@@ -83,6 +87,21 @@ class KeyedRng:
             h = _mix64(h ^ (_LEN_SALT + np.uint64(k)))
             for j in range(k):
                 h = _mix64(h ^ (_LETTER_SALT + letters[:, j].astype(np.uint64)))
+        return h
+
+    def tree_hashes(self, levels: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """``word_hashes`` of the deepest nodes of a tree given level by level.
+
+        ``levels[j-1]`` is ``(up, letter)`` for the nodes of depth ``j``: each
+        node's parent index among the nodes of depth ``j-1`` and its last
+        letter, as ``walk_tree`` hands them to ``weigh``.  Each node's state
+        is its parent's state absorbing its letter, so every prefix is mixed
+        once and no letter matrix is built.
+        """
+        with np.errstate(over="ignore"):
+            h = _mix64(self._root() ^ (_LEN_SALT + np.uint64(len(levels))))
+            for up, letter in levels:
+                h = _mix64(h[up] ^ (_LETTER_SALT + letter.astype(np.uint64)))
         return h
 
     def word_uniform(self, u: Word | Sequence[int]) -> float:
@@ -256,11 +275,9 @@ def _grow(base, x, law, rng, depth, cap):
         raise ValueError("measure and subshift alphabets differ")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    a = x.alphabet_size
 
-    def weigh(codes, length):
-        letters = codes_to_letters(codes, length, a)
-        return law.weights_from_uniforms(_to_uniform(rng.word_hashes(letters)))
+    def weigh(levels):
+        return law.weights_from_uniforms(_to_uniform(rng.tree_hashes(levels)))
 
     return walk_tree(x.successor_table() * base.step_table(), depth, cap, weigh)
 

@@ -12,14 +12,12 @@ at most the resolution.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .cascade import CylinderMeasure, KeyedRng, WeightLaw, cascade_measure
 from .errors import CapExceeded, ScaleBelowResolution
 from .ifs import AffineIfs
-from .symbolic import Subshift, SymbolicMeasure, Word, letters_to_codes
+from .symbolic import Subshift, SymbolicMeasure, letters_to_codes
 
 __all__ = [
     "AtomicMeasure",

@@ -106,24 +106,55 @@ class AffineIfs:
     # -- vectorized variants over code arrays ---------------------------------
 
     def points_for_codes(self, codes: np.ndarray, length: int, x0: float) -> np.ndarray:
-        """f_u(x0) for every base-a code u of the given length."""
-        letters = codes_to_letters(codes, length, self.alphabet_size)
-        return self.points_for_letters(letters, x0)
+        """f_u(x0) for every base-a code u of the given length.
 
-    def points_for_letters(self, letters: np.ndarray, x0: float) -> np.ndarray:
+        The last L letters of each word are read from a table of f_s(x0) over
+        all a^L suffixes s, where L is the largest length with
+        a^L <= max(len(codes), a), capped at ``length``; only the first
+        ``length - L`` letters are decoded and applied.  The table is built
+        right to left with the same ``r*x + t`` steps as
+        ``points_for_letters``, so every point is bit for bit the one the full
+        letter matrix gives.  Carrying each prefix's affine map (offset,
+        contraction) down the tree instead would compose left to right, which
+        rounds differently for non-dyadic ratios.
+        """
+        suffixes, prefixes, L = self._split_codes(codes, length)
+        return self.points_for_letters(prefixes, self._suffix_table(x0, L)[suffixes])
+
+    def points_for_letters(self, letters: np.ndarray, x0: float | np.ndarray) -> np.ndarray:
+        """f_u(x0) for every row u of a letter matrix; ``x0`` may be one start per row."""
         r = np.array(self.ratios)
         t = np.array(self.translations)
-        x = np.full(letters.shape[0], float(x0))
+        x = np.full(letters.shape[0], x0, dtype=float)
         for j in range(letters.shape[1] - 1, -1, -1):
             idx = letters[:, j] - 1
             x = r[idx] * x + t[idx]
         return x
 
     def intervals_for_codes(self, codes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-        letters = codes_to_letters(codes, length, self.alphabet_size)
-        los = self.points_for_letters(letters, self.attractor_min)
-        his = self.points_for_letters(letters, self.attractor_max)
+        suffixes, prefixes, L = self._split_codes(codes, length)
+        los = self.points_for_letters(prefixes, self._suffix_table(self.attractor_min, L)[suffixes])
+        his = self.points_for_letters(prefixes, self._suffix_table(self.attractor_max, L)[suffixes])
         return los, his
+
+    def _split_codes(self, codes: np.ndarray, length: int):
+        """Suffix indices, prefix letter matrix and suffix length L of the codes."""
+        a = self.alphabet_size
+        codes = np.asarray(codes, dtype=np.int64)
+        L = 0
+        while L < length and a ** (L + 1) <= max(len(codes), a):
+            L += 1
+        prefixes, suffixes = np.divmod(codes, a**L)
+        return suffixes, codes_to_letters(prefixes, length - L, a), L
+
+    def _suffix_table(self, x0: float, L: int) -> np.ndarray:
+        """f_s(x0) for the a^L words s of length L, indexed by their codes."""
+        r = np.array(self.ratios)[:, None]
+        t = np.array(self.translations)[:, None]
+        table = np.array([float(x0)])
+        for _ in range(L):
+            table = (r * table + t).ravel()
+        return table
 
     def contractions_for_codes(self, codes: np.ndarray, length: int) -> np.ndarray:
         if self.equal_ratio is not None:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CapExceeded, NonStationaryWarning, NotIrreducible
 
 DEFAULT_WORD_CAP = 20_000_000
+_INDEX_MAX = 2**31 - 1  # walk_tree's int32 parent indices
 
 __all__ = [
     "DEFAULT_WORD_CAP",
@@ -67,33 +68,49 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, weigh=None):
 
     ``table`` is ``(a+1, a)``: a word ending in letter ``i+1`` (row ``a``: the
     empty word) passes ``table[i, j]`` times its mass to its child with letter
-    ``j+1``.  ``weigh(codes, length)``, when given, multiplies in one more
-    factor per child.  Children of zero mass are dropped, so a zero entry marks
-    a forbidden step.  Masses take the table's dtype: a boolean table just
-    enumerates words.  Children are made parent by parent, letter by letter,
-    which keeps the codes sorted.
+    ``j+1``.  ``weigh(levels)``, when given, multiplies in one more factor per
+    child.  ``levels[j-1]`` is the pair ``(up, letter)`` of the nodes at depth
+    ``j``: each node's parent, as an index into the nodes of depth ``j-1``
+    (int32), and its last letter (uint8, from 1).  The last pair lists every
+    child of the current level, before pruning.  Children of zero mass are
+    dropped, so a zero entry marks a forbidden step.  Masses take the table's
+    dtype: a boolean table just enumerates words.  Children are made parent by
+    parent, letter by letter, which keeps the codes sorted.
 
     Returns the codes and masses of the length-``depth`` words and the total
     mass at each level.  Codes are int64, so a walk past 62 bits of code
-    range raises ``CapExceeded`` instead of wrapping.
+    range raises ``CapExceeded`` instead of wrapping; so does a ``cap`` past
+    the int32 range of the parent indices.
     """
     a = table.shape[1]
     if depth * math.log2(a) > 62:
         raise CapExceeded(a**depth, 2**62, what="code range")
-    letters = np.arange(a, dtype=np.int64)
+    if cap > _INDEX_MAX:
+        raise CapExceeded(cap, _INDEX_MAX, what="int32 node indices")
+    by_last = np.roll(table, 1, axis=0)  # row l: after letter l; row 0: the empty word
+    step = np.arange(a, dtype=np.int64)
+    child_letters = np.arange(1, a + 1, dtype=np.uint8)
     codes = np.zeros(1, dtype=np.int64)
+    last = np.zeros(1, dtype=np.uint8)
     masses = np.ones(1, dtype=table.dtype)
+    levels = []
     totals = []
     for length in range(1, depth + 1):
-        rows = np.take(table, codes % a if length > 1 else [a], axis=0)
+        rows = by_last[last]
         rows *= masses[:, None]
-        codes = (codes[:, None] * a + letters).ravel()
+        n = len(codes)
+        codes = (codes[:, None] * a + step).ravel()
+        last = np.tile(child_letters, n)
         masses = rows.ravel()
         if weigh is not None:
-            masses *= weigh(codes, length)
+            up = np.repeat(np.arange(n, dtype=np.int32), a)
+            levels.append((up, last))
+            masses *= weigh(levels)
         keep = masses > 0
         if not keep.all():
-            codes, masses = codes[keep], masses[keep]
+            codes, masses, last = codes[keep], masses[keep], last[keep]
+            if weigh is not None:
+                levels[-1] = (up[keep], last)
         if len(codes) > cap:
             raise CapExceeded(len(codes), cap, what="tree nodes")
         totals.append(masses.sum())

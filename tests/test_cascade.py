@@ -17,7 +17,9 @@ from cascadim import (
     percolation_codes,
     percolation_set,
 )
+from cascadim.cascade import _grow, _to_uniform
 from cascadim.errors import CapExceeded, DegenerateCascadeWarning
+from cascadim.symbolic import codes_to_letters, walk_tree
 
 
 class TestWeightLaw:
@@ -148,6 +150,16 @@ class TestCascadeMeasure:
         with pytest.raises(CapExceeded, match="code range"):
             cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.6), 64, KeyedRng(5))
 
+    def test_cap_past_int32_index_range_rejected(self, uniform2):
+        # parent indices are int32: a cap they cannot index is refused before any work
+        with pytest.raises(CapExceeded, match="int32"):
+            percolation_codes(Subshift.full(2), 0.7, 4, KeyedRng(5), cap=2**31)
+        with pytest.raises(CapExceeded, match="int32"):
+            cascade_measure(uniform2, Subshift.full(2), WeightLaw.lognormal(0.5), 4, KeyedRng(5), cap=2**40)
+        with pytest.raises(CapExceeded, match="int32"):
+            Subshift.full(2).admissible_codes(3, cap=2**31)
+        assert len(percolation_codes(Subshift.full(2), 1.0, 4, KeyedRng(5), cap=2**31 - 1)) == 16
+
 
 class TestCoarsening:
     def test_stepwise_equals_direct_bitwise(self, uniform2):
@@ -275,3 +287,95 @@ class TestCsvDump:
         word, mass = lines[1].split(",")
         assert set(word) <= {"1", "2"} and len(word) == 5
         assert float(mass) == cm.masses[0]
+
+
+def _reference_walk(table, depth, law, rng):
+    """Per level: the children's codes and hashes, and the surviving codes and masses.
+
+    Every child is decoded to its full letter row and hashed from the root by
+    ``word_hashes``, the reference definition of the keyed weights.
+    """
+    a = table.shape[1]
+    codes = np.zeros(1, dtype=np.int64)
+    masses = np.ones(1)
+    out = []
+    for length in range(1, depth + 1):
+        rows = table[codes % a if length > 1 else [a]] * masses[:, None]
+        children = (codes[:, None] * a + np.arange(a)).ravel()
+        hashes = rng.word_hashes(codes_to_letters(children, length, a))
+        masses = rows.ravel() * law.weights_from_uniforms(_to_uniform(hashes))
+        keep = masses > 0
+        codes, masses = children[keep], masses[keep]
+        out.append((children, hashes, codes, masses))
+    return out
+
+
+_GOLDEN = Subshift.golden_mean()
+_DEAD_LETTER = Subshift.sft([[1, 1, 1], [1, 0, 1], [0, 0, 0]])  # letter 3 has no successor
+WALK_CASES = {
+    "full2-percolation": (Subshift.full(2), SymbolicMeasure.uniform(2), WeightLaw.percolation(0.7), 14),
+    "full3-percolation": (Subshift.full(3), SymbolicMeasure.uniform(3), WeightLaw.percolation(0.8), 10),
+    "full3-lognormal": (Subshift.full(3), SymbolicMeasure.uniform(3), WeightLaw.lognormal(0.5), 8),
+    "golden-discrete": (_GOLDEN, _GOLDEN.parry_measure(), WeightLaw.discrete([2.0, 0.0], [0.5, 0.5]), 14),
+    "dead-letter-discrete": (
+        _DEAD_LETTER,
+        SymbolicMeasure.uniform(3),
+        WeightLaw.discrete([0.0, 1.5], [1 / 3, 2 / 3]),
+        9,
+    ),
+}
+
+
+class TestTreeHashes:
+    """The walk's keyed weights against the reference hash of each decoded word."""
+
+    @pytest.mark.parametrize("case", list(WALK_CASES), ids=list(WALK_CASES))
+    def test_walk_weights_equal_word_hashes(self, case):
+        x, base, law, depth = WALK_CASES[case]
+        table = x.successor_table() * base.step_table()
+        for seed in (3, 2024):
+            rng = KeyedRng(seed)
+            reference = _reference_walk(table, depth, law, rng)
+            seen = []
+
+            def weigh(levels):
+                children, hashes, _, _ = reference[len(levels) - 1]
+                got = rng.tree_hashes(levels)
+                assert len(levels[-1][0]) == len(children)
+                assert np.array_equal(got, hashes)
+                seen.append(len(levels))
+                return law.weights_from_uniforms(_to_uniform(got))
+
+            codes, masses, totals = walk_tree(table, depth, 10**6, weigh)
+            grown = _grow(base, x, law, rng, depth, 10**6)
+            assert seen == list(range(1, len(seen) + 1))
+            for total, (_, _, _, ref_masses) in zip(totals, reference):
+                assert total == ref_masses.sum()
+            assert np.array_equal(codes, reference[len(seen) - 1][2])
+            assert np.array_equal(masses, reference[len(seen) - 1][3])
+            for got, want in zip(grown, (codes, masses, totals)):
+                assert np.array_equal(got, want)
+
+    def test_depth_extension_keeps_every_level(self, uniform2):
+        # extending a walk from depth 12 to 14 leaves the first 12 levels as they were
+        rng = KeyedRng(91)
+        law = WeightLaw.lognormal(0.5)
+        table = Subshift.full(2).successor_table() * uniform2.step_table()
+
+        def hashes_per_level(depth):
+            seen = []
+
+            def weigh(levels):
+                seen.append(rng.tree_hashes(levels))
+                return law.weights_from_uniforms(_to_uniform(seen[-1]))
+
+            walk_tree(table, depth, 10**6, weigh)
+            return seen
+
+        short, deep = hashes_per_level(12), hashes_per_level(14)
+        assert len(short) == 12 and len(deep) == 14
+        for a, b in zip(short, deep):
+            assert np.array_equal(a, b)
+        trace12 = cascade_mass_trace(uniform2, Subshift.full(2), law, 12, rng)
+        trace14 = cascade_mass_trace(uniform2, Subshift.full(2), law, 14, rng)
+        assert np.array_equal(trace14[:12], trace12)

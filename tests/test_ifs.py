@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cascadim import AffineIfs, Subshift, Word, gamma_estimate, overlap_count
 from cascadim.errors import CapExceeded
+from cascadim.symbolic import codes_to_letters
 
 EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
 
@@ -76,6 +77,44 @@ class TestCylinderInterval:
         lo_u, hi_u = ifs.cylinder_interval(tuple(u))
         lo_uv, hi_uv = ifs.cylinder_interval(tuple(u) + tuple(v))
         assert lo_u - 1e-12 <= lo_uv and hi_uv <= hi_u + 1e-12
+
+
+NON_DYADIC = {
+    "bernoulli-pair-0.4": AffineIfs.bernoulli_pair(0.4),
+    "unequal-3-map": AffineIfs.from_maps([(0.3, 0.0), (0.45, 0.2), (0.17, 0.8)]),
+}
+
+
+class TestCodesAgainstLetterPath:
+    """The suffix-table coding map against decoding every word in full."""
+
+    @staticmethod
+    def _cases(a):
+        rng = np.random.default_rng(17)
+        return {
+            "single code": (np.array([a**7 - 2]), 7),
+            "fewer codes than a": (np.arange(a - 1), 4),
+            "all a^n codes": (np.arange(a**6), 6),
+            "length 1": (np.arange(a), 1),
+            "length 1, one code": (np.array([a - 1]), 1),
+            "sparse": (np.unique(rng.integers(0, a**12, 3000)), 12),
+            "empty": (np.zeros(0, dtype=np.int64), 5),
+        }
+
+    @pytest.mark.parametrize("name", list(NON_DYADIC), ids=list(NON_DYADIC))
+    def test_bitwise_equal_to_letter_matrix(self, name):
+        ifs = NON_DYADIC[name]
+        a = ifs.alphabet_size
+        for case, (codes, length) in self._cases(a).items():
+            letters = codes_to_letters(codes, length, a)
+            for x0 in (ifs.attractor_min, ifs.attractor_max, ifs.fixed_point(1), 0.3):
+                got = ifs.points_for_codes(codes, length, x0)
+                assert np.array_equal(got, ifs.points_for_letters(letters, x0)), case
+                assert got.flags.writeable
+            los, his = ifs.intervals_for_codes(codes, length)
+            assert np.array_equal(los, ifs.points_for_letters(letters, ifs.attractor_min)), case
+            assert np.array_equal(his, ifs.points_for_letters(letters, ifs.attractor_max)), case
+            assert los.flags.writeable and his.flags.writeable
 
 
 def _overlap_oracle(x, ifs, n):
