@@ -1,7 +1,8 @@
 """Multi-scale dimension estimators.
 
-Box counting on interval sets and atom supports, scaling entropy of atomic
-measures, their log-log regressions, and the shared least-squares helper.
+Box counting on interval sets and on the supports of atomic measures,
+scaling entropy of atomic measures (all on the line), their log-log
+regressions, and the shared least-squares helper.
 Every estimator refuses to probe below the resolution of its input: below
 that scale one would be measuring the discretization, not the measure.
 
@@ -126,16 +127,10 @@ def box_count(obj, eps: float) -> int:
         if eps < obj.source_scale:
             raise ScaleBelowResolution(eps, obj.source_scale)
         return _cells_of_intervals(obj.los, obj.his, eps)
-    # atomic measure support
+    # support of an atomic measure
     if eps < obj.resolution:
         raise ScaleBelowResolution(eps, obj.resolution)
-    pts = obj.points
-    if pts.size == 0:
-        return 0
-    if pts.ndim == 1:
-        return int(np.unique(np.floor(pts / eps).astype(np.int64)).size)
-    cells = np.floor(pts / eps).astype(np.int64)
-    return int(np.unique(cells, axis=0).shape[0])
+    return int(np.unique(np.floor(obj.points / eps).astype(np.int64)).size)
 
 
 def box_dimension(obj, eps_schedule: Sequence[float], window: tuple[int, int] | None = None) -> ScalingFit:

@@ -1,6 +1,6 @@
 """Euclidean discretizations of symbolic measures and sets.
 
-Atomic measures (weighted point clouds in dimension 1 or 2) carry an explicit
+Atomic measures (weighted point clouds on the line) carry an explicit
 resolution: the spatial uncertainty of replacing each cylinder by one
 representative point.  Estimators must stay above it.  Interval sets hold
 merged unions of closed intervals for set-level work (percolation images,
@@ -12,6 +12,8 @@ at most the resolution.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .cascade import CylinderMeasure, KeyedRng, WeightLaw, cascade_measure
@@ -21,6 +23,7 @@ from .symbolic import Subshift, SymbolicMeasure, letters_to_codes
 
 __all__ = [
     "AtomicMeasure",
+    "ProductPairs",
     "IntervalSet",
     "pushforward",
     "set_image",
@@ -33,47 +36,33 @@ __all__ = [
 ]
 
 class AtomicMeasure:
-    """Weighted atoms in dimension 1 or 2.
+    """Weighted atoms on the line.
 
-    1-d atoms are kept sorted by coordinate with exact duplicates merged;
-    2-d atoms are sorted by x, then y (duplicates kept).  ``resolution``
-    bounds the positional uncertainty of every atom.
+    Atoms are kept sorted by coordinate with exact duplicates merged.
+    ``resolution`` bounds the positional uncertainty of every atom.
     """
 
-    def __init__(self, points, weights, resolution: float, _sorted: bool = False):
+    def __init__(self, points, weights, resolution: float):
         points = np.asarray(points, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
-        if points.ndim not in (1, 2) or (points.ndim == 2 and points.shape[1] != 2):
-            raise ValueError("points must be (N,) or (N,2)")
-        if weights.shape != (points.shape[0],):
+        if points.ndim != 1:
+            raise ValueError("points must be a 1-d array")
+        if weights.shape != points.shape:
             raise ValueError("weights must align with points")
         if (weights < 0).any():
             raise ValueError("weights must be nonnegative")
-        if not _sorted:
-            if points.ndim == 1:
-                order = np.argsort(points, kind="stable")
-                points = points[order]
-                weights = weights[order]
-                if points.size > 1:
-                    starts = np.flatnonzero(
-                        np.concatenate([[True], points[1:] != points[:-1]])
-                    )
-                    if starts.size != points.size:  # merge exactly coinciding atoms
-                        weights = np.add.reduceat(weights, starts)
-                        points = points[starts]
-            elif points.shape[0] > 1:
-                # x-sorted so planar ball queries can window on the first axis
-                order = np.lexsort((points[:, 1], points[:, 0]))
-                points = points[order]
-                weights = weights[order]
+        order = np.argsort(points, kind="stable")
+        points = points[order]
+        weights = weights[order]
+        if points.size > 1:
+            starts = np.flatnonzero(np.concatenate([[True], points[1:] != points[:-1]]))
+            if starts.size != points.size:  # merge exactly coinciding atoms
+                weights = np.add.reduceat(weights, starts)
+                points = points[starts]
         self.points = points
         self.weights = weights
         self.resolution = float(resolution)
         self._cum = None
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.points.ndim == 1 else 2
 
     @property
     def total_weight(self) -> float:
@@ -81,13 +70,6 @@ class AtomicMeasure:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def support_bounds(self):
-        if len(self) == 0:
-            raise ValueError("empty measure has no support")
-        if self.dim == 1:
-            return float(self.points[0]), float(self.points[-1])
-        return self.points.min(axis=0), self.points.max(axis=0)
 
     def normalized(self) -> "AtomicMeasure":
         tot = self.total_weight
@@ -109,37 +91,21 @@ class AtomicMeasure:
             self._cum = np.concatenate([[0.0], np.cumsum(self.weights)])
         return self._cum
 
-    def ball_mass(self, center, r: float) -> float:
+    def ball_mass(self, center: float, r: float) -> float:
         """Total weight within the closed ball; r must respect the resolution."""
-        if r < self.resolution:
-            raise ScaleBelowResolution(r, self.resolution)
-        if self.dim == 1:
-            return float(self.ball_mass_many(np.array([center]), r)[0])
-        cx, cy = float(center[0]), float(center[1])
-        lo = np.searchsorted(self.points[:, 0], cx - r, side="left")
-        hi = np.searchsorted(self.points[:, 0], cx + r, side="right")
-        diff = self.points[lo:hi] - np.array([cx, cy])
-        inside = (diff[:, 0] ** 2 + diff[:, 1] ** 2) <= r * r
-        return float(self.weights[lo:hi][inside].sum())
+        return float(self.ball_mass_many([center], r)[0])
 
     def ball_mass_many(self, centers, r: float) -> np.ndarray:
         if r < self.resolution:
             raise ScaleBelowResolution(r, self.resolution)
         centers = np.asarray(centers, dtype=float)
-        if self.dim == 1:
-            cum = self._cumweights()
-            lo = np.searchsorted(self.points, centers - r, side="left")
-            hi = np.searchsorted(self.points, centers + r, side="right")
-            return cum[hi] - cum[lo]
-        out = np.empty(centers.shape[0])
-        for i, c in enumerate(centers):
-            out[i] = self.ball_mass(c, r)
-        return out
+        cum = self._cumweights()
+        lo = np.searchsorted(self.points, centers - r, side="left")
+        hi = np.searchsorted(self.points, centers + r, side="right")
+        return cum[hi] - cum[lo]
 
     def scaled(self, c: float) -> "AtomicMeasure":
-        """The pushforward under x -> c*x (1-d only)."""
-        if self.dim != 1:
-            raise ValueError("scaled is defined for 1-d measures")
+        """The pushforward under x -> c*x."""
         if c == 0:
             raise ValueError("scale factor must be nonzero")
         return AtomicMeasure(self.points * c, self.weights.copy(), self.resolution * abs(c))
@@ -159,14 +125,27 @@ class AtomicMeasure:
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            if self.dim == 1:
-                fh.write("x,weight\n")
-                for x, w in zip(self.points, self.weights):
-                    fh.write(f"{x:.17g},{w:.17g}\n")
-            else:
-                fh.write("x,y,weight\n")
-                for (x, y), w in zip(self.points, self.weights):
-                    fh.write(f"{x:.17g},{y:.17g},{w:.17g}\n")
+            fh.write("x,weight\n")
+            for x, w in zip(self.points, self.weights):
+                fh.write(f"{x:.17g},{w:.17g}\n")
+
+
+@dataclass(eq=False)
+class ProductPairs:
+    """The atoms (xs[k], ys[k]) of a product measure with their weights.
+
+    Pairs come in (x, y) order, equal pairs adjacent.  The package asks only
+    one-dimensional questions of a product, through ``project`` and
+    ``marginal``, so it keeps no planar measure.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    weights: np.ndarray
+    resolution: float
+
+    def __len__(self) -> int:
+        return len(self.weights)
 
 
 class IntervalSet:
@@ -207,9 +186,6 @@ class IntervalSet:
         if len(self) == 0:
             raise ValueError("empty set has no hull")
         return float(self.los[0]), float(self.his[-1])
-
-    def translate(self, d: float) -> "IntervalSet":
-        return IntervalSet(self.los + d, self.his + d, self.source_scale, _merged=True)
 
     def scale(self, c: float) -> "IntervalSet":
         if c == 0:
@@ -283,16 +259,16 @@ def set_image(words, ifs: AffineIfs, length: int | None = None) -> IntervalSet:
 
 
 def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: KeyedRng | None):
-    """Coordinates and weights (xs, ys, ws) of the atoms of product(m1, m2)."""
-    if m1.dim != 1 or m2.dim != 1:
-        raise ValueError("product needs two 1-d measures")
+    """Index pairs and weights (i, j, ws) of the atoms (m1.points[i], m2.points[j]).
+
+    The exact grid comes x-major, so in (x, y) order; sampled pairs come in
+    draw order.
+    """
     n1, n2 = len(m1), len(m2)
     if n1 * n2 <= atom_cap:
-        # x-major over sorted factors: already in lexicographic order
-        xs = np.repeat(m1.points, n2)
-        ys = np.tile(m2.points, n1)
-        ws = (m1.weights[:, None] * m2.weights[None, :]).ravel()
-        return xs, ys, ws
+        i = np.repeat(np.arange(n1), n2)
+        j = np.tile(np.arange(n2), n1)
+        return i, j, (m1.weights[:, None] * m2.weights[None, :]).ravel()
     rng = rng or KeyedRng(0)
     u1 = rng.counter_uniforms(0xA1, atom_cap)
     u2 = rng.counter_uniforms(0xA2, atom_cap)
@@ -301,7 +277,7 @@ def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Key
     i = np.minimum(np.searchsorted(c1, u1, side="right"), n1 - 1)
     j = np.minimum(np.searchsorted(c2, u2, side="right"), n2 - 1)
     w = m1.total_weight * m2.total_weight / atom_cap
-    return m1.points[i], m2.points[j], np.full(atom_cap, w)
+    return i, j, np.full(atom_cap, w)
 
 
 def product(
@@ -309,35 +285,35 @@ def product(
     m2: AtomicMeasure,
     atom_cap: int = 5_000_000,
     rng: KeyedRng | None = None,
-) -> AtomicMeasure:
-    """Product measure on the plane: exact grid if it fits, else sampled.
+) -> ProductPairs:
+    """The product measure as (x, y) pairs: exact grid if it fits, else sampled.
 
     The sampled mode draws index pairs coordinate-wise proportionally to the
     weights (an exact sampler for the product law) and gives every sampled
     atom the weight total/atom_cap.
     """
-    xs, ys, ws = _product_pairs(m1, m2, atom_cap, rng)
-    return AtomicMeasure(np.column_stack([xs, ys]), ws, max(m1.resolution, m2.resolution))
+    i, j, ws = _product_pairs(m1, m2, atom_cap, rng)
+    if len(m1) * len(m2) > atom_cap:
+        # factor atoms are sorted and distinct, so the key order is the
+        # (x, y) order; sampled atoms share one weight, so ws keeps its order
+        order = np.argsort(i * len(m2) + j, kind="stable")
+        i, j = i[order], j[order]
+    return ProductPairs(m1.points[i], m2.points[j], ws, max(m1.resolution, m2.resolution))
 
 
-def project(m: AtomicMeasure, s: float, sign: int, delta: float) -> AtomicMeasure:
-    """Linear projection (x,y) -> delta^s * x +/- y of a planar measure."""
-    if m.dim != 2:
-        raise ValueError("project needs a 2-d measure")
+def project(m: ProductPairs, s: float, sign: int, delta: float) -> AtomicMeasure:
+    """Linear projection (x,y) -> delta^s * x +/- y of a product measure."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     c = delta**s
-    coords = c * m.points[:, 0] + sign * m.points[:, 1]
-    return AtomicMeasure(coords, m.weights.copy(), m.resolution * (c + 1.0))
+    return AtomicMeasure(c * m.xs + sign * m.ys, m.weights, m.resolution * (c + 1.0))
 
 
-def marginal(m: AtomicMeasure, axis: int) -> AtomicMeasure:
-    """Coordinate projection of a planar measure onto axis 0 (x) or 1 (y)."""
-    if m.dim != 2:
-        raise ValueError("marginal needs a 2-d measure")
+def marginal(m: ProductPairs, axis: int) -> AtomicMeasure:
+    """Coordinate projection of a product measure onto axis 0 (x) or 1 (y)."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    return AtomicMeasure(m.points[:, axis], m.weights.copy(), m.resolution)
+    return AtomicMeasure(m.ys if axis else m.xs, m.weights, m.resolution)
 
 
 def convolve(
@@ -351,10 +327,10 @@ def convolve(
     Identical to projecting the product with unit coefficient; the projection
     family is already the affinely normalized form, so the normalization pair
     relating the two is (scale, shift) = (1, 0).  Cap semantics as product(),
-    without building the planar measure.
+    without its (x, y) sort.
     """
-    xs, ys, ws = _product_pairs(m1, m2, atom_cap, rng)
-    return AtomicMeasure(xs + ys, ws, m1.resolution + m2.resolution)
+    i, j, ws = _product_pairs(m1, m2, atom_cap, rng)
+    return AtomicMeasure(m1.points[i] + m2.points[j], ws, m1.resolution + m2.resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,14 @@ def validate_config(cfg: dict) -> dict:
         out.setdefault(key, default)
     if out["tolerance"] is None:
         out["tolerance"] = EXPERIMENTS[name]["_tolerance"]
-    for key in ("trials", "threads"):
-        if out[key] < 1:
+    for key in ("trials", "threads", "atom_cap"):
+        if key in out and out[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
+    if out.get("sample_size", 0) < 0:
+        raise ConfigError("sample_size must be >= 0 (0 sums over all atoms)")
+    for key in ("s_values", "s_grid"):
+        if key in out and not out[key]:
+            raise ConfigError(f"{key} must not be empty")
     for key in ("p", "p_a", "p_b"):
         if key in out and not 0.0 < out[key] <= 1.0:
             raise ConfigError(f"{key} must lie in (0,1]")
@@ -237,7 +242,12 @@ def _build_ifs(spec, alphabet: int) -> AffineIfs:
     if spec == "tiling":
         return AffineIfs.tiling(alphabet)
     if isinstance(spec, list):
-        return AffineIfs.from_maps([(float(r), float(t)) for r, t in spec])
+        if any(len(row) != 2 for row in spec):
+            raise ConfigError("bad ifs maps: each map must be a pair [ratio, translation]")
+        try:
+            return AffineIfs.from_maps(spec)
+        except ValueError as exc:
+            raise ConfigError(f"bad ifs maps: {exc}") from exc
     raise ConfigError(f"bad ifs spec {spec!r}")
 
 

@@ -405,12 +405,6 @@ class SymbolicMeasure:
             return len(self.probs)
         return len(self.initial)
 
-    def letter_probs(self) -> np.ndarray:
-        """Marginal distribution of a single letter."""
-        if self.kind == "bernoulli":
-            return np.array(self.probs)
-        return np.array(self.initial)
-
     def entropy(self) -> float:
         """Measure-theoretic entropy in nats (0*log 0 = 0).
 

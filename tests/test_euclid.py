@@ -23,6 +23,7 @@ from cascadim import (
     sumset,
 )
 from cascadim.errors import CapExceeded, ScaleBelowResolution
+from cascadim.euclid import _product_pairs
 
 EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
 
@@ -53,10 +54,9 @@ class TestAtomicMeasure:
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "lo,hi" and lines[1] == "0,1" and len(lines) == 3
 
-    def test_planar_atoms_sorted_by_x(self):
-        m = AtomicMeasure([[0.9, 0.1], [0.1, 0.5], [0.5, 0.2]], [1.0, 2.0, 3.0], 0.0)
-        assert m.points[:, 0].tolist() == [0.1, 0.5, 0.9]
-        assert m.weights.tolist() == [2.0, 3.0, 1.0]
+    def test_planar_points_rejected(self):
+        with pytest.raises(ValueError):
+            AtomicMeasure([[0.9, 0.1], [0.1, 0.5], [0.5, 0.2]], [1.0, 2.0, 3.0], 0.0)
 
 
 class TestPushforward:
@@ -111,16 +111,20 @@ class TestSetImage:
 class TestProduct:
     def test_single_atoms(self):
         m = product(AtomicMeasure([1.0], [0.5], 0.0), AtomicMeasure([2.0], [0.25], 0.0))
-        assert m.points.tolist() == [[1.0, 2.0]]
+        assert np.column_stack([m.xs, m.ys]).tolist() == [[1.0, 2.0]]
         assert m.weights.tolist() == [0.125]
 
     def test_exact_total(self):
         m1 = AtomicMeasure([0.0, 1.0], [0.4, 0.6], 0.0)
         m2 = AtomicMeasure([0.0, 0.5, 1.0], [0.2, 0.3, 0.5], 0.0)
         m = product(m1, m2)
-        assert m.total_weight == pytest.approx(m1.total_weight * m2.total_weight, abs=1e-9)
+        assert m.weights.sum() == pytest.approx(m1.total_weight * m2.total_weight, abs=1e-9)
 
     def test_sampled_matches_exact_ball_masses(self, np_rng):
+        def disc_mass(pairs, center, r):  # brute planar ball mass over all pairs
+            inside = (pairs.xs - center[0]) ** 2 + (pairs.ys - center[1]) ** 2 <= r * r
+            return float(pairs.weights[inside].sum())
+
         xs = np.linspace(0, 1, 10)
         m1 = AtomicMeasure(xs, np_rng.random(10) + 0.1, 0.0)
         m2 = AtomicMeasure(xs, np_rng.random(10) + 0.1, 0.0)
@@ -130,11 +134,27 @@ class TestProduct:
         assert n == 50
         w = m1.total_weight * m2.total_weight
         for center in ((0.5, 0.5), (0.2, 0.8)):
-            me = exact.ball_mass(center, 0.3)
-            ms = sampled.ball_mass(center, 0.3)
+            me = disc_mass(exact, center, 0.3)
+            ms = disc_mass(sampled, center, 0.3)
             p = me / w
             sigma = w * math.sqrt(p * (1 - p) / n)
             assert abs(ms - me) < 4 * sigma + 1e-12
+
+    def test_sampled_pairs_in_xy_order(self):
+        # the pairs come out as a stable lexsort on (x, y) of the draws would
+        # leave them: in (x, y) order, equal atoms in draw order
+        m1 = AtomicMeasure([0.9, 0.1, 0.5, 0.3], [1.0, 6.0, 2.0, 1.0], 0.0)
+        m2 = AtomicMeasure([0.7, 0.2, 0.4], [5.0, 1.0, 1.0], 0.0)
+        i, j, ws = _product_pairs(m1, m2, 9, KeyedRng(5))
+        xs, ys = m1.points[i], m2.points[j]
+        order = np.lexsort((ys, xs))
+        prod = product(m1, m2, atom_cap=9, rng=KeyedRng(5))
+        assert np.array_equal(prod.xs, xs[order])
+        assert np.array_equal(prod.ys, ys[order])
+        assert np.array_equal(prod.weights, ws[order])
+        pairs = list(zip(prod.xs, prod.ys))
+        assert pairs == sorted(pairs)
+        assert len(set(pairs)) < len(pairs) and not np.array_equal(order, np.arange(9))
 
 
 class TestProjection:
@@ -327,7 +347,7 @@ class TestBernoulliConvolution:
 class TestBallMass:
     def test_whole_support(self, uniform2, tiling2):
         m = pushforward(unit_cascade(uniform2, Subshift.full(2), 8), tiling2)
-        lo, hi = m.support_bounds()
+        lo, hi = m.points[0], m.points[-1]
         assert m.ball_mass((lo + hi) / 2, hi - lo) == pytest.approx(m.total_weight, abs=1e-12)
 
     def test_single_atom_small_ball(self):

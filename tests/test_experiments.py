@@ -61,6 +61,12 @@ class TestConfigValidation:
             ({"experiment": "perc-image-dim", "gamma_nmax": 2}, "gamma_nmax"),
             ({"experiment": "gamma", "n_max": 2}, "n_max"),
             ({"experiment": "bconv", "beta_a": 1.5}, "beta_a"),
+            ({"experiment": "projection-scan", "atom_cap": 0}, "atom_cap"),
+            ({"experiment": "bconv", "atom_cap": -3}, "atom_cap"),
+            ({"experiment": "bconv", "sample_size": -5}, "sample_size"),
+            ({"experiment": "projection-scan", "sample_size": -1}, "sample_size"),
+            ({"experiment": "sumset-dim", "s_values": []}, "s_values"),
+            ({"experiment": "projection-scan", "s_grid": []}, "s_grid"),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
@@ -260,6 +266,13 @@ class TestCli:
             {"experiment": "cascade-dim", "depth": None},
             # subcritical: almost every realization is extinct at depth 16
             {"experiment": "cascade-dim", "p": 0.3, "trials": 1},
+            {"experiment": "projection-scan", "atom_cap": 0},
+            {"experiment": "bconv", "atom_cap": -3},
+            {"experiment": "bconv", "sample_size": -5},
+            {"experiment": "perc-image-dim", "ifs": [[0.5]]},
+            {"experiment": "gamma", "ifs": [[1.5, 0.0], [0.5, 0.5]]},
+            {"experiment": "sumset-dim", "s_values": []},
+            {"experiment": "projection-scan", "s_grid": []},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):
