@@ -337,25 +337,10 @@ def convolve(
 # sumsets
 
 
-def _intersect_sorted(c_lo, c_hi, d_lo, d_hi):
-    """Intersection of two sorted families of disjoint open intervals.
-
-    D may hold empty pieces (hi <= lo).  The result is sorted and disjoint
-    again, with its empty pieces dropped.
-    """
-    first = np.searchsorted(d_hi, c_lo, side="left")
-    last = np.searchsorted(d_lo, c_hi, side="right")
-    counts = last - first
-    keep = counts > 0
-    c_lo, c_hi, first, counts = c_lo[keep], c_hi[keep], first[keep], counts[keep]
-    total = int(counts.sum())
-    rep = np.repeat(np.arange(c_lo.size), counts)
-    offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    didx = first[rep] + offs
-    lo = np.maximum(c_lo[rep], d_lo[didx])
-    hi = np.minimum(c_hi[rep], d_hi[didx])
-    pos = hi > lo
-    return lo[pos], hi[pos]
+# Candidate gap pieces per erosion block: bounds the arrays of one block.
+_EROSION_BUDGET = 10_000
+# Gaps added on each side of a guessed candidate range before it is checked.
+_EROSION_MARGIN = 2
 
 
 def _erosion_sumset(a_lo, a_hi, b_lo, b_hi, source: float) -> IntervalSet:
@@ -363,20 +348,73 @@ def _erosion_sumset(a_lo, a_hi, b_lo, b_hi, source: float) -> IntervalSet:
 
     x misses A+B exactly when, for every summand interval J of B, the
     translate x - J fits inside a single gap of A.  For one J those x form
-    sorted, disjoint open intervals, one per gap; intersecting them over all
-    of B leaves the uncovered set in the same form.  The sumset is the closed
+    sorted, disjoint open intervals ``(gap_lo + b_hi[j], gap_hi + b_lo[j])``,
+    one per gap.  The uncovered set C is their intersection over all of B,
+    kept as sorted disjoint open intervals.  The sumset is the closed
     stretches between consecutive uncovered intervals, so two that touch
     leave an isolated point of A+B.
+
+    C meets a block of gap families per step, longest summands first.  For
+    each (family, piece of C), a searchsorted of the piece's ends minus b_j
+    against the unshifted gaps guesses the gaps that can meet the piece.
+    Subtracting rounds differently from adding, so the guess is widened by
+    ``_EROSION_MARGIN``, then until the gap just outside each end misses the
+    piece under the materialized sums.  A block is the longest run of next
+    families whose candidates fit ``_EROSION_BUDGET`` (at least one): a few
+    while C is wide, hundreds once C is down to its two rays.  Each
+    candidate ``(gap_lo[i] + b_hi[j], gap_hi[i] + b_lo[j])`` is clipped to
+    the piece of C that proposed it, so a gap proposed by two pieces counts
+    once anywhere, and empty ones are dropped.  A counting sweep keeps the
+    stretches that every family of the block covers; at equal coordinates
+    a piece that ends closes before one that starts opens, as the pieces
+    are open.
+
+    The result is bit for bit that of intersecting one family at a time:
+    every endpoint is one of the materialized sums, the intersection does
+    not depend on the order of the families, and an open set has exactly
+    one representation as sorted disjoint open intervals.
     """
-    if b_lo.size > a_lo.size:  # A+B = B+A: loop over the shorter family
+    if b_lo.size > a_lo.size:  # A+B = B+A: erode by the shorter family
         a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
     # the unbounded gaps of A^c are rays, so the first uncovered interval
     # ends at min(A) + min(B) and the last starts at max(A) + max(B)
     gap_lo = np.concatenate([[-np.inf], a_hi])
     gap_hi = np.concatenate([a_lo, [np.inf]])
+    n_gaps = gap_lo.size
+    order = np.argsort(b_lo - b_hi, kind="stable")  # long summands shrink C fastest
     c_lo, c_hi = np.array([-np.inf]), np.array([np.inf])
-    for j in np.argsort(b_lo - b_hi, kind="stable"):  # long summands shrink fastest
-        c_lo, c_hi = _intersect_sorted(c_lo, c_hi, gap_lo + b_hi[j], gap_hi + b_lo[j])
+    done = 0
+    while done < order.size and c_lo.size:
+        # guessed gap ranges [first, stop) per (family, piece of C)
+        fams = order[done : done + max(1, _EROSION_BUDGET // (c_lo.size * (2 * _EROSION_MARGIN + 1)))]
+        bl, bh = b_lo[fams, None], b_hi[fams, None]
+        first = np.maximum(np.searchsorted(gap_hi, c_lo - bl, side="right") - _EROSION_MARGIN, 0)
+        stop = np.minimum(np.searchsorted(gap_lo, c_hi - bh, side="left") + _EROSION_MARGIN, n_gaps)
+        while True:
+            low = (first > 0) & (gap_hi[first - 1] + bl > c_lo)
+            high = (stop < n_gaps) & (gap_lo[np.minimum(stop, n_gaps - 1)] + bh < c_hi)
+            if not (low.any() or high.any()):
+                break
+            first -= low
+            stop += high
+        counts = np.maximum(stop - first, 0)
+        k = max(1, int(np.searchsorted(np.cumsum(counts.sum(axis=1)), _EROSION_BUDGET, side="right")))
+        counts = counts[:k].ravel()
+        rows = np.repeat(np.arange(counts.size), counts)
+        gap = first[:k].ravel()[rows] + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        fam, piece = np.divmod(rows, c_lo.size)
+        lo = np.maximum(gap_lo[gap] + bh[fam, 0], c_lo[piece])
+        hi = np.minimum(gap_hi[gap] + bl[fam, 0], c_hi[piece])
+        keep = hi > lo
+        lo, hi = np.sort(lo[keep]), np.sort(hi[keep])
+        # pieces open at each distinct start: those started up to it minus
+        # those ended up to it; k open means every family covers the stretch,
+        # which runs to the next end
+        run_end = np.flatnonzero(np.append(lo[1:] != lo[:-1], True))
+        open_count = run_end + 1 - np.searchsorted(hi, lo[run_end], side="right")
+        c_lo = lo[run_end[open_count == k]]
+        c_hi = hi[np.searchsorted(hi, c_lo, side="right")]
+        done += k
     return IntervalSet(c_hi[:-1], c_lo[1:], source, _merged=True)
 
 
@@ -388,9 +426,12 @@ def sumset(
 ) -> IntervalSet:
     """The arithmetic sum {x + s*y} of two interval sets, exactly merged.
 
-    One exact algorithm serves every input (complement erosion, see
+    One exact algorithm serves every input: complement erosion by blocks of
+    shifted gap families, sized by a fixed candidate budget (see
     ``_erosion_sumset``).  Its endpoints are the floating-point sums of
-    endpoints that the pairwise Minkowski sums would give.
+    endpoints that the pairwise Minkowski sums would give, and the result is
+    bit for bit that of eroding by one family at a time, whatever the block
+    sizes.
     """
     if s == 0:
         raise ValueError("s must be nonzero")

@@ -195,8 +195,8 @@ def validate_config(cfg: dict) -> dict:
     for key in ("trials", "threads", "atom_cap"):
         if key in out and out[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
-    if out.get("sample_size", 0) < 0:
-        raise ConfigError("sample_size must be >= 0 (0 sums over all atoms)")
+    if "sample_size" in out and not (out["sample_size"] == 0 or out["sample_size"] >= 2):
+        raise ConfigError("sample_size must be 0 (sum over all atoms) or >= 2 (the sample std needs two centers)")
     for key in ("s_values", "s_grid"):
         if key in out and not out[key]:
             raise ConfigError(f"{key} must not be empty")

@@ -22,6 +22,7 @@ from cascadim import (
     set_image,
     sumset,
 )
+from cascadim import euclid
 from cascadim.errors import CapExceeded, ScaleBelowResolution
 from cascadim.euclid import _product_pairs
 
@@ -234,6 +235,34 @@ class TestConvolve:
             assert proj.ball_mass(center, 0.2) == pytest.approx(conv.ball_mass(center, 0.2), abs=1e-15)
 
 
+def _one_family_erosion(a, bs):
+    """Reference: the erosion as one Python step per shifted gap family."""
+
+    def intersect(c_lo, c_hi, d_lo, d_hi):
+        first = np.searchsorted(d_hi, c_lo, side="left")
+        last = np.searchsorted(d_lo, c_hi, side="right")
+        counts = last - first
+        keep = counts > 0
+        c_lo, c_hi, first, counts = c_lo[keep], c_hi[keep], first[keep], counts[keep]
+        rep = np.repeat(np.arange(c_lo.size), counts)
+        offs = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        didx = first[rep] + offs
+        lo = np.maximum(c_lo[rep], d_lo[didx])
+        hi = np.minimum(c_hi[rep], d_hi[didx])
+        pos = hi > lo
+        return lo[pos], hi[pos]
+
+    a_lo, a_hi, b_lo, b_hi = a.los, a.his, bs.los, bs.his
+    if b_lo.size > a_lo.size:
+        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+    gap_lo = np.concatenate([[-np.inf], a_hi])
+    gap_hi = np.concatenate([a_lo, [np.inf]])
+    c_lo, c_hi = np.array([-np.inf]), np.array([np.inf])
+    for j in np.argsort(b_lo - b_hi, kind="stable"):
+        c_lo, c_hi = intersect(c_lo, c_hi, gap_lo + b_hi[j], gap_hi + b_lo[j])
+    return c_hi[:-1], c_lo[1:]
+
+
 class TestSumset:
     def test_unit_plus_unit(self):
         u = IntervalSet([0.0], [1.0])
@@ -277,8 +306,8 @@ class TestSumset:
             else:
                 merged.append([lo, hi])
         assert len(out) == len(merged)
-        assert np.allclose(out.los, [m[0] for m in merged], atol=1e-15)
-        assert np.allclose(out.his, [m[1] for m in merged], atol=1e-15)
+        assert np.array_equal(out.los, [m[0] for m in merged])
+        assert np.array_equal(out.his, [m[1] for m in merged])
 
     def test_erosion_path_equals_brute(self):
         # oracle: every pairwise Minkowski sum, merged; families mix
@@ -301,6 +330,44 @@ class TestSumset:
         pts = IntervalSet([0.0, 1.0], [0.0, 1.0])
         out = sumset(pts, IntervalSet([0.0], [0.0]), 1.0)
         assert out.los.tolist() == [0.0, 1.0] and out.his.tolist() == [0.0, 1.0]
+
+    def test_blocked_erosion_matches_one_family_loop(self, monkeypatch):
+        sqrt2 = math.sqrt(2.0)
+        # percolation images of the sumset-dim sizes: C is wide for many
+        # blocks before it shrinks to its two rays
+        for seed in (3, 11):
+            rng = KeyedRng(seed)
+            ca = percolation_codes(Subshift.full(2), 0.9, 16, rng.derive(1))
+            cb = percolation_codes(Subshift.full(3), 0.9, 10, rng.derive(2))
+            a = set_image(ca, AffineIfs.tiling(2), length=16)
+            b = set_image(cb, AffineIfs.tiling(3), length=10)
+            assert len(a) > 1000 and len(b) > 1000
+            for s in (1.0, -1.0, sqrt2):
+                out = sumset(a, b, s, pair_cap=200_000_000)
+                los, his = _one_family_erosion(a, b.scale(s))
+                assert np.array_equal(out.los, los) and np.array_equal(out.his, his)
+        # small families on the 1/8 lattice: zero-length pieces, shared
+        # endpoints and singletons, |A| < |B| as well as |A| > |B|.  They fit
+        # one block under the default budget, so smaller budgets make the
+        # candidate guesses run against a C of many pieces (s = -0.3 rounds
+        # those guesses off by a gap now and then).
+        rng = np.random.default_rng(21)
+        cases = []
+        for _ in range(300):
+            fams = []
+            for size in rng.integers(1, 40, size=2):
+                lo = rng.integers(0, 40, size=size) / 8
+                fams.append(IntervalSet(lo, lo + rng.integers(0, 4, size=size) / 8 * (rng.random(size) < 0.6)))
+            cases.append(fams)
+        assert any(len(a) < len(b) for a, b in cases) and any(len(a) > len(b) for a, b in cases)
+        budgets = (euclid._EROSION_BUDGET, 50, 1)
+        for a, b in cases:
+            for s in (1.0, -1.0, sqrt2, -0.3):
+                los, his = _one_family_erosion(a, b.scale(s))
+                for budget in budgets:
+                    monkeypatch.setattr(euclid, "_EROSION_BUDGET", budget)
+                    out = sumset(a, b, s)
+                    assert np.array_equal(out.los, los) and np.array_equal(out.his, his)
 
     def test_reflection_identity(self):
         # {x + s y} = s * {y + (1/s) x}

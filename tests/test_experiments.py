@@ -67,6 +67,8 @@ class TestConfigValidation:
             ({"experiment": "projection-scan", "sample_size": -1}, "sample_size"),
             ({"experiment": "sumset-dim", "s_values": []}, "s_values"),
             ({"experiment": "projection-scan", "s_grid": []}, "s_grid"),
+            ({"experiment": "bconv", "sample_size": 1}, "sample_size"),
+            ({"experiment": "projection-scan", "sample_size": 1}, "sample_size"),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
@@ -273,6 +275,7 @@ class TestCli:
             {"experiment": "gamma", "ifs": [[1.5, 0.0], [0.5, 0.5]]},
             {"experiment": "sumset-dim", "s_values": []},
             {"experiment": "projection-scan", "s_grid": []},
+            {"experiment": "bconv", "sample_size": 1},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):
