@@ -239,7 +239,18 @@ def pushforward(cm: CylinderMeasure, ifs: AffineIfs, tail: int = 1) -> AtomicMea
 
 
 def set_image(words, ifs: AffineIfs, length: int | None = None) -> IntervalSet:
-    """Union of the cylinder image intervals of equal-length words, merged."""
+    """Union of the cylinder image intervals of equal-length words, merged.
+
+    When ``ifs.lattice(n)`` routes the IFS (ratio 1/m with m a power of two,
+    integer digits m*t_i and hull ends lo, hi, all exact below 2^53), every
+    cylinder is ``[(P + lo) / m^n, (P + hi) / m^n]`` for an integer cell
+    offset P.  Then the offsets are sorted as int64 and a new interval starts
+    wherever the next offset is more than ``w = hi - lo`` past the last;
+    repeated offsets never start one.  That is the merge ``IntervalSet`` makes
+    of the float intervals, and the float path is exact on such an IFS, so the
+    result is the same bit for bit.  Every other IFS takes the float path,
+    ``intervals_for_codes``.
+    """
     if isinstance(words, np.ndarray):
         codes = np.asarray(words, dtype=np.int64)
         if length is None:
@@ -249,9 +260,17 @@ def set_image(words, ifs: AffineIfs, length: int | None = None) -> IntervalSet:
         codes, n, _ = _codes_and_length(words)
     if codes.size == 0:
         return IntervalSet.empty()
-    los, his = ifs.intervals_for_codes(codes, n)
-    scale = float((his - los).max()) if codes.size else 0.0
-    return IntervalSet(los, his, source_scale=scale)
+    lattice = ifs.lattice(n)
+    if lattice is None:
+        los, his = ifs.intervals_for_codes(codes, n)
+        return IntervalSet(los, his, source_scale=float((his - los).max()))
+    m, digits, lo, hi = lattice
+    cells = ifs.lattice_offsets(codes, n, m, digits)
+    cells.sort()
+    breaks = np.flatnonzero(np.diff(cells) > hi - lo)
+    los = (cells[np.concatenate([[0], breaks + 1])] + lo) / m**n
+    his = (cells[np.append(breaks, cells.size - 1)] + hi) / m**n
+    return IntervalSet(los, his, source_scale=(hi - lo) / m**n, _merged=True)
 
 
 # ---------------------------------------------------------------------------

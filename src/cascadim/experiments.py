@@ -181,17 +181,22 @@ def validate_config(cfg: dict) -> dict:
                 value = float(value)
             elif not isinstance(value, types):
                 raise ConfigError(f"key {key!r} must have type {types}")
+            rows = [[value]]
             if isinstance(value, list):
                 # subshift matrices and IFS maps are lists of rows
                 rows = value if str in types else [value]
                 if not all(isinstance(r, list) and all(map(_is_number, r)) for r in rows):
                     what = "lists of numbers" if str in types else "numbers"
                     raise ConfigError(f"key {key!r} must be a list of {what}")
+            if any(isinstance(v, float) and not math.isfinite(v) for r in rows for v in r):
+                raise ConfigError(f"key {key!r} must hold finite numbers only")
         out[key] = value
     for key, (types, default) in schema.items():
         out.setdefault(key, default)
     if out["tolerance"] is None:
         out["tolerance"] = EXPERIMENTS[name]["_tolerance"]
+    if out["tolerance"] < 0:
+        raise ConfigError("tolerance must be >= 0")
     for key in ("trials", "threads", "atom_cap"):
         if key in out and out[key] < 1:
             raise ConfigError(f"{key} must be >= 1")

@@ -31,6 +31,8 @@ class AffineIfs:
     def __post_init__(self):
         if len(self.ratios) != len(self.translations) or len(self.ratios) < 1:
             raise ValueError("need matching nonempty ratios/translations")
+        if not all(map(math.isfinite, self.ratios + self.translations)):
+            raise ValueError("ratios and translations must be finite")
         if any(not 0.0 < r < 1.0 for r in self.ratios):
             raise ValueError("ratios must lie strictly in (0,1)")
 
@@ -72,6 +74,34 @@ class AffineIfs:
     @property
     def diameter(self) -> float:
         return self.attractor_max - self.attractor_min
+
+    def lattice(self, length: int) -> tuple[int, tuple[int, ...], int, int] | None:
+        """``(m, digits, lo, hi)`` when the images at depth n = ``length`` lie on the grid m^-n.
+
+        That holds when every ratio is ``1/m`` with m a power of two (at most
+        2^53), every ``m * t_i`` is an integer ``d_i`` (the digits), the hull
+        ends ``attractor_min`` and ``attractor_max`` are integers ``lo`` and
+        ``hi``, and ``m^n * (max|d_i| + |lo| + |hi|) < 2^53``.  Then the
+        cylinder of u is ``[(P(u) + lo) / m^n, (P(u) + hi) / m^n]`` with
+        ``P(u) = sum_j d(u_j) m^(n-j)``, and every ``r*x + t`` step of
+        ``intervals_for_codes`` is exact: each value it meets is an integer
+        below 2^53 over a power of two.  So the lattice and the float path
+        give the same floats, bit for bit.  No translation may be -0.0, which
+        the float path can carry to an endpoint.  Otherwise None.
+        """
+        mant, exp = math.frexp(self.ratios[0])
+        if self.equal_ratio is None or mant != 0.5 or exp < -52:
+            return None
+        m = 2 ** (1 - exp)
+        ends = [float(t) * m for t in self.translations] + [self.attractor_min, self.attractor_max]
+        if not all(v.is_integer() for v in ends):
+            return None
+        if any(t == 0 and math.copysign(1.0, t) < 0 for t in self.translations):
+            return None
+        *digits, lo, hi = map(int, ends)
+        if m**length * (max(map(abs, digits)) + abs(lo) + abs(hi)) >= 2**53:
+            return None
+        return m, tuple(digits), lo, hi
 
     # -- coding map ----------------------------------------------------------
 
@@ -137,15 +167,49 @@ class AffineIfs:
         his = self.points_for_letters(prefixes, self._suffix_table(self.attractor_max, L)[suffixes])
         return los, his
 
+    def lattice_offsets(self, codes: np.ndarray, length: int, m: int, digits: Sequence[int]) -> np.ndarray:
+        """P(u) = sum_j d(u_j) m^(length-j) for every base-a code u, as int64.
+
+        The codes split as in ``points_for_codes``: the last L letters index an
+        int64 table of P over all a^L words, and the first ``length - L``
+        index a table over the prefixes.  A prefix longer than L splits again,
+        L letters at a time, so no table has more than max(len(codes), a)
+        entries and no letter matrix is built.  ``lattice`` gives ``m`` and
+        ``digits``; the sums are exact in int64 wherever it routes.
+        """
+        L = self._suffix_length(len(codes), length)
+        prefixes, suffixes = np.divmod(np.asarray(codes, dtype=np.int64), self.alphabet_size**L)
+        table = _offset_table(m, digits, L)
+        out = table[suffixes]
+        del suffixes
+        shift = m**L
+        k = length - L  # prefix letters not yet read
+        while k > 0:
+            if k > L:
+                prefixes, suffixes = np.divmod(prefixes, self.alphabet_size**L)
+            else:
+                suffixes, table = prefixes, _offset_table(m, digits, k)
+            part = table[suffixes]
+            part *= shift
+            out += part
+            shift *= m**L
+            k -= L
+        return out
+
     def _split_codes(self, codes: np.ndarray, length: int):
         """Suffix indices, prefix letter matrix and suffix length L of the codes."""
         a = self.alphabet_size
         codes = np.asarray(codes, dtype=np.int64)
-        L = 0
-        while L < length and a ** (L + 1) <= max(len(codes), a):
-            L += 1
+        L = self._suffix_length(len(codes), length)
         prefixes, suffixes = np.divmod(codes, a**L)
         return suffixes, codes_to_letters(prefixes, length - L, a), L
+
+    def _suffix_length(self, count: int, length: int) -> int:
+        """The largest L <= length with a^L <= max(count, a)."""
+        L = 0
+        while L < length and self.alphabet_size ** (L + 1) <= max(count, self.alphabet_size):
+            L += 1
+        return L
 
     def _suffix_table(self, x0: float, L: int) -> np.ndarray:
         """f_s(x0) for the a^L words s of length L, indexed by their codes."""
@@ -165,6 +229,15 @@ class AffineIfs:
         for j in range(letters.shape[1]):
             out *= r[letters[:, j] - 1]
         return out
+
+
+def _offset_table(m: int, digits: Sequence[int], k: int) -> np.ndarray:
+    """P(s) = sum_j d(s_j) m^(k-j) for the a^k words s of length k, indexed by their codes."""
+    d = np.array(digits, dtype=np.int64)
+    table = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        table = (table[:, None] * m + d).ravel()
+    return table
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,88 @@ class TestSetImage:
         assert img.source_scale == pytest.approx(1 / 16)
 
 
+# equal-ratio IFSs whose images lie on the grid m^-n: set_image takes the lattice path
+LATTICE_IFS = {
+    "exact overlap": (EX_OVERLAP, Subshift.full(3), 0.62),
+    "tiling(2)": (AffineIfs.tiling(2), Subshift.full(2), 0.8),
+    "tiling(2), golden mean": (AffineIfs.tiling(2), Subshift.golden_mean(), 0.9),
+    "hull width 2": (AffineIfs.from_maps([(0.5, 0.0), (0.5, 1.0)]), Subshift.full(2), 0.8),
+    "tiling(4)": (AffineIfs.tiling(4), Subshift.full(4), 0.5),
+    "ratio 1/4, three maps": (AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.5), (0.25, 0.75)]), Subshift.full(3), 0.7),
+    "hull [-1, 1]": (AffineIfs.from_maps([(0.5, -0.5), (0.5, 0.5)]), Subshift.full(2), 0.8),
+    "degenerate hull": (AffineIfs.from_maps([(0.5, 0.5), (0.5, 0.5)]), Subshift.full(2), 0.8),
+}
+
+
+def _assert_float_path_image(img, ifs, codes, n):
+    """``img`` against the merged float intervals, bit for bit."""
+    los, his = ifs.intervals_for_codes(codes, n)
+    ref = IntervalSet(los, his)
+    assert np.array_equal(img.los, ref.los) and img.los.tobytes() == ref.los.tobytes()
+    assert np.array_equal(img.his, ref.his) and img.his.tobytes() == ref.his.tobytes()
+    assert img.source_scale == float((his - los).max())
+
+
+class TestLatticeImage:
+    """set_image's integer lattice path against the float path."""
+
+    @staticmethod
+    def _cases(a, shift, p):
+        rng = np.random.default_rng(5)
+        cases = {
+            "single code": (np.array([a**7 - 2]), 7),
+            "all a^n codes": (np.arange(a**6), 6),
+            "length 1": (np.arange(a), 1),
+            "length 1, one code": (np.array([a - 1]), 1),
+            "sparse, length 24": (np.unique(rng.integers(0, a**24, 3000)), 24),
+        }
+        for seed in (1, 2, 3):
+            cases[f"percolation, seed {seed}"] = (percolation_codes(shift, p, 16, KeyedRng(seed)), 16)
+        return cases
+
+    @pytest.mark.parametrize("name", list(LATTICE_IFS), ids=list(LATTICE_IFS))
+    def test_bitwise_equal_to_float_path(self, name):
+        ifs, shift, p = LATTICE_IFS[name]
+        for case, (codes, n) in self._cases(ifs.alphabet_size, shift, p).items():
+            assert ifs.lattice(n) is not None, case
+            assert codes.size > 0, case
+            _assert_float_path_image(set_image(codes, ifs, length=n), ifs, codes, n)
+
+    def test_lattice_data(self):
+        assert EX_OVERLAP.lattice(16) == (2, (0, 0, 1), 0, 1)
+        assert LATTICE_IFS["hull [-1, 1]"][0].lattice(3) == (2, (-1, 1), -1, 1)
+        assert LATTICE_IFS["degenerate hull"][0].lattice(3) == (2, (1, 1), 1, 1)
+        # m^n (max|d| + |lo| + |hi|) < 2^53
+        assert AffineIfs.tiling(2).lattice(51) is not None
+        assert AffineIfs.tiling(2).lattice(52) is None
+        # a -0.0 translation reaches a float endpoint, which no integer cell gives
+        neg_zero = self.UNROUTED["translation -0.0"][0]
+        assert np.signbit(neg_zero.intervals_for_codes(np.array([0]), 3)[0][0])
+
+    UNROUTED = {
+        "tiling(3)": (AffineIfs.tiling(3), 10),  # 1/3 is not exact in float
+        "bernoulli_pair(0.4)": (AffineIfs.bernoulli_pair(0.4), 10),
+        "hull end 1/3": (AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.25)]), 10),
+        "m^n > 2^53": (AffineIfs.tiling(2), 54),
+        "translation -0.0": (AffineIfs.from_maps([(0.5, -0.0), (0.5, 0.5)]), 10),
+        "m = 2^1030 past the float range": (AffineIfs.from_maps([(2.0**-1030, 0.0), (2.0**-1030, 0.0)]), 1),
+    }
+
+    @pytest.mark.parametrize("name", list(UNROUTED), ids=list(UNROUTED))
+    def test_unrouted_ifs_take_float_path(self, name, monkeypatch):
+        ifs, n = self.UNROUTED[name]
+        assert ifs.lattice(n) is None
+
+        def no_lattice(*args):
+            raise AssertionError("lattice path taken")
+
+        monkeypatch.setattr(AffineIfs, "lattice_offsets", no_lattice)
+        a = ifs.alphabet_size
+        codes = np.unique(np.random.default_rng(9).integers(0, a**n, 500))
+        codes = np.concatenate([[0], codes])  # the all-ones word, where -0.0 can show
+        _assert_float_path_image(set_image(codes, ifs, length=n), ifs, codes, n)
+
+
 class TestProduct:
     def test_single_atoms(self):
         m = product(AtomicMeasure([1.0], [0.5], 0.0), AtomicMeasure([2.0], [0.25], 0.0))

@@ -69,6 +69,11 @@ class TestConfigValidation:
             ({"experiment": "projection-scan", "s_grid": []}, "s_grid"),
             ({"experiment": "bconv", "sample_size": 1}, "sample_size"),
             ({"experiment": "projection-scan", "sample_size": 1}, "sample_size"),
+            ({"experiment": "sumset-dim", "s_values": [float("nan")]}, "finite"),
+            ({"experiment": "gamma", "tolerance": float("nan")}, "finite"),
+            ({"experiment": "gamma", "tolerance": -1}, "tolerance"),
+            ({"experiment": "perc-image-dim", "ifs": [[0.5, 0.0], [0.5, float("inf")]]}, "finite"),
+            ({"experiment": "cascade-dim", "p": float("-inf")}, "finite"),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
@@ -276,6 +281,11 @@ class TestCli:
             {"experiment": "sumset-dim", "s_values": []},
             {"experiment": "projection-scan", "s_grid": []},
             {"experiment": "bconv", "sample_size": 1},
+            # json.dumps writes these as NaN and Infinity, which json.load accepts
+            {"experiment": "sumset-dim", "s_values": [float("nan")]},
+            {"experiment": "gamma", "tolerance": float("nan")},
+            {"experiment": "gamma", "tolerance": -1},
+            {"experiment": "perc-image-dim", "ifs": [[0.5, 0.0], [0.5, float("inf")]]},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):

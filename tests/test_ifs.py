@@ -17,6 +17,11 @@ class TestAffineIfs:
         with pytest.raises(ValueError):
             AffineIfs.from_maps([(1.0, 0.0), (0.5, 0.5)])
 
+    @pytest.mark.parametrize("maps", [[(0.5, 0.0), (0.5, math.inf)], [(0.5, math.nan)], [(math.nan, 0.0)]])
+    def test_non_finite_maps_rejected(self, maps):
+        with pytest.raises(ValueError, match="finite"):
+            AffineIfs.from_maps(maps)
+
     def test_tiling_hull(self, tiling2):
         assert tiling2.attractor_min == 0.0
         assert tiling2.attractor_max == 1.0
