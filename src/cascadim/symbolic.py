@@ -23,7 +23,8 @@ import numpy as np
 from .errors import CapExceeded, NonStationaryWarning, NotIrreducible
 
 DEFAULT_WORD_CAP = 20_000_000
-_INDEX_MAX = 2**31 - 1  # walk_tree's int32 parent indices
+_INDEX_MAX = 2**31 - 1  # the largest cap walk_tree accepts
+_BLOCK = 8192  # nodes per block of walk_tree's depth-first pass
 
 __all__ = [
     "DEFAULT_WORD_CAP",
@@ -63,61 +64,89 @@ def letters_to_codes(letters: np.ndarray, alphabet_size: int) -> np.ndarray:
     return codes
 
 
-def walk_tree(table: np.ndarray, depth: int, cap: int, weigh=None):
+def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
     """Grow the word tree one letter per level down to ``depth``.
 
     ``table`` is ``(a+1, a)``: a word ending in letter ``i+1`` (row ``a``: the
     empty word) passes ``table[i, j]`` times its mass to its child with letter
-    ``j+1``.  ``weigh(levels)``, when given, multiplies in one more factor per
-    child.  ``levels[j-1]`` is the pair ``(up, letter)`` of the nodes at depth
-    ``j``: each node's parent, as an index into the nodes of depth ``j-1``
-    (int32), and its last letter (uint8, from 1).  The last pair lists every
-    child of the current level, before pruning.  Children of zero mass are
-    dropped, so a zero entry marks a forbidden step.  Masses take the table's
-    dtype: a boolean table just enumerates words.  Children are made parent by
-    parent, letter by letter, which keeps the codes sorted.
+    ``j+1``.  Children of zero mass are dropped, so a zero entry marks a
+    forbidden step.  Masses take the table's dtype: a boolean table just
+    enumerates words.
+
+    With ``rng`` and ``weigh`` each child's mass takes one more factor,
+    ``weigh(length, hashes)``, from the keyed hashes of the children of one
+    block at that length.  Every node carries its prefix state for each
+    deeper word length (``rng.length_states`` at the root); a child's hash is
+    its parent's next-length state absorbing its letter (``rng.absorb``),
+    and only the survivors absorb their letter into their remaining states.
+
+    The walk runs breadth first until a level holds more than ``_BLOCK``
+    nodes, then walks each contiguous block of that level down to ``depth``
+    before the next, splitting again wherever a block grows past ``_BLOCK``.
+    Blocks go left to right, so the codes come out sorted, and each level's
+    total is the sum over all its masses in code order.
 
     Returns the codes and masses of the length-``depth`` words and the total
     mass at each level.  Codes are int64, so a walk past 62 bits of code
-    range raises ``CapExceeded`` instead of wrapping; so does a ``cap`` past
-    the int32 range of the parent indices.
+    range raises ``CapExceeded`` instead of wrapping; so does a level of more
+    than ``cap`` nodes, and a ``cap`` past the int32 range.
     """
     a = table.shape[1]
     if depth * math.log2(a) > 62:
         raise CapExceeded(a**depth, 2**62, what="code range")
     if cap > _INDEX_MAX:
         raise CapExceeded(cap, _INDEX_MAX, what="int32 node indices")
-    by_last = np.roll(table, 1, axis=0)  # row l: after letter l; row 0: the empty word
-    step = np.arange(a, dtype=np.int64)
-    child_letters = np.arange(1, a + 1, dtype=np.uint8)
     codes = np.zeros(1, dtype=np.int64)
-    last = np.zeros(1, dtype=np.uint8)
     masses = np.ones(1, dtype=table.dtype)
-    levels = []
-    totals = []
-    for length in range(1, depth + 1):
-        rows = by_last[last]
-        rows *= masses[:, None]
-        n = len(codes)
-        codes = (codes[:, None] * a + step).ravel()
-        last = np.tile(child_letters, n)
-        masses = rows.ravel()
+    if depth == 0:
+        return codes, masses, []
+    child_letters = np.tile(np.arange(1, a + 1, dtype=np.uint64), _BLOCK)
+    # states: one row per deeper word length, one column per node
+    states = None if weigh is None else rng.length_states(depth)[:, None]
+    # a node's row in ``table`` is its last letter - 1; the root's is a
+    pending = [(0, codes, np.full(1, a), masses, states)]
+    counts = [0] * depth
+    level_masses = [[] for _ in range(depth)]
+    level_masses[-1].append(np.zeros(0, dtype=table.dtype))
+    leaf_codes = [np.zeros(0, dtype=np.int64)]
+    while pending:
+        length, codes, row, parent_masses, states = pending.pop()
+        masses = np.take(table, row, axis=0).ravel()
+        masses *= np.repeat(parent_masses, a)
         if weigh is not None:
-            up = np.repeat(np.arange(n, dtype=np.int32), a)
-            levels.append((up, last))
-            masses *= weigh(levels)
-        keep = masses > 0
-        if not keep.all():
-            codes, masses, last = codes[keep], masses[keep], last[keep]
-            if weigh is not None:
-                levels[-1] = (up[keep], last)
-        if len(codes) > cap:
-            raise CapExceeded(len(codes), cap, what="tree nodes")
-        totals.append(masses.sum())
-        if not codes.size:
-            totals += [0.0] * (depth - length)
-            break
-    return codes, masses, totals
+            hashes = np.repeat(states[0], a)
+            rng.absorb(hashes, child_letters[: len(hashes)])
+            masses *= weigh(length + 1, hashes)
+        kept = np.flatnonzero(masses > 0)
+        parent = kept // a
+        row = kept - parent * a
+        masses = np.take(masses, kept)
+        codes = np.take(codes, parent) * a + row
+        level_masses[length].append(masses)
+        counts[length] += len(codes)
+        if counts[length] > cap:
+            raise CapExceeded(counts[length], cap, what="tree nodes")
+        length += 1
+        if length == depth:
+            leaf_codes.append(codes)
+            continue
+        if weigh is not None:
+            deeper = np.empty((len(states) - 1, len(parent)), dtype=np.uint64)
+            # row by row: a row of a block is contiguous, the block is not
+            for state, out in zip(states[1:], deeper):
+                np.take(state, parent, out=out)
+            rng.absorb(deeper, row + 1)
+            states = deeper
+        for start in reversed(range(0, len(codes), _BLOCK)):  # popped left to right
+            block = slice(start, start + _BLOCK)
+            pending.append(
+                (length, codes[block], row[block], masses[block],
+                 None if weigh is None else states[:, block])
+            )
+    # one sum per whole level: per-block partial sums would round differently
+    masses = np.concatenate(level_masses[-1])
+    totals = [np.concatenate(ms).sum() if ms else 0.0 for ms in level_masses[:-1]]
+    return np.concatenate(leaf_codes), masses, totals + [masses.sum()]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from cascadim import (
     percolation_codes,
     percolation_set,
 )
+from cascadim import symbolic
 from cascadim.cascade import _grow, _to_uniform
 from cascadim.errors import CapExceeded, DegenerateCascadeWarning
 from cascadim.symbolic import codes_to_letters, walk_tree
@@ -326,29 +328,46 @@ WALK_CASES = {
 }
 
 
-class TestTreeHashes:
-    """The walk's keyed weights against the reference hash of each decoded word."""
+@pytest.fixture(params=[1, 7], ids=["block-1", "block-7"])
+def small_block(request, monkeypatch):
+    """Blocks of 1 and of 7 nodes, so that levels straddle blocks."""
+    monkeypatch.setattr(symbolic, "_BLOCK", request.param)
+    return request.param
 
-    @pytest.mark.parametrize("case", list(WALK_CASES), ids=list(WALK_CASES))
-    def test_walk_weights_equal_word_hashes(self, case):
+
+def _walk_per_level(table, depth, law, rng, cap=10**6):
+    """``walk_tree`` with the keyed weights; also the hashes it drew, per length, in call order."""
+    seen = {}
+
+    def weigh(length, hashes):
+        seen.setdefault(length, []).append(hashes.copy())
+        return law.weights_from_uniforms(_to_uniform(hashes))
+
+    codes, masses, totals = walk_tree(table, depth, cap, rng, weigh)
+    return (codes, masses, totals), {k: np.concatenate(v) for k, v in seen.items()}
+
+
+class TestTreeHashes:
+    """The walk's keyed weights against the reference hash of each decoded word.
+
+    Each check runs at the default block size and again with blocks of 1 and
+    7 nodes.
+    """
+
+    @staticmethod
+    def _check_walk(case):
         x, base, law, depth = WALK_CASES[case]
         table = x.successor_table() * base.step_table()
         for seed in (3, 2024):
             rng = KeyedRng(seed)
             reference = _reference_walk(table, depth, law, rng)
-            seen = []
-
-            def weigh(levels):
-                children, hashes, _, _ = reference[len(levels) - 1]
-                got = rng.tree_hashes(levels)
-                assert len(levels[-1][0]) == len(children)
-                assert np.array_equal(got, hashes)
-                seen.append(len(levels))
-                return law.weights_from_uniforms(_to_uniform(got))
-
-            codes, masses, totals = walk_tree(table, depth, 10**6, weigh)
+            (codes, masses, totals), seen = _walk_per_level(table, depth, law, rng)
             grown = _grow(base, x, law, rng, depth, 10**6)
-            assert seen == list(range(1, len(seen) + 1))
+            assert list(seen) and sorted(seen) == list(range(1, len(seen) + 1))
+            for length, got in seen.items():
+                children, hashes, _, _ = reference[length - 1]
+                assert len(got) == len(children)
+                assert np.array_equal(got, hashes)
             for total, (_, _, _, ref_masses) in zip(totals, reference):
                 assert total == ref_masses.sum()
             assert np.array_equal(codes, reference[len(seen) - 1][2])
@@ -356,26 +375,141 @@ class TestTreeHashes:
             for got, want in zip(grown, (codes, masses, totals)):
                 assert np.array_equal(got, want)
 
-    def test_depth_extension_keeps_every_level(self, uniform2):
+    @staticmethod
+    def _check_depth_extension(uniform2):
         # extending a walk from depth 12 to 14 leaves the first 12 levels as they were
         rng = KeyedRng(91)
         law = WeightLaw.lognormal(0.5)
         table = Subshift.full(2).successor_table() * uniform2.step_table()
-
-        def hashes_per_level(depth):
-            seen = []
-
-            def weigh(levels):
-                seen.append(rng.tree_hashes(levels))
-                return law.weights_from_uniforms(_to_uniform(seen[-1]))
-
-            walk_tree(table, depth, 10**6, weigh)
-            return seen
-
-        short, deep = hashes_per_level(12), hashes_per_level(14)
-        assert len(short) == 12 and len(deep) == 14
-        for a, b in zip(short, deep):
-            assert np.array_equal(a, b)
+        _, short = _walk_per_level(table, 12, law, rng)
+        _, deep = _walk_per_level(table, 14, law, rng)
+        assert sorted(short) == list(range(1, 13)) and sorted(deep) == list(range(1, 15))
+        for length in short:
+            assert np.array_equal(short[length], deep[length])
         trace12 = cascade_mass_trace(uniform2, Subshift.full(2), law, 12, rng)
         trace14 = cascade_mass_trace(uniform2, Subshift.full(2), law, 14, rng)
         assert np.array_equal(trace14[:12], trace12)
+
+    @pytest.mark.parametrize("case", list(WALK_CASES), ids=list(WALK_CASES))
+    def test_walk_weights_equal_word_hashes(self, case):
+        self._check_walk(case)
+
+    @pytest.mark.parametrize("case", list(WALK_CASES), ids=list(WALK_CASES))
+    def test_walk_weights_equal_word_hashes_in_small_blocks(self, case, small_block):
+        self._check_walk(case)
+
+    def test_depth_extension_keeps_every_level(self, uniform2):
+        self._check_depth_extension(uniform2)
+
+    def test_depth_extension_in_small_blocks(self, uniform2, small_block):
+        self._check_depth_extension(uniform2)
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+class TestCapAcrossBlocks:
+    """``cap`` bounds each level's node count summed over all blocks, not per block."""
+
+    @pytest.fixture(autouse=True)
+    def _block(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(symbolic, "_BLOCK", block)
+
+    def test_weighted_walk(self, uniform2):
+        # lognormal weights prune nothing: level k holds 2**k nodes, and at the
+        # default block level 15 comes from two blocks
+        law = WeightLaw.lognormal(0.5)
+        codes, _, _ = _grow(uniform2, Subshift.full(2), law, KeyedRng(3), 15, 2**15)
+        assert np.array_equal(codes, np.arange(2**15))
+        with pytest.raises(CapExceeded, match="tree nodes"):
+            _grow(uniform2, Subshift.full(2), law, KeyedRng(3), 15, 2**15 - 1)
+
+    def test_pruned_walk(self):
+        x, base, law = Subshift.full(3), SymbolicMeasure.uniform(3), WeightLaw.percolation(0.8)
+        rng = KeyedRng(3)
+        reference = _reference_walk(x.successor_table() * base.step_table(), 10, law, rng)
+        widest = max(len(codes) for _, _, codes, _ in reference)
+        codes, _, _ = _grow(base, x, law, rng, 10, widest)
+        assert np.array_equal(codes, reference[-1][2])
+        with pytest.raises(CapExceeded, match="tree nodes"):
+            _grow(base, x, law, rng, 10, widest - 1)
+
+    def test_admissible_codes(self, golden_mean):
+        table = golden_mean.successor_table()
+        # the last level is the widest; at the default block it comes from two blocks
+        widest = golden_mean.word_count(20)
+        assert widest == 17711
+        codes, _, _ = walk_tree(table, 20, widest)
+        assert np.array_equal(codes, golden_mean.admissible_codes(20, cap=widest))
+        with pytest.raises(CapExceeded, match="tree nodes"):
+            walk_tree(table, 20, widest - 1)
+        with pytest.raises(CapExceeded, match="words"):
+            golden_mean.admissible_codes(20, cap=widest - 1)
+
+
+def _digests(codes, masses, totals):
+    return (
+        hashlib.sha256(codes.tobytes() + masses.tobytes()).hexdigest(),
+        hashlib.sha256(np.asarray(totals, dtype=np.float64).tobytes()).hexdigest(),
+    )
+
+
+class TestRealizationPins:
+    """sha256 of the codes, masses and level totals of five walks, fixed bit for bit.
+
+    A walk that reorders, drops or rounds a single node or total changes its
+    digest.  The digests were taken from the level-by-level walk that
+    re-hashed every prefix from the root at each level.
+    """
+
+    PINS = {
+        "full3-percolation-depth16": (
+            "3b11a6b56db89dc01bcf467f6998cee39ebbe1b2411a7de9d820978d658b634b",
+            "2218bd31c4c3960f9f5ad860f215b4b5772ad3fcdda093962f86aed2437d4416",
+        ),
+        "full2-lognormal-depth16": (
+            "347f151f78622910f3db51bca30cd5badf4c33bccf11924acd46a9ac503f667a",
+            "337e6c7c0b8392572d989c8975365391533643cd326667ec833ba37591febbcb",
+        ),
+        "golden-percolation-depth18": (
+            "a27a6f185aa16faa5b52a52ae1a1c49584b3bd2b0f4cd806af165b5a64bf5ac7",
+            "ea24da49425f686692dabf5f219113041e6865bfd58a94ea9cd12f734bdcc844",
+        ),
+        "bconv-bernoulli-depth18": (
+            "dc899864489a67a698cd391bcbf0212be87b189bfc902d0a5d5f9a55f1c2781c",
+            "29f747aa4c77fc73c8ab44a2cf2d1b074afa8c7b6aca48e125bd9b2921c889cf",
+        ),
+        "sft-admissible-depth20": (
+            "eef64aeb6973c1f8928fba5dea51882200ead8263e8b92cf09e959f3b651031d",
+            "39329df214ae39206dd814ed0a8f3fe4d79a0a452bfde2d211bde7bac5b16e9c",
+        ),
+    }
+
+    @staticmethod
+    def _walk(name):
+        trial = KeyedRng(101).derive(0)
+        if name == "full3-percolation-depth16":
+            # the first realization of the overlap image: percolation_codes' walk
+            return _grow(SymbolicMeasure.uniform(3), Subshift.full(3), WeightLaw.percolation(0.8), trial, 16, 10**8)
+        if name == "full2-lognormal-depth16":
+            return _grow(SymbolicMeasure.uniform(2), Subshift.full(2), WeightLaw.lognormal(0.5), trial, 16, 10**8)
+        if name == "golden-percolation-depth18":
+            return _grow(SymbolicMeasure.uniform(2), Subshift.golden_mean(), WeightLaw.percolation(0.8), trial, 18, 10**8)
+        if name == "bconv-bernoulli-depth18":
+            # bernoulli_convolution's walk: the p_a = 0.9 base, unit weights, seed 101's stream 1
+            base = SymbolicMeasure.bernoulli([0.9, 0.1])
+            return _grow(base, Subshift.full(2), WeightLaw.percolation(1.0), KeyedRng(101).derive(1), 18, 10**8)
+        sft = Subshift.sft([[1, 1], [1, 0]])
+        codes, masses, totals = walk_tree(sft.successor_table(), 20, 10**8)
+        assert np.array_equal(codes, sft.admissible_codes(20))
+        return codes, masses, totals
+
+    @pytest.mark.parametrize("name", list(PINS), ids=list(PINS))
+    def test_walk_digest(self, name):
+        assert _digests(*self._walk(name)) == self.PINS[name]
+
+    def test_public_entry_points_match_the_pinned_walk(self):
+        trial = KeyedRng(101).derive(0)
+        codes, _, totals = self._walk("full3-percolation-depth16")
+        assert np.array_equal(percolation_codes(Subshift.full(3), 0.8, 16, trial), codes)
+        trace = cascade_mass_trace(SymbolicMeasure.uniform(3), Subshift.full(3), WeightLaw.percolation(0.8), 16, trial)
+        assert np.array_equal(trace, np.asarray(totals))
