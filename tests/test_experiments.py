@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from cascadim.cli import main
 from cascadim.errors import ConfigError
 from cascadim.experiments import (
     load_config,
@@ -323,3 +325,106 @@ class TestCli:
         rep_a = _mask_runtime((tmp_path / "a" / "report.json").read_text())
         rep_b = _mask_runtime((tmp_path / "b" / "report.json").read_text())
         assert rep_a == rep_b
+
+
+_EXACT_OVERLAP = [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]]
+
+
+class TestReportPins:
+    """sha256 of report.json (runtime masked), scales.csv and plot.svg per report mode.
+
+    Each small config runs through ``cascadim.cli.main`` with ``--plot``; a
+    report that changes a target, check, verdict, fit row or plotted series
+    changes its digests.  The digests were taken from the runners that each
+    assembled their own report.
+    """
+
+    PINS = {
+        "cascade-percolation": (
+            {"experiment": "cascade-dim", "depth": 10, "trials": 4, "seed": 11},
+            0,
+            "9422e8b8123abcc8f82e1b25b479db2a1bee9164e894754f80425fce8f4b9648",
+            "c8fc1b42176adf8dcf072acf185d1785afe779aaf8834375e81d4d63ce0ba25c",
+            "d85001f6d24eb38f67043a7c6c7a5e14a0a29385bd5518403f8d3158b424df74",
+        ),
+        "cascade-lognormal": (
+            {"experiment": "cascade-dim", "law": "lognormal", "sigma": 0.5, "depth": 10, "trials": 4, "seed": 11},
+            0,
+            "a96fac859ecf48340d4b0557d9e8f45f03691ec5b40c4c9860a77440528a712a",
+            "6147046f1824a3fcdf7600da7424bb998949e0b8b70a2c84fe6d2c754aa88828",
+            "50331b70c6acf4004340236c4b44ee7ef7c35ede160521178403fb4c4aedba40",
+        ),
+        "image-additive": (
+            {"experiment": "perc-image-dim", "depth": 10, "trials": 4, "gamma_nmax": 8, "seed": 3},
+            0,
+            "bbe61716936d568a69d68e2b0bd039badc3bf3ee9208c42794a0c47ebf00d91f",
+            "31c1b2a56050fa0e53f704cc8b686d95d8fe0ed997540c4785f3ab822c649279",
+            "70a71e21fa3ceeea64c152fcefb3ff43e52df1310e83306074916eb3c6ba09ab",
+        ),
+        "image-overlap-example": (
+            {"experiment": "perc-image-dim", "alphabet": 3, "subshift": "full", "ifs": _EXACT_OVERLAP,
+             "p": 0.8, "depth": 10, "trials": 4, "gamma_nmax": 8, "seed": 3},
+            0,
+            "93d0ed6ce9431bc3128bd3738ade9c3acc3c9ccf12733ed44dd5fde930bdad39",
+            "024c67145fc0cda452639796578b596c71193b90ee16caad61f4c6d4bf4246a6",
+            "bcd0a41df8cfea80eb2a0e2c6e27daea2cdac2b44f16f9e665593f0319e850a1",
+        ),
+        "image-bound-only": (
+            {"experiment": "perc-image-dim", "alphabet": 3, "subshift": "full",
+             "ifs": [[0.5, 0.0], [0.5, 0.1], [0.5, 0.5]], "p": 0.9, "depth": 10, "trials": 4,
+             "gamma_nmax": 8, "seed": 3},
+            0,
+            "8f5620e4c37dc1d0075217d90b2d2754be4a2a8cf69eb870963f3f28dcd32e43",
+            "a3e7a6630bd5861f1714d33f036751c43068b6f272a5ce149ecef3642e59e755",
+            "2e401bb07277bf593367ac52aabc6b31469000a5503d7239a73dec220696b82a",
+        ),
+        "sumset": (
+            {"experiment": "sumset-dim", "depth_a": 10, "depth_b": 6, "trials": 3, "seed": 5},
+            0,
+            "3f04809c597eedeaae96998508199992fd604c2382dcabe44ec786460dc11b34",
+            "a4ff5fac987ee272812b40a6913cb234718ca9adac43b3e54dc431559606e4fc",
+            "7356b2acc64b6e44d590a5a45de02f8b2c37acd6900bb7441ad3d419197aaada",
+        ),
+        "projection-sampled": (
+            # 2^10 * 3^6 pairs against an atom cap of 20,000: the sampled product
+            {"experiment": "projection-scan", "depth_a": 10, "depth_b": 6, "s_grid": [-0.5, 1.0],
+             "atom_cap": 20000, "sample_size": 500, "seed": 7},
+            2,
+            "8e83a785f72571b1cd9f405a06a3ae9ba423b1e2acca8b2284c1aaa17cc348f3",
+            "52e91a6b9187656f4c9732785e67981fd0fe2a5e5aee564da49a4a1e063f9df2",
+            "6efc3431cf297b3cf6398a531b084cd3397fa3fa9b4d2bd0dc6660693ee7e468",
+        ),
+        "bconv": (
+            {"experiment": "bconv", "depth": 10, "atom_cap": 20000, "sample_size": 500, "seed": 7},
+            0,
+            "c3e87cbd068800eac2b0e8f2369e305d75beae1d0e2ec55abe31950671c475a4",
+            "d58cb2f8d35cadb552e56dde5d6ce9e767e1e62f606cd95bc5739161274866ce",
+            "2c092f75d34ccab5fab07664426e8a3377497fb38f2510df8690093647b800cc",
+        ),
+        "bconv-advisory": (
+            {"experiment": "bconv", "beta_a": 1 / 3, "beta_b": 1 / 3, "depth": 10, "atom_cap": 20000,
+             "sample_size": 500, "seed": 7},
+            2,
+            "8294b35c70261dc0ba427a5e3b3bf5dff4a6e25d44223d9688ef3f9f4ea12a84",
+            "c9158e1e288ee9e1ad9eab4f9b9e5c6f8b889ab68c23619b30c104880079ea78",
+            "4c521f5e38e5875f6bbe9a459b9f12c87cd63818e79370e2fdf8e4a93658dbf9",
+        ),
+        "gamma": (
+            {"experiment": "gamma", "n_max": 8},
+            0,
+            "865cfc705f2230373ee9adc0a1987bfe6dd54c3c6f9e9121a1b406ba6b356b29",
+            "7c38485fb848d65d7c870c6c8e45cc1ef50ed3ba51a75837f6c96d9af86c017c",
+            "2d4e2fefe1a6fcad42780f68d8043911532987f0602e04b3651d5cd5a095c4a3",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PINS), ids=list(PINS))
+    def test_report_digest(self, name, tmp_path):
+        cfg, code, *digests = self.PINS[name]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([cfg["experiment"], "--config", str(path), "--out", str(out), "--plot"]) == code
+        files = [_mask_runtime((out / "report.json").read_text()).encode()]
+        files += [(out / f).read_bytes() for f in ("scales.csv", "plot.svg")]
+        assert [hashlib.sha256(f).hexdigest() for f in files] == digests
