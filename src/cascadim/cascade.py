@@ -190,6 +190,12 @@ class WeightLaw:
                 total += q * v * np.log(v)
         return total
 
+    def positive_probability(self) -> float:
+        """P(V > 0): the chance that a node keeps its subtree."""
+        if self.kind == "discrete":
+            return sum(q for v, q in zip(self.values, self.probs) if v > 0)
+        return self.p if self.kind == "percolation" else 1.0
+
     def weights_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "percolation":
             return np.where(u < self.p, 1.0 / self.p, 0.0)
@@ -293,7 +299,10 @@ def _grow(base, x, law, rng, depth, cap):
     def weigh(length, hashes):
         return law.weights_from_uniforms(_to_uniform(hashes))
 
-    return walk_tree(x.successor_table() * base.step_table(), depth, cap, rng, weigh)
+    table = x.successor_table() * base.step_table()
+    if law == WeightLaw.percolation(1.0):
+        return walk_tree(table, depth, cap)  # unit weights: no node needs its hash
+    return walk_tree(table, depth, cap, rng, weigh)
 
 
 def cascade_measure(

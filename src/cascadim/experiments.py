@@ -2,16 +2,18 @@
 
 Every runner draws its targets from the formula oracles (entropies, Perron
 eigenvalues, weight entropies) at run time, never from hard-coded constants,
-and reports estimate, target, tolerance and verdict.  Reports are exactly
-reproducible from (config, master seed): trials derive their streams from the
-master seed by index, and survival conditioning assigns the first surviving
-draws to trials in draw order, independent of thread count.
+and returns its ``Findings``; ``run_experiment``, the one driver, builds
+every report from them, with estimate, target and verdict.  Reports are
+exactly reproducible from (config, master seed): trials derive their streams
+from the master seed by index, and survival conditioning assigns the first
+surviving draws to trials in draw order, independent of thread count.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,71 +82,6 @@ _COMMON = {
     "plot": (bool, False),
 }
 
-EXPERIMENTS = {
-    "cascade-dim": {
-        "alphabet": (int, 2),
-        "base_probs": (list, None),  # None -> uniform
-        "law": (str, "percolation"),  # percolation | lognormal | discrete
-        "p": (float, 0.7),
-        "sigma": (float, 0.5),
-        "values": (list, None),
-        "probs": (list, None),
-        "depth": (int, 16),
-        "_tolerance": 0.06,
-    },
-    "perc-image-dim": {
-        "alphabet": (int, 2),
-        "subshift": ((str, list), "golden-mean"),  # full | golden-mean | matrix rows
-        "ifs": ((str, list), "tiling"),  # tiling | [[r, t], ...]
-        "p": (float, 0.8),
-        "depth": (int, 18),
-        "gamma_nmax": (int, 10),
-        "_tolerance": 0.08,
-    },
-    "sumset-dim": {
-        "alphabet_a": (int, 2),
-        "alphabet_b": (int, 3),
-        "p_a": (float, 0.55),
-        "p_b": (float, 0.6),
-        "depth_a": (int, 16),
-        "depth_b": (int, 10),
-        "s_values": (list, [1.0, -1.0, math.sqrt(2.0)]),
-        "pair_cap": (int, 200_000_000),
-        "_tolerance": 0.10,
-    },
-    "projection-scan": {
-        "alphabet_a": (int, 2),
-        "probs_a": (list, [0.1, 0.9]),
-        "alphabet_b": (int, 3),
-        "probs_b": (list, [0.1, 0.8, 0.1]),
-        "depth_a": (int, 16),
-        "depth_b": (int, 10),
-        "s_grid": (list, [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]),
-        "atom_cap": (int, 2_000_000),
-        "sample_size": (int, 4000),
-        "_tolerance": 0.08,
-    },
-    "bconv": {
-        "beta_a": (float, 0.4),
-        "p_a": (float, 0.9),
-        "beta_b": (float, 0.35),
-        "p_b": (float, 0.85),
-        "depth": (int, 18),
-        "atom_cap": (int, 3_000_000),
-        "sample_size": (int, 4000),
-        "_tolerance": 0.08,
-    },
-    "gamma": {
-        "alphabet": (int, 3),
-        "subshift": ((str, list), "full"),
-        "ifs": ((str, list), [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]]),
-        "n_max": (int, 13),
-        "expect_gamma": (float, 1.0),
-        "_tolerance": 0.05,
-    },
-}
-
-
 def load_config(path) -> dict:
     with open(path) as fh:
         try:
@@ -164,7 +101,7 @@ def validate_config(cfg: dict) -> dict:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     schema = dict(_COMMON)
-    schema.update({k: v for k, v in EXPERIMENTS[name].items() if not k.startswith("_")})
+    schema.update(EXPERIMENTS[name]["schema"])
     out = {}
     for key, value in cfg.items():
         if key not in schema:
@@ -194,7 +131,7 @@ def validate_config(cfg: dict) -> dict:
     for key, (types, default) in schema.items():
         out.setdefault(key, default)
     if out["tolerance"] is None:
-        out["tolerance"] = EXPERIMENTS[name]["_tolerance"]
+        out["tolerance"] = EXPERIMENTS[name]["tolerance"]
     if out["tolerance"] < 0:
         raise ConfigError("tolerance must be >= 0")
     for key in ("trials", "threads", "atom_cap"):
@@ -298,16 +235,8 @@ class ExperimentReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "params": self.params,
-            "seed": self.seed,
-            "target": self.target,
-            "estimate": self.estimate,
-            "verdict": self.verdict,
-            "discarded_seeds": self.discarded_seeds,
-            "runtime_s": self.runtime_s,
-        }
+        keys = ("experiment", "params", "seed", "target", "estimate", "verdict", "discarded_seeds", "runtime_s")
+        out = {k: getattr(self, k) for k in keys}
         if self.warnings:
             out["warnings"] = self.warnings
         if self.scan is not None:
@@ -331,6 +260,53 @@ class ExperimentReport:
         if plot and self.plot_data is not None:
             xs, ys, slope, label, target_slope = self.plot_data
             write_loglog_svg(outdir / "plot.svg", xs, ys, slope, label, target_slope)
+
+
+@dataclass
+class Findings:
+    """What one run of an experiment found; ``run_experiment`` reports it."""
+
+    target: dict
+    checks: list  # from _check; the report's estimate is the worst of them
+    fits: list  # (trial, label, scales, observables): the rows of scales.csv
+    plot: tuple  # (xs, ys, slope, label) for plot.svg, drawn against the target
+    scan: bool = False  # report every check, not just the worst
+    warnings: list = field(default_factory=list)
+    extra: dict = field(default_factory=dict)
+    discarded: int = 0
+    trial_fits: list = field(default_factory=list)  # one per_trial row each
+    advisory: bool = False  # a hypothesis of the target fails: prefix the verdict
+
+
+def _check(slopes, target: float, tolerance: float, stderr=None, upper=False, **label) -> dict:
+    """Judge the mean of ``slopes`` (one estimate or the trials') against ``target``.
+
+    ``stderr`` defaults to the standard error of that mean over the trials.
+    Monte Carlo noise must not flake the check: the band is the stated
+    tolerance or three standard errors, whichever is wider.  An ``upper``
+    bound is checked from above only.  ``label`` names a scan entry.
+    """
+    arr = np.asarray(slopes, dtype=float)
+    est = float(arr.mean())
+    if stderr is None:
+        stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    band = max(tolerance, 3.0 * stderr)
+    ok = est <= target + band if upper else abs(est - target) <= band
+    return dict(label, estimate=est, stderr=stderr, target=target, verdict="pass" if ok else "fail")
+
+
+def _survival(table: np.ndarray, keep: float, depth: int) -> float:
+    """Chance that a walk of ``table`` (see ``walk_tree``) keeps a node at ``depth``.
+
+    Multi-type Galton-Watson recursion, a node's type being its last letter
+    (row ``a``: the root): each nonzero entry is a child, kept with
+    probability ``keep``, so q_i(n) = 1 - prod_j (1 - keep q_j(n-1)).
+    """
+    edges = np.asarray(table) != 0
+    q = np.ones(len(edges))
+    for _ in range(depth):
+        q = 1.0 - np.prod(np.where(edges, 1.0 - keep * q[:-1], 1.0), axis=1)
+    return float(q[-1])
 
 
 def _collect_surviving(master: KeyedRng, need: int, worker, threads: int):
@@ -363,31 +339,52 @@ def _collect_surviving(master: KeyedRng, need: int, worker, threads: int):
     return results, discarded
 
 
-def _aggregate(slopes):
-    arr = np.asarray(slopes, dtype=float)
-    mean = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return mean, stderr
+def _surviving(cfg: dict, survival: float, worker):
+    """The config's trials from ``_collect_surviving``, refused before the first
+    draw when the ``trials / survival`` draws expected exceed its budget of
+    1000 per trial, that is when ``survival`` < 1e-3."""
+    if survival < 1e-3:
+        raise CascadimError(
+            f"a realization survives to full depth with probability {survival:.2g} < 1e-3: "
+            f"{cfg['trials']} trials would take more than {1000 * cfg['trials']} draws"
+        )
+    return _collect_surviving(KeyedRng(cfg["seed"]), cfg["trials"], worker, cfg["threads"])
 
 
-def _verdict(estimate: float, target: float, tolerance: float, stderr: float) -> str:
-    # Monte Carlo noise must not flake the check: the band is the stated
-    # tolerance or three standard errors, whichever is wider.
-    return "pass" if abs(estimate - target) <= max(tolerance, 3.0 * stderr) else "fail"
+def run_experiment(cfg: dict) -> ExperimentReport:
+    """Validate ``cfg``, run its experiment and report what it found."""
+    cfg = validate_config(cfg)
+    spec = EXPERIMENTS[cfg["experiment"]]
+    t0 = time.perf_counter()
+    found = spec["run"](cfg)
+    worst = max(found.checks, key=lambda c: abs(c["estimate"] - c["target"]))
+    verdict = "pass" if all(c["verdict"] == "pass" for c in found.checks) else "fail"
+    return ExperimentReport(
+        experiment=cfg["experiment"],
+        params={k: cfg[k] for k in spec["params"]},
+        seed=cfg["seed"],
+        target=found.target,
+        estimate={"value": worst["estimate"], "stderr": worst["stderr"]},
+        verdict=f"advisory-{verdict}" if found.advisory else verdict,
+        discarded_seeds=found.discarded,
+        runtime_s=round(time.perf_counter() - t0, 3),
+        warnings=found.warnings,
+        scan=found.checks if found.scan else None,
+        per_trial=[{"trial": i, "slope": f.slope, "stderr": f.stderr} for i, f in enumerate(found.trial_fits)],
+        extra=found.extra,
+        scales_rows=[(t, label, s, o) for t, label, scales, obs in found.fits for s, o in zip(scales, obs)],
+        plot_data=(*found.plot, found.target["value"]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # runners
 
 
-def run_cascade_dim(cfg: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
+def run_cascade_dim(cfg: dict) -> Findings:
     a = cfg["alphabet"]
-    base = (
-        SymbolicMeasure.uniform(a)
-        if cfg["base_probs"] is None
-        else SymbolicMeasure.bernoulli(cfg["base_probs"])
-    )
+    probs = cfg["base_probs"]
+    base = SymbolicMeasure.uniform(a) if probs is None else SymbolicMeasure.bernoulli(probs)
     law = _build_law(cfg)
     shift = Subshift.full(a)
     ifs = AffineIfs.tiling(a)
@@ -401,43 +398,32 @@ def run_cascade_dim(cfg: dict) -> ExperimentReport:
     scales = default_scales(1.0 / a, depth)
 
     def worker(rng, idx):
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             cm = cascade_measure(base, shift, law, depth, rng)
         if cm.is_degenerate:
             return None
-        fit = entropy_dimension(pushforward(cm, ifs), scales)
-        return idx, fit
+        return entropy_dimension(pushforward(cm, ifs), scales)
 
-    results, discarded = _collect_surviving(KeyedRng(cfg["seed"]), cfg["trials"], worker, cfg["threads"])
-    slopes = [fit.slope for _, fit in results]
-    est, stderr = _aggregate(slopes)
-    rep = ExperimentReport(
-        experiment="cascade-dim",
-        params={k: cfg[k] for k in ("alphabet", "base_probs", "law", "p", "sigma", "depth", "trials", "tolerance")},
-        seed=cfg["seed"],
+    table = shift.successor_table() * base.step_table()
+    fits, discarded = _surviving(cfg, _survival(table, law.positive_probability(), depth), worker)
+    return Findings(
         target={"value": target, "formula": "(h_mu - h_V) / log(1/delta), delta = 1/a"},
-        estimate={"value": est, "stderr": stderr},
-        verdict=_verdict(est, target, cfg["tolerance"], stderr),
-        discarded_seeds=discarded,
-        runtime_s=round(time.perf_counter() - t0, 3),
-        warnings=warnings_list,
-        per_trial=[{"trial": i, "slope": fit.slope, "stderr": fit.stderr} for i, (_, fit) in enumerate(results)],
+        checks=[_check([f.slope for f in fits], target, cfg["tolerance"])],
+        fits=[(i, "H_r", f.scales, f.observable) for i, f in enumerate(fits)],
+        plot=(-np.log(fits[0].scales), fits[0].observable, fits[0].slope, "cascade scaling entropy (trial 0)"),
+        warnings=warnings_list, discarded=discarded, trial_fits=fits,
     )
-    for i, (_, fit) in enumerate(results):
-        rep.scales_rows.extend((i, "H_r", s, o) for s, o in zip(fit.scales, fit.observable))
-    fit0 = results[0][1]
-    rep.plot_data = (-np.log(fit0.scales), fit0.observable, fit0.slope, "cascade scaling entropy (trial 0)", target)
-    return rep
 
 
 def _dedup_overlap_structure(ifs: AffineIfs):
-    """Detect the exactly-overlapping dyadic pattern {x/2, x/2, x/2 + 1/2}.
+    """Detect the exactly-overlapping dyadic pattern {x/2+c, x/2+c, x/2+c+1/2}.
 
     Returns the multiplicities (m_left, m_right) when the deduplicated system
-    is the dyadic tiling with the left map doubled, else None.
+    is a dyadic tiling with the left map doubled, else None.  This is the only
+    overlap structure with a closed-form target: on the full 3-shift it gives
+    the ``overlap-example`` mode, and every other overlapping IFS is checked
+    against the covering upper bound only.
     """
     if ifs.equal_ratio != 0.5 or ifs.alphabet_size != 3:
         return None
@@ -447,8 +433,7 @@ def _dedup_overlap_structure(ifs: AffineIfs):
     return None
 
 
-def run_percolation_image_dim(cfg: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
+def run_percolation_image_dim(cfg: dict) -> Findings:
     a = cfg["alphabet"]
     shift = _build_subshift(cfg["subshift"], a)
     ifs = _build_ifs(cfg["ifs"], shift.alphabet_size)
@@ -462,9 +447,8 @@ def run_percolation_image_dim(cfg: dict) -> ExperimentReport:
     profile = gamma_estimate(shift, ifs, cfg["gamma_nmax"])
     gamma = profile.gamma_estimate
     warnings_list = []
-    extra = {"gamma_estimate": gamma, "overlap_counts": list(profile.counts)}
     bound = shift.topological_entropy() / math.log(1.0 / delta) + gamma - math.log(p) / math.log(delta)
-    extra["covering_bound"] = bound
+    extra = {"gamma_estimate": gamma, "overlap_counts": list(profile.counts), "covering_bound": bound}
     mode = "additive"
     if gamma <= 0.05:
         target = shift.topological_entropy() / math.log(1.0 / delta) - math.log(p) / math.log(delta)
@@ -499,34 +483,18 @@ def run_percolation_image_dim(cfg: dict) -> ExperimentReport:
         img = set_image(codes, ifs, length=depth)
         return box_dimension(img, scales)
 
-    results, discarded = _collect_surviving(KeyedRng(cfg["seed"]), cfg["trials"], worker, cfg["threads"])
-    est, stderr = _aggregate([f.slope for f in results])
-    if mode == "bound-only":
-        verdict = "pass" if est <= target + max(cfg["tolerance"], 3 * stderr) else "fail"
-    else:
-        verdict = _verdict(est, target, cfg["tolerance"], stderr)
-    rep = ExperimentReport(
-        experiment="perc-image-dim",
-        params={k: cfg[k] for k in ("alphabet", "subshift", "ifs", "p", "depth", "trials", "tolerance")},
-        seed=cfg["seed"],
+    fits, discarded = _surviving(cfg, _survival(shift.successor_table(), p, depth), worker)
+    f0 = fits[0]
+    return Findings(
         target={"value": target, "formula": formula, "mode": mode},
-        estimate={"value": est, "stderr": stderr},
-        verdict=verdict,
-        discarded_seeds=discarded,
-        runtime_s=round(time.perf_counter() - t0, 3),
-        warnings=warnings_list,
-        per_trial=[{"trial": i, "slope": f.slope, "stderr": f.stderr} for i, f in enumerate(results)],
-        extra=extra,
+        checks=[_check([f.slope for f in fits], target, cfg["tolerance"], upper=mode == "bound-only")],
+        fits=[(i, "logN", f.scales, f.observable) for i, f in enumerate(fits)],
+        plot=(np.log(1 / f0.scales), np.log(f0.observable), f0.slope, "percolation image box counts (trial 0)"),
+        warnings=warnings_list, extra=extra, discarded=discarded, trial_fits=fits,
     )
-    for i, f in enumerate(results):
-        rep.scales_rows.extend((i, "logN", s, o) for s, o in zip(f.scales, f.observable))
-    f0 = results[0]
-    rep.plot_data = (np.log(1 / f0.scales), np.log(f0.observable), f0.slope, "percolation image box counts (trial 0)", target)
-    return rep
 
 
-def run_sumset_dim(cfg: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
+def run_sumset_dim(cfg: dict) -> Findings:
     a, b = cfg["alphabet_a"], cfg["alphabet_b"]
     pa, pb = cfg["p_a"], cfg["p_b"]
     da, db = cfg["depth_a"], cfg["depth_b"]
@@ -557,51 +525,22 @@ def run_sumset_dim(cfg: dict) -> ExperimentReport:
             return None
         img_a = set_image(ca, ifs_a, length=da)
         img_b = set_image(cb, ifs_b, length=db)
-        fits = {}
-        for s in s_values:
-            ss = sumset(img_a, img_b, s, pair_cap=cfg["pair_cap"])
-            fits[s] = box_dimension(ss, scales)
-        return fits
+        return {s: box_dimension(sumset(img_a, img_b, s, pair_cap=cfg["pair_cap"]), scales) for s in s_values}
 
-    results, discarded = _collect_surviving(KeyedRng(cfg["seed"]), cfg["trials"], worker, cfg["threads"])
-    scan = []
-    worst = None
-    for s in s_values:
-        est, stderr = _aggregate([fits[s].slope for fits in results])
-        entry = {
-            "s": s,
-            "estimate": est,
-            "stderr": stderr,
-            "target": target,
-            "verdict": _verdict(est, target, cfg["tolerance"], stderr),
-        }
-        scan.append(entry)
-        if worst is None or abs(est - target) > abs(worst["estimate"] - worst["target"]):
-            worst = entry
-    verdict = "pass" if all(e["verdict"] == "pass" for e in scan) else "fail"
-    rep = ExperimentReport(
-        experiment="sumset-dim",
-        params={k: cfg[k] for k in ("alphabet_a", "alphabet_b", "p_a", "p_b", "depth_a", "depth_b", "s_values", "trials", "tolerance")},
-        seed=cfg["seed"],
-        target={"value": target, "formula": "min{1, 2 + log(p)/log(a) + log(p')/log(b)}"},
-        estimate={"value": worst["estimate"], "stderr": worst["stderr"]},
-        verdict=verdict,
-        discarded_seeds=discarded,
-        runtime_s=round(time.perf_counter() - t0, 3),
-        warnings=warnings_list,
-        scan=scan,
-    )
-    for i, fits in enumerate(results):
-        for s in s_values:
-            f = fits[s]
-            rep.scales_rows.extend((i, f"s={s:g}", sc, o) for sc, o in zip(f.scales, f.observable))
+    # a draw counts when both factors survive
+    survival = _survival(shift_a.successor_table(), pa, da) * _survival(shift_b.successor_table(), pb, db)
+    results, discarded = _surviving(cfg, survival, worker)
     f0 = results[0][s_values[0]]
-    rep.plot_data = (np.log(1 / f0.scales), np.log(f0.observable), f0.slope, "sumset box counts (trial 0)", target)
-    return rep
+    return Findings(
+        target={"value": target, "formula": "min{1, 2 + log(p)/log(a) + log(p')/log(b)}"},
+        checks=[_check([fits[s].slope for fits in results], target, cfg["tolerance"], s=s) for s in s_values],
+        fits=[(i, f"s={s:g}", fits[s].scales, fits[s].observable) for i, fits in enumerate(results) for s in s_values],
+        plot=(np.log(1 / f0.scales), np.log(f0.observable), f0.slope, "sumset box counts (trial 0)"),
+        scan=True, warnings=warnings_list, discarded=discarded,
+    )
 
 
-def run_projection_scan(cfg: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
+def run_projection_scan(cfg: dict) -> Findings:
     a, b = cfg["alphabet_a"], cfg["alphabet_b"]
     base_a = SymbolicMeasure.bernoulli(cfg["probs_a"])
     base_b = SymbolicMeasure.bernoulli(cfg["probs_b"])
@@ -624,65 +563,33 @@ def run_projection_scan(cfg: dict) -> ExperimentReport:
     ks = range(5, max(9, int(-math.log2(floor))) + 1)
     scales = [2.0**-k for k in ks]
     sample_size = cfg["sample_size"] or None
+    checks, fits = [], []
 
-    scan = []
-    rows = []
-    labels = []
+    def scan(label, measure, tgt, stream):
+        fit = entropy_dimension(measure, scales, sample_size, rng.derive(stream))
+        checks.append(_check(fit.slope, tgt, cfg["tolerance"], fit.stderr, projection=label))
+        fits.append((0, label, fit.scales, fit.observable))
+
     for s in [float(v) for v in cfg["s_grid"]]:
         for sign in (+1, -1):
-            pm = project(prod, s, sign, delta)
-            fit = entropy_dimension(pm, scales, sample_size, rng.derive(202))
-            label = f"pi[s={s:g},{'+' if sign > 0 else '-'}]"
-            scan.append(
-                {
-                    "projection": label,
-                    "estimate": fit.slope,
-                    "stderr": fit.stderr,
-                    "target": target,
-                    "verdict": _verdict(fit.slope, target, cfg["tolerance"], fit.stderr),
-                }
-            )
-            rows.append((label, fit))
+            scan(f"pi[s={s:g},{'+' if sign > 0 else '-'}]", project(prod, s, sign, delta), target, 202)
     for axis, tgt, name in ((0, d1, "pi_1"), (1, d2, "pi_2")):
-        pm = marginal(prod, axis)
-        fit = entropy_dimension(pm, scales, sample_size, rng.derive(203))
-        scan.append(
-            {
-                "projection": name,
-                "estimate": fit.slope,
-                "stderr": fit.stderr,
-                "target": tgt,
-                "verdict": _verdict(fit.slope, tgt, cfg["tolerance"], fit.stderr),
-            }
-        )
-        rows.append((name, fit))
-    verdict = "pass" if all(e["verdict"] == "pass" for e in scan) else "fail"
-    worst = max(scan, key=lambda e: abs(e["estimate"] - e["target"]))
-    rep = ExperimentReport(
-        experiment="projection-scan",
-        params={k: cfg[k] for k in ("alphabet_a", "probs_a", "alphabet_b", "probs_b", "depth_a", "depth_b", "s_grid", "atom_cap", "sample_size", "tolerance")},
-        seed=cfg["seed"],
+        scan(name, marginal(prod, axis), tgt, 203)
+    _, _, f0_scales, f0_obs = fits[0]
+    return Findings(
         target={
             "value": target,
             "formula": "min{1, h(mu)/log a + h(nu)/log b}; coordinate projections drop to the factor dimension",
             "factor_dims": [d1, d2],
         },
-        estimate={"value": worst["estimate"], "stderr": worst["stderr"]},
-        verdict=verdict,
-        discarded_seeds=0,
-        runtime_s=round(time.perf_counter() - t0, 3),
-        warnings=warnings_list,
-        scan=scan,
+        checks=checks,
+        fits=fits,
+        plot=(-np.log(f0_scales), f0_obs, checks[0]["estimate"], "projected scaling entropy"),
+        scan=True, warnings=warnings_list,
     )
-    for label, fit in rows:
-        rep.scales_rows.extend((0, label, s, o) for s, o in zip(fit.scales, fit.observable))
-    f0 = rows[0][1]
-    rep.plot_data = (-np.log(f0.scales), f0.observable, f0.slope, "projected scaling entropy", target)
-    return rep
 
 
-def run_bernoulli_convolution(cfg: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
+def run_bernoulli_convolution(cfg: dict) -> Findings:
     b1, p1 = cfg["beta_a"], cfg["p_a"]
     b2, p2 = cfg["beta_b"], cfg["p_b"]
     depth = cfg["depth"]
@@ -694,8 +601,7 @@ def run_bernoulli_convolution(cfg: dict) -> ExperimentReport:
             )
     ratio = math.log(b1) / math.log(b2)
     approx = rational_approximation(ratio)
-    advisory = approx is not None
-    if advisory:
+    if approx is not None:
         warnings_list.append(
             f"log beta / log beta' ~ {approx[0]}/{approx[1]} is rational: "
             "the additivity hypothesis fails, verdict is advisory"
@@ -714,69 +620,114 @@ def run_bernoulli_convolution(cfg: dict) -> ExperimentReport:
     # coarse radii see the support boundary, not the scaling law: start deep
     scales = [diam * 2.0**-k for k in range(6, 16)]
     fit = entropy_dimension(conv, scales, cfg["sample_size"] or None, rng.derive(4))
-    est, stderr = fit.slope, fit.stderr
-    verdict = _verdict(est, target, cfg["tolerance"], stderr)
-    if advisory:
-        verdict = f"advisory-{verdict}"
-    rep = ExperimentReport(
-        experiment="bconv",
-        params={k: cfg[k] for k in ("beta_a", "p_a", "beta_b", "p_b", "depth", "atom_cap", "sample_size", "tolerance")},
-        seed=cfg["seed"],
+    return Findings(
         target={"value": target, "formula": "min{1, h(p)/log(1/beta) + h(p')/log(1/beta')}"},
-        estimate={"value": est, "stderr": stderr},
-        verdict=verdict,
-        discarded_seeds=0,
-        runtime_s=round(time.perf_counter() - t0, 3),
-        warnings=warnings_list,
+        checks=[_check(fit.slope, target, cfg["tolerance"], fit.stderr)],
+        fits=[(0, "H_r", fit.scales, fit.observable)],
+        plot=(-np.log(fit.scales), fit.observable, fit.slope, "convolution scaling entropy"),
+        warnings=warnings_list, advisory=approx is not None,
     )
-    rep.scales_rows.extend((0, "H_r", s, o) for s, o in zip(fit.scales, fit.observable))
-    rep.plot_data = (-np.log(fit.scales), fit.observable, fit.slope, "convolution scaling entropy", target)
-    return rep
 
 
-def run_gamma(cfg: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
+def run_gamma(cfg: dict) -> Findings:
     shift = _build_subshift(cfg["subshift"], cfg["alphabet"])
     ifs = _build_ifs(cfg["ifs"], shift.alphabet_size)
     profile = gamma_estimate(shift, ifs, cfg["n_max"])
     target = cfg["expect_gamma"]
     est = profile.gamma_estimate
-    verdict = "pass" if abs(est - target) <= cfg["tolerance"] else "fail"
-    rep = ExperimentReport(
-        experiment="gamma",
-        params={k: cfg[k] for k in ("alphabet", "subshift", "ifs", "n_max", "expect_gamma", "tolerance")},
-        seed=cfg["seed"],
+    ns = np.arange(1, cfg["n_max"] + 1)
+    return Findings(
         target={"value": target, "formula": "limsup log(t_n) / (n log(1/delta))"},
-        estimate={"value": est, "stderr": 0.0},
-        verdict=verdict,
-        discarded_seeds=0,
-        runtime_s=round(time.perf_counter() - t0, 3),
+        checks=[_check(est, target, cfg["tolerance"], 0.0)],
+        fits=[(0, "t_n", [float(profile.delta**n) for n in ns], [float(c) for c in profile.counts])],
+        plot=(ns * math.log(1 / profile.delta), np.log(profile.counts), est, "overlap count growth"),
         extra={"overlap_counts": list(profile.counts), "fit_window": list(profile.fit_window)},
     )
-    ns = np.arange(1, cfg["n_max"] + 1)
-    rep.scales_rows.extend(
-        (0, "t_n", float(profile.delta**n), float(c)) for n, c in zip(ns, profile.counts)
-    )
-    rep.plot_data = (
-        ns * math.log(1 / profile.delta),
-        np.log(profile.counts),
-        est,
-        "overlap count growth",
-        target,
-    )
-    return rep
 
 
-_RUNNERS = {
-    "cascade-dim": run_cascade_dim,
-    "perc-image-dim": run_percolation_image_dim,
-    "sumset-dim": run_sumset_dim,
-    "projection-scan": run_projection_scan,
-    "bconv": run_bernoulli_convolution,
-    "gamma": run_gamma,
+# ---------------------------------------------------------------------------
+# the experiments: config schema beyond _COMMON, default tolerance, report
+# params in order (not every schema key is reported), runner
+
+EXPERIMENTS = {
+    "cascade-dim": {
+        "schema": {
+            "alphabet": (int, 2),
+            "base_probs": (list, None),  # None -> uniform
+            "law": (str, "percolation"),  # percolation | lognormal | discrete
+            "p": (float, 0.7),
+            "sigma": (float, 0.5),
+            "values": (list, None),
+            "probs": (list, None),
+            "depth": (int, 16),
+        },
+        "params": ("alphabet", "base_probs", "law", "p", "sigma", "depth", "trials", "tolerance"),
+        "tolerance": 0.06, "run": run_cascade_dim,
+    },
+    "perc-image-dim": {
+        "schema": {
+            "alphabet": (int, 2),
+            "subshift": ((str, list), "golden-mean"),  # full | golden-mean | matrix rows
+            "ifs": ((str, list), "tiling"),  # tiling | [[r, t], ...]
+            "p": (float, 0.8),
+            "depth": (int, 18),
+            "gamma_nmax": (int, 10),
+        },
+        "params": ("alphabet", "subshift", "ifs", "p", "depth", "trials", "tolerance"),
+        "tolerance": 0.08, "run": run_percolation_image_dim,
+    },
+    "sumset-dim": {
+        "schema": {
+            "alphabet_a": (int, 2),
+            "alphabet_b": (int, 3),
+            "p_a": (float, 0.55),
+            "p_b": (float, 0.6),
+            "depth_a": (int, 16),
+            "depth_b": (int, 10),
+            "s_values": (list, [1.0, -1.0, math.sqrt(2.0)]),
+            "pair_cap": (int, 200_000_000),
+        },
+        "params": ("alphabet_a", "alphabet_b", "p_a", "p_b", "depth_a", "depth_b", "s_values", "trials", "tolerance"),
+        "tolerance": 0.10, "run": run_sumset_dim,
+    },
+    "projection-scan": {
+        "schema": {
+            "alphabet_a": (int, 2),
+            "probs_a": (list, [0.1, 0.9]),
+            "alphabet_b": (int, 3),
+            "probs_b": (list, [0.1, 0.8, 0.1]),
+            "depth_a": (int, 16),
+            "depth_b": (int, 10),
+            "s_grid": (list, [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]),
+            "atom_cap": (int, 2_000_000),
+            "sample_size": (int, 4000),
+        },
+        "params": ("alphabet_a", "probs_a", "alphabet_b", "probs_b", "depth_a", "depth_b", "s_grid", "atom_cap",
+                   "sample_size", "tolerance"),
+        "tolerance": 0.08, "run": run_projection_scan,
+    },
+    "bconv": {
+        "schema": {
+            "beta_a": (float, 0.4),
+            "p_a": (float, 0.9),
+            "beta_b": (float, 0.35),
+            "p_b": (float, 0.85),
+            "depth": (int, 18),
+            "atom_cap": (int, 3_000_000),
+            "sample_size": (int, 4000),
+        },
+        "params": ("beta_a", "p_a", "beta_b", "p_b", "depth", "atom_cap", "sample_size", "tolerance"),
+        "tolerance": 0.08, "run": run_bernoulli_convolution,
+    },
+    "gamma": {
+        "schema": {
+            "alphabet": (int, 3),
+            "subshift": ((str, list), "full"),
+            "ifs": ((str, list), [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]]),
+            "n_max": (int, 13),
+            "expect_gamma": (float, 1.0),
+        },
+        "params": ("alphabet", "subshift", "ifs", "n_max", "expect_gamma", "tolerance"),
+        "tolerance": 0.05, "run": run_gamma,
+    },
 }
-
-
-def run_experiment(cfg: dict) -> ExperimentReport:
-    cfg = validate_config(cfg)
-    return _RUNNERS[cfg["experiment"]](cfg)

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import CapExceeded, NonStationaryWarning, NotIrreducible
 
 DEFAULT_WORD_CAP = 20_000_000
-_INDEX_MAX = 2**31 - 1  # the largest cap walk_tree accepts
 _BLOCK = 8192  # nodes per block of walk_tree's depth-first pass
 
 __all__ = [
@@ -89,13 +88,11 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
     Returns the codes and masses of the length-``depth`` words and the total
     mass at each level.  Codes are int64, so a walk past 62 bits of code
     range raises ``CapExceeded`` instead of wrapping; so does a level of more
-    than ``cap`` nodes, and a ``cap`` past the int32 range.
+    than ``cap`` nodes.
     """
     a = table.shape[1]
     if depth * math.log2(a) > 62:
         raise CapExceeded(a**depth, 2**62, what="code range")
-    if cap > _INDEX_MAX:
-        raise CapExceeded(cap, _INDEX_MAX, what="int32 node indices")
     codes = np.zeros(1, dtype=np.int64)
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:

@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import nbinom
 
 from cascadim import (
     AffineIfs,
@@ -76,6 +77,18 @@ def overlap_image_report():
             "gamma_nmax": 12,
             "seed": 101,
         }
+    )
+
+
+@pytest.fixture(scope="module")
+def sumset_report():
+    return run_experiment({"experiment": "sumset-dim", "seed": 101})
+
+
+@pytest.fixture(scope="module")
+def sumset_cap_report():
+    return run_experiment(
+        {"experiment": "sumset-dim", "p_a": 0.9, "p_b": 0.9, "tolerance": 0.06, "seed": 101}
     )
 
 
@@ -270,8 +283,8 @@ def test_criterion_06_gamma_exponents():
 # -- criterion 7: sumset dimensions -------------------------------------------
 
 
-def test_criterion_07_sumset_subcritical():
-    rep = run_experiment({"experiment": "sumset-dim", "seed": 101})
+def test_criterion_07_sumset_subcritical(sumset_report):
+    rep = sumset_report
     stated = 2 + math.log(0.55) / math.log(2) + math.log(0.6) / math.log(3)
     ok = abs(rep.target["value"] - stated) < 1e-9 and abs(stated - 0.673) < 1e-3
     for entry in rep.scan:
@@ -280,15 +293,61 @@ def test_criterion_07_sumset_subcritical():
     assert report("7a sumset dim vs target 0.673", ok, detail)
 
 
-def test_criterion_07_sumset_supercritical_cap():
-    rep = run_experiment(
-        {"experiment": "sumset-dim", "p_a": 0.9, "p_b": 0.9, "tolerance": 0.06, "seed": 101}
-    )
+def test_criterion_07_sumset_supercritical_cap(sumset_cap_report):
+    rep = sumset_cap_report
     ok = rep.target["value"] == 1.0
     for entry in rep.scan:
         ok &= abs(entry["estimate"] - 1.0) <= 0.06
     detail = ", ".join(f"s={e['s']:+.3g}: {e['estimate']:.4f}" for e in rep.scan)
     assert report("7b sumset cap case vs 1.0", ok, detail)
+
+
+# -- survival conditioning ----------------------------------------------------
+
+
+def _survival_oracle(follows, p, depth):
+    """Chance that a percolation on words keeps a node at ``depth``.
+
+    ``follows[i]`` lists the letters allowed after letter i, ``follows[None]``
+    the first letters; each child is kept with probability p.
+    """
+    alive = dict.fromkeys(follows, 1.0)
+    for _ in range(depth):
+        alive = {i: 1.0 - math.prod(1.0 - p * alive[j] for j in kids) for i, kids in follows.items()}
+    return alive[None]
+
+
+def test_survival_discards_negative_binomial(
+    cascade_perc_report, golden_image_report, overlap_image_report, sumset_report, sumset_cap_report
+):
+    # a run draws until `trials` realizations survive, so its discards are
+    # NegBin(trials, s_n) with s_n the chance that one realization survives
+    full2 = {None: (1, 2), 1: (1, 2), 2: (1, 2)}
+    full3 = {None: (1, 2, 3), 1: (1, 2, 3), 2: (1, 2, 3), 3: (1, 2, 3)}
+    golden = {None: (1, 2), 1: (1, 2), 2: (1,)}  # "22" forbidden
+
+    def single(rep, follows):
+        return _survival_oracle(follows, rep.params["p"], rep.params["depth"])
+
+    def both(rep):  # a sumset draw counts when both factors survive
+        prm = rep.params
+        return _survival_oracle(full2, prm["p_a"], prm["depth_a"]) * _survival_oracle(full3, prm["p_b"], prm["depth_b"])
+
+    runs = {
+        "cascade_dim_percolation": (cascade_perc_report, single(cascade_perc_report, full2)),
+        "perc_image_golden_mean": (golden_image_report, single(golden_image_report, golden)),
+        "perc_image_overlap": (overlap_image_report, single(overlap_image_report, full3)),
+        "sumset_dim": (sumset_report, both(sumset_report)),
+        "sumset_dim_supercritical": (sumset_cap_report, both(sumset_cap_report)),
+    }
+    ok = True
+    details = []
+    for name, (rep, s) in runs.items():
+        law = nbinom(rep.params["trials"], s)
+        lo, hi = law.ppf(0.001), law.ppf(0.999)
+        ok &= lo <= rep.discarded_seeds <= hi
+        details.append(f"{name}: {rep.discarded_seeds} in [{lo:.0f}, {hi:.0f}], mean {law.mean():.1f} sd {law.std():.1f}")
+    assert report("survival discards within NegBin central 99.8%", ok, "; ".join(details))
 
 
 # -- criterion 8: projection scan ---------------------------------------------

@@ -152,16 +152,6 @@ class TestCascadeMeasure:
         with pytest.raises(CapExceeded, match="code range"):
             cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.6), 64, KeyedRng(5))
 
-    def test_cap_past_int32_index_range_rejected(self, uniform2):
-        # parent indices are int32: a cap they cannot index is refused before any work
-        with pytest.raises(CapExceeded, match="int32"):
-            percolation_codes(Subshift.full(2), 0.7, 4, KeyedRng(5), cap=2**31)
-        with pytest.raises(CapExceeded, match="int32"):
-            cascade_measure(uniform2, Subshift.full(2), WeightLaw.lognormal(0.5), 4, KeyedRng(5), cap=2**40)
-        with pytest.raises(CapExceeded, match="int32"):
-            Subshift.full(2).admissible_codes(3, cap=2**31)
-        assert len(percolation_codes(Subshift.full(2), 1.0, 4, KeyedRng(5), cap=2**31 - 1)) == 16
-
 
 class TestCoarsening:
     def test_stepwise_equals_direct_bitwise(self, uniform2):
@@ -505,6 +495,16 @@ class TestRealizationPins:
 
     @pytest.mark.parametrize("name", list(PINS), ids=list(PINS))
     def test_walk_digest(self, name):
+        assert _digests(*self._walk(name)) == self.PINS[name]
+
+    def test_unit_law_walk_hashes_nothing(self, monkeypatch):
+        # every weight of percolation(1.0) is 1.0 whatever the hash
+        def hashed(*args):
+            raise AssertionError("hashed a node")
+
+        monkeypatch.setattr(KeyedRng, "length_states", hashed)
+        monkeypatch.setattr(KeyedRng, "absorb", staticmethod(hashed))
+        name = "bconv-bernoulli-depth18"
         assert _digests(*self._walk(name)) == self.PINS[name]
 
     def test_public_entry_points_match_the_pinned_walk(self):

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from cascadim import Subshift, experiments
 from cascadim.cli import main
-from cascadim.errors import ConfigError
+from cascadim.errors import CascadimError, ConfigError
 from cascadim.experiments import (
     load_config,
     rational_approximation,
@@ -174,6 +175,35 @@ class TestReports:
         se = math.sqrt(s * (1 - s) / draws)
         assert abs(trials / draws - s) < 4 * se
 
+    @pytest.mark.parametrize(
+        "cfg, survival",
+        [
+            # s_16 = 2.0e-4: about 160k draws for 32 trials
+            ({"experiment": "cascade-dim", "p": 0.3}, "0.0002"),
+            ({"experiment": "perc-image-dim", "p": 0.4}, "0.00032"),
+            ({"experiment": "sumset-dim", "p_a": 0.3}, "0.00018"),
+        ],
+    )
+    def test_hopeless_survival_refused_before_drawing(self, monkeypatch, cfg, survival):
+        def draw(*args):
+            raise AssertionError("drew realizations")
+
+        monkeypatch.setattr(experiments, "_collect_surviving", draw)
+        with pytest.raises(CascadimError, match=f"probability {survival} < 1e-3"):
+            run_experiment(cfg)
+
+    def test_survival_recursion(self):
+        # full 2-shift, one type: s_n = 1 - (1 - p s_{n-1})^2
+        s = 1.0
+        for _ in range(10):
+            s = 1.0 - (1.0 - 0.55 * s) ** 2
+        assert experiments._survival(Subshift.full(2).successor_table(), 0.55, 10) == pytest.approx(s, rel=1e-12)
+        # golden mean: after a 1 both letters may follow, after a 2 only a 1
+        q1 = q2 = 1.0
+        for _ in range(18):
+            q1, q2 = 1.0 - (1.0 - 0.8 * q1) * (1.0 - 0.8 * q2), 0.8 * q1
+        assert experiments._survival(Subshift.golden_mean().successor_table(), 0.8, 18) == pytest.approx(q1, rel=1e-12)
+
     def test_gamma_report_has_counts(self):
         rep = run_experiment(
             {"experiment": "gamma", "alphabet": 2, "subshift": "full", "ifs": "tiling",
@@ -288,6 +318,7 @@ class TestCli:
             {"experiment": "gamma", "tolerance": float("nan")},
             {"experiment": "gamma", "tolerance": -1},
             {"experiment": "perc-image-dim", "ifs": [[0.5, 0.0], [0.5, float("inf")]]},
+            {"experiment": "cascade-dim", "p": 0.3},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):

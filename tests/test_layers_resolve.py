@@ -2,9 +2,11 @@
 
 ``perfbench/layers.py`` swaps wrappers in by ``owner.__dict__[attr]``, so a
 renamed or deleted function would only show as a failing ``--trace 1`` run.
-This reads the target list from that file and checks each name.
+This reads the target list from that file and checks each name, then runs
+each experiment under the tracer and checks that it reaches its layers.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,43 @@ TARGETS.append((layers.cascadim.experiments, "_collect_surviving"))
 )
 def test_traced_name_resolves(owner, attr):
     assert attr in owner.__dict__
+
+
+# One small config per experiment, with the layer counts its run must reach.
+# A runner that stops calling a wrapped name through ``cascadim.experiments``
+# still resolves above, but its layer reads 0 here.
+REACHED = {
+    "cascade-dim": (
+        {"depth": 10, "trials": 4, "seed": 11},
+        ("cascade.walk_calls", "euclid.image_in", "dimension.ball_queries"),
+    ),
+    "perc-image-dim": (
+        {"depth": 10, "trials": 4, "gamma_nmax": 8, "seed": 3},
+        ("cascade.walk_calls", "euclid.image_in", "ifs.gamma_s", "dimension.box_queries"),
+    ),
+    "sumset-dim": (
+        {"depth_a": 10, "depth_b": 6, "trials": 3, "seed": 5},
+        ("cascade.walk_calls", "euclid.image_in", "euclid.sumset_calls", "dimension.box_queries"),
+    ),
+    "projection-scan": (
+        {"depth_a": 10, "depth_b": 6, "s_grid": [1.0], "atom_cap": 20000, "sample_size": 500},
+        ("cascade.walk_calls", "euclid.image_in", "euclid.atoms", "dimension.ball_queries"),
+    ),
+    "bconv": (
+        {"depth": 10, "atom_cap": 20000, "sample_size": 500},
+        ("cascade.walk_calls", "euclid.atoms", "dimension.ball_queries"),
+    ),
+    "gamma": ({"n_max": 8}, ("ifs.gamma_s",)),
+}
+
+
+@pytest.mark.parametrize("experiment", list(REACHED))
+def test_experiment_reaches_its_layers(experiment, tmp_path):
+    cfg, reached = REACHED[experiment]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, experiment=experiment)))
+    with layers.installed(layers.Tracer()) as tracer:
+        layers.traced_main(tracer, [experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+    summary = tracer.summary()
+    assert [name for name in reached if summary[name] <= 0] == []
+    assert summary["experiments.accepted"] == cfg.get("trials", 0)
