@@ -8,12 +8,15 @@ import math
 
 import numpy as np
 
-from cascadim import Subshift, SymbolicMeasure, Word
+from cascadim import Subshift
+from cascadim.symbolic import codes_to_letters
 
 golden = Subshift.golden_mean()
 print("golden-mean shift: two letters, '22' forbidden")
 print("admissible word counts:", [golden.word_count(n) for n in range(1, 9)], "(Fibonacci)")
-print("X_4 =", " ".join(str(w) for w in golden.admissible_words(4)))
+# word sets are sorted base-a codes; decode them to letters where needed
+x4 = codes_to_letters(golden.admissible_codes(4), 4, golden.alphabet_size)
+print("X_4 =", " ".join("".join(map(str, row)) for row in x4.tolist()))
 
 h_top = golden.topological_entropy()
 print(f"\ntopological entropy = {h_top:.6f} = log((1+sqrt5)/2) = {math.log((1+math.sqrt(5))/2):.6f}")
@@ -22,8 +25,8 @@ parry = golden.parry_measure()
 print("Parry measure: initial", np.round(parry.initial, 6), "transition rows", np.round(parry.transition, 6))
 print(f"its entropy {parry.entropy():.6f} attains the topological entropy")
 
-w = Word.from_string("1121", 2)
-print(f"\ncylinder mass of [{w}]: {parry.cylinder_mass(w):.6f}")
+w = np.array([[1, 1, 2, 1]])
+print(f"\ncylinder mass of [1121]: {parry.cylinder_mass_batch(w)[0]:.6f}")
 fibre = parry.fibre(2)
 print("future law after a past ending in 2: initial", np.round(fibre.initial, 6))
 print("  (letter 2 cannot repeat, so the chain restarts from letter 1 surely)")

@@ -11,11 +11,9 @@ from cascadim import (
     Subshift,
     SymbolicMeasure,
     WeightLaw,
-    Word,
     cascade_mass_trace,
     cascade_measure,
-    draw_weight,
-    percolation_set,
+    percolation_codes,
 )
 
 rng = KeyedRng(2028)
@@ -23,25 +21,22 @@ law = WeightLaw.percolation(0.7)
 full2 = Subshift.full(2)
 uniform = SymbolicMeasure.uniform(2)
 
-w = Word.from_string("12112", 2)
-print(f"weight at word {w}: {draw_weight(law, rng, w):.6f} "
-      f"(and again: {draw_weight(law, rng, w):.6f} - keyed, not streamed)")
+# the weight at a word is a function of the word's keyed hash
+w = np.array([[1, 2, 1, 1, 2]])
+print(f"keyed hash of word 12112: {rng.word_hashes(w)[0]:#018x}")
+print(f"  and from a fresh KeyedRng(2028): {KeyedRng(2028).word_hashes(w)[0]:#018x} (keyed, not streamed)")
 
 cm = cascade_measure(uniform, full2, law, 12, rng)
 print(f"\npercolation cascade, depth 12: {len(cm)} surviving words, "
       f"total mass {cm.total_mass:.4f}")
 # two more levels reuse every weight above them: the depth-14 survivors are
 # children of depth-12 survivors, and each mass is its parent's times the two
-# new keyed weights and the base factor 1/4
+# new keyed weights (1/p each on a survivor) and the base factor 1/4
 deeper = cascade_measure(uniform, full2, law, 14, rng)
 parent = np.searchsorted(cm.codes, deeper.codes // 4)
-extra = [
-    draw_weight(law, rng, word.prefix(13)) * draw_weight(law, rng, word)
-    for word in deeper.words()
-]
 print("depth extension keeps the depth-12 weights:",
       bool(np.array_equal(cm.codes[parent], deeper.codes // 4)
-           and np.allclose(deeper.masses, cm.masses[parent] * np.array(extra) / 4, rtol=1e-12, atol=0)))
+           and np.allclose(deeper.masses, cm.masses[parent] / (4 * law.p**2), rtol=1e-12, atol=0)))
 
 trace = cascade_mass_trace(uniform, full2, law, 12, rng)
 print("total-mass martingale by level:", np.round(trace, 3))
@@ -52,7 +47,7 @@ s = 1.0
 for _ in range(depth):
     s = 1.0 - (1.0 - p * s) ** 2
 alive = sum(
-    1 for i in range(trials) if len(percolation_set(full2, p, depth, KeyedRng(5).derive(i))) > 0
+    1 for i in range(trials) if percolation_codes(full2, p, depth, KeyedRng(5).derive(i)).size > 0
 )
 print(f"\nsurvival to depth {depth}: observed {alive/trials:.3f}, recursion gives {s:.3f}")
 

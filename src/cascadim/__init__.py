@@ -8,9 +8,7 @@ from .cascade import (
     WeightLaw,
     cascade_mass_trace,
     cascade_measure,
-    draw_weight,
     percolation_codes,
-    percolation_set,
 )
 from .dimension import (
     ScalingFit,
@@ -19,8 +17,6 @@ from .dimension import (
     default_scales,
     entropy_dimension,
     fit_loglog,
-    local_dimension_trace,
-    scaling_entropy,
 )
 from .euclid import (
     AtomicMeasure,
@@ -36,7 +32,7 @@ from .euclid import (
 )
 from .experiments import run_experiment
 from .ifs import AffineIfs, OverlapProfile, gamma_estimate, overlap_count
-from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure, Word
+from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure
 from . import errors
 
 __version__ = "0.1.0"

@@ -22,29 +22,21 @@ full-width passes over each level.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegenerateCascadeWarning
-from .symbolic import (
-    DEFAULT_WORD_CAP,
-    Subshift,
-    SymbolicMeasure,
-    Word,
-    codes_to_letters,
-    walk_tree,
-)
+from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure, walk_tree
+from .symbolic import codes_to_letters  # noqa: F401  unused here, but perfbench/layers.py traces this name
 
 __all__ = [
     "KeyedRng",
     "WeightLaw",
     "CylinderMeasure",
-    "draw_weight",
     "cascade_measure",
-    "percolation_set",
     "percolation_codes",
     "cascade_mass_trace",
 ]
@@ -117,11 +109,6 @@ class KeyedRng:
                 states ^= scratch
                 if factor is not None:
                     states *= factor
-
-    def word_uniform(self, u: Word | Sequence[int]) -> float:
-        letters = u.letters if isinstance(u, Word) else tuple(u)
-        mat = np.array([letters], dtype=np.uint64).reshape(1, len(letters))
-        return float(_to_uniform(self.word_hashes(mat))[0])
 
     def counter_uniforms(self, salt: int, n: int, offset: int = 0) -> np.ndarray:
         """Deterministic uniform stream keyed by (salt, index); for samplers."""
@@ -207,11 +194,6 @@ class WeightLaw:
         return np.asarray(self.values)[idx]
 
 
-def draw_weight(law: WeightLaw, rng: KeyedRng, u: Word | Sequence[int]) -> float:
-    """One realization of V keyed to the word; repeated calls are identical."""
-    return float(law.weights_from_uniforms(np.array([rng.word_uniform(u)]))[0])
-
-
 class CylinderMeasure:
     """Depth-n discretization of a measure: mass per admissible length-n word.
 
@@ -243,14 +225,6 @@ class CylinderMeasure:
     def is_degenerate(self) -> bool:
         return not (self.masses > 0).any()
 
-    def letters(self) -> np.ndarray:
-        return codes_to_letters(self.codes, self.depth, self.alphabet_size)
-
-    def words(self) -> list[Word]:
-        return [
-            Word(tuple(int(v) for v in row), self.alphabet_size) for row in self.letters()
-        ]
-
     def positive_codes(self) -> np.ndarray:
         return self.codes[self.masses > 0]
 
@@ -276,14 +250,6 @@ class CylinderMeasure:
                 parents[starts], sums, cur.depth - 1, cur.alphabet_size, cur.meta
             )
         return cur
-
-    def to_csv(self, path) -> None:
-        letters = self.letters()
-        with open(path, "w") as fh:
-            fh.write("word,mass\n")
-            for row, mass in zip(letters, self.masses):
-                fh.write("".join(str(int(v)) for v in row))
-                fh.write(f",{mass:.17g}\n")
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -341,15 +307,6 @@ def percolation_codes(
     base = SymbolicMeasure.uniform(x.alphabet_size)
     codes, _, _ = _grow(base, x, law, rng, depth, cap)
     return codes
-
-
-def percolation_set(
-    x: Subshift, p: float, depth: int, rng: KeyedRng, cap: int = DEFAULT_WORD_CAP
-) -> list[Word]:
-    """The surviving depth-n words of the percolation with retention p."""
-    codes = percolation_codes(x, p, depth, rng, cap)
-    letters = codes_to_letters(codes, depth, x.alphabet_size)
-    return [Word(tuple(int(v) for v in row), x.alphabet_size) for row in letters]
 
 
 def cascade_mass_trace(

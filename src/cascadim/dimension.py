@@ -12,7 +12,7 @@ cell ([0,1] at eps=1/4 gives 5 cells).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,9 +24,7 @@ __all__ = [
     "fit_loglog",
     "box_count",
     "box_dimension",
-    "scaling_entropy",
     "entropy_dimension",
-    "local_dimension_trace",
     "default_scales",
 ]
 
@@ -51,12 +49,6 @@ class ScalingFit:
             "window": list(self.window),
             "points": int(len(self.scales)),
         }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("scale,observable\n")
-            for s, o in zip(self.scales, self.observable):
-                fh.write(f"{s:.17g},{o:.17g}\n")
 
 
 def fit_loglog(xs, ys, window: tuple[int, int] | None = None):
@@ -154,7 +146,12 @@ def box_dimension(obj, eps_schedule: Sequence[float], window: tuple[int, int] | 
 
 
 def _entropy_at_scale(m, r: float, sample_size, rng):
-    """H_r estimate and its internal standard error."""
+    """H_r, minus the mean log mass of r-balls around typical points, and its standard error.
+
+    ``sample_size=None`` sums over all atoms with their weights
+    (deterministic); an integer draws that many centers from the normalized
+    measure with the ``KeyedRng`` ``rng``.
+    """
     if r < m.resolution:
         raise ScaleBelowResolution(r, m.resolution)
     norm = m.normalized()
@@ -174,18 +171,6 @@ def _entropy_at_scale(m, r: float, sample_size, rng):
     return float(-logs.mean()), float(logs.std(ddof=1) / np.sqrt(sample_size))
 
 
-def scaling_entropy(m, r: float, sample_size: int | None = None, rng=None) -> float:
-    """H_r: minus the average log mass of r-balls around measure-typical points.
-
-    ``sample_size=None`` sums over all atoms with their weights (deterministic);
-    an integer requests Monte Carlo sampling from the normalized measure.
-    """
-    if sample_size is not None and rng is None:
-        raise ValueError("Monte Carlo mode needs an rng")
-    h, _ = _entropy_at_scale(m, r, sample_size, rng)
-    return h
-
-
 def entropy_dimension(
     m,
     r_schedule: Sequence[float],
@@ -199,6 +184,8 @@ def entropy_dimension(
     H_r / (-log r) is kept alongside as the conservative reading for measures
     where the liminf and the slope could disagree.
     """
+    if sample_size is not None and rng is None:
+        raise ValueError("Monte Carlo mode needs an rng")
     rs = np.asarray(sorted(set(float(r) for r in r_schedule), reverse=True))
     rs = rs[rs >= m.resolution]
     if rs.size < 4:
@@ -211,27 +198,3 @@ def entropy_dimension(
     quot = hs[xs > 0] / xs[xs > 0]
     minq = float(quot.min()) if quot.size else None
     return ScalingFit(rs, hs, slope, stderr, r2, window or (0, len(rs)), min_quotient=minq)
-
-
-def local_dimension_trace(m, x, r_schedule: Sequence[float]):
-    """Per-scale quotients log mass(B(x,r)) / log r; truncated at a zero ball.
-
-    Returns (radii, quotients, truncated) where ``truncated`` flags that some
-    scheduled radius hit an empty ball and the trace stops there.
-    """
-    rs = np.asarray(sorted(set(float(r) for r in r_schedule), reverse=True))
-    rs = rs[rs >= m.resolution]
-    norm = m.normalized()
-    quotients = []
-    used = []
-    truncated = False
-    for r in rs:
-        mass = norm.ball_mass(x, r)
-        if mass <= 0:
-            truncated = True
-            break
-        used.append(r)
-        quotients.append(np.log(mass) / np.log(r))
-    if not used and truncated:
-        raise ZeroMassBall("point carries no mass at any scheduled scale")
-    return np.array(used), np.array(quotients), truncated

@@ -19,7 +19,7 @@ import numpy as np
 from .cascade import CylinderMeasure, KeyedRng, WeightLaw, cascade_measure
 from .errors import CapExceeded, ScaleBelowResolution
 from .ifs import AffineIfs
-from .symbolic import Subshift, SymbolicMeasure, letters_to_codes
+from .symbolic import Subshift, SymbolicMeasure
 
 __all__ = [
     "AtomicMeasure",
@@ -110,24 +110,18 @@ class AtomicMeasure:
             raise ValueError("scale factor must be nonzero")
         return AtomicMeasure(self.points * c, self.weights.copy(), self.resolution * abs(c))
 
-    def sample_points(self, count: int, rng) -> np.ndarray:
-        """Draw atom positions with probability proportional to weight."""
+    def sample_points(self, count: int, rng: KeyedRng) -> np.ndarray:
+        """Draw atom positions with probability proportional to weight.
+
+        The draws read ``rng``'s counter stream 0xE17.
+        """
         tot = self.total_weight
         if tot <= 0:
             raise ValueError("cannot sample from a zero measure")
-        if isinstance(rng, KeyedRng):
-            u = rng.counter_uniforms(0xE17, count)
-        else:
-            u = rng.random(count)
+        u = rng.counter_uniforms(0xE17, count)
         cum = np.cumsum(self.weights) / tot
         idx = np.minimum(np.searchsorted(cum, u, side="right"), len(self.weights) - 1)
         return self.points[idx]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,weight\n")
-            for x, w in zip(self.points, self.weights):
-                fh.write(f"{x:.17g},{w:.17g}\n")
 
 
 @dataclass(eq=False)
@@ -195,29 +189,9 @@ class IntervalSet:
             los, his = his[::-1], los[::-1]
         return IntervalSet(los, his, self.source_scale * abs(c), _merged=True)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("lo,hi\n")
-            for lo, hi in zip(self.los, self.his):
-                fh.write(f"{lo:.17g},{hi:.17g}\n")
-
 
 # ---------------------------------------------------------------------------
 # pushforwards and images
-
-
-def _codes_and_length(words, alphabet_size: int | None = None):
-    if isinstance(words, np.ndarray):
-        raise TypeError("pass (codes, length, alphabet_size) via keyword helpers")
-    words = list(words)
-    if not words:
-        return np.empty(0, dtype=np.int64), 0, alphabet_size
-    n = len(words[0])
-    a = words[0].alphabet_size
-    if any(len(w) != n or w.alphabet_size != a for w in words):
-        raise ValueError("words must share length and alphabet")
-    letters = np.array([w.letters for w in words], dtype=np.int64)
-    return letters_to_codes(letters, a), n, a
 
 
 def pushforward(cm: CylinderMeasure, ifs: AffineIfs, tail: int = 1) -> AtomicMeasure:
@@ -238,39 +212,33 @@ def pushforward(cm: CylinderMeasure, ifs: AffineIfs, tail: int = 1) -> AtomicMea
     return AtomicMeasure(pts, masses, res)
 
 
-def set_image(words, ifs: AffineIfs, length: int | None = None) -> IntervalSet:
-    """Union of the cylinder image intervals of equal-length words, merged.
+def set_image(codes: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
+    """Union of the cylinder image intervals of the words with these codes, merged.
 
-    When ``ifs.lattice(n)`` routes the IFS (ratio 1/m with m a power of two,
-    integer digits m*t_i and hull ends lo, hi, all exact below 2^53), every
-    cylinder is ``[(P + lo) / m^n, (P + hi) / m^n]`` for an integer cell
-    offset P.  Then the offsets are sorted as int64 and a new interval starts
-    wherever the next offset is more than ``w = hi - lo`` past the last;
-    repeated offsets never start one.  That is the merge ``IntervalSet`` makes
-    of the float intervals, and the float path is exact on such an IFS, so the
-    result is the same bit for bit.  Every other IFS takes the float path,
-    ``intervals_for_codes``.
+    When ``ifs.lattice(length)`` routes the IFS (ratio 1/m with m a power of
+    two, integer digits m*t_i and hull ends lo, hi, all exact below 2^53),
+    every cylinder at depth n = ``length`` is ``[(P + lo) / m^n, (P + hi) / m^n]``
+    for an integer cell offset P.  Then the offsets are sorted as int64 and a
+    new interval starts wherever the next offset is more than ``w = hi - lo``
+    past the last; repeated offsets never start one.  That is the merge
+    ``IntervalSet`` makes of the float intervals, and the float path is exact
+    on such an IFS, so the result is the same bit for bit.  Every other IFS
+    takes the float path, ``intervals_for_codes``.
     """
-    if isinstance(words, np.ndarray):
-        codes = np.asarray(words, dtype=np.int64)
-        if length is None:
-            raise ValueError("length required with a code array")
-        n = length
-    else:
-        codes, n, _ = _codes_and_length(words)
-    if codes.size == 0:
+    if len(codes) == 0:
         return IntervalSet.empty()
-    lattice = ifs.lattice(n)
+    lattice = ifs.lattice(length)
     if lattice is None:
-        los, his = ifs.intervals_for_codes(codes, n)
+        los, his = ifs.intervals_for_codes(codes, length)
         return IntervalSet(los, his, source_scale=float((his - los).max()))
     m, digits, lo, hi = lattice
-    cells = ifs.lattice_offsets(codes, n, m, digits)
+    cells = ifs.lattice_offsets(codes, length, m, digits)
     cells.sort()
     breaks = np.flatnonzero(np.diff(cells) > hi - lo)
-    los = (cells[np.concatenate([[0], breaks + 1])] + lo) / m**n
-    his = (cells[np.append(breaks, cells.size - 1)] + hi) / m**n
-    return IntervalSet(los, his, source_scale=(hi - lo) / m**n, _merged=True)
+    scale = m**length
+    los = (cells[np.concatenate([[0], breaks + 1])] + lo) / scale
+    his = (cells[np.append(breaks, cells.size - 1)] + hi) / scale
+    return IntervalSet(los, his, source_scale=(hi - lo) / scale, _merged=True)
 
 
 # ---------------------------------------------------------------------------

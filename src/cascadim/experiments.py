@@ -536,7 +536,7 @@ def run_sumset_dim(cfg: dict) -> Findings:
         checks=[_check([fits[s].slope for fits in results], target, cfg["tolerance"], s=s) for s in s_values],
         fits=[(i, f"s={s:g}", fits[s].scales, fits[s].observable) for i, fits in enumerate(results) for s in s_values],
         plot=(np.log(1 / f0.scales), np.log(f0.observable), f0.slope, "sumset box counts (trial 0)"),
-        scan=True, warnings=warnings_list, discarded=discarded,
+        scan=True, warnings=warnings_list, discarded=discarded, advisory=approx is not None,
     )
 
 

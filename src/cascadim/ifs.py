@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .dimension import fit_loglog
-from .errors import CapExceeded
-from .symbolic import DEFAULT_WORD_CAP, Subshift, Word, codes_to_letters
+from .symbolic import DEFAULT_WORD_CAP, Subshift, codes_to_letters
 
 __all__ = ["AffineIfs", "OverlapProfile", "overlap_count", "gamma_estimate"]
 
@@ -103,37 +102,7 @@ class AffineIfs:
             return None
         return m, tuple(digits), lo, hi
 
-    # -- coding map ----------------------------------------------------------
-
-    def apply_word(self, u: Word | Sequence[int], x: float) -> float:
-        letters = u.letters if isinstance(u, Word) else tuple(u)
-        for l in reversed(letters):
-            x = self.ratios[l - 1] * x + self.translations[l - 1]
-        return x
-
-    def canonical_point(self, u: Word | Sequence[int], tail: int = 1) -> float:
-        """Image of the sequence u . tail^infinity under the coding map.
-
-        Exact: the composed map applied to the fixed point of the tail letter.
-        Any other continuation of u lands within diameter * prod(ratios of u).
-        """
-        return self.apply_word(u, self.fixed_point(tail))
-
-    def cylinder_interval(self, u: Word | Sequence[int]) -> tuple[float, float]:
-        """The image of the cylinder [u]: f_u applied to the attractor hull."""
-        return (
-            self.apply_word(u, self.attractor_min),
-            self.apply_word(u, self.attractor_max),
-        )
-
-    def contraction_of_word(self, u: Word | Sequence[int]) -> float:
-        letters = u.letters if isinstance(u, Word) else tuple(u)
-        out = 1.0
-        for l in letters:
-            out *= self.ratios[l - 1]
-        return out
-
-    # -- vectorized variants over code arrays ---------------------------------
+    # -- coding map over code arrays ------------------------------------------
 
     def points_for_codes(self, codes: np.ndarray, length: int, x0: float) -> np.ndarray:
         """f_u(x0) for every base-a code u of the given length.

@@ -9,7 +9,9 @@ contraction in the same base.
 
 Large word sets are handled as sorted ``int64`` arrays of base-``a`` codes
 (``code = sum (letter_j - 1) * a**(n - j)``), which keeps lexicographic order
-equal to numeric order.  ``Word`` objects are the friendly per-word view.
+equal to numeric order.  Where letters are needed, ``codes_to_letters``
+decodes the codes into an ``(N, n)`` letter matrix; codes and letter
+matrices are the only forms a word set takes.
 """
 from __future__ import annotations
 
@@ -27,11 +29,9 @@ _BLOCK = 8192  # nodes per block of walk_tree's depth-first pass
 
 __all__ = [
     "DEFAULT_WORD_CAP",
-    "Word",
     "Subshift",
     "SymbolicMeasure",
     "codes_to_letters",
-    "letters_to_codes",
     "walk_tree",
 ]
 
@@ -53,14 +53,6 @@ def codes_to_letters(codes: np.ndarray, length: int, alphabet_size: int) -> np.n
         rem, digit = np.divmod(rem, alphabet_size)
         out[:, j] = digit + 1
     return out
-
-
-def letters_to_codes(letters: np.ndarray, alphabet_size: int) -> np.ndarray:
-    letters = np.asarray(letters, dtype=np.int64)
-    codes = np.zeros(letters.shape[0], dtype=np.int64)
-    for j in range(letters.shape[1]):
-        codes = codes * alphabet_size + (letters[:, j] - 1)
-    return codes
 
 
 def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
@@ -144,39 +136,6 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
     masses = np.concatenate(level_masses[-1])
     totals = [np.concatenate(ms).sum() if ms else 0.0 for ms in level_masses[:-1]]
     return np.concatenate(leaf_codes), masses, totals + [masses.sum()]
-
-
-@dataclass(frozen=True, slots=True)
-class Word:
-    """A finite word over ``{1..alphabet_size}``; empty = the full cylinder."""
-
-    letters: tuple[int, ...]
-    alphabet_size: int
-
-    def __post_init__(self):
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
-        for l in self.letters:
-            if not 1 <= l <= self.alphabet_size:
-                raise ValueError(f"letter {l} outside 1..{self.alphabet_size}")
-
-    @classmethod
-    def from_string(cls, s: str, alphabet_size: int) -> "Word":
-        return cls(tuple(int(c) for c in s), alphabet_size)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return "".join(str(l) for l in self.letters) if self.letters else "<empty>"
-
-    def concat(self, other: "Word") -> "Word":
-        if other.alphabet_size != self.alphabet_size:
-            raise ValueError("alphabet mismatch")
-        return Word(self.letters + other.letters, self.alphabet_size)
-
-    def prefix(self, k: int) -> "Word":
-        return Word(self.letters[:k], self.alphabet_size)
 
 
 def _int_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
@@ -315,13 +274,6 @@ class Subshift:
         codes, _, _ = walk_tree(self.successor_table(), n, cap)
         return codes
 
-    def admissible_words(self, n: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
-        """The set X_n as Word objects, lexicographically sorted."""
-        codes = self.admissible_codes(n, cap)
-        letters = codes_to_letters(codes, n, self.alphabet_size)
-        a = self.alphabet_size
-        return [Word(tuple(int(v) for v in row), a) for row in letters]
-
     # -- spectral quantities ----------------------------------------------
 
     def _perron(self, transpose: bool = False, tol: float = 1e-14, max_iter: int = 100_000):
@@ -449,25 +401,6 @@ class SymbolicMeasure:
 
     # -- cylinder masses ----------------------------------------------------
 
-    def cylinder_mass(self, u: Word | Sequence[int]) -> float:
-        letters = u.letters if isinstance(u, Word) else tuple(u)
-        if not letters:
-            return 1.0
-        for l in letters:
-            if not 1 <= l <= self.alphabet_size:
-                raise ValueError(f"letter {l} outside alphabet")
-        if self.kind == "bernoulli":
-            p = self.probs
-            out = 1.0
-            for l in letters:
-                out *= p[l - 1]
-            return out
-        P = self.transition
-        out = self.initial[letters[0] - 1]
-        for prev, cur in zip(letters, letters[1:]):
-            out *= P[prev - 1][cur - 1]
-        return out
-
     def cylinder_mass_batch(self, letters: np.ndarray) -> np.ndarray:
         """Vector of cylinder masses for an (N, n) letter matrix."""
         letters = np.asarray(letters)
@@ -539,10 +472,6 @@ class SymbolicMeasure:
             np.minimum(cur, self.alphabet_size - 1, out=cur)
             out[:, j] = cur + 1
         return out
-
-    def sample_word(self, n: int, rng: np.random.Generator) -> Word:
-        letters = self.sample_letters(n, 1, rng)[0]
-        return Word(tuple(int(v) for v in letters), self.alphabet_size)
 
 
 def _stationary_of(P: np.ndarray) -> np.ndarray:

@@ -10,18 +10,16 @@ from cascadim import (
     KeyedRng,
     Subshift,
     SymbolicMeasure,
-    Word,
     WeightLaw,
     cascade_mass_trace,
     cascade_measure,
-    draw_weight,
     percolation_codes,
-    percolation_set,
 )
 from cascadim import symbolic
 from cascadim.cascade import _grow, _to_uniform
 from cascadim.errors import CapExceeded, DegenerateCascadeWarning
 from cascadim.symbolic import codes_to_letters, walk_tree
+from oracles import cylinder_mass, draw_weight
 
 
 class TestWeightLaw:
@@ -52,12 +50,12 @@ class TestDrawWeight:
     def test_unit_percolation_always_one(self):
         rng = KeyedRng(5)
         law = WeightLaw.percolation(1.0)
-        for letters in ("1", "21", "1122"):
-            assert draw_weight(law, rng, Word.from_string(letters, 2)) == 1.0
+        for letters in ((1,), (2, 1), (1, 1, 2, 2)):
+            assert draw_weight(law, rng, letters) == 1.0
 
     def test_repeat_calls_identical(self):
         rng = KeyedRng(123456789)
-        w = Word.from_string("12121", 2)
+        w = (1, 2, 1, 2, 1)
         law = WeightLaw.lognormal(0.5)
         assert draw_weight(law, rng, w) == draw_weight(law, rng, w)
         assert draw_weight(law, KeyedRng(123456789), w) == draw_weight(law, rng, w)
@@ -102,18 +100,18 @@ class TestCascadeMeasure:
         rng = KeyedRng(42)
         law = WeightLaw.lognormal(0.4)
         cm = cascade_measure(uniform2, Subshift.full(2), law, 3, rng)
-        for word, mass in zip(cm.words(), cm.masses):
+        for word, mass in zip(codes_to_letters(cm.codes, 3, 2).tolist(), cm.masses):
             q = 1.0
             for k in range(1, 4):
-                q = q * draw_weight(law, rng, word.prefix(k))
-            assert mass == pytest.approx(q * uniform2.cylinder_mass(word), rel=1e-12)
+                q = q * draw_weight(law, rng, word[:k])
+            assert mass == pytest.approx(q * cylinder_mass(uniform2, word), rel=1e-12)
 
     def test_markov_base_masses(self, golden_mean):
         base = golden_mean.parry_measure()
         cm = cascade_measure(base, golden_mean, WeightLaw.percolation(1.0), 5, KeyedRng(8))
         assert cm.total_mass == pytest.approx(1.0, abs=1e-9)
-        for word, mass in zip(cm.words(), cm.masses):
-            assert mass == pytest.approx(base.cylinder_mass(word), abs=1e-15)
+        for word, mass in zip(codes_to_letters(cm.codes, 5, 2).tolist(), cm.masses):
+            assert mass == pytest.approx(cylinder_mass(base, word), abs=1e-15)
 
     def test_mean_total_mass(self, uniform2):
         law = WeightLaw.percolation(0.7)
@@ -175,7 +173,7 @@ class TestCoarsening:
 
 class TestPercolation:
     def test_unit_retention_keeps_everything(self, golden_mean):
-        assert len(percolation_set(golden_mean, 1.0, 6, KeyedRng(1))) == golden_mean.word_count(6)
+        assert len(percolation_codes(golden_mean, 1.0, 6, KeyedRng(1))) == golden_mean.word_count(6)
         # letter 2 has no successor, so no infinite word passes through it
         dead_end = Subshift.sft([[1, 1], [0, 0]])
         for n in (1, 3, 6):
@@ -201,13 +199,18 @@ class TestPercolation:
             assert np.isin(prefixes, shallow).all()
 
     def test_word_and_code_views_agree(self, golden_mean):
+        # per-word oracle: the admissible words whose every prefix draws a
+        # positive weight, in code order
         rng = KeyedRng(77)
-        words = percolation_set(golden_mean, 0.8, 8, rng)
+        law = WeightLaw.percolation(0.8)
         codes = percolation_codes(golden_mean, 0.8, 8, rng)
-        from cascadim.symbolic import letters_to_codes
-
-        letters = np.array([w.letters for w in words], dtype=np.int64)
-        assert np.array_equal(letters_to_codes(letters, 2), codes)
+        admissible = golden_mean.admissible_codes(8)
+        alive = [
+            all(draw_weight(law, rng, word[:k]) > 0 for k in range(1, 9))
+            for word in codes_to_letters(admissible, 8, 2).tolist()
+        ]
+        assert 0 < codes.size < admissible.size
+        assert np.array_equal(admissible[alive], codes)
 
     def test_survival_probability_matches_gw_recursion(self):
         # oracle: s_{n+1} = 1 - (1 - p*s_n)^a
@@ -266,19 +269,6 @@ class TestMassTrace:
                 for i in range(50)
             ]
         assert all(v == 0.0 for v in finals)
-
-
-class TestCsvDump:
-    def test_cylinder_csv_format(self, uniform2, tmp_path):
-        cm = cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.7), 5, KeyedRng(8))
-        path = tmp_path / "cm.csv"
-        cm.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "word,mass"
-        assert len(lines) == len(cm) + 1
-        word, mass = lines[1].split(",")
-        assert set(word) <= {"1", "2"} and len(word) == 5
-        assert float(mass) == cm.masses[0]
 
 
 def _reference_walk(table, depth, law, rng):

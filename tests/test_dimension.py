@@ -17,13 +17,11 @@ from cascadim import (
     default_scales,
     entropy_dimension,
     fit_loglog,
-    local_dimension_trace,
     product,
     pushforward,
-    scaling_entropy,
 )
-from cascadim.dimension import ScalingFit
-from cascadim.errors import DegenerateWindow, ScaleBelowResolution, ZeroMassBall
+from cascadim.dimension import ScalingFit, _entropy_at_scale
+from cascadim.errors import DegenerateWindow, ScaleBelowResolution
 
 
 def unit_pushforward(probs, depth, a=None, seed=1):
@@ -51,11 +49,9 @@ class TestBoxCount:
         assert box_count(IntervalSet.empty(), 0.25) == 0
 
     def test_dyadic_exact_against_integer_oracle(self, golden_mean, tiling2):
-        img = set_image_dyadic = None
         from cascadim import set_image
 
-        words = golden_mean.admissible_words(8)
-        img = set_image(words, tiling2)
+        img = set_image(golden_mean.admissible_codes(8), tiling2, 8)
         for k in (2, 4, 6):
             eps = 2.0**-k
             # integer oracle on the exact dyadic grid
@@ -89,7 +85,7 @@ class TestBoxCount:
     def test_nested_grid_monotone(self, golden_mean, tiling2):
         from cascadim import set_image
 
-        img = set_image(golden_mean.admissible_words(10), tiling2)
+        img = set_image(golden_mean.admissible_codes(10), tiling2, 10)
         eps = 2.0**-8
         assert box_count(img, 2 * eps) <= box_count(img, eps)
         assert box_count(img, 4 * eps) <= box_count(img, 2 * eps)
@@ -159,11 +155,11 @@ class TestScalingEntropy:
     def test_single_atom_zero(self):
         m = AtomicMeasure([0.3], [1.0], resolution=0.0)
         for r in (0.01, 0.5):
-            assert scaling_entropy(m, r) == pytest.approx(0.0, abs=1e-15)
+            assert _entropy_at_scale(m, r, None, None)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_separated_atoms_log_n(self):
         m = AtomicMeasure(np.arange(8.0), np.full(8, 0.125), resolution=0.0)
-        assert scaling_entropy(m, 0.25) == pytest.approx(math.log(8), abs=1e-12)
+        assert _entropy_at_scale(m, 0.25, None, None)[0] == pytest.approx(math.log(8), abs=1e-12)
 
     def test_full_summation_oracle(self, uniform2):
         # independent oracle: explicit python loop over atoms
@@ -174,14 +170,14 @@ class TestScalingEntropy:
         for x, w in zip(m.points, norm_w):
             mass = norm_w[(m.points >= x - r) & (m.points <= x + r)].sum()
             expect -= w * math.log(mass)
-        assert scaling_entropy(m, r) == pytest.approx(expect, rel=1e-12)
+        assert _entropy_at_scale(m, r, None, None)[0] == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(-math.log(2 * r), abs=0.05)
 
     def test_monte_carlo_matches_full(self, uniform2):
         m = unit_pushforward([0.3, 0.7], 12)
         r = 2.0**-5
-        full = scaling_entropy(m, r)
-        mc = scaling_entropy(m, r, sample_size=4000, rng=KeyedRng(9))
+        full = _entropy_at_scale(m, r, None, None)[0]
+        mc = _entropy_at_scale(m, r, 4000, KeyedRng(9))[0]
         # internal spread of -log mass at this scale is below 1.5
         assert abs(mc - full) < 4 * 1.5 / math.sqrt(4000)
 
@@ -215,6 +211,11 @@ class TestEntropyDimension:
         stderr = np.std(slopes, ddof=1) / math.sqrt(len(slopes))
         assert abs(np.mean(slopes) - target) <= max(0.06, 3 * stderr)
 
+    def test_monte_carlo_needs_rng(self):
+        m = unit_pushforward([0.5, 0.5], 8)
+        with pytest.raises(ValueError, match="needs an rng"):
+            entropy_dimension(m, default_scales(0.5, 8), sample_size=50)
+
     def test_min_quotient_reported(self):
         m = unit_pushforward([0.5, 0.5], 10)
         fit = entropy_dimension(m, default_scales(0.5, 10))
@@ -245,37 +246,10 @@ class TestEntropyDimension:
         assert slope == pytest.approx(d1 + d2, abs=0.15)
 
 
-class TestLocalDimensionTrace:
-    def test_single_atom_flat_zero(self):
-        m = AtomicMeasure([0.5], [1.0], resolution=0.0)
-        rs, quot, truncated = local_dimension_trace(m, 0.5, [0.2, 0.1, 0.05])
-        assert not truncated
-        assert np.allclose(quot, 0.0, atol=1e-15)
-
-    def test_uniform_near_one(self):
-        m = unit_pushforward([0.5, 0.5], 14)
-        x = 1 / math.sqrt(2)  # dyadic-irrational interior point
-        rs, quot, truncated = local_dimension_trace(m, x, default_scales(0.5, 14))
-        assert not truncated
-        assert np.all(np.abs(quot[2:] - 1.0) < 0.25)
-        # ball mass ~ 2r exactly, so the quotient approaches 1 like log(2r)/log(r)
-        expected_last = math.log(2 * rs[-1]) / math.log(rs[-1])
-        assert quot[-1] == pytest.approx(expected_last, abs=0.02)
-
-    def test_outside_support_zero_mass(self):
-        m = AtomicMeasure([0.0], [1.0], resolution=0.0)
-        with pytest.raises(ZeroMassBall):
-            local_dimension_trace(m, 5.0, [0.5, 0.25])
-
-
 class TestScalingFitIO:
-    def test_csv_and_summary(self, tmp_path):
+    def test_summary(self):
         fit = ScalingFit(
             np.array([0.5, 0.25]), np.array([1.0, 2.0]), 1.0, 0.0, 1.0, (0, 2)
         )
-        fit.to_csv(tmp_path / "fit.csv")
-        lines = (tmp_path / "fit.csv").read_text().splitlines()
-        assert lines[0] == "scale,observable"
-        assert len(lines) == 3
         s = fit.summary()
         assert set(s) == {"slope", "stderr", "r_squared", "window", "points"}

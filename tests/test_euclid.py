@@ -25,6 +25,8 @@ from cascadim import (
 from cascadim import euclid
 from cascadim.errors import CapExceeded, ScaleBelowResolution
 from cascadim.euclid import _product_pairs
+from cascadim.symbolic import codes_to_letters
+from oracles import cylinder_interval
 
 EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
 
@@ -42,18 +44,6 @@ class TestAtomicMeasure:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             AtomicMeasure([0.0], [-1.0], resolution=0.0)
-
-    def test_csv(self, tmp_path):
-        m = AtomicMeasure([0.25, 0.5], [0.5, 0.5], resolution=0.0)
-        m.to_csv(tmp_path / "m.csv")
-        lines = (tmp_path / "m.csv").read_text().splitlines()
-        assert lines[0] == "x,weight" and len(lines) == 3
-
-    def test_interval_csv(self, tmp_path):
-        s = IntervalSet([0.0, 2.0], [1.0, 3.0])
-        s.to_csv(tmp_path / "s.csv")
-        lines = (tmp_path / "s.csv").read_text().splitlines()
-        assert lines[0] == "lo,hi" and lines[1] == "0,1" and len(lines) == 3
 
     def test_planar_points_rejected(self):
         with pytest.raises(ValueError):
@@ -85,24 +75,24 @@ class TestPushforward:
 
 class TestSetImage:
     def test_full_depth_words_tile_unit_interval(self, tiling2):
-        img = set_image(Subshift.full(2).admissible_words(6), tiling2)
+        img = set_image(Subshift.full(2).admissible_codes(6), tiling2, 6)
         assert len(img) == 1
         assert (img.los[0], img.his[0]) == (0.0, 1.0)
 
     def test_empty(self, tiling2):
-        assert len(set_image([], tiling2)) == 0
+        assert len(set_image(np.zeros(0, dtype=np.int64), tiling2, 6)) == 0
 
     def test_golden_mean_depth_four_oracle(self, golden_mean, tiling2):
         # oracle: merge the 8 dyadic intervals by hand
-        words = golden_mean.admissible_words(4)
-        intervals = sorted(tiling2.cylinder_interval(w) for w in words)
+        codes = golden_mean.admissible_codes(4)
+        intervals = sorted(cylinder_interval(tiling2, w) for w in codes_to_letters(codes, 4, 2).tolist())
         merged = [list(intervals[0])]
         for lo, hi in intervals[1:]:
             if lo <= merged[-1][1]:
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
-        img = set_image(words, tiling2)
+        img = set_image(codes, tiling2, 4)
         assert len(img) == len(merged)
         assert np.allclose(img.los, [m[0] for m in merged], atol=0)
         assert np.allclose(img.his, [m[1] for m in merged], atol=0)
@@ -370,7 +360,7 @@ class TestSumset:
 
     def test_exhaustive_oracle_golden_triadic(self, golden_mean, tiling2):
         # incommensurable pairing: depth-6 golden-mean image + sqrt(2) * depth-4 triadic image
-        img1 = set_image(golden_mean.admissible_words(6), tiling2)
+        img1 = set_image(golden_mean.admissible_codes(6), tiling2, 6)
         c2 = percolation_codes(Subshift.full(3), 0.7, 4, KeyedRng(5))
         img2 = set_image(c2, AffineIfs.tiling(3), length=4)
         s = math.sqrt(2.0)
@@ -487,7 +477,7 @@ class TestBernoulliConvolution:
         ifs = AffineIfs.bernoulli_pair(1 / 3)
         for word in ((1, 2, 1), (2, 2, 2), (1, 1, 2)):
             k = len(word)
-            lo, hi = ifs.cylinder_interval(word)
+            lo, hi = cylinder_interval(ifs, word)
             center = (lo + hi) / 2
             r = (hi - lo) / 2
             assert m.ball_mass(center, r) == pytest.approx(0.5**k, abs=1e-12)

@@ -416,6 +416,15 @@ class TestReportPins:
             "a4ff5fac987ee272812b40a6913cb234718ca9adac43b3e54dc431559606e4fc",
             "7356b2acc64b6e44d590a5a45de02f8b2c37acd6900bb7441ad3d419197aaada",
         ),
+        "sumset-advisory": (
+            # log 2 / log 4 = 1/2 is rational: the verdict is advisory
+            {"experiment": "sumset-dim", "alphabet_b": 4, "depth_a": 10, "depth_b": 5, "p_b": 0.5,
+             "trials": 4, "seed": 5},
+            0,
+            "b30e17aa3b2caed535704b7e2f5680f9b00793cc5392df08b2275024dcff464e",
+            "d8191858e79e4beedc333f70c5bb036dfdc4e88cbb457789d3a9877e3fd62507",
+            "8c861b60c80f7b3bce7028511c79edb035a96a0ebb5b73569aa575165faf58f2",
+        ),
         "projection-sampled": (
             # 2^10 * 3^6 pairs against an atom cap of 20,000: the sampled product
             {"experiment": "projection-scan", "depth_a": 10, "depth_b": 6, "s_grid": [-0.5, 1.0],
@@ -459,3 +468,7 @@ class TestReportPins:
         files = [_mask_runtime((out / "report.json").read_text()).encode()]
         files += [(out / f).read_bytes() for f in ("scales.csv", "plot.svg")]
         assert [hashlib.sha256(f).hexdigest() for f in files] == digests
+        verdict = json.loads((out / "report.json").read_text())["verdict"]
+        assert verdict.startswith("advisory-") == name.endswith("-advisory")
+        if name == "sumset-advisory":
+            assert verdict == "advisory-pass"

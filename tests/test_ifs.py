@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadim import AffineIfs, Subshift, Word, gamma_estimate, overlap_count
+from cascadim import AffineIfs, Subshift, gamma_estimate, overlap_count
 from cascadim.errors import CapExceeded
 from cascadim.symbolic import codes_to_letters
+from oracles import apply_word, canonical_point, contraction, cylinder_interval
 
 EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
 
@@ -35,52 +36,52 @@ class TestAffineIfs:
 
 class TestCanonicalPoint:
     def test_tiling_single_letter(self, tiling2):
-        assert tiling2.canonical_point(Word.from_string("2", 2), tail=1) == 0.5
+        assert canonical_point(tiling2, (2,), tail=1) == 0.5
 
     def test_empty_word_gives_tail_fixed_point(self, tiling2):
-        assert tiling2.canonical_point(Word((), 2), tail=2) == 1.0
+        assert canonical_point(tiling2, (), tail=2) == 1.0
 
     def test_composition_oracle(self):
         ifs = AffineIfs.from_maps([(0.4, -1.0), (0.4, 1.0)])
         fix1 = -1.0 / (1.0 - 0.4)
         expected = 0.4 * (0.4 * fix1 - 1.0) + 1.0
-        assert ifs.canonical_point(Word.from_string("21", 2), tail=1) == pytest.approx(expected, abs=0)
+        assert canonical_point(ifs, (2, 1), tail=1) == pytest.approx(expected, abs=0)
 
     @given(st.lists(st.integers(1, 2), max_size=6), st.lists(st.integers(1, 2), max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_composition_associativity(self, u, v):
         ifs = AffineIfs.from_maps([(0.4, -1.0), (0.55, 0.3)])
-        left = ifs.canonical_point(tuple(u) + tuple(v), tail=1)
-        right = ifs.apply_word(tuple(u), ifs.canonical_point(tuple(v), tail=1))
+        left = canonical_point(ifs, tuple(u) + tuple(v), tail=1)
+        right = apply_word(ifs, tuple(u), canonical_point(ifs, tuple(v), tail=1))
         assert left == right  # identical composition order, bitwise
 
     def test_tail_distance_bound(self, tiling2):
-        u = Word.from_string("1212", 2)
-        p1 = tiling2.canonical_point(u, tail=1)
-        p2 = tiling2.canonical_point(u, tail=2)
-        assert abs(p1 - p2) <= tiling2.diameter * tiling2.contraction_of_word(u)
+        u = (1, 2, 1, 2)
+        p1 = canonical_point(tiling2, u, tail=1)
+        p2 = canonical_point(tiling2, u, tail=2)
+        assert abs(p1 - p2) <= tiling2.diameter * contraction(tiling2, u)
 
 
 class TestCylinderInterval:
     def test_tiling_first_letter(self, tiling2):
-        assert tiling2.cylinder_interval(Word.from_string("1", 2)) == (0.0, 0.5)
+        assert cylinder_interval(tiling2, (1,)) == (0.0, 0.5)
 
     def test_exact_overlap_letters_coincide(self):
-        i1 = EX_OVERLAP.cylinder_interval(Word.from_string("1", 3))
-        i2 = EX_OVERLAP.cylinder_interval(Word.from_string("2", 3))
+        i1 = cylinder_interval(EX_OVERLAP, (1,))
+        i2 = cylinder_interval(EX_OVERLAP, (2,))
         assert i1 == i2 == (0.0, 0.5)
 
     def test_length_scales_by_ratio_power(self, tiling2):
         for n in (1, 3, 6):
-            lo, hi = tiling2.cylinder_interval(tuple([1] * n))
+            lo, hi = cylinder_interval(tiling2, tuple([1] * n))
             assert hi - lo == pytest.approx(0.5**n * tiling2.diameter, abs=1e-15)
 
     @given(st.lists(st.integers(1, 2), max_size=5), st.lists(st.integers(1, 2), min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_nestedness(self, u, v):
         ifs = AffineIfs.from_maps([(0.5, 0.0), (0.3, 0.6)])
-        lo_u, hi_u = ifs.cylinder_interval(tuple(u))
-        lo_uv, hi_uv = ifs.cylinder_interval(tuple(u) + tuple(v))
+        lo_u, hi_u = cylinder_interval(ifs, tuple(u))
+        lo_uv, hi_uv = cylinder_interval(ifs, tuple(u) + tuple(v))
         assert lo_u - 1e-12 <= lo_uv and hi_uv <= hi_u + 1e-12
 
 
@@ -120,6 +121,27 @@ class TestCodesAgainstLetterPath:
             assert np.array_equal(los, ifs.points_for_letters(letters, ifs.attractor_min)), case
             assert np.array_equal(his, ifs.points_for_letters(letters, ifs.attractor_max)), case
             assert los.flags.writeable and his.flags.writeable
+
+    @pytest.mark.parametrize("name", list(NON_DYADIC), ids=list(NON_DYADIC))
+    def test_bitwise_equal_to_per_word_oracle(self, name):
+        ifs = NON_DYADIC[name]
+        codes = np.arange(ifs.alphabet_size**5)
+        words = codes_to_letters(codes, 5, ifs.alphabet_size).tolist()
+        points = ifs.points_for_codes(codes, 5, ifs.fixed_point(1))
+        assert np.array_equal(points, [canonical_point(ifs, w) for w in words])
+        los, his = ifs.intervals_for_codes(codes, 5)
+        assert np.array_equal(np.column_stack([los, his]), [cylinder_interval(ifs, w) for w in words])
+
+
+class TestContractions:
+    def test_unequal_ratios_match_per_word_product(self):
+        ifs = AffineIfs.from_maps([(0.3, 0.0), (0.5, 0.5)])
+        assert ifs.equal_ratio is None
+        codes = np.arange(2**6)
+        expected = [contraction(ifs, w) for w in codes_to_letters(codes, 6, 2).tolist()]
+        got = ifs.contractions_for_codes(codes, 6)
+        assert np.array_equal(got, expected)  # same left-to-right order: exact
+        assert len(np.unique(got)) == 7  # 0.3^k 0.5^(6-k), k = 0..6
 
 
 def _overlap_oracle(x, ifs, n):
