@@ -145,30 +145,24 @@ def box_dimension(obj, eps_schedule: Sequence[float], window: tuple[int, int] | 
 # scaling entropy
 
 
-def _entropy_at_scale(m, r: float, sample_size, rng):
-    """H_r, minus the mean log mass of r-balls around typical points, and its standard error.
+def _entropy_at_scale(norm, r: float, sample_size, rng) -> float:
+    """H_r, minus the mean log mass of r-balls around typical points of a normalized measure.
 
     ``sample_size=None`` sums over all atoms with their weights
-    (deterministic); an integer draws that many centers from the normalized
-    measure with the ``KeyedRng`` ``rng``.
+    (deterministic), reading the masses from ``atom_ball_masses``; an integer
+    draws that many centers from the measure with the ``KeyedRng`` ``rng``.
     """
-    if r < m.resolution:
-        raise ScaleBelowResolution(r, m.resolution)
-    norm = m.normalized()
+    if r < norm.resolution:
+        raise ScaleBelowResolution(r, norm.resolution)
     if sample_size is None:
-        masses = norm.ball_mass_many(norm.points, r)
+        masses = norm.atom_ball_masses(r)
         if (masses <= 0).any():
             raise ZeroMassBall("atom with zero ball mass in full summation")
-        logs = np.log(masses)
-        h = float(-(norm.weights * logs).sum())
-        var = float((norm.weights * logs**2).sum() - (norm.weights * logs).sum() ** 2)
-        return h, float(np.sqrt(max(var, 0.0)))
-    centers = norm.sample_points(sample_size, rng)
-    masses = norm.ball_mass_many(centers, r)
+        return float(-(norm.weights * np.log(masses)).sum())
+    masses = norm.ball_mass_many(norm.sample_points(sample_size, rng), r)
     if (masses <= 0).any():
         raise ZeroMassBall("sampled a point whose ball has zero mass")
-    logs = np.log(masses)
-    return float(-logs.mean()), float(logs.std(ddof=1) / np.sqrt(sample_size))
+    return float(-np.log(masses).mean())
 
 
 def entropy_dimension(
@@ -183,6 +177,12 @@ def entropy_dimension(
     The fit slope is the reported estimate; the minimum per-scale quotient
     H_r / (-log r) is kept alongside as the conservative reading for measures
     where the liminf and the slope could disagree.
+
+    The measure is normalized once for all radii.  The full sum
+    (``sample_size=None``) reads each radius's ball masses from
+    ``AtomicMeasure.atom_ball_masses``: on a lattice-tagged measure at a
+    lattice radius that is two reads of one cached integer-indexed
+    cumulative array, else two searches; the masses are the same bit for bit.
     """
     if sample_size is not None and rng is None:
         raise ValueError("Monte Carlo mode needs an rng")
@@ -190,9 +190,8 @@ def entropy_dimension(
     rs = rs[rs >= m.resolution]
     if rs.size < 4:
         raise DegenerateWindow("need >= 4 scales above the resolution floor")
-    hs = np.empty(rs.size)
-    for i, r in enumerate(rs):
-        hs[i], _ = _entropy_at_scale(m, r, sample_size, rng)
+    norm = m.normalized()
+    hs = np.array([_entropy_at_scale(norm, r, sample_size, rng) for r in rs])
     xs = -np.log(rs)
     slope, stderr, r2 = fit_loglog(xs, hs, window)
     quot = hs[xs > 0] / xs[xs > 0]

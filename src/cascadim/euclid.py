@@ -35,11 +35,23 @@ __all__ = [
     "bernoulli_convolution",
 ]
 
+# A lattice measure reads its ball masses from a dense cumulative array only
+# while its cell range is at most this many cells per atom.
+_DENSE_CELLS_PER_ATOM = 16
+
+
 class AtomicMeasure:
     """Weighted atoms on the line.
 
     Atoms are kept sorted by coordinate with exact duplicates merged.
     ``resolution`` bounds the positional uncertainty of every atom.
+
+    ``scale`` tags a measure on a lattice: it is a power of two, and every
+    point times ``scale`` is an integer cell, exactly.  ``pushforward`` sets
+    it where the coding map routes to integer cells (see there); every other
+    measure, including those that ``scaled``, ``project``, ``marginal`` and
+    ``convolve`` build, has ``scale`` None.  ``atom_ball_masses`` reads the
+    tag.
     """
 
     def __init__(self, points, weights, resolution: float):
@@ -62,7 +74,9 @@ class AtomicMeasure:
         self.points = points
         self.weights = weights
         self.resolution = float(resolution)
+        self.scale = None
         self._cum = None
+        self._cell_cum = None
 
     @property
     def total_weight(self) -> float:
@@ -81,7 +95,9 @@ class AtomicMeasure:
         out.points = self.points
         out.weights = self.weights / tot
         out.resolution = self.resolution
+        out.scale = self.scale
         out._cum = None
+        out._cell_cum = None
         return out
 
     # -- ball queries -------------------------------------------------------
@@ -103,6 +119,46 @@ class AtomicMeasure:
         lo = np.searchsorted(self.points, centers - r, side="left")
         hi = np.searchsorted(self.points, centers + r, side="right")
         return cum[hi] - cum[lo]
+
+    def atom_ball_masses(self, r: float) -> np.ndarray:
+        """``ball_mass_many(points, r)``, the r-ball mass around every atom, bit for bit.
+
+        On a tagged measure with ``R = r * scale`` an integer, the atoms sit
+        at integer cells ``points * scale`` (exact in int64), and the mass
+        around the atom in dense cell i is ``cum[min(i+R+1, n)] -
+        cum[max(i-R, 0)]``.  ``cum`` is ``np.cumsum`` of the weights spread
+        over the n cells from the first atom's to the last's, with +0.0 in
+        the empty cells and a 0.0 in front, built once and cached.  It is the
+        same float array the search path reads: each centre +/- r is a cell
+        edge, exactly, so the searched index is the cell index, and adding
+        +0.0 leaves every sequential partial sum of positive weights (as
+        ``pushforward`` keeps) unchanged.  Untagged measures, radii off the
+        lattice and cell ranges of more than ``_DENSE_CELLS_PER_ATOM`` = 16
+        cells per atom (a sparse deep percolation would ask for 2^40 cells)
+        take ``ball_mass_many``.
+        """
+        if r < self.resolution:
+            raise ScaleBelowResolution(r, self.resolution)
+        cells = None
+        if self.scale is not None and float(r * self.scale).is_integer():
+            cells = self._cell_cumweights()
+        if cells is None:
+            return self.ball_mass_many(self.points, r)
+        idx, cum = cells
+        R = min(int(r * self.scale), cum.size)  # from R = n on, every ball holds every atom
+        return cum[np.minimum(idx + (R + 1), cum.size - 1)] - cum[np.maximum(idx - R, 0)]
+
+    def _cell_cumweights(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Dense cell index of every atom and the cumulative weights over the cells, or None."""
+        if self._cell_cum is None and len(self):
+            span = (self.points[-1] - self.points[0]) * self.scale
+            if span < _DENSE_CELLS_PER_ATOM * len(self):
+                idx = (self.points * self.scale).astype(np.int64)
+                idx -= idx[0]
+                dense = np.zeros(idx[-1] + 1)
+                dense[idx] = self.weights
+                self._cell_cum = idx, np.concatenate([[0.0], np.cumsum(dense)])
+        return self._cell_cum
 
     def scaled(self, c: float) -> "AtomicMeasure":
         """The pushforward under x -> c*x."""
@@ -198,18 +254,27 @@ def pushforward(cm: CylinderMeasure, ifs: AffineIfs, tail: int = 1) -> AtomicMea
     """Image of a cylinder measure under the coding map, one atom per word.
 
     Exactly coinciding atoms (exactly overlapping maps) merge their weights.
+    When ``ifs.lattice(depth)`` routes the IFS and the tail fixed point x0 is
+    an integer, the atom of u is ``(P(u) + x0) / m^n``, computed exactly by
+    the float coding map, so the measure is tagged with ``scale = m^n`` (see
+    ``AtomicMeasure``).
     """
     if cm.alphabet_size != ifs.alphabet_size:
         raise ValueError("alphabet mismatch")
     keep = cm.masses > 0
     codes = cm.codes[keep]
     masses = cm.masses[keep]
-    pts = ifs.points_for_codes(codes, cm.depth, ifs.fixed_point(tail))
+    x0 = ifs.fixed_point(tail)
+    pts = ifs.points_for_codes(codes, cm.depth, x0)
     if codes.size:
         res = ifs.diameter * float(ifs.contractions_for_codes(codes, cm.depth).max())
     else:
         res = 0.0
-    return AtomicMeasure(pts, masses, res)
+    atoms = AtomicMeasure(pts, masses, res)
+    lattice = ifs.lattice(cm.depth)
+    if lattice is not None and x0.is_integer():
+        atoms.scale = float(lattice[0] ** cm.depth)
+    return atoms
 
 
 def set_image(codes: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:

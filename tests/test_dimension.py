@@ -155,11 +155,11 @@ class TestScalingEntropy:
     def test_single_atom_zero(self):
         m = AtomicMeasure([0.3], [1.0], resolution=0.0)
         for r in (0.01, 0.5):
-            assert _entropy_at_scale(m, r, None, None)[0] == pytest.approx(0.0, abs=1e-15)
+            assert _entropy_at_scale(m, r, None, None) == pytest.approx(0.0, abs=1e-15)
 
     def test_separated_atoms_log_n(self):
         m = AtomicMeasure(np.arange(8.0), np.full(8, 0.125), resolution=0.0)
-        assert _entropy_at_scale(m, 0.25, None, None)[0] == pytest.approx(math.log(8), abs=1e-12)
+        assert _entropy_at_scale(m, 0.25, None, None) == pytest.approx(math.log(8), abs=1e-12)
 
     def test_full_summation_oracle(self, uniform2):
         # independent oracle: explicit python loop over atoms
@@ -170,14 +170,14 @@ class TestScalingEntropy:
         for x, w in zip(m.points, norm_w):
             mass = norm_w[(m.points >= x - r) & (m.points <= x + r)].sum()
             expect -= w * math.log(mass)
-        assert _entropy_at_scale(m, r, None, None)[0] == pytest.approx(expect, rel=1e-12)
+        assert _entropy_at_scale(m.normalized(), r, None, None) == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(-math.log(2 * r), abs=0.05)
 
     def test_monte_carlo_matches_full(self, uniform2):
         m = unit_pushforward([0.3, 0.7], 12)
         r = 2.0**-5
-        full = _entropy_at_scale(m, r, None, None)[0]
-        mc = _entropy_at_scale(m, r, 4000, KeyedRng(9))[0]
+        full = _entropy_at_scale(m.normalized(), r, None, None)
+        mc = _entropy_at_scale(m.normalized(), r, 4000, KeyedRng(9))
         # internal spread of -log mass at this scale is below 1.5
         assert abs(mc - full) < 4 * 1.5 / math.sqrt(4000)
 

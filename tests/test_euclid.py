@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cascadim import (
     AffineIfs,
     AtomicMeasure,
+    CylinderMeasure,
     IntervalSet,
     KeyedRng,
     Subshift,
@@ -14,6 +16,7 @@ from cascadim import (
     bernoulli_convolution,
     cascade_measure,
     convolve,
+    default_scales,
     marginal,
     percolation_codes,
     product,
@@ -507,3 +510,98 @@ class TestBallMass:
         m = pushforward(unit_cascade(uniform2, Subshift.full(2), 8), tiling2)
         masses = [m.ball_mass(0.37, r) for r in (0.01, 0.05, 0.1, 0.4)]
         assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
+
+
+class TestLatticeBallMasses:
+    """``atom_ball_masses`` against the search path ``ball_mass_many(points, r)``."""
+
+    CASES = {
+        "lognormal-tiling2": (2, AffineIfs.tiling(2), WeightLaw.lognormal(0.5), 10, 3),
+        # gaps inside the support, and balls clipped at both ends of the range;
+        # these 60 atoms span 364 cells, dense enough to route
+        "percolation": (2, AffineIfs.tiling(2), WeightLaw.percolation(0.7), 9, 8),
+        "tiling4": (4, AffineIfs.tiling(4), WeightLaw.lognormal(0.5), 7, 3),
+        # tail fixed point -1: negative cells
+        "negative-cells": (2, AffineIfs.from_maps([(0.5, -0.5), (0.5, 0.5)]), WeightLaw.lognormal(0.5), 10, 3),
+        # maps 1 and 2 coincide: merged atoms
+        "exact-overlap": (3, EX_OVERLAP, WeightLaw.lognormal(0.5), 7, 3),
+    }
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        search = AtomicMeasure.ball_mass_many
+
+        def spy(self, centers, r):
+            calls.append(r)
+            return search(self, centers, r)
+
+        monkeypatch.setattr(AtomicMeasure, "ball_mass_many", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", list(CASES), ids=list(CASES))
+    def test_routed_masses_equal_search(self, name, monkeypatch):
+        a, ifs, law, depth, seed = self.CASES[name]
+        cm = cascade_measure(SymbolicMeasure.uniform(a), Subshift.full(a), law, depth, KeyedRng(seed))
+        m = pushforward(cm, ifs)
+        assert m.scale == ifs.equal_ratio**-depth
+        norm = m.normalized()
+        assert norm.scale == m.scale
+        clipped_low = clipped_high = False
+        for measure in (m, norm):
+            for r in default_scales(ifs.equal_ratio, depth):
+                calls = self._spy(monkeypatch)
+                got = measure.atom_ball_masses(r)
+                assert calls == []  # the dense path ran
+                monkeypatch.undo()
+                assert np.array_equal(got, measure.ball_mass_many(measure.points, r))
+                cells = np.round(measure.points * measure.scale)
+                R = r * measure.scale
+                clipped_low |= bool((cells - R < cells[0]).any())
+                clipped_high |= bool((cells + R > cells[-1]).any())
+        assert clipped_low and clipped_high
+        if name == "percolation":
+            assert (np.diff(np.round(m.points * m.scale)) > 1).any()
+        if name == "negative-cells":
+            assert m.points[0] < 0
+        if name == "exact-overlap":
+            assert len(m) < len(cm.codes)
+
+    def test_off_lattice_radius_falls_back(self, monkeypatch):
+        m = pushforward(unit_cascade(SymbolicMeasure.uniform(2), Subshift.full(2), 10), AffineIfs.tiling(2))
+        calls = self._spy(monkeypatch)
+        got = m.atom_ball_masses(0.3)
+        assert calls == [0.3]
+        monkeypatch.undo()
+        assert np.array_equal(got, m.ball_mass_many(m.points, 0.3))
+
+    def test_sparse_range_falls_back_without_allocating(self, monkeypatch):
+        depth = 22  # two atoms 2^22 - 1 cells apart: a 32 MB dense array
+        cm = CylinderMeasure(np.array([0, 2**depth - 1]), np.array([0.25, 0.75]), depth, 2)
+        m = pushforward(cm, AffineIfs.tiling(2))
+        assert m.scale == 2.0**depth
+        r = 2.0**-3
+        calls = self._spy(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = m.atom_ball_masses(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [r]
+        assert peak < 2**20
+        assert got.tolist() == [0.25, 0.75]
+
+    def test_below_resolution_raises(self):
+        m = pushforward(unit_cascade(SymbolicMeasure.uniform(2), Subshift.full(2), 8), AffineIfs.tiling(2))
+        assert m.scale is not None
+        with pytest.raises(ScaleBelowResolution):
+            m.atom_ball_masses(m.resolution / 2)
+
+    def test_off_lattice_ifs_untagged(self):
+        m3 = pushforward(unit_cascade(SymbolicMeasure.uniform(3), Subshift.full(3), 6), AffineIfs.tiling(3))
+        bc = bernoulli_convolution(0.4, 0.5, 8)
+        for m in (m3, bc):
+            assert m.scale is None
+            r = 4 * m.resolution
+            assert np.array_equal(m.atom_ball_masses(r), m.ball_mass_many(m.points, r))

@@ -385,6 +385,15 @@ class TestReportPins:
             "6147046f1824a3fcdf7600da7424bb998949e0b8b70a2c84fe6d2c754aa88828",
             "50331b70c6acf4004340236c4b44ee7ef7c35ede160521178403fb4c4aedba40",
         ),
+        "cascade-alphabet4": (
+            # tiling(4): lattice ball masses with m = 4
+            {"experiment": "cascade-dim", "alphabet": 4, "law": "lognormal", "sigma": 0.5, "depth": 8,
+             "trials": 4, "seed": 11},
+            0,
+            "ae447a2492171850311063e9b2192359afe27994d93ae318673097a6eafe11e5",
+            "960a593fed98277f907839e9010384253d046682c582c90f79cdc069a15dbb1f",
+            "7de4b730d77eaaac8d9c60911068789114ccdf14aa82bb26a5d124d4b0c4d8f1",
+        ),
         "image-additive": (
             {"experiment": "perc-image-dim", "depth": 10, "trials": 4, "gamma_nmax": 8, "seed": 3},
             0,
