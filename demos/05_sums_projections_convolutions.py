@@ -46,8 +46,8 @@ print(f"sumset of percolation images, s = sqrt(2): dim {np.mean(slopes):.4f} "
 
 # Bernoulli convolutions: separated factors, incommensurable contractions
 b1, p1, b2, p2 = 0.4, 0.9, 0.35, 0.85
-m1 = bernoulli_convolution(b1, p1, 16, rng=KeyedRng(1))
-m2 = bernoulli_convolution(b2, p2, 16, rng=KeyedRng(2))
+m1 = bernoulli_convolution(b1, p1, 16)
+m2 = bernoulli_convolution(b2, p2, 16)
 conv = convolve(m1, m2, atom_cap=1_000_000, rng=KeyedRng(3))
 diam = (m1.points[-1] - m1.points[0]) + (m2.points[-1] - m2.points[0])
 fit = entropy_dimension(conv, [diam * 2.0**-k for k in range(6, 15)],

@@ -110,11 +110,11 @@ class KeyedRng:
                 if factor is not None:
                     states *= factor
 
-    def counter_uniforms(self, salt: int, n: int, offset: int = 0) -> np.ndarray:
-        """Deterministic uniform stream keyed by (salt, index); for samplers."""
+    def counter_uniforms(self, salt: int, n: int) -> np.ndarray:
+        """The first ``n`` uniforms of the stream keyed by (salt, index); for samplers."""
         with np.errstate(over="ignore"):
             base = _mix64(self._root() ^ (_STREAM_SALT + np.uint64(salt & 0xFFFFFFFFFFFFFFFF)))
-            idx = np.arange(offset, offset + n, dtype=np.uint64)
+            idx = np.arange(n, dtype=np.uint64)
             h = _mix64(base ^ (_COUNTER_SALT + idx))
         return _to_uniform(h)
 
@@ -201,21 +201,13 @@ class CylinderMeasure:
     Treated as immutable once built.
     """
 
-    def __init__(
-        self,
-        codes: np.ndarray,
-        masses: np.ndarray,
-        depth: int,
-        alphabet_size: int,
-        meta: dict | None = None,
-    ):
+    def __init__(self, codes: np.ndarray, masses: np.ndarray, depth: int, alphabet_size: int):
         self.codes = np.asarray(codes, dtype=np.int64)
         self.masses = np.asarray(masses, dtype=np.float64)
         if self.codes.shape != self.masses.shape:
             raise ValueError("codes and masses must align")
         self.depth = int(depth)
         self.alphabet_size = int(alphabet_size)
-        self.meta = dict(meta or {})
 
     @property
     def total_mass(self) -> float:
@@ -239,16 +231,12 @@ class CylinderMeasure:
         cur = self
         while cur.depth > depth:
             if len(cur.codes) == 0:
-                cur = CylinderMeasure(
-                    cur.codes, cur.masses, cur.depth - 1, cur.alphabet_size, cur.meta
-                )
+                cur = CylinderMeasure(cur.codes, cur.masses, cur.depth - 1, cur.alphabet_size)
                 continue
             parents = cur.codes // cur.alphabet_size
             starts = np.flatnonzero(np.concatenate([[True], parents[1:] != parents[:-1]]))
             sums = np.add.reduceat(cur.masses, starts)
-            cur = CylinderMeasure(
-                parents[starts], sums, cur.depth - 1, cur.alphabet_size, cur.meta
-            )
+            cur = CylinderMeasure(parents[starts], sums, cur.depth - 1, cur.alphabet_size)
         return cur
 
     def __len__(self) -> int:
@@ -256,7 +244,7 @@ class CylinderMeasure:
 
 
 def _grow(base, x, law, rng, depth, cap):
-    """Keyed cascade walk: depth-n codes and masses, and the total mass per level."""
+    """Keyed cascade walk: the codes and masses of the depth-n words (see ``walk_tree``)."""
     if base.alphabet_size != x.alphabet_size:
         raise ValueError("measure and subshift alphabets differ")
     if depth < 1:
@@ -272,12 +260,7 @@ def _grow(base, x, law, rng, depth, cap):
 
 
 def cascade_measure(
-    base: SymbolicMeasure,
-    x: Subshift,
-    law: WeightLaw,
-    depth: int,
-    rng: KeyedRng,
-    cap: int = DEFAULT_WORD_CAP,
+    base: SymbolicMeasure, x: Subshift, law: WeightLaw, depth: int, rng: KeyedRng
 ) -> CylinderMeasure:
     """One realization of the depth-n cascade stage of the base measure.
 
@@ -285,38 +268,35 @@ def cascade_measure(
     for every admissible u of length ``depth``; zero-weight subtrees are
     pruned without touching their descendants.
     """
-    meta = {"law": law.kind, "seed": rng.master_seed}
     h_v = law.weight_entropy()
     h_mu = base.entropy()
     if h_v >= h_mu:
-        meta["degenerate_regime"] = True
         warnings.warn(
             f"weight entropy {h_v:.6g} >= base entropy {h_mu:.6g}: "
             "the cascade limit is degenerate (finite stages still computed)",
             DegenerateCascadeWarning,
         )
-    codes, masses, _ = _grow(base, x, law, rng, depth, cap)
-    return CylinderMeasure(codes, masses, depth, x.alphabet_size, meta)
+    codes, masses = _grow(base, x, law, rng, depth, DEFAULT_WORD_CAP)
+    return CylinderMeasure(codes, masses, depth, x.alphabet_size)
 
 
-def percolation_codes(
-    x: Subshift, p: float, depth: int, rng: KeyedRng, cap: int = DEFAULT_WORD_CAP
-) -> np.ndarray:
+def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng) -> np.ndarray:
     """Codes of the admissible depth-n words whose every prefix weight is positive."""
     law = WeightLaw.percolation(p)
     base = SymbolicMeasure.uniform(x.alphabet_size)
-    codes, _, _ = _grow(base, x, law, rng, depth, cap)
+    codes, _ = _grow(base, x, law, rng, depth, DEFAULT_WORD_CAP)
     return codes
 
 
 def cascade_mass_trace(
-    base: SymbolicMeasure,
-    x: Subshift,
-    law: WeightLaw,
-    depth: int,
-    rng: KeyedRng,
-    cap: int = DEFAULT_WORD_CAP,
+    base: SymbolicMeasure, x: Subshift, law: WeightLaw, depth: int, rng: KeyedRng
 ) -> np.ndarray:
-    """Total cascade mass per level k = 1..depth for one realization."""
-    _, _, trace = _grow(base, x, law, rng, depth, cap)
-    return np.asarray(trace)
+    """Total cascade mass per level k = 1..depth for one realization.
+
+    Level k's total is the sum of the leaf masses of the depth-k walk, which
+    are level k of any deeper walk, node for node and in code order.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    totals = [_grow(base, x, law, rng, k, DEFAULT_WORD_CAP)[1].sum() for k in range(1, depth + 1)]
+    return np.array(totals)

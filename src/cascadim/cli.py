@@ -46,11 +46,13 @@ def main(argv=None) -> int:
                 cfg[key] = value
         if args.plot:
             cfg["plot"] = True
+        # an unwritable output directory fails here, not after the run
+        outdir = args.out or Path("out") / args.experiment
+        outdir.mkdir(parents=True, exist_ok=True)
         report = run_experiment(cfg)
     except (CascadimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outdir = args.out or Path("out") / args.experiment
     report.write(outdir, plot=bool(cfg.get("plot")))
     print(
         f"{report.experiment}: estimate {report.estimate['value']:.4f} "

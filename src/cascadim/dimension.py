@@ -37,33 +37,16 @@ class ScalingFit:
     observable: np.ndarray
     slope: float
     stderr: float
-    r_squared: float
-    window: tuple[int, int]
-    min_quotient: float | None = None
-
-    def summary(self) -> dict:
-        return {
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "points": int(len(self.scales)),
-        }
 
 
-def fit_loglog(xs, ys, window: tuple[int, int] | None = None):
-    """Ordinary least squares of ys against xs over a half-open index window.
+def fit_loglog(xs, ys):
+    """Ordinary least squares of ys against xs over all the points.
 
-    Returns (slope, stderr_of_slope, r_squared).  The inputs are whatever the
-    caller has already put on log scales; no transform is applied here.
+    Returns (slope, stderr_of_slope).  The inputs are whatever the caller has
+    already put on log scales; no transform is applied here.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if window is None:
-        window = (0, len(xs))
-    lo, hi = window
-    x = xs[lo:hi]
-    y = ys[lo:hi]
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
     n = len(x)
     if n < 3:
         raise DegenerateWindow(f"need >= 3 points, got {n}")
@@ -76,23 +59,19 @@ def fit_loglog(xs, ys, window: tuple[int, int] | None = None):
     slope = sxy / sxx
     resid = y - (ybar + slope * (x - xbar))
     ss_res = float((resid**2).sum())
-    ss_tot = float(((y - ybar) ** 2).sum())
     stderr = np.sqrt(max(ss_res, 0.0) / (n - 2) / sxx)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return slope, float(stderr), float(r2)
+    return slope, float(stderr)
 
 
-def default_scales(delta: float, depth: int, coarse: int = 3, trim: int = 2) -> np.ndarray:
-    """Geometric probe scales delta^coarse .. delta^(depth-trim).
+def default_scales(delta: float, depth: int) -> np.ndarray:
+    """Geometric probe scales delta^3 .. delta^(depth-2).
 
     The two finest generation scales are excluded: at the truncation depth the
     simulated measure is an artifact of the cutoff, not of the cascade.
     """
-    top = max(coarse, 1)
-    bottom = depth - trim
-    if bottom < top:
-        raise DegenerateWindow(f"no scales between delta^{top} and delta^{bottom}")
-    return delta ** np.arange(top, bottom + 1, dtype=float)
+    if depth - 2 < 3:
+        raise DegenerateWindow(f"no scales between delta^3 and delta^{depth - 2}")
+    return delta ** np.arange(3, depth - 1, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +104,7 @@ def box_count(obj, eps: float) -> int:
     return int(np.unique(np.floor(obj.points / eps).astype(np.int64)).size)
 
 
-def box_dimension(obj, eps_schedule: Sequence[float], window: tuple[int, int] | None = None) -> ScalingFit:
+def box_dimension(obj, eps_schedule: Sequence[float]) -> ScalingFit:
     """Least-squares slope of log N(eps) against log(1/eps)."""
     eps = np.asarray(sorted(set(float(e) for e in eps_schedule), reverse=True))
     floor = obj.source_scale if hasattr(obj, "los") else obj.resolution
@@ -135,10 +114,7 @@ def box_dimension(obj, eps_schedule: Sequence[float], window: tuple[int, int] | 
     counts = np.array([box_count(obj, e) for e in eps], dtype=float)
     if (counts <= 0).any():
         raise DegenerateWindow("empty set has no box dimension")
-    xs = np.log(1.0 / eps)
-    ys = np.log(counts)
-    slope, stderr, r2 = fit_loglog(xs, ys, window)
-    return ScalingFit(eps, counts, slope, stderr, r2, window or (0, len(eps)))
+    return ScalingFit(eps, counts, *fit_loglog(np.log(1.0 / eps), np.log(counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +141,8 @@ def _entropy_at_scale(norm, r: float, sample_size, rng) -> float:
     return float(-np.log(masses).mean())
 
 
-def entropy_dimension(
-    m,
-    r_schedule: Sequence[float],
-    sample_size: int | None = None,
-    rng=None,
-    window: tuple[int, int] | None = None,
-) -> ScalingFit:
-    """Slope of H_r against -log r over the schedule.
-
-    The fit slope is the reported estimate; the minimum per-scale quotient
-    H_r / (-log r) is kept alongside as the conservative reading for measures
-    where the liminf and the slope could disagree.
+def entropy_dimension(m, r_schedule: Sequence[float], sample_size: int | None = None, rng=None) -> ScalingFit:
+    """Slope of H_r against -log r over the radii of the schedule at or above the resolution.
 
     The measure is normalized once for all radii.  The full sum
     (``sample_size=None``) reads each radius's ball masses from
@@ -192,8 +158,4 @@ def entropy_dimension(
         raise DegenerateWindow("need >= 4 scales above the resolution floor")
     norm = m.normalized()
     hs = np.array([_entropy_at_scale(norm, r, sample_size, rng) for r in rs])
-    xs = -np.log(rs)
-    slope, stderr, r2 = fit_loglog(xs, hs, window)
-    quot = hs[xs > 0] / xs[xs > 0]
-    minq = float(quot.min()) if quot.size else None
-    return ScalingFit(rs, hs, slope, stderr, r2, window or (0, len(rs)), min_quotient=minq)
+    return ScalingFit(rs, hs, *fit_loglog(-np.log(rs), hs))

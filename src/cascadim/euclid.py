@@ -228,15 +228,6 @@ class IntervalSet:
     def __len__(self) -> int:
         return len(self.los)
 
-    @property
-    def measure(self) -> float:
-        return float((self.his - self.los).sum())
-
-    def hull(self) -> tuple[float, float]:
-        if len(self) == 0:
-            raise ValueError("empty set has no hull")
-        return float(self.los[0]), float(self.his[-1])
-
     def scale(self, c: float) -> "IntervalSet":
         if c == 0:
             raise ValueError("scale factor must be nonzero")
@@ -250,21 +241,22 @@ class IntervalSet:
 # pushforwards and images
 
 
-def pushforward(cm: CylinderMeasure, ifs: AffineIfs, tail: int = 1) -> AtomicMeasure:
+def pushforward(cm: CylinderMeasure, ifs: AffineIfs) -> AtomicMeasure:
     """Image of a cylinder measure under the coding map, one atom per word.
 
-    Exactly coinciding atoms (exactly overlapping maps) merge their weights.
-    When ``ifs.lattice(depth)`` routes the IFS and the tail fixed point x0 is
-    an integer, the atom of u is ``(P(u) + x0) / m^n``, computed exactly by
-    the float coding map, so the measure is tagged with ``scale = m^n`` (see
-    ``AtomicMeasure``).
+    Each word is continued by the constant tail 1, so its atom is f_u(x0)
+    with x0 the fixed point of letter 1.  Exactly coinciding atoms (exactly
+    overlapping maps) merge their weights.  When ``ifs.lattice(depth)``
+    routes the IFS and x0 is an integer, the atom of u is
+    ``(P(u) + x0) / m^n``, computed exactly by the float coding map, so the
+    measure is tagged with ``scale = m^n`` (see ``AtomicMeasure``).
     """
     if cm.alphabet_size != ifs.alphabet_size:
         raise ValueError("alphabet mismatch")
     keep = cm.masses > 0
     codes = cm.codes[keep]
     masses = cm.masses[keep]
-    x0 = ifs.fixed_point(tail)
+    x0 = ifs.fixed_point(1)
     pts = ifs.points_for_codes(codes, cm.depth, x0)
     if codes.size:
         res = ifs.diameter * float(ifs.contractions_for_codes(codes, cm.depth).max())
@@ -321,7 +313,8 @@ def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Key
         i = np.repeat(np.arange(n1), n2)
         j = np.tile(np.arange(n2), n1)
         return i, j, (m1.weights[:, None] * m2.weights[None, :]).ravel()
-    rng = rng or KeyedRng(0)
+    if rng is None:
+        raise ValueError("a sampled product needs an rng")
     u1 = rng.counter_uniforms(0xA1, atom_cap)
     u2 = rng.counter_uniforms(0xA2, atom_cap)
     c1 = np.cumsum(m1.weights) / m1.total_weight
@@ -341,8 +334,8 @@ def product(
     """The product measure as (x, y) pairs: exact grid if it fits, else sampled.
 
     The sampled mode draws index pairs coordinate-wise proportionally to the
-    weights (an exact sampler for the product law) and gives every sampled
-    atom the weight total/atom_cap.
+    weights (an exact sampler for the product law) from ``rng``, which it
+    needs, and gives every sampled atom the weight total/atom_cap.
     """
     i, j, ws = _product_pairs(m1, m2, atom_cap, rng)
     if len(m1) * len(m2) > atom_cap:
@@ -500,21 +493,13 @@ def sumset(
 # named constructions
 
 
-def bernoulli_convolution(
-    beta: float,
-    p: float,
-    depth: int,
-    law: WeightLaw | None = None,
-    rng: KeyedRng | None = None,
-) -> AtomicMeasure:
-    """Pushforward of the (optionally cascaded) p-Bernoulli measure under
-    the two maps beta*x - 1, beta*x + 1."""
+def bernoulli_convolution(beta: float, p: float, depth: int) -> AtomicMeasure:
+    """Pushforward of the depth-n p-Bernoulli measure under the two maps
+    beta*x - 1, beta*x + 1."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must be in (0,1)")
-    ifs = AffineIfs.bernoulli_pair(beta)
     base = SymbolicMeasure.bernoulli([p, 1.0 - p])
-    law = law or WeightLaw.percolation(1.0)
-    rng = rng or KeyedRng(0)
-    cm = cascade_measure(base, Subshift.full(2), law, depth, rng)
-    return pushforward(cm, ifs)
+    # the unit law hashes nothing, so the seed is immaterial
+    cm = cascade_measure(base, Subshift.full(2), WeightLaw.percolation(1.0), depth, KeyedRng(0))
+    return pushforward(cm, AffineIfs.bernoulli_pair(beta))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cascade import KeyedRng, WeightLaw, cascade_measure, percolation_codes
 from .dimension import box_dimension, default_scales, entropy_dimension
-from .errors import CascadimError, ConfigError
+from .errors import CascadimError, ConfigError, DegenerateCascadeWarning
 from .euclid import (
     bernoulli_convolution,
     convolve,
@@ -398,15 +398,18 @@ def run_cascade_dim(cfg: dict) -> Findings:
     scales = default_scales(1.0 / a, depth)
 
     def worker(rng, idx):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cm = cascade_measure(base, shift, law, depth, rng)
+        cm = cascade_measure(base, shift, law, depth, rng)
         if cm.is_degenerate:
             return None
         return entropy_dimension(pushforward(cm, ifs), scales)
 
     table = shift.successor_table() * base.step_table()
-    fits, discarded = _surviving(cfg, _survival(table, law.positive_probability(), depth), worker)
+    # the report carries the degenerate regime as a warning of its own; the
+    # filter is set here, not in the workers, because the filter list is
+    # shared by every thread
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCascadeWarning)
+        fits, discarded = _surviving(cfg, _survival(table, law.positive_probability(), depth), worker)
     return Findings(
         target={"value": target, "formula": "(h_mu - h_V) / log(1/delta), delta = 1/a"},
         checks=[_check([f.slope for f in fits], target, cfg["tolerance"])],
@@ -613,8 +616,8 @@ def run_bernoulli_convolution(cfg: dict) -> Findings:
     dsum = h(p1) / math.log(1 / b1) + h(p2) / math.log(1 / b2)
     target = min(1.0, dsum)
     rng = KeyedRng(cfg["seed"])
-    m1 = bernoulli_convolution(b1, p1, depth, rng=rng.derive(1))
-    m2 = bernoulli_convolution(b2, p2, depth, rng=rng.derive(2))
+    m1 = bernoulli_convolution(b1, p1, depth)
+    m2 = bernoulli_convolution(b2, p2, depth)
     conv = convolve(m1, m2, atom_cap=cfg["atom_cap"], rng=rng.derive(3))
     diam = (m1.points[-1] - m1.points[0]) + (m2.points[-1] - m2.points[0])
     # coarse radii see the support boundary, not the scaling law: start deep

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .dimension import fit_loglog
-from .symbolic import DEFAULT_WORD_CAP, Subshift, codes_to_letters
+from .symbolic import Subshift, codes_to_letters
 
 __all__ = ["AffineIfs", "OverlapProfile", "overlap_count", "gamma_estimate"]
 
@@ -219,20 +219,14 @@ class OverlapProfile:
     delta: float
 
 
-def overlap_count(
-    x: Subshift,
-    ifs: AffineIfs,
-    n: int,
-    cap: int = DEFAULT_WORD_CAP,
-    radius: float | None = None,
-) -> int:
+def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
     """Exact sup over centers of depth-n cylinder images meeting B(center, delta^n).
 
     The count, as a function of the center, only changes where the closed ball
     starts or stops touching some interval, so sweeping the 2|X_n| event
     points (with multiplicities aggregated for exactly-coinciding intervals)
-    attains the true supremum.  ``radius`` overrides the default ball radius
-    delta^n, e.g. to check affine equivariance under rescaled translations.
+    attains the true supremum.  The words come from ``x.admissible_codes(n)``,
+    which refuses more than ``DEFAULT_WORD_CAP`` of them.
     """
     delta = ifs.equal_ratio
     if delta is None:
@@ -241,10 +235,9 @@ def overlap_count(
         raise ValueError("alphabet mismatch between subshift and IFS")
     if n < 1:
         raise ValueError("n must be >= 1")
-    codes = x.admissible_codes(n, cap)
-    los, _ = ifs.intervals_for_codes(codes, n)
+    los, _ = ifs.intervals_for_codes(x.admissible_codes(n), n)
     length = delta**n * ifs.diameter
-    radius = delta**n if radius is None else float(radius)
+    radius = delta**n
     uniq, mult = np.unique(los, return_counts=True)
     starts = uniq - radius
     ends = uniq + length + radius
@@ -256,19 +249,14 @@ def overlap_count(
     return int(running.max())
 
 
-def gamma_estimate(
-    x: Subshift,
-    ifs: AffineIfs,
-    n_max: int,
-    cap: int = DEFAULT_WORD_CAP,
-) -> OverlapProfile:
+def gamma_estimate(x: Subshift, ifs: AffineIfs, n_max: int) -> OverlapProfile:
     """Fit the growth exponent of the overlap counts over n in [ceil(n_max/2), n_max]."""
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     delta = ifs.equal_ratio
     if delta is None:
         raise ValueError("overlap counting is defined for equal-ratio systems only")
-    counts = [overlap_count(x, ifs, n, cap) for n in range(1, n_max + 1)]
+    counts = [overlap_count(x, ifs, n) for n in range(1, n_max + 1)]
     n_lo = math.ceil(n_max / 2)
     ns = np.arange(n_lo, n_max + 1, dtype=float)
     xs = ns * math.log(1.0 / delta)
@@ -276,5 +264,5 @@ def gamma_estimate(
     if np.ptp(ys) == 0.0:
         slope = 0.0  # constant counts: flat profile, exponent zero
     else:
-        slope, _, _ = fit_loglog(xs, ys)
+        slope, _ = fit_loglog(xs, ys)
     return OverlapProfile(tuple(counts), max(float(slope), 0.0), (n_lo, n_max), delta)

@@ -74,13 +74,14 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
     The walk runs breadth first until a level holds more than ``_BLOCK``
     nodes, then walks each contiguous block of that level down to ``depth``
     before the next, splitting again wherever a block grows past ``_BLOCK``.
-    Blocks go left to right, so the codes come out sorted, and each level's
-    total is the sum over all its masses in code order.
+    Blocks go left to right, so the codes come out sorted.  A node's mass
+    depends only on its word, so level k of this walk is, node for node,
+    the leaves of the depth-k walk.
 
-    Returns the codes and masses of the length-``depth`` words and the total
-    mass at each level.  Codes are int64, so a walk past 62 bits of code
-    range raises ``CapExceeded`` instead of wrapping; so does a level of more
-    than ``cap`` nodes.
+    Returns the codes and masses of the length-``depth`` words; no shallower
+    level outlives its blocks.  Codes are int64, so a walk past 62 bits of
+    code range raises ``CapExceeded`` instead of wrapping; so does a level of
+    more than ``cap`` nodes.
     """
     a = table.shape[1]
     if depth * math.log2(a) > 62:
@@ -88,16 +89,15 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
     codes = np.zeros(1, dtype=np.int64)
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:
-        return codes, masses, []
+        return codes, masses
     child_letters = np.tile(np.arange(1, a + 1, dtype=np.uint64), _BLOCK)
     # states: one row per deeper word length, one column per node
     states = None if weigh is None else rng.length_states(depth)[:, None]
     # a node's row in ``table`` is its last letter - 1; the root's is a
     pending = [(0, codes, np.full(1, a), masses, states)]
     counts = [0] * depth
-    level_masses = [[] for _ in range(depth)]
-    level_masses[-1].append(np.zeros(0, dtype=table.dtype))
     leaf_codes = [np.zeros(0, dtype=np.int64)]
+    leaf_masses = [np.zeros(0, dtype=table.dtype)]
     while pending:
         length, codes, row, parent_masses, states = pending.pop()
         masses = np.take(table, row, axis=0).ravel()
@@ -111,13 +111,13 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
         row = kept - parent * a
         masses = np.take(masses, kept)
         codes = np.take(codes, parent) * a + row
-        level_masses[length].append(masses)
         counts[length] += len(codes)
         if counts[length] > cap:
             raise CapExceeded(counts[length], cap, what="tree nodes")
         length += 1
         if length == depth:
             leaf_codes.append(codes)
+            leaf_masses.append(masses)
             continue
         if weigh is not None:
             deeper = np.empty((len(states) - 1, len(parent)), dtype=np.uint64)
@@ -132,10 +132,7 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
                 (length, codes[block], row[block], masses[block],
                  None if weigh is None else states[:, block])
             )
-    # one sum per whole level: per-block partial sums would round differently
-    masses = np.concatenate(level_masses[-1])
-    totals = [np.concatenate(ms).sum() if ms else 0.0 for ms in level_masses[:-1]]
-    return np.concatenate(leaf_codes), masses, totals + [masses.sum()]
+    return np.concatenate(leaf_codes), np.concatenate(leaf_masses)
 
 
 def _int_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
@@ -264,14 +261,14 @@ class Subshift:
         live[self._live_letters()] = True
         return np.vstack([(self.matrix() > 0) & live, live])
 
-    def admissible_codes(self, n: int, cap: int = DEFAULT_WORD_CAP) -> np.ndarray:
-        """Sorted int64 codes of the admissible length-n words."""
+    def admissible_codes(self, n: int) -> np.ndarray:
+        """Sorted int64 codes of the admissible length-n words, at most ``DEFAULT_WORD_CAP``."""
         if n < 0:
             raise ValueError("n must be >= 0")
         count = self.word_count(n)
-        if count > cap:
-            raise CapExceeded(count, cap, what="words")
-        codes, _, _ = walk_tree(self.successor_table(), n, cap)
+        if count > DEFAULT_WORD_CAP:
+            raise CapExceeded(count, DEFAULT_WORD_CAP, what="words")
+        codes, _ = walk_tree(self.successor_table(), n, DEFAULT_WORD_CAP)
         return codes
 
     # -- spectral quantities ----------------------------------------------

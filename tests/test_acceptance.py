@@ -226,7 +226,7 @@ def test_criterion_05_expectation_oracle(overlap_image_report):
             base = 1 - p + p * v
             v = np.where(cs[:, k] == 0, base * base, base)
         logs.append(math.log((2.0**n) * (1 - v).mean()))
-    oracle_slope, _, _ = fit_loglog(ks * math.log(2), logs)
+    oracle_slope, _ = fit_loglog(ks * math.log(2), logs)
     est = rep.estimate["value"]
     ok = abs(est - oracle_slope) <= 0.03
     assert report(
@@ -399,7 +399,7 @@ def _projection_oracle(probs_a, depth_a, probs_b, depth_b, c, sign, ks, grid):
         cells = conv.reshape(-1, 1 << (grid - k)).sum(axis=1)
         cells = cells[cells > 0]
         hs.append(-(cells * np.log(cells)).sum())
-    slope, _, _ = fit_loglog(np.asarray(ks) * math.log(2), hs)
+    slope, _ = fit_loglog(np.asarray(ks) * math.log(2), hs)
     return slope
 
 

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -138,12 +137,11 @@ class TestCascadeMeasure:
 
     def test_degenerate_regime_warns(self, uniform2):
         with pytest.warns(DegenerateCascadeWarning):
-            cm = cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.4), 8, KeyedRng(1))
-        assert cm.meta.get("degenerate_regime") is True
+            cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.4), 8, KeyedRng(1))
 
     def test_cap_exceeded(self, uniform2):
         with pytest.raises(CapExceeded):
-            cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(1.0), 12, KeyedRng(1), cap=100)
+            _grow(uniform2, Subshift.full(2), WeightLaw.percolation(1.0), KeyedRng(1), 12, 100)
         # binary words longer than 62 letters have no int64 code: raise, never wrap
         with pytest.raises(CapExceeded, match="code range"):
             percolation_codes(Subshift.full(2), 0.6, 64, KeyedRng(5))
@@ -262,13 +260,15 @@ class TestMassTrace:
     def test_subcritical_extinction(self, uniform2):
         # a*p < 1: every realization dies by depth 25
         law = WeightLaw.percolation(0.4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateCascadeWarning)
-            finals = [
-                cascade_mass_trace(uniform2, Subshift.full(2), law, 25, KeyedRng(33).derive(i))[-1]
-                for i in range(50)
-            ]
+        finals = [
+            cascade_mass_trace(uniform2, Subshift.full(2), law, 25, KeyedRng(33).derive(i))[-1]
+            for i in range(50)
+        ]
         assert all(v == 0.0 for v in finals)
+
+    def test_depth_below_one_rejected(self, uniform2):
+        with pytest.raises(ValueError, match="depth"):
+            cascade_mass_trace(uniform2, Subshift.full(2), WeightLaw.percolation(0.7), 0, KeyedRng(1))
 
 
 def _reference_walk(table, depth, law, rng):
@@ -323,8 +323,7 @@ def _walk_per_level(table, depth, law, rng, cap=10**6):
         seen.setdefault(length, []).append(hashes.copy())
         return law.weights_from_uniforms(_to_uniform(hashes))
 
-    codes, masses, totals = walk_tree(table, depth, cap, rng, weigh)
-    return (codes, masses, totals), {k: np.concatenate(v) for k, v in seen.items()}
+    return walk_tree(table, depth, cap, rng, weigh), {k: np.concatenate(v) for k, v in seen.items()}
 
 
 class TestTreeHashes:
@@ -341,18 +340,18 @@ class TestTreeHashes:
         for seed in (3, 2024):
             rng = KeyedRng(seed)
             reference = _reference_walk(table, depth, law, rng)
-            (codes, masses, totals), seen = _walk_per_level(table, depth, law, rng)
+            (codes, masses), seen = _walk_per_level(table, depth, law, rng)
             grown = _grow(base, x, law, rng, depth, 10**6)
+            totals = cascade_mass_trace(base, x, law, depth, rng)
             assert list(seen) and sorted(seen) == list(range(1, len(seen) + 1))
             for length, got in seen.items():
                 children, hashes, _, _ = reference[length - 1]
                 assert len(got) == len(children)
                 assert np.array_equal(got, hashes)
-            for total, (_, _, _, ref_masses) in zip(totals, reference):
-                assert total == ref_masses.sum()
+            assert np.array_equal(totals, [ref_masses.sum() for _, _, _, ref_masses in reference])
             assert np.array_equal(codes, reference[len(seen) - 1][2])
             assert np.array_equal(masses, reference[len(seen) - 1][3])
-            for got, want in zip(grown, (codes, masses, totals)):
+            for got, want in zip(grown, (codes, masses)):
                 assert np.array_equal(got, want)
 
     @staticmethod
@@ -398,7 +397,7 @@ class TestCapAcrossBlocks:
         # lognormal weights prune nothing: level k holds 2**k nodes, and at the
         # default block level 15 comes from two blocks
         law = WeightLaw.lognormal(0.5)
-        codes, _, _ = _grow(uniform2, Subshift.full(2), law, KeyedRng(3), 15, 2**15)
+        codes, _ = _grow(uniform2, Subshift.full(2), law, KeyedRng(3), 15, 2**15)
         assert np.array_equal(codes, np.arange(2**15))
         with pytest.raises(CapExceeded, match="tree nodes"):
             _grow(uniform2, Subshift.full(2), law, KeyedRng(3), 15, 2**15 - 1)
@@ -408,7 +407,7 @@ class TestCapAcrossBlocks:
         rng = KeyedRng(3)
         reference = _reference_walk(x.successor_table() * base.step_table(), 10, law, rng)
         widest = max(len(codes) for _, _, codes, _ in reference)
-        codes, _, _ = _grow(base, x, law, rng, 10, widest)
+        codes, _ = _grow(base, x, law, rng, 10, widest)
         assert np.array_equal(codes, reference[-1][2])
         with pytest.raises(CapExceeded, match="tree nodes"):
             _grow(base, x, law, rng, 10, widest - 1)
@@ -418,12 +417,13 @@ class TestCapAcrossBlocks:
         # the last level is the widest; at the default block it comes from two blocks
         widest = golden_mean.word_count(20)
         assert widest == 17711
-        codes, _, _ = walk_tree(table, 20, widest)
-        assert np.array_equal(codes, golden_mean.admissible_codes(20, cap=widest))
+        codes, _ = walk_tree(table, 20, widest)
+        assert np.array_equal(codes, golden_mean.admissible_codes(20))
         with pytest.raises(CapExceeded, match="tree nodes"):
             walk_tree(table, 20, widest - 1)
+        # 2^25 words: word_count refuses them before any walk
         with pytest.raises(CapExceeded, match="words"):
-            golden_mean.admissible_codes(20, cap=widest - 1)
+            Subshift.full(2).admissible_codes(25)
 
 
 def _digests(codes, masses, totals):
@@ -438,7 +438,9 @@ class TestRealizationPins:
 
     A walk that reorders, drops or rounds a single node or total changes its
     digest.  The digests were taken from the level-by-level walk that
-    re-hashed every prefix from the root at each level.
+    re-hashed every prefix from the root at each level.  The level totals are
+    read from ``cascade_mass_trace``, and for the enumeration from the leaves
+    of each shallower walk.
     """
 
     PINS = {
@@ -466,22 +468,25 @@ class TestRealizationPins:
 
     @staticmethod
     def _walk(name):
-        trial = KeyedRng(101).derive(0)
+        if name == "sft-admissible-depth20":
+            sft = Subshift.sft([[1, 1], [1, 0]])
+            table = sft.successor_table()
+            codes, masses = walk_tree(table, 20, 10**8)
+            assert np.array_equal(codes, sft.admissible_codes(20))
+            return codes, masses, [walk_tree(table, k, 10**8)[1].sum() for k in range(1, 21)]
+        rng = KeyedRng(101).derive(0)
         if name == "full3-percolation-depth16":
             # the first realization of the overlap image: percolation_codes' walk
-            return _grow(SymbolicMeasure.uniform(3), Subshift.full(3), WeightLaw.percolation(0.8), trial, 16, 10**8)
-        if name == "full2-lognormal-depth16":
-            return _grow(SymbolicMeasure.uniform(2), Subshift.full(2), WeightLaw.lognormal(0.5), trial, 16, 10**8)
-        if name == "golden-percolation-depth18":
-            return _grow(SymbolicMeasure.uniform(2), Subshift.golden_mean(), WeightLaw.percolation(0.8), trial, 18, 10**8)
-        if name == "bconv-bernoulli-depth18":
+            base, x, law, depth = SymbolicMeasure.uniform(3), Subshift.full(3), WeightLaw.percolation(0.8), 16
+        elif name == "full2-lognormal-depth16":
+            base, x, law, depth = SymbolicMeasure.uniform(2), Subshift.full(2), WeightLaw.lognormal(0.5), 16
+        elif name == "golden-percolation-depth18":
+            base, x, law, depth = SymbolicMeasure.uniform(2), Subshift.golden_mean(), WeightLaw.percolation(0.8), 18
+        else:
             # bernoulli_convolution's walk: the p_a = 0.9 base, unit weights, seed 101's stream 1
             base = SymbolicMeasure.bernoulli([0.9, 0.1])
-            return _grow(base, Subshift.full(2), WeightLaw.percolation(1.0), KeyedRng(101).derive(1), 18, 10**8)
-        sft = Subshift.sft([[1, 1], [1, 0]])
-        codes, masses, totals = walk_tree(sft.successor_table(), 20, 10**8)
-        assert np.array_equal(codes, sft.admissible_codes(20))
-        return codes, masses, totals
+            x, law, depth, rng = Subshift.full(2), WeightLaw.percolation(1.0), 18, KeyedRng(101).derive(1)
+        return (*_grow(base, x, law, rng, depth, 10**8), cascade_mass_trace(base, x, law, depth, rng))
 
     @pytest.mark.parametrize("name", list(PINS), ids=list(PINS))
     def test_walk_digest(self, name):
@@ -499,7 +504,8 @@ class TestRealizationPins:
 
     def test_public_entry_points_match_the_pinned_walk(self):
         trial = KeyedRng(101).derive(0)
-        codes, _, totals = self._walk("full3-percolation-depth16")
+        codes, masses, totals = self._walk("full3-percolation-depth16")
         assert np.array_equal(percolation_codes(Subshift.full(3), 0.8, 16, trial), codes)
-        trace = cascade_mass_trace(SymbolicMeasure.uniform(3), Subshift.full(3), WeightLaw.percolation(0.8), 16, trial)
-        assert np.array_equal(trace, np.asarray(totals))
+        cm = cascade_measure(SymbolicMeasure.uniform(3), Subshift.full(3), WeightLaw.percolation(0.8), 16, trial)
+        assert np.array_equal(cm.codes, codes) and np.array_equal(cm.masses, masses)
+        assert totals[-1] == cm.total_mass

@@ -196,6 +196,15 @@ class TestProduct:
         m = product(m1, m2)
         assert m.weights.sum() == pytest.approx(m1.total_weight * m2.total_weight, abs=1e-9)
 
+    def test_sampled_needs_rng(self):
+        m1 = AtomicMeasure([0.0, 1.0], [0.4, 0.6], 0.0)
+        m2 = AtomicMeasure([0.0, 0.5, 1.0], [0.2, 0.3, 0.5], 0.0)
+        for build in (product, convolve):
+            with pytest.raises(ValueError, match="needs an rng"):
+                build(m1, m2, atom_cap=5)
+            # the exact grid draws nothing
+            assert build(m1, m2, atom_cap=6).weights.sum() == pytest.approx(1.0)
+
     def test_sampled_matches_exact_ball_masses(self, np_rng):
         def disc_mass(pairs, center, r):  # brute planar ball mass over all pairs
             inside = (pairs.xs - center[0]) ** 2 + (pairs.ys - center[1]) ** 2 <= r * r

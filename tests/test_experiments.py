@@ -4,13 +4,14 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from cascadim import Subshift, experiments
+from cascadim import Subshift, cli, experiments
 from cascadim.cli import main
-from cascadim.errors import CascadimError, ConfigError
+from cascadim.errors import CascadimError, ConfigError, DegenerateCascadeWarning
 from cascadim.experiments import (
     load_config,
     rational_approximation,
@@ -155,6 +156,24 @@ class TestReports:
         assert rep_s["estimate"] == rep_p["estimate"]
         assert rep_s["per_trial"] == rep_p["per_trial"]
         assert rep_s["discarded_seeds"] == rep_p["discarded_seeds"]
+
+    def test_threads_leave_the_warning_filters_alone(self):
+        # the filter list is shared by every thread: workers that each set and
+        # restored it would restore one another's "ignore"
+        before = list(warnings.filters)
+        for seed in range(6):
+            run_experiment({"experiment": "cascade-dim", "law": "lognormal", "depth": 10, "trials": 16,
+                            "threads": 2, "seed": seed})
+            assert warnings.filters == before
+
+    def test_degenerate_cascade_warning_stays_in_the_report(self):
+        # h_V = -log 0.45 > log 2: every draw warns, the report says it once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = run_experiment({"experiment": "cascade-dim", "p": 0.45, "depth": 8, "trials": 3,
+                                  "threads": 2, "seed": 1})
+        assert not [w for w in caught if issubclass(w.category, DegenerateCascadeWarning)]
+        assert any(w.startswith("degenerate regime") for w in rep.warnings)
 
     def test_plot_written_when_asked(self, tmp_path):
         rep = run_experiment(SMALL_CASCADE)
@@ -327,6 +346,18 @@ class TestCli:
         out = self._run(cfg["experiment"], "--config", str(path), "--out", str(tmp_path / "out"))
         assert out.returncode == 1
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys, sub):
+        def run(cfg):
+            raise AssertionError("ran the experiment")
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["gamma", "--out", str(blocker / sub)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_subcommand_config_mismatch(self, tmp_path):
         cfg = tmp_path / "cfg.json"

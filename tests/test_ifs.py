@@ -180,14 +180,12 @@ class TestOverlapCount:
         for n in (2, 4, 6):
             assert overlap_count(full3, EX_OVERLAP, n) == _overlap_oracle(full3, EX_OVERLAP, n)
 
-    def test_translation_and_scaling_equivariance(self):
+    def test_translation_equivariance(self):
         full2 = Subshift.full(2)
         base = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.5)])
         n = 5
-        expected = overlap_count(full2, base, n)
-        for c, d in ((1.0, 0.7), (3.0, -1.2), (0.25, 0.0)):
-            moved = AffineIfs.from_maps([(0.5, c * t + d) for t in base.translations])
-            assert overlap_count(full2, moved, n, radius=c * 0.5**n) == expected
+        moved = AffineIfs.from_maps([(0.5, t + 0.7) for t in base.translations])
+        assert overlap_count(full2, moved, n) == overlap_count(full2, base, n)
 
     def test_separated_system_bounded_by_four(self):
         full2 = Subshift.full(2)
@@ -202,7 +200,7 @@ class TestOverlapCount:
 
     def test_cap_propagates(self, tiling2):
         with pytest.raises(CapExceeded):
-            overlap_count(Subshift.full(2), tiling2, 12, cap=100)
+            overlap_count(Subshift.full(2), tiling2, 25)  # 2^25 words, past DEFAULT_WORD_CAP
 
 
 class TestGamma:

@@ -70,9 +70,9 @@ class TestCylinderMass:
             assert value == pytest.approx(cylinder_mass(m, tuple(int(x) for x in row)), abs=1e-15)
 
 
-def admissible_letters(shift, n, **kwargs):
+def admissible_letters(shift, n):
     """X_n as an (N, n) letter matrix, rows in code order."""
-    return codes_to_letters(shift.admissible_codes(n, **kwargs), n, shift.alphabet_size)
+    return codes_to_letters(shift.admissible_codes(n), n, shift.alphabet_size)
 
 
 class TestAdmissibleWords:
@@ -97,8 +97,9 @@ class TestAdmissibleWords:
         assert len(words) == 1 and len(words[0]) == 0
 
     def test_cap_exceeded(self):
+        # 2^25 words is past DEFAULT_WORD_CAP
         with pytest.raises(CapExceeded):
-            admissible_letters(Subshift.full(2), 10, cap=100)
+            admissible_letters(Subshift.full(2), 25)
 
     def test_counts_match_matrix_powers(self, golden_mean):
         A = golden_mean.matrix()
