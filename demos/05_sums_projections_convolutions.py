@@ -39,6 +39,7 @@ while len(slopes) < 8:
         set_image(ca, AffineIfs.tiling(2), length=da),
         set_image(cb, AffineIfs.tiling(3), length=db),
         math.sqrt(2.0),
+        pair_cap=200_000_000,
     )
     slopes.append(box_dimension(total, [2.0**-k for k in range(3, 13)]).slope)
 print(f"sumset of percolation images, s = sqrt(2): dim {np.mean(slopes):.4f} "

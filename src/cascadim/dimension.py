@@ -121,21 +121,21 @@ def box_dimension(obj, eps_schedule: Sequence[float]) -> ScalingFit:
 # scaling entropy
 
 
-def _entropy_at_scale(norm, r: float, sample_size, rng) -> float:
+def _entropy_at_scale(norm, r: float, centers) -> float:
     """H_r, minus the mean log mass of r-balls around typical points of a normalized measure.
 
-    ``sample_size=None`` sums over all atoms with their weights
-    (deterministic), reading the masses from ``atom_ball_masses``; an integer
-    draws that many centers from the measure with the ``KeyedRng`` ``rng``.
+    ``centers=None`` sums over all atoms with their weights (deterministic),
+    reading the masses from ``atom_ball_masses``; an array averages over
+    those centers, drawn from the measure.
     """
     if r < norm.resolution:
         raise ScaleBelowResolution(r, norm.resolution)
-    if sample_size is None:
+    if centers is None:
         masses = norm.atom_ball_masses(r)
         if (masses <= 0).any():
             raise ZeroMassBall("atom with zero ball mass in full summation")
         return float(-(norm.weights * np.log(masses)).sum())
-    masses = norm.ball_mass_many(norm.sample_points(sample_size, rng), r)
+    masses = norm.ball_mass_many(centers, r)
     if (masses <= 0).any():
         raise ZeroMassBall("sampled a point whose ball has zero mass")
     return float(-np.log(masses).mean())
@@ -144,7 +144,9 @@ def _entropy_at_scale(norm, r: float, sample_size, rng) -> float:
 def entropy_dimension(m, r_schedule: Sequence[float], sample_size: int | None = None, rng=None) -> ScalingFit:
     """Slope of H_r against -log r over the radii of the schedule at or above the resolution.
 
-    The measure is normalized once for all radii.  The full sum
+    The measure is normalized once for all radii, and in Monte Carlo mode
+    its ``sample_size`` centers are drawn once, from the ``KeyedRng``
+    ``rng``, for all radii.  The full sum
     (``sample_size=None``) reads each radius's ball masses from
     ``AtomicMeasure.atom_ball_masses``: on a lattice-tagged measure at a
     lattice radius that is two reads of one cached integer-indexed
@@ -157,5 +159,6 @@ def entropy_dimension(m, r_schedule: Sequence[float], sample_size: int | None = 
     if rs.size < 4:
         raise DegenerateWindow("need >= 4 scales above the resolution floor")
     norm = m.normalized()
-    hs = np.array([_entropy_at_scale(norm, r, sample_size, rng) for r in rs])
+    centers = None if sample_size is None else norm.sample_points(sample_size, rng)
+    hs = np.array([_entropy_at_scale(norm, r, centers) for r in rs])
     return ScalingFit(rs, hs, *fit_loglog(-np.log(rs), hs))

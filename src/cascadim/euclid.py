@@ -63,9 +63,13 @@ class AtomicMeasure:
             raise ValueError("weights must align with points")
         if (weights < 0).any():
             raise ValueError("weights must be nonnegative")
-        order = np.argsort(points, kind="stable")
-        points = points[order]
-        weights = weights[order]
+        bits = weights.view(np.int64)
+        if bits.size and (bits == bits[0]).all():  # equal weights, as in every sampled product
+            points = _sort_equal_weight_points(points)
+        else:
+            order = np.argsort(points, kind="stable")
+            points = points[order]
+            weights = weights[order]
         if points.size > 1:
             starts = np.flatnonzero(np.concatenate([[True], points[1:] != points[:-1]]))
             if starts.size != points.size:  # merge exactly coinciding atoms
@@ -174,10 +178,47 @@ class AtomicMeasure:
         tot = self.total_weight
         if tot <= 0:
             raise ValueError("cannot sample from a zero measure")
-        u = rng.counter_uniforms(0xE17, count)
-        cum = np.cumsum(self.weights) / tot
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(self.weights) - 1)
-        return self.points[idx]
+        return self.points[_inverse_cdf(self.weights, tot, rng.counter_uniforms(0xE17, count))]
+
+
+def _sort_equal_weight_points(points: np.ndarray) -> np.ndarray:
+    """The points of equally weighted atoms in the order a stable sort gives them.
+
+    With every weight the same, the order among equal points cannot change
+    a merged sum, so the values are sorted alone.  Only the signed zeros
+    compare equal and differ: a stable sort leads their run with the first
+    zero given, and so does this.
+    """
+    out = np.sort(points)
+    lead = np.searchsorted(out, 0.0)
+    if lead < out.size and out[lead] == 0:
+        out[lead] = points[np.argmax(points == 0)]
+    return out
+
+
+def _inverse_cdf(weights: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
+    """Atom indices ``min(searchsorted(cumsum(weights) / total, u, "right"), n - 1)``, bit for bit.
+
+    The keys u lie in [0, 1]; ``KeyedRng.counter_uniforms`` rounds its top
+    value up to 1.0.  With B the power of two at or above n, a guide table
+    (Chen & Asau's indexed search) holds ``edges[b]``, the search result at
+    b/B, for b = 0..B+1, so u = 1.0 has bucket B; every b/B is exact.  The
+    search is monotone in u and b = floor(u*B) is exact, so the result for
+    u lies in ``[edges[b], edges[b+1]]``, and a key whose two ends agree
+    needs no search.  Fewer keys than B take the plain search.
+    """
+    cdf = np.cumsum(weights) / total
+    table = 1 << (cdf.size - 1).bit_length()
+    if u.size < table:
+        idx = np.searchsorted(cdf, u, side="right")
+    else:
+        edges = np.searchsorted(cdf, np.arange(table + 2) / table, side="right")
+        bucket = (u * table).astype(np.intp)
+        idx = edges[bucket]
+        bucket += 1
+        open_keys = np.flatnonzero(edges[bucket] != idx)
+        idx[open_keys] = np.searchsorted(cdf, u[open_keys], side="right")
+    return np.minimum(idx, cdf.size - 1, out=idx)
 
 
 @dataclass(eq=False)
@@ -315,12 +356,8 @@ def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Key
         return i, j, (m1.weights[:, None] * m2.weights[None, :]).ravel()
     if rng is None:
         raise ValueError("a sampled product needs an rng")
-    u1 = rng.counter_uniforms(0xA1, atom_cap)
-    u2 = rng.counter_uniforms(0xA2, atom_cap)
-    c1 = np.cumsum(m1.weights) / m1.total_weight
-    c2 = np.cumsum(m2.weights) / m2.total_weight
-    i = np.minimum(np.searchsorted(c1, u1, side="right"), n1 - 1)
-    j = np.minimum(np.searchsorted(c2, u2, side="right"), n2 - 1)
+    i = _inverse_cdf(m1.weights, m1.total_weight, rng.counter_uniforms(0xA1, atom_cap))
+    j = _inverse_cdf(m2.weights, m2.total_weight, rng.counter_uniforms(0xA2, atom_cap))
     w = m1.total_weight * m2.total_weight / atom_cap
     return i, j, np.full(atom_cap, w)
 
@@ -328,7 +365,8 @@ def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Key
 def product(
     m1: AtomicMeasure,
     m2: AtomicMeasure,
-    atom_cap: int = 5_000_000,
+    *,
+    atom_cap: int,
     rng: KeyedRng | None = None,
 ) -> ProductPairs:
     """The product measure as (x, y) pairs: exact grid if it fits, else sampled.
@@ -341,8 +379,7 @@ def product(
     if len(m1) * len(m2) > atom_cap:
         # factor atoms are sorted and distinct, so the key order is the
         # (x, y) order; sampled atoms share one weight, so ws keeps its order
-        order = np.argsort(i * len(m2) + j, kind="stable")
-        i, j = i[order], j[order]
+        i, j = np.divmod(np.sort(i * len(m2) + j), len(m2))
     return ProductPairs(m1.points[i], m2.points[j], ws, max(m1.resolution, m2.resolution))
 
 
@@ -364,7 +401,8 @@ def marginal(m: ProductPairs, axis: int) -> AtomicMeasure:
 def convolve(
     m1: AtomicMeasure,
     m2: AtomicMeasure,
-    atom_cap: int = 5_000_000,
+    *,
+    atom_cap: int,
     rng: KeyedRng | None = None,
 ) -> AtomicMeasure:
     """The additive convolution: atoms at x + y.
@@ -467,7 +505,8 @@ def sumset(
     s1: IntervalSet,
     s2: IntervalSet,
     s: float,
-    pair_cap: int = 5_000_000,
+    *,
+    pair_cap: int,
 ) -> IntervalSet:
     """The arithmetic sum {x + s*y} of two interval sets, exactly merged.
 

@@ -7,7 +7,8 @@ paths against them: ``cylinder_mass`` against
 ``SymbolicMeasure.cylinder_mass_batch``, ``apply_word``, ``canonical_point``
 and ``cylinder_interval`` against ``AffineIfs.points_for_codes`` and
 ``intervals_for_codes``, ``contraction`` against ``contractions_for_codes``,
-and ``draw_weight`` against the keyed tree walk.
+``draw_weight`` against the keyed tree walk, and ``merged_atoms`` against
+``AtomicMeasure``'s sort and merge.
 """
 import numpy as np
 
@@ -70,3 +71,15 @@ def draw_weight(law, rng, letters) -> float:
     mat = np.array([letters], dtype=np.uint64).reshape(1, len(letters))
     u = _to_uniform(rng.word_hashes(mat))
     return float(law.weights_from_uniforms(u)[0])
+
+
+def merged_atoms(points, weights):
+    """Atoms stable-sorted by point, each run of equal points merged by ``np.add.reduceat``."""
+    points = np.asarray(points, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    order = np.argsort(points, kind="stable")
+    points, weights = points[order], weights[order]
+    if points.size < 2:
+        return points, weights
+    starts = np.flatnonzero(np.concatenate([[True], points[1:] != points[:-1]]))
+    return points[starts], np.add.reduceat(weights, starts)

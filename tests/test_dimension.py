@@ -148,11 +148,11 @@ class TestScalingEntropy:
     def test_single_atom_zero(self):
         m = AtomicMeasure([0.3], [1.0], resolution=0.0)
         for r in (0.01, 0.5):
-            assert _entropy_at_scale(m, r, None, None) == pytest.approx(0.0, abs=1e-15)
+            assert _entropy_at_scale(m, r, None) == pytest.approx(0.0, abs=1e-15)
 
     def test_separated_atoms_log_n(self):
         m = AtomicMeasure(np.arange(8.0), np.full(8, 0.125), resolution=0.0)
-        assert _entropy_at_scale(m, 0.25, None, None) == pytest.approx(math.log(8), abs=1e-12)
+        assert _entropy_at_scale(m, 0.25, None) == pytest.approx(math.log(8), abs=1e-12)
 
     def test_full_summation_oracle(self, uniform2):
         # independent oracle: explicit python loop over atoms
@@ -163,14 +163,15 @@ class TestScalingEntropy:
         for x, w in zip(m.points, norm_w):
             mass = norm_w[(m.points >= x - r) & (m.points <= x + r)].sum()
             expect -= w * math.log(mass)
-        assert _entropy_at_scale(m.normalized(), r, None, None) == pytest.approx(expect, rel=1e-12)
+        assert _entropy_at_scale(m.normalized(), r, None) == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(-math.log(2 * r), abs=0.05)
 
     def test_monte_carlo_matches_full(self, uniform2):
         m = unit_pushforward([0.3, 0.7], 12)
         r = 2.0**-5
-        full = _entropy_at_scale(m.normalized(), r, None, None)
-        mc = _entropy_at_scale(m.normalized(), r, 4000, KeyedRng(9))
+        norm = m.normalized()
+        full = _entropy_at_scale(norm, r, None)
+        mc = _entropy_at_scale(norm, r, norm.sample_points(4000, KeyedRng(9)))
         # internal spread of -log mass at this scale is below 1.5
         assert abs(mc - full) < 4 * 1.5 / math.sqrt(4000)
 
@@ -204,6 +205,25 @@ class TestEntropyDimension:
         stderr = np.std(slopes, ddof=1) / math.sqrt(len(slopes))
         assert abs(np.mean(slopes) - target) <= max(0.06, 3 * stderr)
 
+    def test_monte_carlo_draws_centers_once(self, monkeypatch):
+        m = unit_pushforward([0.3, 0.7], 12)
+        scales = default_scales(0.5, 12)
+        norm = m.normalized()
+        # the fit of one fresh draw per radius, as the centers were once drawn
+        hs = [_entropy_at_scale(norm, r, norm.sample_points(500, KeyedRng(6))) for r in scales]
+        draws = []
+        sample = AtomicMeasure.sample_points
+
+        def counted(self, count, rng):
+            draws.append(count)
+            return sample(self, count, rng)
+
+        monkeypatch.setattr(AtomicMeasure, "sample_points", counted)
+        fit = entropy_dimension(m, scales, sample_size=500, rng=KeyedRng(6))
+        assert draws == [500]
+        assert np.array_equal(fit.observable, hs)
+        assert (fit.slope, fit.stderr) == fit_loglog(-np.log(fit.scales), hs)
+
     def test_monte_carlo_needs_rng(self):
         m = unit_pushforward([0.5, 0.5], 8)
         with pytest.raises(ValueError, match="needs an rng"):
@@ -215,7 +235,7 @@ class TestEntropyDimension:
         # law, each disc mass summed over every pair
         m1 = unit_pushforward([0.2, 0.8], 8)
         m2 = unit_pushforward([0.3, 0.7], 7)
-        prod = product(m1, m2)
+        prod = product(m1, m2, atom_cap=2**15)
         w = prod.weights / prod.weights.sum()
         u = KeyedRng(4).counter_uniforms(0xE17, 500)
         centers = np.minimum(np.searchsorted(np.cumsum(w), u, side="right"), len(w) - 1)

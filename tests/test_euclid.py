@@ -27,9 +27,10 @@ from cascadim import (
 )
 from cascadim import euclid
 from cascadim.errors import CapExceeded, ScaleBelowResolution
-from cascadim.euclid import _product_pairs
+from cascadim.cascade import _to_uniform
+from cascadim.euclid import _inverse_cdf, _product_pairs
 from cascadim.symbolic import codes_to_letters
-from oracles import cylinder_interval
+from oracles import cylinder_interval, merged_atoms
 
 EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
 
@@ -51,6 +52,131 @@ class TestAtomicMeasure:
     def test_planar_points_rejected(self):
         with pytest.raises(ValueError):
             AtomicMeasure([[0.9, 0.1], [0.1, 0.5], [0.5, 0.2]], [1.0, 2.0, 3.0], 0.0)
+
+
+class TestEqualWeightAtoms:
+    """The value-only sort of equally weighted atoms against the stable sort and merge."""
+
+    @staticmethod
+    def _assert_same_bits(points, weights):
+        m = AtomicMeasure(points, weights, 0.0)
+        want_points, want_weights = merged_atoms(points, weights)
+        assert np.array_equal(m.points.view(np.int64), want_points.view(np.int64))
+        assert np.array_equal(m.weights.view(np.int64), want_weights.view(np.int64))
+        return m
+
+    def test_repeated_points(self):
+        rng = np.random.default_rng(4)
+        points = rng.integers(-50, 50, size=5000) / 8
+        m = self._assert_same_bits(points, np.full(points.size, 0.1))
+        assert len(m) < 101 and (np.diff(m.points) > 0).all()
+
+    def test_one_atom(self):
+        for x in (0.3, -0.0, 0.0):
+            self._assert_same_bits([x], [0.25])
+
+    def test_mixed_signed_zeros(self):
+        # -0.0 == +0.0, so the run of zeros merges into one atom whose point
+        # is the first zero given, whichever its sign
+        for points in ([0.0, -0.0, 1.0, -0.0], [-0.0, 0.5, 0.0, 0.0, -1.0], [2.0, 0.0, -0.0]):
+            m = self._assert_same_bits(points, np.full(len(points), 0.5))
+            given = np.array(points)
+            assert m.points[m.points == 0].tobytes() == given[given == 0][:1].tobytes()
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            points = rng.choice([-0.0, 0.0, 0.25, -0.25], size=300)
+            self._assert_same_bits(points, np.full(points.size, 1 / 3))
+
+    def test_unequal_and_signed_zero_weights_take_the_stable_sort(self):
+        # weights equal in value but not in bits (0.0 and -0.0), and unequal weights
+        points = [0.5, 0.5, 0.0, -0.0, 0.5]
+        self._assert_same_bits(points, [0.0, -0.0, -0.0, 0.0, 0.0])
+        self._assert_same_bits(points, [0.1, 0.2, 0.3, 0.4, 0.5])
+
+
+class TestInverseCdf:
+    """The guide-table inverse CDF against the plain search and clamp, bit for bit."""
+
+    @staticmethod
+    def _assert_plain(weights, u):
+        weights = np.asarray(weights, dtype=np.float64)
+        u = np.asarray(u, dtype=np.float64)
+        total = float(weights.sum())
+        cdf = np.cumsum(weights) / total
+        want = np.minimum(np.searchsorted(cdf, u, side="right"), weights.size - 1)
+        got = _inverse_cdf(weights, total, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @staticmethod
+    def _table(n):
+        return 1 << (n - 1).bit_length()
+
+    # the largest value counter_uniforms can return: (2^53 - 1 + 0.5) * 2^-53,
+    # 1 - 2^-54, which rounds to 1.0
+    TOP = float(_to_uniform(np.array([2**64 - 1], dtype=np.uint64))[0])
+
+    def _keys(self, weights, count, seed=0):
+        """``count`` stream uniforms, every bucket edge b/B, every CDF value and the top uniform."""
+        weights = np.asarray(weights, dtype=np.float64)
+        table = self._table(weights.size)
+        edges = np.arange(table + 1) / table
+        cdf = np.cumsum(weights) / weights.sum()
+        u = np.concatenate([KeyedRng(seed).counter_uniforms(0xE17, count), edges, cdf, [self.TOP]])
+        assert u.size >= table  # the guide table runs
+        return u
+
+    def test_concentrated_bernoulli(self):
+        m = pushforward(unit_cascade(SymbolicMeasure.bernoulli([0.9, 0.1]), Subshift.full(2), 12), AffineIfs.tiling(2))
+        assert len(m) == 4096
+        self._assert_plain(m.weights, self._keys(m.weights, 50_000))
+        bc = bernoulli_convolution(0.4, 0.9, 12)
+        self._assert_plain(bc.weights, self._keys(bc.weights, 50_000, seed=1))
+
+    def test_uniform(self):
+        for n in (1000, 1024, 1025):
+            w = np.full(n, 1 / n)
+            self._assert_plain(w, self._keys(w, 20_000))
+
+    def test_single_atom(self):
+        self._assert_plain([0.7], self._keys([0.7], 100))
+        self._assert_plain([0.7], [self.TOP])
+
+    def test_zero_weight_atoms(self):
+        w = np.array([0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.5, 0.2, 0.0, 0.0])
+        self._assert_plain(w, self._keys(w, 5000))
+        w = np.zeros(300)
+        w[[7, 150, 151, 299]] = [1.0, 2.0, 0.5, 0.25]
+        self._assert_plain(w, self._keys(w, 5000))
+
+    def test_keys_on_edges_and_cdf_values(self):
+        # dyadic weights put CDF values on the bucket edges themselves
+        w = np.array([0.25, 0.125, 0.125, 0.5])
+        table = self._table(w.size)
+        self._assert_plain(w, np.arange(table + 1) / table)
+        self._assert_plain(w, np.tile(np.cumsum(w), 2))
+        # keys one ulp either side of every edge
+        edges = np.arange(1, 1025) / 1024
+        w = np.random.default_rng(2).random(1000)
+        self._assert_plain(w, np.concatenate([np.nextafter(edges, 0), edges, np.nextafter(edges, 2)]))
+
+    def test_few_keys_take_the_plain_search(self, monkeypatch):
+        w = np.random.default_rng(3).random(1000) + 0.01
+        table = self._table(w.size)
+        built = []
+
+        class NumpySpy:  # numpy as euclid sees it, noting each guide-table build
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def arange(self, *args, **kwargs):
+                built.append(args)
+                return np.arange(*args, **kwargs)
+
+        monkeypatch.setattr(euclid, "np", NumpySpy())
+        self._assert_plain(w, KeyedRng(4).counter_uniforms(0xA1, table - 1))
+        assert built == []  # no table
+        self._assert_plain(w, KeyedRng(4).counter_uniforms(0xA1, table))
+        assert built == [(table + 2,)]
 
 
 class TestPushforward:
@@ -186,14 +312,14 @@ class TestLatticeImage:
 
 class TestProduct:
     def test_single_atoms(self):
-        m = product(AtomicMeasure([1.0], [0.5], 0.0), AtomicMeasure([2.0], [0.25], 0.0))
+        m = product(AtomicMeasure([1.0], [0.5], 0.0), AtomicMeasure([2.0], [0.25], 0.0), atom_cap=1)
         assert np.column_stack([m.xs, m.ys]).tolist() == [[1.0, 2.0]]
         assert m.weights.tolist() == [0.125]
 
     def test_exact_total(self):
         m1 = AtomicMeasure([0.0, 1.0], [0.4, 0.6], 0.0)
         m2 = AtomicMeasure([0.0, 0.5, 1.0], [0.2, 0.3, 0.5], 0.0)
-        m = product(m1, m2)
+        m = product(m1, m2, atom_cap=6)
         assert m.weights.sum() == pytest.approx(m1.total_weight * m2.total_weight, abs=1e-9)
 
     def test_sampled_needs_rng(self):
@@ -213,7 +339,7 @@ class TestProduct:
         xs = np.linspace(0, 1, 10)
         m1 = AtomicMeasure(xs, np_rng.random(10) + 0.1, 0.0)
         m2 = AtomicMeasure(xs, np_rng.random(10) + 0.1, 0.0)
-        exact = product(m1, m2)
+        exact = product(m1, m2, atom_cap=100)
         sampled = product(m1, m2, atom_cap=50, rng=KeyedRng(3))  # force sampling
         n = len(sampled)
         assert n == 50
@@ -244,12 +370,12 @@ class TestProduct:
 
 class TestProjection:
     def test_zero_exponent_plus(self):
-        prod = product(AtomicMeasure([0.0], [1.0], 0.0), AtomicMeasure([0.0], [1.0], 0.0))
+        prod = product(AtomicMeasure([0.0], [1.0], 0.0), AtomicMeasure([0.0], [1.0], 0.0), atom_cap=1)
         m = project(prod, 0.0, +1, 0.5)
         assert m.points.tolist() == [0.0]
 
     def test_weight_preserved_and_formula(self):
-        prod = product(AtomicMeasure([2.0], [0.5], 0.0), AtomicMeasure([3.0], [0.4], 0.0))
+        prod = product(AtomicMeasure([2.0], [0.5], 0.0), AtomicMeasure([3.0], [0.4], 0.0), atom_cap=1)
         m = project(prod, 2.0, +1, 0.5)
         assert m.points[0] == pytest.approx(0.25 * 2.0 + 3.0)
         assert m.weights[0] == pytest.approx(0.2)
@@ -259,7 +385,7 @@ class TestProjection:
     def test_marginals_recover_factors(self):
         m1 = AtomicMeasure([0.0, 1.0], [0.4, 0.6], 0.0)
         m2 = AtomicMeasure([0.0, 2.0], [0.7, 0.3], 0.0)
-        prod = product(m1, m2)
+        prod = product(m1, m2, atom_cap=4)
         mx = marginal(prod, 0)
         assert mx.points.tolist() == m1.points.tolist()
         assert np.allclose(mx.weights, m1.weights, atol=1e-15)
@@ -269,15 +395,15 @@ class TestProjection:
 
 class TestConvolve:
     def test_point_masses_add(self):
-        m = convolve(AtomicMeasure([1.5], [1.0], 0.0), AtomicMeasure([-0.5], [1.0], 0.0))
+        m = convolve(AtomicMeasure([1.5], [1.0], 0.0), AtomicMeasure([-0.5], [1.0], 0.0), atom_cap=1)
         assert m.points.tolist() == [1.0]
         assert m.weights.tolist() == [1.0]
 
     def test_commutative_ball_masses(self, uniform2, tiling2):
         m1 = pushforward(unit_cascade(uniform2, Subshift.full(2), 6), tiling2)
         m2 = pushforward(unit_cascade(SymbolicMeasure.bernoulli([0.3, 0.7]), Subshift.full(2), 5), tiling2)
-        c12 = convolve(m1, m2)
-        c21 = convolve(m2, m1)
+        c12 = convolve(m1, m2, atom_cap=2**11)
+        c21 = convolve(m2, m1, atom_cap=2**11)
         for center in (0.3, 0.9, 1.5):
             assert c12.ball_mass(center, 0.1) == pytest.approx(c21.ball_mass(center, 0.1), rel=1e-12)
 
@@ -285,7 +411,7 @@ class TestConvolve:
         # self-convolution of the depth-6 uniform tiling measure: the atom
         # weights on the grid follow the discrete self-convolution
         m = pushforward(unit_cascade(uniform2, Subshift.full(2), 6), tiling2)
-        conv = convolve(m, m)
+        conv = convolve(m, m, atom_cap=2**12)
         oracle = np.convolve(np.full(64, 1 / 64), np.full(64, 1 / 64))
         assert len(conv) == 127
         assert np.allclose(np.sort(conv.weights)[::-1], np.sort(oracle)[::-1], atol=1e-15)
@@ -294,14 +420,14 @@ class TestConvolve:
     def test_equals_projected_product(self):
         m1 = AtomicMeasure([0.0, 0.25, 0.75], [0.2, 0.5, 0.3], 0.0)
         m2 = AtomicMeasure([0.1, 0.6], [0.5, 0.5], 0.0)
-        conv = convolve(m1, m2)
-        proj = project(product(m1, m2), 0.0, +1, 0.5)
+        conv = convolve(m1, m2, atom_cap=6)
+        proj = project(product(m1, m2, atom_cap=6), 0.0, +1, 0.5)
         # normalization pair (scale, shift) = (1, 0): identical atom sets
         assert np.allclose(np.sort(conv.points), np.sort(proj.points), atol=0)
         for center in (0.3, 0.85):
             assert conv.ball_mass(center, 0.2) == pytest.approx(proj.ball_mass(center, 0.2), abs=1e-15)
         # exact grid and sampled mode give the projected product bit for bit
-        for kwargs in ({}, {"atom_cap": 5, "rng": KeyedRng(3)}):
+        for kwargs in ({"atom_cap": 6}, {"atom_cap": 5, "rng": KeyedRng(3)}):
             conv = convolve(m1, m2, **kwargs)
             proj = project(product(m1, m2, **kwargs), 0.0, +1, 0.5)
             assert np.array_equal(conv.points, proj.points)
@@ -312,8 +438,8 @@ class TestConvolve:
         m1 = AtomicMeasure([0.0, 0.25, 0.75], [0.2, 0.5, 0.3], 0.0)
         m2 = AtomicMeasure([0.1, 0.6], [0.5, 0.5], 0.0)
         delta, s = 0.5, 1.5
-        proj = project(product(m1, m2), s, +1, delta)
-        conv = convolve(m1.scaled(delta**s), m2)
+        proj = project(product(m1, m2, atom_cap=6), s, +1, delta)
+        conv = convolve(m1.scaled(delta**s), m2, atom_cap=6)
         assert np.allclose(np.sort(proj.points), np.sort(conv.points), atol=1e-15)
         for center in (0.3, 0.7):
             assert proj.ball_mass(center, 0.2) == pytest.approx(conv.ball_mass(center, 0.2), abs=1e-15)
@@ -350,20 +476,20 @@ def _one_family_erosion(a, bs):
 class TestSumset:
     def test_unit_plus_unit(self):
         u = IntervalSet([0.0], [1.0])
-        out = sumset(u, u, 1.0)
+        out = sumset(u, u, 1.0, pair_cap=1)
         assert len(out) == 1 and (out.los[0], out.his[0]) == (0.0, 2.0)
 
     def test_singleton_second_set(self):
         pts = IntervalSet([0.0, 1.0], [0.0, 1.0])
         single = IntervalSet([0.0], [0.0])
-        out = sumset(pts, single, 2.5)
+        out = sumset(pts, single, 2.5, pair_cap=2)
         assert out.los.tolist() == [0.0, 1.0]
         assert out.his.tolist() == [0.0, 1.0]
 
     def test_zero_s_rejected(self):
         u = IntervalSet([0.0], [1.0])
         with pytest.raises(ValueError):
-            sumset(u, u, 0.0)
+            sumset(u, u, 0.0, pair_cap=1)
 
     def test_pair_cap(self):
         a = IntervalSet(np.arange(100.0) * 2, np.arange(100.0) * 2 + 0.5)
@@ -376,7 +502,7 @@ class TestSumset:
         c2 = percolation_codes(Subshift.full(3), 0.7, 4, KeyedRng(5))
         img2 = set_image(c2, AffineIfs.tiling(3), length=4)
         s = math.sqrt(2.0)
-        out = sumset(img1, img2, s)
+        out = sumset(img1, img2, s, pair_cap=len(img1) * len(img2))
         # oracle: python double loop + merge
         pairs = sorted(
             (lo1 + s * lo2, hi1 + s * hi2)
@@ -407,12 +533,12 @@ class TestSumset:
                     bs = b.scale(s)
                     los, his = np.add.outer(a.los, bs.los), np.add.outer(a.his, bs.his)
                     brute = IntervalSet(los.ravel(), his.ravel())
-                    eroded = sumset(a, b, s)
+                    eroded = sumset(a, b, s, pair_cap=n * m)
                     assert np.array_equal(brute.los, eroded.los)
                     assert np.array_equal(brute.his, eroded.his)
         # isolated points survive: {0, 1} + {0}
         pts = IntervalSet([0.0, 1.0], [0.0, 1.0])
-        out = sumset(pts, IntervalSet([0.0], [0.0]), 1.0)
+        out = sumset(pts, IntervalSet([0.0], [0.0]), 1.0, pair_cap=2)
         assert out.los.tolist() == [0.0, 1.0] and out.his.tolist() == [0.0, 1.0]
 
     def test_blocked_erosion_matches_one_family_loop(self, monkeypatch):
@@ -450,7 +576,7 @@ class TestSumset:
                 los, his = _one_family_erosion(a, b.scale(s))
                 for budget in budgets:
                     monkeypatch.setattr(euclid, "_EROSION_BUDGET", budget)
-                    out = sumset(a, b, s)
+                    out = sumset(a, b, s, pair_cap=len(a) * len(b))
                     assert np.array_equal(out.los, los) and np.array_equal(out.his, his)
 
     def test_reflection_identity(self):
@@ -461,8 +587,8 @@ class TestSumset:
         lo2 = np.sort(rng.random(30)) * 2
         s2 = IntervalSet(lo2, lo2 + 0.02)
         for s in (2.0, -0.7):
-            left = sumset(s1, s2, s)
-            right = sumset(s2, s1, 1.0 / s).scale(s)
+            left = sumset(s1, s2, s, pair_cap=1200)
+            right = sumset(s2, s1, 1.0 / s, pair_cap=1200).scale(s)
             assert len(left) == len(right)
             assert np.allclose(left.los, right.los, atol=1e-12)
             assert np.allclose(left.his, right.his, atol=1e-12)
