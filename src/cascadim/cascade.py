@@ -59,11 +59,12 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _to_uniform(h: np.ndarray) -> np.ndarray:
-    # strictly inside (0,1): safe for inverse-CDF transforms
+    # strictly inside (0,1): safe for inverse-CDF transforms.  The top code's
+    # midpoint 2^53 - 0.5 rounds up to 2^53, so 1.0 is clamped to 1 - 2^-53.
     u = (h >> np.uint64(11)).astype(np.float64)
     u += 0.5
     u *= _U53
-    return u
+    return np.minimum(u, 1.0 - _U53, out=u)
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def _grow(base, x, law, rng, depth, cap):
     if depth < 1:
         raise ValueError("depth must be >= 1")
 
-    def weigh(length, hashes):
+    def weigh(hashes):
         return law.weights_from_uniforms(_to_uniform(hashes))
 
     table = x.successor_table() * base.step_table()

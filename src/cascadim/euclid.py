@@ -199,13 +199,13 @@ def _sort_equal_weight_points(points: np.ndarray) -> np.ndarray:
 def _inverse_cdf(weights: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
     """Atom indices ``min(searchsorted(cumsum(weights) / total, u, "right"), n - 1)``, bit for bit.
 
-    The keys u lie in [0, 1]; ``KeyedRng.counter_uniforms`` rounds its top
-    value up to 1.0.  With B the power of two at or above n, a guide table
-    (Chen & Asau's indexed search) holds ``edges[b]``, the search result at
-    b/B, for b = 0..B+1, so u = 1.0 has bucket B; every b/B is exact.  The
-    search is monotone in u and b = floor(u*B) is exact, so the result for
-    u lies in ``[edges[b], edges[b+1]]``, and a key whose two ends agree
-    needs no search.  Fewer keys than B take the plain search.
+    The keys u lie in [0, 1]: ``KeyedRng.counter_uniforms`` stays below 1,
+    but any key of 1.0 is answered too.  With B the power of two at or above
+    n, a guide table (Chen & Asau's indexed search) holds ``edges[b]``, the
+    search result at b/B, for b = 0..B+1, so u = 1.0 has bucket B; every b/B
+    is exact.  The search is monotone in u and b = floor(u*B) is exact, so
+    the result for u lies in ``[edges[b], edges[b+1]]``, and a key whose two
+    ends agree needs no search.  Fewer keys than B take the plain search.
     """
     cdf = np.cumsum(weights) / total
     table = 1 << (cdf.size - 1).bit_length()

@@ -16,6 +16,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -52,25 +53,26 @@ __all__ = [
 
 
 def rational_approximation(x: float, max_den: int = 50, tol: float = 1e-9):
-    """Best continued-fraction convergent p/q with q <= max_den, if within tol.
+    """The closest fraction p/q to x with q <= max_den, if within tol.
 
     Returns (p, q) when |x - p/q| < tol, else None.  Used to warn when a
     log-ratio hypothesis ("irrational") is numerically violated.
     """
-    h_prev, h = 1, int(math.floor(x))
-    k_prev, k = 0, 1
-    frac = x - math.floor(x)
-    while True:
-        if abs(x - h / k) < tol:
-            return h, k
-        if frac == 0:
-            return None
-        a = int(math.floor(1.0 / frac))
-        frac = 1.0 / frac - a
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        if k > max_den:
-            return None
+    f = Fraction(x).limit_denominator(max_den)
+    if abs(x - f.numerator / f.denominator) < tol:
+        return f.numerator, f.denominator
+    return None
+
+
+def _rational_ratio_warnings(ratio: float, name: str) -> list:
+    """The warning that makes a verdict advisory when ``ratio`` is numerically rational."""
+    approx = rational_approximation(ratio)
+    if approx is None:
+        return []
+    return [
+        f"{name} ~ {approx[0]}/{approx[1]} is rational: "
+        "the additivity hypothesis fails, verdict is advisory"
+    ]
 
 
 _COMMON = {
@@ -191,6 +193,17 @@ def _build_ifs(spec, alphabet: int) -> AffineIfs:
         except ValueError as exc:
             raise ConfigError(f"bad ifs maps: {exc}") from exc
     raise ConfigError(f"bad ifs spec {spec!r}")
+
+
+def _build_system(cfg: dict, use: str) -> tuple[Subshift, AffineIfs]:
+    """The config's subshift and IFS: equal-ratio, on one alphabet, as ``use`` needs them."""
+    shift = _build_subshift(cfg["subshift"], cfg["alphabet"])
+    ifs = _build_ifs(cfg["ifs"], shift.alphabet_size)
+    if ifs.alphabet_size != shift.alphabet_size:
+        raise ConfigError("ifs and subshift alphabets differ")
+    if ifs.equal_ratio is None:
+        raise ConfigError(f"{use} needs an equal-ratio IFS")
+    return shift, ifs
 
 
 def _build_law(cfg: dict) -> WeightLaw:
@@ -437,14 +450,8 @@ def _dedup_overlap_structure(ifs: AffineIfs):
 
 
 def run_percolation_image_dim(cfg: dict) -> Findings:
-    a = cfg["alphabet"]
-    shift = _build_subshift(cfg["subshift"], a)
-    ifs = _build_ifs(cfg["ifs"], shift.alphabet_size)
-    if ifs.alphabet_size != shift.alphabet_size:
-        raise ConfigError("ifs and subshift alphabets differ")
+    shift, ifs = _build_system(cfg, "percolation image experiment")
     delta = ifs.equal_ratio
-    if delta is None:
-        raise ConfigError("percolation image experiment needs an equal-ratio IFS")
     p = cfg["p"]
     depth = cfg["depth"]
     profile = gamma_estimate(shift, ifs, cfg["gamma_nmax"])
@@ -508,14 +515,7 @@ def run_sumset_dim(cfg: dict) -> Findings:
         raise ConfigError("s values must be nonzero")
     dim_sum = 2.0 + math.log(pa) / math.log(a) + math.log(pb) / math.log(b)
     target = min(1.0, dim_sum)
-    warnings_list = []
-    ratio = math.log(1.0 / a) / math.log(1.0 / b)
-    approx = rational_approximation(ratio)
-    if approx is not None:
-        warnings_list.append(
-            f"log delta / log rho ~ {approx[0]}/{approx[1]} is rational: "
-            "the additivity hypothesis fails, verdict is advisory"
-        )
+    rational = _rational_ratio_warnings(math.log(1.0 / a) / math.log(1.0 / b), "log delta / log rho")
     # probe scales: dyadic ladder floored at the coarser of the two set scales
     floor = max(1.0 / a**da, 1.0 / b**db) * 2
     ks = range(3, int(-math.log2(floor)) + 1)
@@ -539,7 +539,7 @@ def run_sumset_dim(cfg: dict) -> Findings:
         checks=[_check([fits[s].slope for fits in results], target, cfg["tolerance"], s=s) for s in s_values],
         fits=[(i, f"s={s:g}", fits[s].scales, fits[s].observable) for i, fits in enumerate(results) for s in s_values],
         plot=(np.log(1 / f0.scales), np.log(f0.observable), f0.slope, "sumset box counts (trial 0)"),
-        scan=True, warnings=warnings_list, discarded=discarded, advisory=approx is not None,
+        scan=True, warnings=rational, discarded=discarded, advisory=bool(rational),
     )
 
 
@@ -602,13 +602,8 @@ def run_bernoulli_convolution(cfg: dict) -> Findings:
             warnings_list.append(
                 f"beta {beta} >= 1/2: factor dimension formula assumes the separated regime"
             )
-    ratio = math.log(b1) / math.log(b2)
-    approx = rational_approximation(ratio)
-    if approx is not None:
-        warnings_list.append(
-            f"log beta / log beta' ~ {approx[0]}/{approx[1]} is rational: "
-            "the additivity hypothesis fails, verdict is advisory"
-        )
+    rational = _rational_ratio_warnings(math.log(b1) / math.log(b2), "log beta / log beta'")
+    warnings_list += rational
 
     def h(p):
         return -(p * math.log(p) + (1 - p) * math.log(1 - p)) if 0 < p < 1 else 0.0
@@ -628,13 +623,12 @@ def run_bernoulli_convolution(cfg: dict) -> Findings:
         checks=[_check(fit.slope, target, cfg["tolerance"], fit.stderr)],
         fits=[(0, "H_r", fit.scales, fit.observable)],
         plot=(-np.log(fit.scales), fit.observable, fit.slope, "convolution scaling entropy"),
-        warnings=warnings_list, advisory=approx is not None,
+        warnings=warnings_list, advisory=bool(rational),
     )
 
 
 def run_gamma(cfg: dict) -> Findings:
-    shift = _build_subshift(cfg["subshift"], cfg["alphabet"])
-    ifs = _build_ifs(cfg["ifs"], shift.alphabet_size)
+    shift, ifs = _build_system(cfg, "overlap counting")
     profile = gamma_estimate(shift, ifs, cfg["n_max"])
     target = cfg["expect_gamma"]
     est = profile.gamma_estimate

@@ -1,9 +1,10 @@
 """One-sided symbolic spaces, subshifts and shift-invariant measures.
 
-Letters run over ``{1..a}``.  A word indexes a cylinder; a subshift is either
-the full shift or a subshift of finite type given by an ``a x a`` 0/1 letter
-transition matrix.  Measures are Bernoulli or stationary Markov, the two
-families whose cylinder masses have closed forms.  Entropies are in nats
+Letters run over ``{1..a}``.  A word indexes a cylinder; a subshift is a
+subshift of finite type given by an ``a x a`` 0/1 letter transition matrix,
+the full shift being the all-ones matrix.  Measures are stationary Markov
+chains, whose cylinder masses have closed forms; a Bernoulli measure is the
+chain whose rows all equal its initial law.  Entropies are in nats
 throughout; dimension formulas downstream divide by the log of the metric
 contraction in the same base.
 
@@ -65,11 +66,11 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
     enumerates words.
 
     With ``rng`` and ``weigh`` each child's mass takes one more factor,
-    ``weigh(length, hashes)``, from the keyed hashes of the children of one
-    block at that length.  Every node carries its prefix state for each
-    deeper word length (``rng.length_states`` at the root); a child's hash is
-    its parent's next-length state absorbing its letter (``rng.absorb``),
-    and only the survivors absorb their letter into their remaining states.
+    ``weigh(hashes)``, from the keyed hashes of the children of one block.
+    Every node carries its prefix state for each deeper word length
+    (``rng.length_states`` at the root); a child's hash is its parent's
+    next-length state absorbing its letter (``rng.absorb``), and only the
+    survivors absorb their letter into their remaining states.
 
     The walk runs breadth first until a level holds more than ``_BLOCK``
     nodes, then walks each contiguous block of that level down to ``depth``
@@ -105,7 +106,7 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
         if weigh is not None:
             hashes = np.repeat(states[0], a)
             rng.absorb(hashes, child_letters[: len(hashes)])
-            masses *= weigh(length + 1, hashes)
+            masses *= weigh(hashes)
         kept = np.flatnonzero(masses > 0)
         parent = kept // a
         row = kept - parent * a
@@ -135,48 +136,63 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
     return np.concatenate(leaf_codes), np.concatenate(leaf_masses)
 
 
-def _int_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+def _perron(A: np.ndarray):
+    """Perron eigenvalue and positive eigenvector (summing to 1) of a
+    nonnegative irreducible matrix, by shifted power iteration.
+
+    Iterates with A + I so periodic matrices (e.g. permutations) converge.
+    """
+    tol = 1e-14
+    a = len(A)
+    M = A + np.eye(a)
+    v = np.full(a, 1.0 / a)
+    lam = 0.0
+    for _ in range(100_000):
+        w = M @ v
+        new_lam = w.max()
+        w /= new_lam
+        if abs(new_lam - lam) <= tol * new_lam and np.max(np.abs(w - v)) <= tol:
+            v = w
+            lam = new_lam
+            break
+        v = w
+        lam = new_lam
+    v = v / v.sum()
+    return lam - 1.0, v
 
 
 @dataclass(frozen=True)
 class Subshift:
-    """Full shift or subshift of finite type on ``{1..a}^N``.
+    """Subshift of finite type on ``{1..a}^N``.
 
-    ``transition[i][j] == 1`` allows letter ``i+1`` to be followed by ``j+1``.
-    ``transition is None`` means the full shift.
+    ``transition[i][j] == 1`` allows letter ``i+1`` to be followed by ``j+1``;
+    the full shift is the all-ones matrix.
     """
 
-    alphabet_size: int
-    transition: tuple[tuple[int, ...], ...] | None = None
+    transition: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.alphabet_size < 2:
+        a = len(self.transition)
+        if a < 2:
             raise ValueError("alphabet_size must be >= 2")
-        if self.transition is not None:
-            a = self.alphabet_size
-            if len(self.transition) != a or any(len(r) != a for r in self.transition):
-                raise ValueError("transition matrix must be a x a")
-            if any(v not in (0, 1) for r in self.transition for v in r):
-                raise ValueError("transition entries must be 0/1")
-            if any(sum(r) == 0 for r in self.transition):
-                # Letters with no successor would make deeper word sets empty;
-                # they are legal as a matrix but useless, so reject early only
-                # if *every* letter is a dead end.
-                if all(sum(r) == 0 for r in self.transition):
-                    raise ValueError("transition matrix has no allowed pair")
+        if any(len(r) != a for r in self.transition):
+            raise ValueError("transition matrix must be a x a")
+        if any(v not in (0, 1) for r in self.transition for v in r):
+            raise ValueError("transition entries must be 0/1")
+        # letters without a successor are legal, only useless; a matrix with
+        # no allowed pair at all has no words past length 1
+        if all(sum(r) == 0 for r in self.transition):
+            raise ValueError("transition matrix has no allowed pair")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def full(cls, alphabet_size: int) -> "Subshift":
-        return cls(alphabet_size)
+        return cls.sft([[1] * alphabet_size] * alphabet_size)
 
     @classmethod
     def sft(cls, matrix: Sequence[Sequence[int]]) -> "Subshift":
-        rows = tuple(tuple(int(v) for v in r) for r in matrix)
-        return cls(len(rows), rows)
+        return cls(tuple(tuple(int(v) for v in r) for r in matrix))
 
     @classmethod
     def golden_mean(cls) -> "Subshift":
@@ -186,17 +202,17 @@ class Subshift:
     # -- structure ------------------------------------------------------
 
     @property
+    def alphabet_size(self) -> int:
+        return len(self.transition)
+
+    @property
     def is_full_shift(self) -> bool:
-        return self.transition is None
+        return all(all(r) for r in self.transition)
 
     def matrix(self) -> np.ndarray:
-        if self.transition is None:
-            return np.ones((self.alphabet_size, self.alphabet_size), dtype=np.int64)
         return np.array(self.transition, dtype=np.int64)
 
     def is_irreducible(self) -> bool:
-        if self.transition is None:
-            return True
         A = self.matrix() > 0
         a = self.alphabet_size
         reach = A | np.eye(a, dtype=bool)
@@ -213,8 +229,6 @@ class Subshift:
         adjacent pairs are allowed and its last letter is live; on irreducible
         systems every letter is live and the pair rule alone decides.
         """
-        if self.transition is None:
-            return np.arange(self.alphabet_size)
         A = self.matrix() > 0
         live = np.ones(self.alphabet_size, dtype=bool)
         for _ in range(self.alphabet_size + 1):
@@ -230,24 +244,11 @@ class Subshift:
             raise ValueError("n must be >= 0")
         if n == 0:
             return 1
-        if self.transition is None:
-            return self.alphabet_size ** n
+        # the entries of the live-restricted A^(n-1), summed; object dtype
+        # keeps Python integers, so the count never wraps
         live = self._live_letters()
-        if live.size == 0:
-            return 0
-        # row sums of the live-restricted A^(n-1), summed over starting letters
-        sub = self.matrix()[np.ix_(live, live)]
-        A = [list(map(int, row)) for row in sub]
-        size = live.size
-        power = [[int(i == j) for j in range(size)] for i in range(size)]
-        k = n - 1
-        base = A
-        while k:
-            if k & 1:
-                power = _int_matmul(power, base)
-            base = _int_matmul(base, base)
-            k >>= 1
-        return sum(sum(row) for row in power)
+        sub = self.matrix()[np.ix_(live, live)].astype(object)
+        return int(np.linalg.matrix_power(sub, n - 1).sum())
 
     def successor_table(self) -> np.ndarray:
         """Boolean ``(a+1, a)`` table of the letters allowed after each letter.
@@ -273,62 +274,42 @@ class Subshift:
 
     # -- spectral quantities ----------------------------------------------
 
-    def _perron(self, transpose: bool = False, tol: float = 1e-14, max_iter: int = 100_000):
-        """Perron eigenvalue and positive eigenvector by shifted power iteration.
-
-        Iterates with A + I so periodic matrices (e.g. permutations) converge.
-        """
+    def _perron(self):
         if not self.is_irreducible():
             raise NotIrreducible("transition matrix is not irreducible")
-        A = self.matrix().astype(float)
-        if transpose:
-            A = A.T
-        a = self.alphabet_size
-        M = A + np.eye(a)
-        v = np.full(a, 1.0 / a)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = M @ v
-            new_lam = w.max()
-            w /= new_lam
-            if abs(new_lam - lam) <= tol * new_lam and np.max(np.abs(w - v)) <= tol:
-                v = w
-                lam = new_lam
-                break
-            v = w
-            lam = new_lam
-        v = v / v.sum()
-        return lam - 1.0, v
+        return _perron(self.matrix().astype(float))
 
     def topological_entropy(self) -> float:
-        """log of the Perron eigenvalue; log(a) for the full shift."""
-        if self.transition is None:
+        """log of the Perron eigenvalue; exactly log(a) for the full shift."""
+        if self.is_full_shift:
             return math.log(self.alphabet_size)
         lam, _ = self._perron()
         return math.log(lam)
 
     def parry_measure(self) -> "SymbolicMeasure":
-        """The Markov measure of maximal entropy of an irreducible SFT."""
-        if self.transition is None:
-            a = self.alphabet_size
-            return SymbolicMeasure.bernoulli([1.0 / a] * a)
+        """The Markov measure of maximal entropy of an irreducible SFT;
+        exactly uniform on the full shift."""
+        if self.is_full_shift:
+            return SymbolicMeasure.uniform(self.alphabet_size)
         lam, v = self._perron()
-        _, u = self._perron(transpose=True)
         A = self.matrix().astype(float)
+        _, u = _perron(A.T)
         P = A * v[None, :] / (lam * v[:, None])
         pi = u * v
         pi = pi / pi.sum()
-        return SymbolicMeasure.markov(pi, P, _check_stationary=False)
+        return SymbolicMeasure.markov(pi, P)
 
 
 @dataclass(frozen=True)
 class SymbolicMeasure:
-    """Bernoulli or stationary Markov measure on the one-sided shift."""
+    """Stationary Markov measure on the one-sided shift.
 
-    kind: str  # "bernoulli" | "markov"
-    probs: tuple[float, ...] | None = None
-    initial: tuple[float, ...] | None = None
-    transition: tuple[tuple[float, ...], ...] | None = None
+    A Bernoulli measure is the chain whose transition rows all equal its
+    initial law.
+    """
+
+    initial: tuple[float, ...]
+    transition: tuple[tuple[float, ...], ...]
 
     @classmethod
     def bernoulli(cls, probs: Iterable[float]) -> "SymbolicMeasure":
@@ -337,19 +318,14 @@ class SymbolicMeasure:
             raise ValueError("need at least two letters")
         if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
             raise ValueError("probabilities must be nonnegative and sum to 1")
-        return cls("bernoulli", probs=p)
+        return cls(p, (p,) * len(p))
 
     @classmethod
     def uniform(cls, alphabet_size: int) -> "SymbolicMeasure":
         return cls.bernoulli([1.0 / alphabet_size] * alphabet_size)
 
     @classmethod
-    def markov(
-        cls,
-        initial: Iterable[float],
-        transition: Sequence[Sequence[float]],
-        _check_stationary: bool = True,
-    ) -> "SymbolicMeasure":
+    def markov(cls, initial: Iterable[float], transition: Sequence[Sequence[float]]) -> "SymbolicMeasure":
         P = np.array([[float(v) for v in row] for row in transition], dtype=float)
         a = P.shape[0]
         if P.shape != (a, a) or a < 2:
@@ -359,41 +335,36 @@ class SymbolicMeasure:
         pi = np.array([float(x) for x in initial], dtype=float)
         if pi.shape != (a,) or (pi < -1e-15).any() or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("initial must be a probability vector of length a")
-        if _check_stationary and np.max(np.abs(pi @ P - pi)) > 1e-10:
-            pi = _stationary_of(P)
+        if np.max(np.abs(pi @ P - pi)) > 1e-10:
+            pi = _perron(P.T)[1]
             warnings.warn(
                 "initial distribution is not stationary; replaced by the "
                 "stationary distribution of the transition matrix",
                 NonStationaryWarning,
             )
-        return cls(
-            "markov",
-            initial=tuple(float(x) for x in pi),
-            transition=tuple(tuple(float(v) for v in row) for row in P),
-        )
+        return cls(tuple(float(x) for x in pi), tuple(tuple(float(v) for v in row) for row in P))
 
     # -- basic facts ------------------------------------------------------
 
     @property
     def alphabet_size(self) -> int:
-        if self.kind == "bernoulli":
-            return len(self.probs)
         return len(self.initial)
 
     def entropy(self) -> float:
         """Measure-theoretic entropy in nats (0*log 0 = 0).
 
-        For Markov measures this is the asymptotic cylinder decay rate, which
-        weights the transition rows by the stationary distribution; fibre
-        measures restarted from a transition row therefore keep the entropy
-        of the chain.
+        This is the asymptotic cylinder decay rate, which weights the
+        transition rows by the stationary distribution; fibre measures
+        restarted from a transition row therefore keep the entropy of the
+        chain.  When every row equals the initial law (a Bernoulli measure)
+        it is -sum p log p of that law.
         """
-        if self.kind == "bernoulli":
-            return float(-_xlogx(np.array(self.probs)).sum())
         P = np.array(self.transition)
         pi = np.array(self.initial)
+        if (P == pi).all():
+            return float(-_xlogx(pi).sum())
         if np.max(np.abs(pi @ P - pi)) > 1e-9:
-            pi = _stationary_of(P)
+            pi = _perron(P.T)[1]
         return float(-(pi[:, None] * _xlogx(P)).sum())
 
     # -- cylinder masses ----------------------------------------------------
@@ -405,12 +376,6 @@ class SymbolicMeasure:
             raise ValueError("expected a 2-d letter matrix")
         if letters.shape[1] == 0:
             return np.ones(letters.shape[0])
-        if self.kind == "bernoulli":
-            p = np.array(self.probs)
-            out = p[letters[:, 0] - 1].copy()
-            for j in range(1, letters.shape[1]):
-                out *= p[letters[:, j] - 1]
-            return out
         P = np.array(self.transition)
         out = np.array(self.initial)[letters[:, 0] - 1].copy()
         for j in range(1, letters.shape[1]):
@@ -420,8 +385,6 @@ class SymbolicMeasure:
     def step_table(self) -> np.ndarray:
         """``(a+1, a)`` next-letter probabilities: row ``i`` after letter ``i+1``,
         row ``a`` for the first letter."""
-        if self.kind == "bernoulli":
-            return np.tile(self.probs, (self.alphabet_size + 1, 1))
         return np.vstack([self.transition, self.initial])
 
     # -- conditioning on the past --------------------------------------------
@@ -429,17 +392,17 @@ class SymbolicMeasure:
     def fibre(self, last_past_letter: int) -> "SymbolicMeasure":
         """Conditional law of the future given a past ending in the letter.
 
-        For a Markov measure the conditional distribution of the future given
-        the whole past depends on the last past symbol only: it is the chain
-        restarted from the corresponding transition row.  Bernoulli measures
-        are their own fibres by independence.
+        The conditional distribution of the future given the whole past
+        depends on the last past symbol only: it is the chain restarted from
+        the corresponding transition row.  A measure whose restart row is its
+        initial law (every Bernoulli measure) is its own fibre.
         """
         if not 1 <= last_past_letter <= self.alphabet_size:
             raise ValueError("letter outside alphabet")
-        if self.kind == "bernoulli":
-            return self
         row = self.transition[last_past_letter - 1]
-        return SymbolicMeasure("markov", initial=tuple(row), transition=self.transition)
+        if row == self.initial:
+            return self
+        return SymbolicMeasure(row, self.transition)
 
     # -- sampling ---------------------------------------------------------
 
@@ -449,12 +412,6 @@ class SymbolicMeasure:
             raise ValueError("n must be >= 0")
         out = np.empty((count, n), dtype=np.uint8)
         if n == 0:
-            return out
-        if self.kind == "bernoulli":
-            cum = np.cumsum(self.probs)
-            u = rng.random((count, n))
-            out[:] = np.searchsorted(cum, u, side="right").astype(np.uint8) + 1
-            np.minimum(out, self.alphabet_size, out=out)
             return out
         P = np.array(self.transition)
         cumP = np.cumsum(P, axis=1)
@@ -469,17 +426,3 @@ class SymbolicMeasure:
             np.minimum(cur, self.alphabet_size - 1, out=cur)
             out[:, j] = cur + 1
         return out
-
-
-def _stationary_of(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of an irreducible stochastic matrix."""
-    a = P.shape[0]
-    M = P.T + np.eye(a)
-    v = np.full(a, 1.0 / a)
-    for _ in range(200_000):
-        w = M @ v
-        w /= w.sum()
-        if np.max(np.abs(w - v)) <= 1e-15:
-            return w
-        v = w
-    return v

@@ -16,19 +16,13 @@ from cascadim.cascade import _to_uniform
 
 
 def cylinder_mass(measure, letters) -> float:
-    """Mass of the cylinder [u] under a Bernoulli or Markov ``SymbolicMeasure``."""
+    """Mass of the cylinder [u] under a ``SymbolicMeasure``: initial law, then transitions."""
     letters = tuple(letters)
     if not letters:
         return 1.0
     for l in letters:
         if not 1 <= l <= measure.alphabet_size:
             raise ValueError(f"letter {l} outside alphabet")
-    if measure.kind == "bernoulli":
-        p = measure.probs
-        out = 1.0
-        for l in letters:
-            out *= p[l - 1]
-        return out
     P = measure.transition
     out = measure.initial[letters[0] - 1]
     for prev, cur in zip(letters, letters[1:]):

@@ -88,6 +88,15 @@ class TestDrawWeight:
         assert abs(agreement - 0.5) < 0.01
 
 
+    def test_top_code_stays_below_one(self):
+        # 2^53 - 1 + 0.5 rounds up to 2^53: the top code is the only one that
+        # would map to 1.0, where the lognormal law's inverse CDF is infinite
+        top = np.array([2**64 - 1, 2**64 - 2**11 - 1], dtype=np.uint64)
+        u = _to_uniform(top)
+        assert u[0] < 1.0 and u[1] < u[0]
+        assert np.isfinite(WeightLaw.lognormal(0.5).weights_from_uniforms(u)).all()
+
+
 class TestCascadeMeasure:
     def test_unit_law_reproduces_base(self, uniform2):
         cm = cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(1.0), 6, KeyedRng(3))
@@ -315,12 +324,18 @@ def small_block(request, monkeypatch):
     return request.param
 
 
-def _walk_per_level(table, depth, law, rng, cap=10**6):
-    """``walk_tree`` with the keyed weights; also the hashes it drew, per length, in call order."""
+def _walk_per_level(table, depth, law, rng, reference, cap=10**6):
+    """``walk_tree`` with the keyed weights; also the hashes it drew, per length, in call order.
+
+    A hash absorbs its word's length first, so each block's length is looked
+    up from its first hash among the children of ``reference`` (a
+    ``_reference_walk`` at least as deep); a hash it lacks fails the lookup.
+    """
+    length_of = {int(h): k for k, (_, hashes, _, _) in enumerate(reference, 1) for h in hashes}
     seen = {}
 
-    def weigh(length, hashes):
-        seen.setdefault(length, []).append(hashes.copy())
+    def weigh(hashes):
+        seen.setdefault(length_of[int(hashes[0])], []).append(hashes.copy())
         return law.weights_from_uniforms(_to_uniform(hashes))
 
     return walk_tree(table, depth, cap, rng, weigh), {k: np.concatenate(v) for k, v in seen.items()}
@@ -340,7 +355,7 @@ class TestTreeHashes:
         for seed in (3, 2024):
             rng = KeyedRng(seed)
             reference = _reference_walk(table, depth, law, rng)
-            (codes, masses), seen = _walk_per_level(table, depth, law, rng)
+            (codes, masses), seen = _walk_per_level(table, depth, law, rng, reference)
             grown = _grow(base, x, law, rng, depth, 10**6)
             totals = cascade_mass_trace(base, x, law, depth, rng)
             assert list(seen) and sorted(seen) == list(range(1, len(seen) + 1))
@@ -360,8 +375,9 @@ class TestTreeHashes:
         rng = KeyedRng(91)
         law = WeightLaw.lognormal(0.5)
         table = Subshift.full(2).successor_table() * uniform2.step_table()
-        _, short = _walk_per_level(table, 12, law, rng)
-        _, deep = _walk_per_level(table, 14, law, rng)
+        reference = _reference_walk(table, 14, law, rng)
+        _, short = _walk_per_level(table, 12, law, rng, reference)
+        _, deep = _walk_per_level(table, 14, law, rng, reference)
         assert sorted(short) == list(range(1, 13)) and sorted(deep) == list(range(1, 15))
         for length in short:
             assert np.array_equal(short[length], deep[length])

@@ -111,8 +111,8 @@ class TestInverseCdf:
     def _table(n):
         return 1 << (n - 1).bit_length()
 
-    # the largest value counter_uniforms can return: (2^53 - 1 + 0.5) * 2^-53,
-    # 1 - 2^-54, which rounds to 1.0
+    # the largest value counter_uniforms can return: the top code's midpoint
+    # rounds to 1.0 and is clamped to 1 - 2^-53
     TOP = float(_to_uniform(np.array([2**64 - 1], dtype=np.uint64))[0])
 
     def _keys(self, weights, count, seed=0):
@@ -140,6 +140,7 @@ class TestInverseCdf:
     def test_single_atom(self):
         self._assert_plain([0.7], self._keys([0.7], 100))
         self._assert_plain([0.7], [self.TOP])
+        self._assert_plain([0.7], [1.0])
 
     def test_zero_weight_atoms(self):
         w = np.array([0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.5, 0.2, 0.0, 0.0])

@@ -277,6 +277,18 @@ class TestReports:
             assert rep.target["value"] == rep.extra["covering_bound"]
             assert any("subcritical preimage branching" in w for w in rep.warnings)
 
+    def test_perc_image_full_shift_as_all_ones_matrix(self):
+        # the full 3-shift written as its all-ones matrix is the same system:
+        # same mode, target, estimate and verdict as "full"
+        cfg = {"experiment": "perc-image-dim", "alphabet": 3, "ifs": _EXACT_OVERLAP,
+               "p": 0.8, "depth": 10, "trials": 4, "gamma_nmax": 8, "seed": 3}
+        full, ones = (
+            run_experiment(dict(cfg, subshift=spec)).to_dict() for spec in ("full", [[1, 1, 1]] * 3)
+        )
+        assert full["target"]["mode"] == "overlap-example"
+        masked = {"params": None, "runtime_s": None}
+        assert ones | masked == full | masked
+
 
 class TestCli:
     def _run(self, *args):
@@ -338,6 +350,9 @@ class TestCli:
             {"experiment": "gamma", "tolerance": -1},
             {"experiment": "perc-image-dim", "ifs": [[0.5, 0.0], [0.5, float("inf")]]},
             {"experiment": "cascade-dim", "p": 0.3},
+            # overlap counting needs an equal-ratio IFS on the subshift's alphabet
+            {"experiment": "gamma", "alphabet": 2, "ifs": [[0.5, 0.0], [0.25, 0.5]]},
+            {"experiment": "gamma", "alphabet": 2, "ifs": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]]},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):

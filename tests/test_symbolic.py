@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,15 @@ class TestTopologicalEntropy:
     def test_full_shift(self):
         assert Subshift.full(3).topological_entropy() == pytest.approx(math.log(3), abs=1e-12)
 
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_full_shift_is_the_all_ones_matrix(self, a):
+        ones = Subshift.sft([[1] * a] * a)
+        assert Subshift.full(a) == ones and ones.is_full_shift
+        assert ones.topological_entropy() == math.log(a)
+        assert ones.parry_measure() == SymbolicMeasure.uniform(a)
+        assert ones.word_count(40) == a**40
+        assert not Subshift.golden_mean().is_full_shift
+
     def test_golden_mean_vs_eig_oracle(self, golden_mean):
         lam = max(np.linalg.eigvals(golden_mean.matrix().astype(float)).real)
         assert golden_mean.topological_entropy() == pytest.approx(math.log(lam), abs=1e-12)
@@ -137,8 +147,23 @@ class TestTopologicalEntropy:
 class TestParry:
     def test_full_shift_uniform(self):
         m = Subshift.full(2).parry_measure()
-        assert m.kind == "bernoulli"
-        assert m.probs == (0.5, 0.5)
+        assert m.initial == (0.5, 0.5)
+        assert m.transition == ((0.5, 0.5), (0.5, 0.5))
+
+    def test_stationary_on_random_irreducible_sfts(self, np_rng):
+        # the Perron data is accurate enough that the stationarity check passes
+        tried = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonStationaryWarning)
+            while tried < 200:
+                a = int(np_rng.integers(2, 9))
+                A = (np_rng.random((a, a)) < 0.5).astype(int)
+                if not A.any():
+                    continue
+                shift = Subshift.sft(A.tolist())
+                if shift.is_irreducible():
+                    tried += 1
+                    shift.parry_measure()
 
     def test_entropy_equals_topological(self, golden_mean):
         m = golden_mean.parry_measure()
@@ -183,6 +208,38 @@ class TestFibre:
         m = golden_mean.parry_measure()
         assert m.fibre(1).entropy() == pytest.approx(m.entropy(), abs=1e-12)
         assert m.fibre(2).entropy() == pytest.approx(m.entropy(), abs=1e-12)
+
+
+class TestBernoulliClosedForms:
+    """A Bernoulli measure, stored as a chain of equal rows, against the
+    closed forms of an i.i.d. law, bit for bit."""
+
+    PROBS = [(0.5, 0.5), (0.1, 0.9), (0.3, 0.0, 0.7), (0.1,) * 10, (0.2, 0.25, 0.25, 0.3)]
+
+    @pytest.mark.parametrize("probs", PROBS)
+    def test_entropy(self, probs):
+        p = np.array(probs)
+        xlogx = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+        assert SymbolicMeasure.bernoulli(probs).entropy() == float(-xlogx.sum())
+
+    @pytest.mark.parametrize("probs", PROBS)
+    def test_step_table_and_masses(self, probs, np_rng):
+        m = SymbolicMeasure.bernoulli(probs)
+        table = m.step_table()
+        want = np.tile(np.array(probs), (len(probs) + 1, 1))
+        assert table.dtype == want.dtype and np.array_equal(table, want)
+        letters = np_rng.integers(1, len(probs) + 1, size=(500, 6))
+        p = np.array(probs)
+        assert np.array_equal(m.cylinder_mass_batch(letters), np.prod(p[letters - 1], axis=1))
+
+    @pytest.mark.parametrize("probs", PROBS)
+    def test_sample_letters(self, probs):
+        # one search per draw in the cumulative law, from the same generator draws
+        a = len(probs)
+        u = np.random.default_rng(5).random((1000, 12))
+        want = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right") + 1, a)
+        got = SymbolicMeasure.bernoulli(probs).sample_letters(12, 1000, np.random.default_rng(5))
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 class TestSampling:
