@@ -111,20 +111,19 @@ class KeyedRng:
                 if factor is not None:
                     states *= factor
 
-    def counter_uniforms(self, salt: int, n: int) -> np.ndarray:
-        """The first ``n`` uniforms of the stream keyed by (salt, index); for samplers."""
+    def _counter_hashes(self, salt: int, n: int) -> np.ndarray:
+        """The first ``n`` hashes of the stream keyed by (salt, index)."""
         with np.errstate(over="ignore"):
             base = _mix64(self._root() ^ (_STREAM_SALT + np.uint64(salt & 0xFFFFFFFFFFFFFFFF)))
-            idx = np.arange(n, dtype=np.uint64)
-            h = _mix64(base ^ (_COUNTER_SALT + idx))
-        return _to_uniform(h)
+            return _mix64(base ^ (_COUNTER_SALT + np.arange(n, dtype=np.uint64)))
+
+    def counter_uniforms(self, salt: int, n: int) -> np.ndarray:
+        """The first ``n`` uniforms of the stream keyed by (salt, index); for samplers."""
+        return _to_uniform(self._counter_hashes(salt, n))
 
     def derive(self, index: int) -> "KeyedRng":
-        """An independent child stream; used for trial and factor seeds."""
-        with np.errstate(over="ignore"):
-            h = _mix64(self._root() ^ (_STREAM_SALT + np.uint64(index & 0xFFFFFFFFFFFFFFFF)))
-            h = _mix64(h ^ _COUNTER_SALT)
-        return KeyedRng(int(h[0]))
+        """An independent child stream, seeded by hash 0 of counter stream ``index``; for trials and factors."""
+        return KeyedRng(int(self._counter_hashes(index, 1)[0]))
 
 
 @dataclass(frozen=True)

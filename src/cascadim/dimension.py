@@ -1,8 +1,9 @@
 """Multi-scale dimension estimators.
 
-Box counting on interval sets and on the supports of atomic measures,
-scaling entropy of atomic measures (all on the line), their log-log
-regressions, and the shared least-squares helper.
+Box counting on interval sets (the support of an atomic measure m is
+``IntervalSet(m.points, m.points, m.resolution)``, one degenerate interval
+per atom), scaling entropy of atomic measures (all on the line), their
+log-log regressions, and the shared least-squares helper.
 Every estimator refuses to probe below the resolution of its input: below
 that scale one would be measuring the discretization, not the measure.
 
@@ -90,28 +91,22 @@ def _cells_of_intervals(los: np.ndarray, his: np.ndarray, eps: float) -> int:
     return int(counts.sum() - shared)
 
 
-def box_count(obj, eps: float) -> int:
-    """N(eps): grid cells [k*eps,(k+1)*eps) meeting the set, grid anchored at 0."""
+def box_count(s, eps: float) -> int:
+    """N(eps): grid cells [k*eps,(k+1)*eps) meeting the interval set ``s``, grid anchored at 0."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if hasattr(obj, "los"):  # IntervalSet
-        if eps < obj.source_scale:
-            raise ScaleBelowResolution(eps, obj.source_scale)
-        return _cells_of_intervals(obj.los, obj.his, eps)
-    # support of an atomic measure
-    if eps < obj.resolution:
-        raise ScaleBelowResolution(eps, obj.resolution)
-    return int(np.unique(np.floor(obj.points / eps).astype(np.int64)).size)
+    if eps < s.source_scale:
+        raise ScaleBelowResolution(eps, s.source_scale)
+    return _cells_of_intervals(s.los, s.his, eps)
 
 
-def box_dimension(obj, eps_schedule: Sequence[float]) -> ScalingFit:
-    """Least-squares slope of log N(eps) against log(1/eps)."""
+def box_dimension(s, eps_schedule: Sequence[float]) -> ScalingFit:
+    """Least-squares slope of log N(eps) against log(1/eps) for the interval set ``s``."""
     eps = np.asarray(sorted(set(float(e) for e in eps_schedule), reverse=True))
-    floor = obj.source_scale if hasattr(obj, "los") else obj.resolution
-    eps = eps[eps >= floor]
+    eps = eps[eps >= s.source_scale]
     if eps.size < 4:
         raise DegenerateWindow("need >= 4 scales above the resolution floor")
-    counts = np.array([box_count(obj, e) for e in eps], dtype=float)
+    counts = np.array([box_count(s, e) for e in eps], dtype=float)
     if (counts <= 0).any():
         raise DegenerateWindow("empty set has no box dimension")
     return ScalingFit(eps, counts, *fit_loglog(np.log(1.0 / eps), np.log(counts)))

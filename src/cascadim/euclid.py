@@ -111,11 +111,8 @@ class AtomicMeasure:
             self._cum = np.concatenate([[0.0], np.cumsum(self.weights)])
         return self._cum
 
-    def ball_mass(self, center: float, r: float) -> float:
-        """Total weight within the closed ball; r must respect the resolution."""
-        return float(self.ball_mass_many([center], r)[0])
-
     def ball_mass_many(self, centers, r: float) -> np.ndarray:
+        """Total weight within the closed r-ball around each center; r must respect the resolution."""
         if r < self.resolution:
             raise ScaleBelowResolution(r, self.resolution)
         centers = np.asarray(centers, dtype=float)
@@ -225,9 +222,9 @@ def _inverse_cdf(weights: np.ndarray, total: float, u: np.ndarray) -> np.ndarray
 class ProductPairs:
     """The atoms (xs[k], ys[k]) of a product measure with their weights.
 
-    Pairs come in (x, y) order, equal pairs adjacent.  The package asks only
-    one-dimensional questions of a product, through ``project`` and
-    ``marginal``, so it keeps no planar measure.
+    The exact grid comes x-major, sampled pairs in draw order.  The package
+    asks only one-dimensional questions of a product, through ``project`` and
+    ``marginal``, which sort by value, so it keeps no planar measure.
     """
 
     xs: np.ndarray
@@ -321,13 +318,14 @@ def set_image(codes: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
     past the last; repeated offsets never start one.  That is the merge
     ``IntervalSet`` makes of the float intervals, and the float path is exact
     on such an IFS, so the result is the same bit for bit.  Every other IFS
-    takes the float path, ``intervals_for_codes``.
+    takes the float path: ``points_for_codes`` at the two hull ends.
     """
     if len(codes) == 0:
         return IntervalSet.empty()
     lattice = ifs.lattice(length)
     if lattice is None:
-        los, his = ifs.intervals_for_codes(codes, length)
+        los = ifs.points_for_codes(codes, length, ifs.attractor_min)
+        his = ifs.points_for_codes(codes, length, ifs.attractor_max)
         return IntervalSet(los, his, source_scale=float((his - los).max()))
     m, digits, lo, hi = lattice
     cells = ifs.lattice_offsets(codes, length, m, digits)
@@ -376,10 +374,6 @@ def product(
     needs, and gives every sampled atom the weight total/atom_cap.
     """
     i, j, ws = _product_pairs(m1, m2, atom_cap, rng)
-    if len(m1) * len(m2) > atom_cap:
-        # factor atoms are sorted and distinct, so the key order is the
-        # (x, y) order; sampled atoms share one weight, so ws keeps its order
-        i, j = np.divmod(np.sort(i * len(m2) + j), len(m2))
     return ProductPairs(m1.points[i], m2.points[j], ws, max(m1.resolution, m2.resolution))
 
 
@@ -409,8 +403,7 @@ def convolve(
 
     Identical to projecting the product with unit coefficient; the projection
     family is already the affinely normalized form, so the normalization pair
-    relating the two is (scale, shift) = (1, 0).  Cap semantics as product(),
-    without its (x, y) sort.
+    relating the two is (scale, shift) = (1, 0).  Cap semantics as product().
     """
     i, j, ws = _product_pairs(m1, m2, atom_cap, rng)
     return AtomicMeasure(m1.points[i] + m2.points[j], ws, m1.resolution + m2.resolution)

@@ -148,7 +148,7 @@ def validate_config(cfg: dict) -> dict:
         if key in out and not 0.0 < out[key] <= 1.0:
             raise ConfigError(f"{key} must lie in (0,1]")
     for key in ("alphabet", "alphabet_a", "alphabet_b"):
-        if key in out and out[key] < 2:
+        if out.get(key) is not None and out[key] < 2:
             raise ConfigError(f"{key} must be an integer >= 2")
     for key in ("gamma_nmax", "n_max"):
         if key in out and out[key] < 4:
@@ -195,9 +195,18 @@ def _build_ifs(spec, alphabet: int) -> AffineIfs:
     raise ConfigError(f"bad ifs spec {spec!r}")
 
 
-def _build_system(cfg: dict, use: str) -> tuple[Subshift, AffineIfs]:
-    """The config's subshift and IFS: equal-ratio, on one alphabet, as ``use`` needs them."""
-    shift = _build_subshift(cfg["subshift"], cfg["alphabet"])
+def _build_system(cfg: dict, use: str, full_alphabet: int) -> tuple[Subshift, AffineIfs]:
+    """The config's subshift and IFS: equal-ratio, on one alphabet, as ``use`` needs them.
+
+    A stated ``alphabet`` must be the subshift's; one left out is the
+    subshift's, and ``full_alphabet`` for ``"full"``.  ``cfg["alphabet"]``
+    becomes the alphabet used, so the report echoes it.
+    """
+    stated = cfg["alphabet"]
+    shift = _build_subshift(cfg["subshift"], full_alphabet if stated is None else stated)
+    if stated not in (None, shift.alphabet_size):
+        raise ConfigError(f"alphabet {stated} differs from the subshift's {shift.alphabet_size}")
+    cfg["alphabet"] = shift.alphabet_size
     ifs = _build_ifs(cfg["ifs"], shift.alphabet_size)
     if ifs.alphabet_size != shift.alphabet_size:
         raise ConfigError("ifs and subshift alphabets differ")
@@ -242,10 +251,6 @@ class ExperimentReport:
     extra: dict = field(default_factory=dict)
     scales_rows: list = field(default_factory=list)  # (trial, label, scale, observable)
     plot_data: tuple | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     def to_dict(self) -> dict:
         keys = ("experiment", "params", "seed", "target", "estimate", "verdict", "discarded_seeds", "runtime_s")
@@ -450,7 +455,7 @@ def _dedup_overlap_structure(ifs: AffineIfs):
 
 
 def run_percolation_image_dim(cfg: dict) -> Findings:
-    shift, ifs = _build_system(cfg, "percolation image experiment")
+    shift, ifs = _build_system(cfg, "percolation image experiment", 2)
     delta = ifs.equal_ratio
     p = cfg["p"]
     depth = cfg["depth"]
@@ -504,6 +509,10 @@ def run_percolation_image_dim(cfg: dict) -> Findings:
     )
 
 
+# The most interval pairs a sumset of two percolation images may take.
+_SUMSET_PAIR_CAP = 200_000_000
+
+
 def run_sumset_dim(cfg: dict) -> Findings:
     a, b = cfg["alphabet_a"], cfg["alphabet_b"]
     pa, pb = cfg["p_a"], cfg["p_b"]
@@ -528,7 +537,7 @@ def run_sumset_dim(cfg: dict) -> Findings:
             return None
         img_a = set_image(ca, ifs_a, length=da)
         img_b = set_image(cb, ifs_b, length=db)
-        return {s: box_dimension(sumset(img_a, img_b, s, pair_cap=cfg["pair_cap"]), scales) for s in s_values}
+        return {s: box_dimension(sumset(img_a, img_b, s, pair_cap=_SUMSET_PAIR_CAP), scales) for s in s_values}
 
     # a draw counts when both factors survive
     survival = _survival(shift_a.successor_table(), pa, da) * _survival(shift_b.successor_table(), pb, db)
@@ -628,7 +637,7 @@ def run_bernoulli_convolution(cfg: dict) -> Findings:
 
 
 def run_gamma(cfg: dict) -> Findings:
-    shift, ifs = _build_system(cfg, "overlap counting")
+    shift, ifs = _build_system(cfg, "overlap counting", 3)
     profile = gamma_estimate(shift, ifs, cfg["n_max"])
     target = cfg["expect_gamma"]
     est = profile.gamma_estimate
@@ -663,7 +672,7 @@ EXPERIMENTS = {
     },
     "perc-image-dim": {
         "schema": {
-            "alphabet": (int, 2),
+            "alphabet": (int, None),  # the subshift's; 2 for "full"
             "subshift": ((str, list), "golden-mean"),  # full | golden-mean | matrix rows
             "ifs": ((str, list), "tiling"),  # tiling | [[r, t], ...]
             "p": (float, 0.8),
@@ -682,7 +691,6 @@ EXPERIMENTS = {
             "depth_a": (int, 16),
             "depth_b": (int, 10),
             "s_values": (list, [1.0, -1.0, math.sqrt(2.0)]),
-            "pair_cap": (int, 200_000_000),
         },
         "params": ("alphabet_a", "alphabet_b", "p_a", "p_b", "depth_a", "depth_b", "s_values", "trials", "tolerance"),
         "tolerance": 0.10, "run": run_sumset_dim,
@@ -718,7 +726,7 @@ EXPERIMENTS = {
     },
     "gamma": {
         "schema": {
-            "alphabet": (int, 3),
+            "alphabet": (int, None),  # the subshift's; 3 for "full"
             "subshift": ((str, list), "full"),
             "ifs": ((str, list), [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]]),
             "n_max": (int, 13),

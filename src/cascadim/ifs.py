@@ -1,6 +1,7 @@
 """Affine iterated function systems on the line.
 
-Canonical coding maps, cylinder image intervals, and the overlap counter:
+Canonical coding maps (at the hull ends they give cylinder images), and the
+overlap counter:
 the maximal number of depth-n cylinder images meeting a ball of radius
 ``delta**n``, whose growth exponent separates the regimes where percolation
 image dimensions are exactly additive from those where overlaps inflate the
@@ -83,8 +84,8 @@ class AffineIfs:
         ``hi``, and ``m^n * (max|d_i| + |lo| + |hi|) < 2^53``.  Then the
         cylinder of u is ``[(P(u) + lo) / m^n, (P(u) + hi) / m^n]`` with
         ``P(u) = sum_j d(u_j) m^(n-j)``, and every ``r*x + t`` step of
-        ``intervals_for_codes`` is exact: each value it meets is an integer
-        below 2^53 over a power of two.  So the lattice and the float path
+        ``points_for_codes`` from a hull end is exact: each value it meets is
+        an integer below 2^53 over a power of two.  So the lattice and the float path
         give the same floats, bit for bit.  No translation may be -0.0, which
         the float path can carry to an endpoint.  Otherwise None.
         """
@@ -117,8 +118,11 @@ class AffineIfs:
         contraction) down the tree instead would compose left to right, which
         rounds differently for non-dyadic ratios.
         """
-        suffixes, prefixes, L = self._split_codes(codes, length)
-        return self.points_for_letters(prefixes, self._suffix_table(x0, L)[suffixes])
+        a = self.alphabet_size
+        codes = np.asarray(codes, dtype=np.int64)
+        L = self._suffix_length(len(codes), length)
+        prefixes, suffixes = np.divmod(codes, a**L)
+        return self.points_for_letters(codes_to_letters(prefixes, length - L, a), self._suffix_table(x0, L)[suffixes])
 
     def points_for_letters(self, letters: np.ndarray, x0: float | np.ndarray) -> np.ndarray:
         """f_u(x0) for every row u of a letter matrix; ``x0`` may be one start per row."""
@@ -129,12 +133,6 @@ class AffineIfs:
             idx = letters[:, j] - 1
             x = r[idx] * x + t[idx]
         return x
-
-    def intervals_for_codes(self, codes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-        suffixes, prefixes, L = self._split_codes(codes, length)
-        los = self.points_for_letters(prefixes, self._suffix_table(self.attractor_min, L)[suffixes])
-        his = self.points_for_letters(prefixes, self._suffix_table(self.attractor_max, L)[suffixes])
-        return los, his
 
     def lattice_offsets(self, codes: np.ndarray, length: int, m: int, digits: Sequence[int]) -> np.ndarray:
         """P(u) = sum_j d(u_j) m^(length-j) for every base-a code u, as int64.
@@ -164,14 +162,6 @@ class AffineIfs:
             shift *= m**L
             k -= L
         return out
-
-    def _split_codes(self, codes: np.ndarray, length: int):
-        """Suffix indices, prefix letter matrix and suffix length L of the codes."""
-        a = self.alphabet_size
-        codes = np.asarray(codes, dtype=np.int64)
-        L = self._suffix_length(len(codes), length)
-        prefixes, suffixes = np.divmod(codes, a**L)
-        return suffixes, codes_to_letters(prefixes, length - L, a), L
 
     def _suffix_length(self, count: int, length: int) -> int:
         """The largest L <= length with a^L <= max(count, a)."""
@@ -222,11 +212,13 @@ class OverlapProfile:
 def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
     """Exact sup over centers of depth-n cylinder images meeting B(center, delta^n).
 
-    The count, as a function of the center, only changes where the closed ball
-    starts or stops touching some interval, so sweeping the 2|X_n| event
-    points (with multiplicities aggregated for exactly-coinciding intervals)
-    attains the true supremum.  The words come from ``x.admissible_codes(n)``,
-    which refuses more than ``DEFAULT_WORD_CAP`` of them.
+    The count, as a function of the center, only grows where the closed ball
+    starts touching an interval, at some ``lo - radius``.  All intervals have
+    length ``delta^n * diameter``, so the lower ends place them.  At distinct
+    lower end k the count is the multiplicity of those up to k, less that of
+    the intervals whose touch ended, at ``lo + length + radius``, strictly
+    before.  The words come from ``x.admissible_codes(n)``, which refuses more
+    than ``DEFAULT_WORD_CAP`` of them.
     """
     delta = ifs.equal_ratio
     if delta is None:
@@ -235,18 +227,13 @@ def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
         raise ValueError("alphabet mismatch between subshift and IFS")
     if n < 1:
         raise ValueError("n must be >= 1")
-    los, _ = ifs.intervals_for_codes(x.admissible_codes(n), n)
+    los = ifs.points_for_codes(x.admissible_codes(n), n, ifs.attractor_min)
     length = delta**n * ifs.diameter
     radius = delta**n
     uniq, mult = np.unique(los, return_counts=True)
-    starts = uniq - radius
-    ends = uniq + length + radius
-    coords = np.concatenate([starts, ends])
-    deltas = np.concatenate([mult, -mult])
-    kinds = np.concatenate([np.zeros(uniq.size, dtype=np.int8), np.ones(uniq.size, dtype=np.int8)])
-    order = np.lexsort((kinds, coords))  # starts before ends at equal coords: closed/closed touch counts
-    running = np.cumsum(deltas[order])
-    return int(running.max())
+    cum = np.concatenate([[0], np.cumsum(mult)])
+    ended = np.searchsorted(uniq + length + radius, uniq - radius, side="left")
+    return int((cum[1:] - cum[ended]).max())
 
 
 def gamma_estimate(x: Subshift, ifs: AffineIfs, n_max: int) -> OverlapProfile:

@@ -16,8 +16,8 @@ def _map(v, lo, hi, out_lo, out_hi):
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def write_loglog_svg(path, xs, ys, slope: float, label: str, target_slope: float | None = None):
-    """Scatter of (xs, ys) with the fitted line and an optional target line."""
+def write_loglog_svg(path, xs, ys, slope: float, label: str, target_slope: float):
+    """Scatter of (xs, ys) with the fitted line and the target line."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x0, x1 = float(xs.min()), float(xs.max())
@@ -42,8 +42,6 @@ def write_loglog_svg(path, xs, ys, slope: float, label: str, target_slope: float
 
     xbar, ybar = xs.mean(), ys.mean()
     for name, sl, color in (("fit", slope, "#d62728"), ("target", target_slope, "#1f77b4")):
-        if sl is None:
-            continue
         ya = ybar + sl * (x0 - xbar)
         yb = ybar + sl * (x1 - xbar)
         parts.append(

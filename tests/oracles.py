@@ -5,8 +5,8 @@ only.  The functions here take one word as a tuple of letters in ``1..a`` and
 evaluate it the slow, obvious way, so the tests can check the vectorized
 paths against them: ``cylinder_mass`` against
 ``SymbolicMeasure.cylinder_mass_batch``, ``apply_word``, ``canonical_point``
-and ``cylinder_interval`` against ``AffineIfs.points_for_codes`` and
-``intervals_for_codes``, ``contraction`` against ``contractions_for_codes``,
+and ``cylinder_interval`` against ``AffineIfs.points_for_codes``,
+``contraction`` against ``contractions_for_codes``,
 ``draw_weight`` against the keyed tree walk, and ``merged_atoms`` against
 ``AtomicMeasure``'s sort and merge.
 """

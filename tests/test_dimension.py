@@ -79,8 +79,9 @@ class TestBoxCount:
 
     def test_atom_support_counting(self):
         m = AtomicMeasure([0.1, 0.26, 0.9], [1.0, 1.0, 1.0], resolution=0.0)
-        assert box_count(m, 0.25) == 3
-        assert box_count(m, 0.5) == 2
+        support = IntervalSet(m.points, m.points, m.resolution)
+        assert box_count(support, 0.25) == 3
+        assert box_count(support, 0.5) == 2
 
     def test_nested_grid_monotone(self, golden_mean, tiling2):
         from cascadim import set_image
@@ -109,7 +110,7 @@ class TestBoxDimension:
 
     def test_finite_point_set_flat(self):
         pts = AtomicMeasure([0.0, 0.3, 0.7], [1.0, 1.0, 1.0], resolution=1e-9)
-        fit = box_dimension(pts, [2.0**-k for k in range(4, 20)])
+        fit = box_dimension(IntervalSet(pts.points, pts.points, pts.resolution), [2.0**-k for k in range(4, 20)])
         assert abs(fit.slope) < 0.05
 
     def test_needs_enough_scales(self):

@@ -28,7 +28,7 @@ from cascadim import (
 from cascadim import euclid
 from cascadim.errors import CapExceeded, ScaleBelowResolution
 from cascadim.cascade import _to_uniform
-from cascadim.euclid import _inverse_cdf, _product_pairs
+from cascadim.euclid import _inverse_cdf
 from cascadim.symbolic import codes_to_letters
 from oracles import cylinder_interval, merged_atoms
 
@@ -244,7 +244,8 @@ LATTICE_IFS = {
 
 def _assert_float_path_image(img, ifs, codes, n):
     """``img`` against the merged float intervals, bit for bit."""
-    los, his = ifs.intervals_for_codes(codes, n)
+    los = ifs.points_for_codes(codes, n, ifs.attractor_min)
+    his = ifs.points_for_codes(codes, n, ifs.attractor_max)
     ref = IntervalSet(los, his)
     assert np.array_equal(img.los, ref.los) and img.los.tobytes() == ref.los.tobytes()
     assert np.array_equal(img.his, ref.his) and img.his.tobytes() == ref.his.tobytes()
@@ -285,7 +286,7 @@ class TestLatticeImage:
         assert AffineIfs.tiling(2).lattice(52) is None
         # a -0.0 translation reaches a float endpoint, which no integer cell gives
         neg_zero = self.UNROUTED["translation -0.0"][0]
-        assert np.signbit(neg_zero.intervals_for_codes(np.array([0]), 3)[0][0])
+        assert np.signbit(neg_zero.points_for_codes(np.array([0]), 3, neg_zero.attractor_min)[0])
 
     UNROUTED = {
         "tiling(3)": (AffineIfs.tiling(3), 10),  # 1/3 is not exact in float
@@ -352,22 +353,6 @@ class TestProduct:
             sigma = w * math.sqrt(p * (1 - p) / n)
             assert abs(ms - me) < 4 * sigma + 1e-12
 
-    def test_sampled_pairs_in_xy_order(self):
-        # the pairs come out as a stable lexsort on (x, y) of the draws would
-        # leave them: in (x, y) order, equal atoms in draw order
-        m1 = AtomicMeasure([0.9, 0.1, 0.5, 0.3], [1.0, 6.0, 2.0, 1.0], 0.0)
-        m2 = AtomicMeasure([0.7, 0.2, 0.4], [5.0, 1.0, 1.0], 0.0)
-        i, j, ws = _product_pairs(m1, m2, 9, KeyedRng(5))
-        xs, ys = m1.points[i], m2.points[j]
-        order = np.lexsort((ys, xs))
-        prod = product(m1, m2, atom_cap=9, rng=KeyedRng(5))
-        assert np.array_equal(prod.xs, xs[order])
-        assert np.array_equal(prod.ys, ys[order])
-        assert np.array_equal(prod.weights, ws[order])
-        pairs = list(zip(prod.xs, prod.ys))
-        assert pairs == sorted(pairs)
-        assert len(set(pairs)) < len(pairs) and not np.array_equal(order, np.arange(9))
-
 
 class TestProjection:
     def test_zero_exponent_plus(self):
@@ -406,7 +391,8 @@ class TestConvolve:
         c12 = convolve(m1, m2, atom_cap=2**11)
         c21 = convolve(m2, m1, atom_cap=2**11)
         for center in (0.3, 0.9, 1.5):
-            assert c12.ball_mass(center, 0.1) == pytest.approx(c21.ball_mass(center, 0.1), rel=1e-12)
+            got = c12.ball_mass_many([center], 0.1)[0]
+            assert got == pytest.approx(c21.ball_mass_many([center], 0.1)[0], rel=1e-12)
 
     def test_binomial_profile_oracle(self, uniform2, tiling2):
         # self-convolution of the depth-6 uniform tiling measure: the atom
@@ -426,7 +412,8 @@ class TestConvolve:
         # normalization pair (scale, shift) = (1, 0): identical atom sets
         assert np.allclose(np.sort(conv.points), np.sort(proj.points), atol=0)
         for center in (0.3, 0.85):
-            assert conv.ball_mass(center, 0.2) == pytest.approx(proj.ball_mass(center, 0.2), abs=1e-15)
+            got = conv.ball_mass_many([center], 0.2)[0]
+            assert got == pytest.approx(proj.ball_mass_many([center], 0.2)[0], abs=1e-15)
         # exact grid and sampled mode give the projected product bit for bit
         for kwargs in ({"atom_cap": 6}, {"atom_cap": 5, "rng": KeyedRng(3)}):
             conv = convolve(m1, m2, **kwargs)
@@ -443,7 +430,8 @@ class TestConvolve:
         conv = convolve(m1.scaled(delta**s), m2, atom_cap=6)
         assert np.allclose(np.sort(proj.points), np.sort(conv.points), atol=1e-15)
         for center in (0.3, 0.7):
-            assert proj.ball_mass(center, 0.2) == pytest.approx(conv.ball_mass(center, 0.2), abs=1e-15)
+            got = proj.ball_mass_many([center], 0.2)[0]
+            assert got == pytest.approx(conv.ball_mass_many([center], 0.2)[0], abs=1e-15)
 
 
 def _one_family_erosion(a, bs):
@@ -619,32 +607,32 @@ class TestBernoulliConvolution:
             lo, hi = cylinder_interval(ifs, word)
             center = (lo + hi) / 2
             r = (hi - lo) / 2
-            assert m.ball_mass(center, r) == pytest.approx(0.5**k, abs=1e-12)
+            assert m.ball_mass_many([center], r)[0] == pytest.approx(0.5**k, abs=1e-12)
 
 
 class TestBallMass:
     def test_whole_support(self, uniform2, tiling2):
         m = pushforward(unit_cascade(uniform2, Subshift.full(2), 8), tiling2)
         lo, hi = m.points[0], m.points[-1]
-        assert m.ball_mass((lo + hi) / 2, hi - lo) == pytest.approx(m.total_weight, abs=1e-12)
+        assert m.ball_mass_many([(lo + hi) / 2], hi - lo)[0] == pytest.approx(m.total_weight, abs=1e-12)
 
     def test_single_atom_small_ball(self):
         m = AtomicMeasure([0.0, 1.0], [0.25, 0.75], resolution=1e-6)
-        assert m.ball_mass(1.0, 1e-5) == pytest.approx(0.75)
+        assert m.ball_mass_many([1.0], 1e-5)[0] == pytest.approx(0.75)
 
     def test_uniform_interval_mass(self, uniform2, tiling2):
         m = pushforward(unit_cascade(uniform2, Subshift.full(2), 10), tiling2)
-        got = m.ball_mass(0.5, 2.0**-4)
+        got = m.ball_mass_many([0.5], 2.0**-4)[0]
         assert abs(got - 2 * 2.0**-4) <= 1 / 1024 + 1e-12
 
     def test_scale_floor_enforced(self):
         m = AtomicMeasure([0.0], [1.0], resolution=1e-3)
         with pytest.raises(ScaleBelowResolution):
-            m.ball_mass(0.0, 1e-4)
+            m.ball_mass_many([0.0], 1e-4)
 
     def test_monotone_in_radius(self, uniform2, tiling2):
         m = pushforward(unit_cascade(uniform2, Subshift.full(2), 8), tiling2)
-        masses = [m.ball_mass(0.37, r) for r in (0.01, 0.05, 0.1, 0.4)]
+        masses = [m.ball_mass_many([0.37], r)[0] for r in (0.01, 0.05, 0.1, 0.4)]
         assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
 
 

@@ -78,6 +78,7 @@ class TestConfigValidation:
             ({"experiment": "gamma", "tolerance": -1}, "tolerance"),
             ({"experiment": "perc-image-dim", "ifs": [[0.5, 0.0], [0.5, float("inf")]]}, "finite"),
             ({"experiment": "cascade-dim", "p": float("-inf")}, "finite"),
+            ({"experiment": "sumset-dim", "pair_cap": 5}, "unknown key"),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
@@ -228,8 +229,14 @@ class TestReports:
             {"experiment": "gamma", "alphabet": 2, "subshift": "full", "ifs": "tiling",
              "n_max": 8, "expect_gamma": 0.0}
         )
-        assert rep.passed
+        assert rep.verdict == "pass"
         assert rep.extra["overlap_counts"][1] == 4
+
+    def test_unstated_alphabet_is_the_subshifts(self):
+        rep = run_experiment(
+            {"experiment": "gamma", "subshift": "golden-mean", "ifs": "tiling", "n_max": 6, "expect_gamma": 0.0}
+        )
+        assert rep.params["alphabet"] == 2
 
     def test_perc_image_bound_only_mode(self):
         # overlapping system that is not the known exact-overlap pair:
@@ -353,6 +360,10 @@ class TestCli:
             # overlap counting needs an equal-ratio IFS on the subshift's alphabet
             {"experiment": "gamma", "alphabet": 2, "ifs": [[0.5, 0.0], [0.25, 0.5]]},
             {"experiment": "gamma", "alphabet": 2, "ifs": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]]},
+            # a stated alphabet must be the subshift's
+            {"experiment": "gamma", "alphabet": 3, "subshift": "golden-mean", "ifs": "tiling", "n_max": 6,
+             "expect_gamma": 0.0},
+            {"experiment": "perc-image-dim", "alphabet": 3, "subshift": [[1, 1], [1, 0]]},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):

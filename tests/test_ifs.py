@@ -117,10 +117,6 @@ class TestCodesAgainstLetterPath:
                 got = ifs.points_for_codes(codes, length, x0)
                 assert np.array_equal(got, ifs.points_for_letters(letters, x0)), case
                 assert got.flags.writeable
-            los, his = ifs.intervals_for_codes(codes, length)
-            assert np.array_equal(los, ifs.points_for_letters(letters, ifs.attractor_min)), case
-            assert np.array_equal(his, ifs.points_for_letters(letters, ifs.attractor_max)), case
-            assert los.flags.writeable and his.flags.writeable
 
     @pytest.mark.parametrize("name", list(NON_DYADIC), ids=list(NON_DYADIC))
     def test_bitwise_equal_to_per_word_oracle(self, name):
@@ -129,7 +125,8 @@ class TestCodesAgainstLetterPath:
         words = codes_to_letters(codes, 5, ifs.alphabet_size).tolist()
         points = ifs.points_for_codes(codes, 5, ifs.fixed_point(1))
         assert np.array_equal(points, [canonical_point(ifs, w) for w in words])
-        los, his = ifs.intervals_for_codes(codes, 5)
+        los = ifs.points_for_codes(codes, 5, ifs.attractor_min)
+        his = ifs.points_for_codes(codes, 5, ifs.attractor_max)
         assert np.array_equal(np.column_stack([los, his]), [cylinder_interval(ifs, w) for w in words])
 
 
@@ -148,7 +145,8 @@ def _overlap_oracle(x, ifs, n):
     """Independent O(N^2) overlap counter: test every event point directly."""
     delta = ifs.equal_ratio
     codes = x.admissible_codes(n)
-    los, his = ifs.intervals_for_codes(codes, n)
+    los = ifs.points_for_codes(codes, n, ifs.attractor_min)
+    his = ifs.points_for_codes(codes, n, ifs.attractor_max)
     r = delta**n
     candidates = np.concatenate([los - r, his + r])
     best = 0
@@ -176,9 +174,16 @@ class TestOverlapCount:
         assert overlap_count(Subshift.full(3), EX_OVERLAP, 10) >= 2**10
 
     def test_oracle_agreement_overlapping(self):
-        full3 = Subshift.full(3)
-        for n in (2, 4, 6):
-            assert overlap_count(full3, EX_OVERLAP, n) == _overlap_oracle(full3, EX_OVERLAP, n)
+        systems = {
+            "exact overlap": (Subshift.full(3), EX_OVERLAP),
+            "image-bound-only maps": (Subshift.full(3), AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.1), (0.5, 0.5)])),
+            "hull width 2": (Subshift.full(2), AffineIfs.from_maps([(0.5, 0.0), (0.5, 1.0)])),
+            "bernoulli_pair(0.4)": (Subshift.full(2), AffineIfs.bernoulli_pair(0.4)),
+            "separated 0.3 pair": (Subshift.full(2), AffineIfs.from_maps([(0.3, 0.0), (0.3, 0.7)])),
+        }
+        for name, (x, ifs) in systems.items():
+            for n in (2, 4, 6):
+                assert overlap_count(x, ifs, n) == _overlap_oracle(x, ifs, n), (name, n)
 
     def test_translation_equivariance(self):
         full2 = Subshift.full(2)
