@@ -9,15 +9,16 @@ the same realization bit for bit.
 Hashing: a word is encoded as its length followed by its one-byte letters,
 and absorbed token by token through the splitmix64 finalizer (the published
 64-bit avalanche mixer); uniforms take the top 53 bits of the final state.
+``_mix64`` is the one copy of the finalizer, mixing an array in place, and
 ``KeyedRng.word_hashes`` is that definition.  Because the length comes
 first, a child's hash cannot reuse its parent's.  The tree walk instead
 carries, for each node, its prefix state for every deeper word length
 (``KeyedRng.length_states`` at the root, one ``KeyedRng.absorb`` per
-letter): a child's hash is one mix, and a depth-j prefix is absorbed once
-per deeper length.  That is as many mixes as re-folding each level from the
-root (4.93M for the 3.14M children of the first ``perc_image_overlap``
-trial, 3.4 per leaf), but the walk runs in cache-sized blocks instead of
-full-width passes over each level.
+letter: XOR the letter's salt, then ``_mix64``): a child's hash is one mix,
+and a depth-j prefix is absorbed once per deeper length.  That is as many
+mixes as re-folding each level from the root (4.93M for the 3.14M children
+of the first ``perc_image_overlap`` trial, 3.4 per leaf), but the walk runs
+in cache-sized blocks instead of full-width passes over each level.
 """
 from __future__ import annotations
 
@@ -51,11 +52,15 @@ _U53 = 2.0**-53
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise on uint64 arrays."""
+    """splitmix64 finalizer, in place on a uint64 array, which it returns."""
+    scratch = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+        for shift, factor in ((30, _M1), (27, _M2), (31, None)):
+            np.right_shift(z, np.uint64(shift), out=scratch)
+            z ^= scratch
+            if factor is not None:
+                z *= factor
+    return z
 
 
 def _to_uniform(h: np.ndarray) -> np.ndarray:
@@ -83,18 +88,17 @@ class KeyedRng:
         """Hashes for an (N, k) letter matrix: absorb length, then each letter."""
         letters = np.asarray(letters)
         n, k = letters.shape
-        with np.errstate(over="ignore"):
-            h = np.broadcast_to(self._root(), (n,)).copy()
-            h = _mix64(h ^ (_LEN_SALT + np.uint64(k)))
-            for j in range(k):
-                h = _mix64(h ^ (_LETTER_SALT + letters[:, j].astype(np.uint64)))
+        h = np.repeat(self._root(), n)
+        h ^= _LEN_SALT + np.uint64(k)
+        _mix64(h)
+        for j in range(k):
+            h ^= _LETTER_SALT + letters[:, j].astype(np.uint64)
+            _mix64(h)
         return h
 
     def length_states(self, depth: int) -> np.ndarray:
         """The states after absorbing each word length 1..depth, in that order."""
-        lengths = np.arange(1, depth + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return _mix64(self._root() ^ (_LEN_SALT + lengths))
+        return _mix64(self._root() ^ (_LEN_SALT + np.arange(1, depth + 1, dtype=np.uint64)))
 
     @staticmethod
     def absorb(states: np.ndarray, letters: np.ndarray) -> None:
@@ -102,14 +106,8 @@ class KeyedRng:
 
         ``letters`` broadcasts against ``states``.
         """
-        scratch = np.empty_like(states)
-        with np.errstate(over="ignore"):
-            states ^= _LETTER_SALT + np.asarray(letters, dtype=np.uint64)
-            for shift, factor in ((30, _M1), (27, _M2), (31, None)):
-                np.right_shift(states, np.uint64(shift), out=scratch)
-                states ^= scratch
-                if factor is not None:
-                    states *= factor
+        states ^= _LETTER_SALT + np.asarray(letters, dtype=np.uint64)
+        _mix64(states)
 
     def _counter_hashes(self, salt: int, n: int) -> np.ndarray:
         """The first ``n`` hashes of the stream keyed by (salt, index)."""
@@ -189,9 +187,32 @@ class WeightLaw:
         if self.kind == "lognormal":
             s = self.sigma
             return np.exp(s * ndtri(u) - s * s / 2.0)
-        cum = np.cumsum(self.probs)
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(self.values) - 1)
-        return np.asarray(self.values)[idx]
+        return np.asarray(self.values)[_inverse_cdf(self.probs, 1.0, u)]
+
+
+def _inverse_cdf(weights, total: float, u: np.ndarray) -> np.ndarray:
+    """Indices ``min(searchsorted(cumsum(weights) / total, u, "right"), n - 1)``, bit for bit.
+
+    The keys u lie in [0, 1]: ``KeyedRng.counter_uniforms`` stays below 1,
+    but any key of 1.0 is answered too.  With B the power of two at or above
+    n, a guide table (Chen & Asau's indexed search) holds ``edges[b]``, the
+    search result at b/B, for b = 0..B+1, so u = 1.0 has bucket B; every b/B
+    is exact.  The search is monotone in u and b = floor(u*B) is exact, so
+    the result for u lies in ``[edges[b], edges[b+1]]``, and a key whose two
+    ends agree needs no search.  Fewer keys than B take the plain search.
+    """
+    cdf = np.cumsum(weights) / total
+    table = 1 << (cdf.size - 1).bit_length()
+    if u.size < table:
+        idx = np.searchsorted(cdf, u, side="right")
+    else:
+        edges = np.searchsorted(cdf, np.arange(table + 2) / table, side="right")
+        bucket = (u * table).astype(np.intp)
+        idx = edges[bucket]
+        bucket += 1
+        open_keys = np.flatnonzero(edges[bucket] != idx)
+        idx[open_keys] = np.searchsorted(cdf, u[open_keys], side="right")
+    return np.minimum(idx, cdf.size - 1, out=idx)
 
 
 class CylinderMeasure:

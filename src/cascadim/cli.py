@@ -25,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--trials", type=int, default=None, help="trial count override")
+        p.add_argument("--trials", type=int, default=None, help="trial count override (experiments that draw trials)")
         p.add_argument("--threads", type=int, default=None, help="worker thread count")
         p.add_argument("--plot", action="store_true", help="also write plot.svg")
     return parser
@@ -44,8 +44,6 @@ def main(argv=None) -> int:
             value = getattr(args, key)
             if value is not None:
                 cfg[key] = value
-        if args.plot:
-            cfg["plot"] = True
         # an unwritable output directory fails here, not after the run
         outdir = args.out or Path("out") / args.experiment
         outdir.mkdir(parents=True, exist_ok=True)
@@ -53,7 +51,7 @@ def main(argv=None) -> int:
     except (CascadimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report.write(outdir, plot=bool(cfg.get("plot")))
+    report.write(outdir, plot=args.plot)
     print(
         f"{report.experiment}: estimate {report.estimate['value']:.4f} "
         f"(stderr {report.estimate['stderr']:.4f}) vs target {report.target['value']:.4f} "

@@ -75,20 +75,17 @@ def default_scales(delta: float, depth: int) -> np.ndarray:
     return delta ** np.arange(3, depth - 1, dtype=float)
 
 
+def _window(schedule: Sequence[float], floor: float) -> np.ndarray:
+    """The distinct scales of ``schedule`` at or above ``floor``, largest first; at least 4."""
+    scales = np.asarray(sorted(set(float(s) for s in schedule), reverse=True))
+    scales = scales[scales >= floor]
+    if scales.size < 4:
+        raise DegenerateWindow("need >= 4 scales above the resolution floor")
+    return scales
+
+
 # ---------------------------------------------------------------------------
 # box counting
-
-
-def _cells_of_intervals(los: np.ndarray, his: np.ndarray, eps: float) -> int:
-    """Number of grid cells touched by a sorted disjoint family of intervals."""
-    if los.size == 0:
-        return 0
-    klo = np.floor(los / eps).astype(np.int64)
-    khi = np.floor(his / eps).astype(np.int64)
-    counts = khi - klo + 1
-    # merged intervals are disjoint but may still share a boundary cell
-    shared = np.count_nonzero(klo[1:] <= khi[:-1])
-    return int(counts.sum() - shared)
 
 
 def box_count(s, eps: float) -> int:
@@ -97,15 +94,15 @@ def box_count(s, eps: float) -> int:
         raise ValueError("eps must be positive")
     if eps < s.source_scale:
         raise ScaleBelowResolution(eps, s.source_scale)
-    return _cells_of_intervals(s.los, s.his, eps)
+    klo = np.floor(s.los / eps).astype(np.int64)
+    khi = np.floor(s.his / eps).astype(np.int64)
+    # merged intervals are disjoint but may still share a boundary cell
+    return int((khi - klo + 1).sum() - np.count_nonzero(klo[1:] <= khi[:-1]))
 
 
 def box_dimension(s, eps_schedule: Sequence[float]) -> ScalingFit:
     """Least-squares slope of log N(eps) against log(1/eps) for the interval set ``s``."""
-    eps = np.asarray(sorted(set(float(e) for e in eps_schedule), reverse=True))
-    eps = eps[eps >= s.source_scale]
-    if eps.size < 4:
-        raise DegenerateWindow("need >= 4 scales above the resolution floor")
+    eps = _window(eps_schedule, s.source_scale)
     counts = np.array([box_count(s, e) for e in eps], dtype=float)
     if (counts <= 0).any():
         raise DegenerateWindow("empty set has no box dimension")
@@ -149,10 +146,7 @@ def entropy_dimension(m, r_schedule: Sequence[float], sample_size: int | None = 
     """
     if sample_size is not None and rng is None:
         raise ValueError("Monte Carlo mode needs an rng")
-    rs = np.asarray(sorted(set(float(r) for r in r_schedule), reverse=True))
-    rs = rs[rs >= m.resolution]
-    if rs.size < 4:
-        raise DegenerateWindow("need >= 4 scales above the resolution floor")
+    rs = _window(r_schedule, m.resolution)
     norm = m.normalized()
     centers = None if sample_size is None else norm.sample_points(sample_size, rng)
     hs = np.array([_entropy_at_scale(norm, r, centers) for r in rs])

@@ -12,11 +12,12 @@ at most the resolution.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CylinderMeasure, KeyedRng, WeightLaw, cascade_measure
+from .cascade import CylinderMeasure, KeyedRng, WeightLaw, _inverse_cdf, cascade_measure
 from .errors import CapExceeded, ScaleBelowResolution
 from .ifs import AffineIfs
 from .symbolic import Subshift, SymbolicMeasure
@@ -49,9 +50,8 @@ class AtomicMeasure:
     ``scale`` tags a measure on a lattice: it is a power of two, and every
     point times ``scale`` is an integer cell, exactly.  ``pushforward`` sets
     it where the coding map routes to integer cells (see there); every other
-    measure, including those that ``scaled``, ``project``, ``marginal`` and
-    ``convolve`` build, has ``scale`` None.  ``atom_ball_masses`` reads the
-    tag.
+    measure, including those that ``project``, ``marginal`` and ``convolve``
+    build, has ``scale`` None.  ``atom_ball_masses`` reads the tag.
     """
 
     def __init__(self, points, weights, resolution: float):
@@ -95,13 +95,9 @@ class AtomicMeasure:
             raise ValueError("cannot normalize a zero measure")
         if abs(tot - 1.0) < 1e-15:
             return self
-        out = AtomicMeasure.__new__(AtomicMeasure)
-        out.points = self.points
+        out = copy.copy(self)
         out.weights = self.weights / tot
-        out.resolution = self.resolution
-        out.scale = self.scale
-        out._cum = None
-        out._cell_cum = None
+        out._cum = out._cell_cum = None
         return out
 
     # -- ball queries -------------------------------------------------------
@@ -161,12 +157,6 @@ class AtomicMeasure:
                 self._cell_cum = idx, np.concatenate([[0.0], np.cumsum(dense)])
         return self._cell_cum
 
-    def scaled(self, c: float) -> "AtomicMeasure":
-        """The pushforward under x -> c*x."""
-        if c == 0:
-            raise ValueError("scale factor must be nonzero")
-        return AtomicMeasure(self.points * c, self.weights.copy(), self.resolution * abs(c))
-
     def sample_points(self, count: int, rng: KeyedRng) -> np.ndarray:
         """Draw atom positions with probability proportional to weight.
 
@@ -191,31 +181,6 @@ def _sort_equal_weight_points(points: np.ndarray) -> np.ndarray:
     if lead < out.size and out[lead] == 0:
         out[lead] = points[np.argmax(points == 0)]
     return out
-
-
-def _inverse_cdf(weights: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
-    """Atom indices ``min(searchsorted(cumsum(weights) / total, u, "right"), n - 1)``, bit for bit.
-
-    The keys u lie in [0, 1]: ``KeyedRng.counter_uniforms`` stays below 1,
-    but any key of 1.0 is answered too.  With B the power of two at or above
-    n, a guide table (Chen & Asau's indexed search) holds ``edges[b]``, the
-    search result at b/B, for b = 0..B+1, so u = 1.0 has bucket B; every b/B
-    is exact.  The search is monotone in u and b = floor(u*B) is exact, so
-    the result for u lies in ``[edges[b], edges[b+1]]``, and a key whose two
-    ends agree needs no search.  Fewer keys than B take the plain search.
-    """
-    cdf = np.cumsum(weights) / total
-    table = 1 << (cdf.size - 1).bit_length()
-    if u.size < table:
-        idx = np.searchsorted(cdf, u, side="right")
-    else:
-        edges = np.searchsorted(cdf, np.arange(table + 2) / table, side="right")
-        bucket = (u * table).astype(np.intp)
-        idx = edges[bucket]
-        bucket += 1
-        open_keys = np.flatnonzero(edges[bucket] != idx)
-        idx[open_keys] = np.searchsorted(cdf, u[open_keys], side="right")
-    return np.minimum(idx, cdf.size - 1, out=idx)
 
 
 @dataclass(eq=False)
@@ -327,8 +292,8 @@ def set_image(codes: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
         los = ifs.points_for_codes(codes, length, ifs.attractor_min)
         his = ifs.points_for_codes(codes, length, ifs.attractor_max)
         return IntervalSet(los, his, source_scale=float((his - los).max()))
-    m, digits, lo, hi = lattice
-    cells = ifs.lattice_offsets(codes, length, m, digits)
+    m, _, lo, hi = lattice
+    cells = ifs.lattice_offsets(codes, length)
     cells.sort()
     breaks = np.flatnonzero(np.diff(cells) > hi - lo)
     scale = m**length

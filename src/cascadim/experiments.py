@@ -78,10 +78,10 @@ def _rational_ratio_warnings(ratio: float, name: str) -> list:
 _COMMON = {
     "experiment": (str, None),
     "seed": (int, 1),
-    "trials": (int, 32),
+    # every experiment accepts it, since perfbench passes --threads to each
+    # workload; only the trial loops read it, and no result depends on it
     "threads": (int, 1),
     "tolerance": (float, None),  # per-experiment default applied when None
-    "plot": (bool, False),
 }
 
 def load_config(path) -> dict:
@@ -245,12 +245,12 @@ class ExperimentReport:
     verdict: str
     discarded_seeds: int
     runtime_s: float
+    plot_data: tuple  # (xs, ys, slope, label, target slope) for plot.svg
     warnings: list = field(default_factory=list)
     scan: list | None = None
     per_trial: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     scales_rows: list = field(default_factory=list)  # (trial, label, scale, observable)
-    plot_data: tuple | None = None
 
     def to_dict(self) -> dict:
         keys = ("experiment", "params", "seed", "target", "estimate", "verdict", "discarded_seeds", "runtime_s")
@@ -275,9 +275,8 @@ class ExperimentReport:
             fh.write("trial,label,scale,observable\n")
             for trial, label, scale, obs in self.scales_rows:
                 fh.write(f"{trial},{label},{scale:.17g},{obs:.17g}\n")
-        if plot and self.plot_data is not None:
-            xs, ys, slope, label, target_slope = self.plot_data
-            write_loglog_svg(outdir / "plot.svg", xs, ys, slope, label, target_slope)
+        if plot:
+            write_loglog_svg(outdir / "plot.svg", *self.plot_data)
 
 
 @dataclass
@@ -336,8 +335,8 @@ def _collect_surviving(master: KeyedRng, need: int, worker, threads: int):
     results = []
     discarded = 0
     draw = 0
-    wave = max(threads, 1) * 2
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+    wave = threads * 2
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 else map
         while len(results) < need:
             outs = list(run(lambda i: worker(master.derive(i), i), range(draw, draw + wave)))
@@ -386,12 +385,12 @@ def run_experiment(cfg: dict) -> ExperimentReport:
         verdict=f"advisory-{verdict}" if found.advisory else verdict,
         discarded_seeds=found.discarded,
         runtime_s=round(time.perf_counter() - t0, 3),
+        plot_data=(*found.plot, found.target["value"]),
         warnings=found.warnings,
         scan=found.checks if found.scan else None,
         per_trial=[{"trial": i, "slope": f.slope, "stderr": f.stderr} for i, f in enumerate(found.trial_fits)],
         extra=found.extra,
         scales_rows=[(t, label, s, o) for t, label, scales, obs in found.fits for s, o in zip(scales, obs)],
-        plot_data=(*found.plot, found.target["value"]),
     )
 
 
@@ -666,6 +665,7 @@ EXPERIMENTS = {
             "values": (list, None),
             "probs": (list, None),
             "depth": (int, 16),
+            "trials": (int, 32),
         },
         "params": ("alphabet", "base_probs", "law", "p", "sigma", "depth", "trials", "tolerance"),
         "tolerance": 0.06, "run": run_cascade_dim,
@@ -678,6 +678,7 @@ EXPERIMENTS = {
             "p": (float, 0.8),
             "depth": (int, 18),
             "gamma_nmax": (int, 10),
+            "trials": (int, 32),
         },
         "params": ("alphabet", "subshift", "ifs", "p", "depth", "trials", "tolerance"),
         "tolerance": 0.08, "run": run_percolation_image_dim,
@@ -691,6 +692,7 @@ EXPERIMENTS = {
             "depth_a": (int, 16),
             "depth_b": (int, 10),
             "s_values": (list, [1.0, -1.0, math.sqrt(2.0)]),
+            "trials": (int, 32),
         },
         "params": ("alphabet_a", "alphabet_b", "p_a", "p_b", "depth_a", "depth_b", "s_values", "trials", "tolerance"),
         "tolerance": 0.10, "run": run_sumset_dim,

@@ -134,16 +134,17 @@ class AffineIfs:
             x = r[idx] * x + t[idx]
         return x
 
-    def lattice_offsets(self, codes: np.ndarray, length: int, m: int, digits: Sequence[int]) -> np.ndarray:
+    def lattice_offsets(self, codes: np.ndarray, length: int) -> np.ndarray:
         """P(u) = sum_j d(u_j) m^(length-j) for every base-a code u, as int64.
 
         The codes split as in ``points_for_codes``: the last L letters index an
         int64 table of P over all a^L words, and the first ``length - L``
         index a table over the prefixes.  A prefix longer than L splits again,
         L letters at a time, so no table has more than max(len(codes), a)
-        entries and no letter matrix is built.  ``lattice`` gives ``m`` and
-        ``digits``; the sums are exact in int64 wherever it routes.
+        entries and no letter matrix is built.  ``m`` and the digits are
+        ``lattice(length)``'s; the sums are exact in int64 wherever it routes.
         """
+        m, digits, _, _ = self.lattice(length)
         L = self._suffix_length(len(codes), length)
         prefixes, suffixes = np.divmod(np.asarray(codes, dtype=np.int64), self.alphabet_size**L)
         table = _offset_table(m, digits, L)

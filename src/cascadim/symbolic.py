@@ -410,19 +410,14 @@ class SymbolicMeasure:
         """(count, n) letter matrix of i.i.d. words drawn from the measure."""
         if n < 0:
             raise ValueError("n must be >= 0")
+        a = self.alphabet_size
         out = np.empty((count, n), dtype=np.uint8)
-        if n == 0:
-            return out
-        P = np.array(self.transition)
-        cumP = np.cumsum(P, axis=1)
-        cum0 = np.cumsum(self.initial)
+        cum = np.cumsum(self.step_table(), axis=1)
         u = rng.random((count, n))
-        cur = np.searchsorted(cum0, u[:, 0], side="right").astype(np.int64)
-        np.minimum(cur, self.alphabet_size - 1, out=cur)
-        out[:, 0] = cur + 1
-        for j in range(1, n):
-            rows = cumP[cur]
-            cur = (u[:, j : j + 1] >= rows).sum(axis=1)
-            np.minimum(cur, self.alphabet_size - 1, out=cur)
+        cur = np.full(count, a)  # row a of the step table: the first letter
+        for j in range(n):
+            # the entries of a cumulative row at or below u: searchsorted(row, u, "right")
+            cur = (u[:, j : j + 1] >= cum[cur]).sum(axis=1)
+            np.minimum(cur, a - 1, out=cur)
             out[:, j] = cur + 1
         return out

@@ -44,6 +44,18 @@ class TestWeightLaw:
         with pytest.raises(ValueError):
             WeightLaw.percolation(0.0)
 
+    @pytest.mark.parametrize(
+        "values, probs",
+        [([2.0, 0.0], [0.5, 0.5]), ([0.0, 1.5], [1 / 3, 2 / 3]), ([0.5, 1.0, 2.0], [0.2, 0.7, 0.1])],
+    )
+    def test_discrete_weights_exact(self, values, probs):
+        # keys at every cumulative probability and one ulp on either side
+        cum = np.cumsum(probs)
+        u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [0.0, 0.5, 1.0 - 2.0**-53]])
+        want = np.array(values)[np.minimum(np.searchsorted(cum, u, side="right"), len(values) - 1)]
+        got = WeightLaw.discrete(values, probs).weights_from_uniforms(u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestDrawWeight:
     def test_unit_percolation_always_one(self):

@@ -25,10 +25,9 @@ from cascadim import (
     set_image,
     sumset,
 )
-from cascadim import euclid
+from cascadim import cascade, euclid
 from cascadim.errors import CapExceeded, ScaleBelowResolution
-from cascadim.cascade import _to_uniform
-from cascadim.euclid import _inverse_cdf
+from cascadim.cascade import _inverse_cdf, _to_uniform
 from cascadim.symbolic import codes_to_letters
 from oracles import cylinder_interval, merged_atoms
 
@@ -163,9 +162,11 @@ class TestInverseCdf:
     def test_few_keys_take_the_plain_search(self, monkeypatch):
         w = np.random.default_rng(3).random(1000) + 0.01
         table = self._table(w.size)
+        # drawn before the spy goes in: counter_uniforms calls np.arange in cascade too
+        few, enough = (KeyedRng(4).counter_uniforms(0xA1, n) for n in (table - 1, table))
         built = []
 
-        class NumpySpy:  # numpy as euclid sees it, noting each guide-table build
+        class NumpySpy:  # numpy as cascade sees it, noting each guide-table build
             def __getattr__(self, name):
                 return getattr(np, name)
 
@@ -173,10 +174,10 @@ class TestInverseCdf:
                 built.append(args)
                 return np.arange(*args, **kwargs)
 
-        monkeypatch.setattr(euclid, "np", NumpySpy())
-        self._assert_plain(w, KeyedRng(4).counter_uniforms(0xA1, table - 1))
+        monkeypatch.setattr(cascade, "np", NumpySpy())
+        self._assert_plain(w, few)
         assert built == []  # no table
-        self._assert_plain(w, KeyedRng(4).counter_uniforms(0xA1, table))
+        self._assert_plain(w, enough)
         assert built == [(table + 2,)]
 
 
@@ -422,12 +423,13 @@ class TestConvolve:
             assert np.array_equal(conv.weights, proj.weights)
 
     def test_general_exponent_reduces_to_scaled_convolution(self):
-        # project(product, s, +) == convolve(scaled(m1, delta^s), m2), (1, 0) map
+        # project(product, s, +) == convolve(m1 scaled by delta^s, m2), (1, 0) map
         m1 = AtomicMeasure([0.0, 0.25, 0.75], [0.2, 0.5, 0.3], 0.0)
         m2 = AtomicMeasure([0.1, 0.6], [0.5, 0.5], 0.0)
         delta, s = 0.5, 1.5
         proj = project(product(m1, m2, atom_cap=6), s, +1, delta)
-        conv = convolve(m1.scaled(delta**s), m2, atom_cap=6)
+        c = delta**s
+        conv = convolve(AtomicMeasure(m1.points * c, m1.weights, m1.resolution * c), m2, atom_cap=6)
         assert np.allclose(np.sort(proj.points), np.sort(conv.points), atol=1e-15)
         for center in (0.3, 0.7):
             got = proj.ball_mass_many([center], 0.2)[0]

@@ -79,6 +79,12 @@ class TestConfigValidation:
             ({"experiment": "perc-image-dim", "ifs": [[0.5, 0.0], [0.5, float("inf")]]}, "finite"),
             ({"experiment": "cascade-dim", "p": float("-inf")}, "finite"),
             ({"experiment": "sumset-dim", "pair_cap": 5}, "unknown key"),
+            # only the experiments that draw trials take a trial count
+            ({"experiment": "projection-scan", "trials": 2}, "unknown key"),
+            ({"experiment": "bconv", "trials": 2}, "unknown key"),
+            ({"experiment": "gamma", "trials": 2}, "unknown key"),
+            # the plot is the CLI's --plot, not a config key
+            ({"experiment": "gamma", "plot": True}, "unknown key"),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
@@ -364,6 +370,8 @@ class TestCli:
             {"experiment": "gamma", "alphabet": 3, "subshift": "golden-mean", "ifs": "tiling", "n_max": 6,
              "expect_gamma": 0.0},
             {"experiment": "perc-image-dim", "alphabet": 3, "subshift": [[1, 1], [1, 0]]},
+            # bconv draws no trials
+            {"experiment": "bconv", "trials": 5, "depth": 10, "atom_cap": 20000, "sample_size": 500},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):
@@ -384,6 +392,21 @@ class TestCli:
         assert main(["gamma", "--out", str(blocker / sub)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_trials_flag_refused_where_unread(self, tmp_path, capsys):
+        # every subcommand keeps --trials; bconv draws no trials and refuses it
+        assert main(["bconv", "--trials", "5", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'trials'") and err.count("\n") == 1, err
+
+    def test_plot_flag_writes_the_svg(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "gamma", "alphabet": 2, "subshift": "full",
+                                   "ifs": "tiling", "n_max": 6, "expect_gamma": 0.0}))
+        for out, flags in ((tmp_path / "plain", []), (tmp_path / "plot", ["--plot"])):
+            assert main(["gamma", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        assert not (tmp_path / "plain" / "plot.svg").exists()
+        assert (tmp_path / "plot" / "plot.svg").read_text().startswith("<svg")
 
     def test_subcommand_config_mismatch(self, tmp_path):
         cfg = tmp_path / "cfg.json"

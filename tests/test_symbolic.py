@@ -241,6 +241,23 @@ class TestBernoulliClosedForms:
         got = SymbolicMeasure.bernoulli(probs).sample_letters(12, 1000, np.random.default_rng(5))
         assert got.dtype == np.uint8 and np.array_equal(got, want)
 
+    def test_sample_letters_markov(self, golden_mean):
+        # the golden-mean Parry measure: one search per position in the
+        # cumulative row of the previous letter, the initial law first
+        m = golden_mean.parry_measure()
+        a = m.alphabet_size
+        u = np.random.default_rng(5).random((1000, 12))
+        rows = [np.cumsum(row) for row in m.transition]
+        want = np.empty(u.shape, dtype=np.int64)
+        for i in range(u.shape[0]):
+            cum = np.cumsum(m.initial)
+            for j in range(u.shape[1]):
+                want[i, j] = min(np.searchsorted(cum, u[i, j], side="right"), a - 1) + 1
+                cum = rows[want[i, j] - 1]
+        got = m.sample_letters(12, 1000, np.random.default_rng(5))
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert not ((got[:, :-1] == 2) & (got[:, 1:] == 2)).any()
+
 
 class TestSampling:
     def test_degenerate_is_deterministic(self, np_rng):

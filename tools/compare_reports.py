@@ -1,4 +1,4 @@
-"""Compare the outputs of every shipped config between two checkouts.
+"""Compare the outputs of every shipped config and demo between two checkouts.
 
 Usage: python tools/compare_reports.py BASE HEAD
 
@@ -6,8 +6,9 @@ BASE and HEAD are checkout directories.  Each ``configs/*.json`` of either
 side runs through that side's CLI (``python -m cascadim.cli`` with
 ``PYTHONPATH=<side>/src``) with ``--plot``.  The exit codes and the bytes of
 ``report.json`` (with its ``runtime_s`` masked), ``scales.csv`` and
-``plot.svg`` are compared.  One line is printed per difference; the exit
-code is 1 if any differ, else 0.
+``plot.svg`` are compared.  Each ``demos/*.py`` of either side runs with
+that side's package, and the exit codes and stdout are compared.  One line
+is printed per difference; the exit code is 1 if any differ, else 0.
 """
 from __future__ import annotations
 
@@ -23,12 +24,17 @@ OUTPUTS = ("report.json", "scales.csv", "plot.svg")
 _RUNTIME = re.compile(rb'"runtime_s": [^,\n]+')
 
 
+def _run(side: Path, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run python with ``args`` against the package of checkout ``side``."""
+    env = dict(os.environ, PYTHONPATH=str(side / "src"))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True)
+
+
 def run_config(side: Path, config: Path, out: Path) -> int:
     """Run ``config`` through the CLI of checkout ``side`` into ``out``; return the exit code."""
     experiment = json.loads(config.read_text())["experiment"]
-    env = dict(os.environ, PYTHONPATH=str(side / "src"))
-    cmd = [sys.executable, "-m", "cascadim.cli", experiment, "--config", str(config), "--out", str(out), "--plot"]
-    return subprocess.run(cmd, env=env, cwd=side, capture_output=True).returncode
+    args = ["-m", "cascadim.cli", experiment, "--config", str(config), "--out", str(out), "--plot"]
+    return _run(side, args, side).returncode
 
 
 def read_output(path: Path) -> bytes | None:
@@ -64,13 +70,37 @@ def compare(base: Path, head: Path, scratch: Path) -> list[str]:
     return diffs
 
 
+def compare_demos(base: Path, head: Path, scratch: Path) -> list[str]:
+    """One line per demo whose exit code or stdout differs between the two checkouts."""
+    names = sorted({p.name for side in (base, head) for p in (side / "demos").glob("*.py")})
+    diffs = []
+    for name in names:
+        runs = []
+        for label, side in (("BASE", base), ("HEAD", head)):
+            script = side / "demos" / name
+            if not script.exists():
+                diffs.append(f"demos/{name}: no such demo in {label}")
+                break
+            cwd = scratch / "demos" / label  # demos may write files where they run
+            cwd.mkdir(parents=True, exist_ok=True)
+            runs.append(_run(side, [str(script)], cwd))
+        if len(runs) < 2:
+            continue
+        (code_b, out_b), (code_h, out_h) = ((r.returncode, r.stdout) for r in runs)
+        if code_b != code_h:
+            diffs.append(f"demos/{name}: exit code {code_b} in BASE, {code_h} in HEAD")
+        elif out_b != out_h:
+            diffs.append(f"demos/{name}: stdout differs")
+    return diffs
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     base, head = (Path(p).resolve() for p in argv)
     with tempfile.TemporaryDirectory() as scratch:
-        diffs = compare(base, head, Path(scratch))
+        diffs = compare(base, head, Path(scratch)) + compare_demos(base, head, Path(scratch))
     for line in diffs:
         print(line)
     return 1 if diffs else 0
