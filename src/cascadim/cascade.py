@@ -264,6 +264,11 @@ class CylinderMeasure:
         return len(self.codes)
 
 
+def degenerate_regime(h_v: float, h_mu: float) -> bool:
+    """h_V >= h_mu, unless h_V = 0: the unit law V = 1 keeps mass 1 at every depth."""
+    return h_v > 0 and h_v >= h_mu
+
+
 def _grow(base, x, law, rng, depth, cap):
     """Keyed cascade walk: the codes and masses of the depth-n words (see ``walk_tree``)."""
     if base.alphabet_size != x.alphabet_size:
@@ -291,7 +296,7 @@ def cascade_measure(
     """
     h_v = law.weight_entropy()
     h_mu = base.entropy()
-    if h_v >= h_mu:
+    if degenerate_regime(h_v, h_mu):
         warnings.warn(
             f"weight entropy {h_v:.6g} >= base entropy {h_mu:.6g}: "
             "the cascade limit is degenerate (finite stages still computed)",

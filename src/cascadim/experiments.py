@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import KeyedRng, WeightLaw, cascade_measure, percolation_codes
+from .cascade import KeyedRng, WeightLaw, cascade_measure, degenerate_regime, percolation_codes
 from .dimension import box_dimension, default_scales, entropy_dimension
 from .errors import CascadimError, ConfigError, DegenerateCascadeWarning
 from .euclid import (
@@ -75,13 +76,34 @@ def _rational_ratio_warnings(ratio: float, name: str) -> list:
     ]
 
 
+# A schema entry is (types, default, rule): a default of None makes the key
+# optional and _REQUIRED required; the rule is None, a range (test, what a
+# value must be), or a dict that gives each value the keys that follow it.
+_REQUIRED = object()
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_ALPHABET = (lambda v: v >= 2, "must be an integer >= 2")
+_FIT_LENGTH = (lambda v: v >= 4, "must be >= 4")
+_PROBABILITY = (lambda v: 0.0 < v <= 1.0, "must lie in (0,1]")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_NONEMPTY = (lambda v: len(v) > 0, "must not be empty")
+_NONZERO = (lambda v: len(v) > 0 and 0 not in v, "must be nonempty, with no zero entry")
+_SAMPLE_SIZE = (lambda v: v == 0 or v >= 2, "must be 0 (sum over all atoms) or >= 2 (the sample std needs two centers)")
+
+# each weight law's keys, in the order its WeightLaw constructor takes them
+_LAWS = {
+    "percolation": {"p": (float, 0.7, _PROBABILITY)},
+    "lognormal": {"sigma": (float, 0.5, _POSITIVE)},
+    "discrete": {"values": (list, _REQUIRED, None), "probs": (list, _REQUIRED, None)},
+}
+
 _COMMON = {
-    "experiment": (str, None),
-    "seed": (int, 1),
+    "experiment": (str, None, None),
+    "seed": (int, 1, None),
     # every experiment accepts it, since perfbench passes --threads to each
     # workload; only the trial loops read it, and no result depends on it
-    "threads": (int, 1),
-    "tolerance": (float, None),  # per-experiment default applied when None
+    "threads": (int, 1, _AT_LEAST_1),
 }
 
 def load_config(path) -> dict:
@@ -96,27 +118,32 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
-    """Apply the typed schema: unknown keys are errors, defaults fill gaps."""
+    """Apply the typed schema: unknown keys are errors, defaults fill gaps.
+
+    Returns exactly the keys the run reads, in schema order, with a law's
+    keys right after ``law``.
+    """
     if "experiment" not in cfg:
         raise ConfigError("missing key: experiment")
     name = cfg["experiment"]
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
-    schema = dict(_COMMON)
-    schema.update(EXPERIMENTS[name]["schema"])
+    todo = [*_COMMON.items(), *EXPERIMENTS[name]["schema"].items()]
     out = {}
-    for key, value in cfg.items():
-        if key not in schema:
-            raise ConfigError(f"unknown key {key!r} for experiment {name!r}")
-        types, default = schema[key]
-        types = types if isinstance(types, tuple) else (types,)
-        if value is None:
+    while todo:
+        key, (types, default, rule) = todo.pop(0)
+        value = cfg.get(key, default)
+        if key not in cfg:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing key: {key}")
+        elif value is None:
             if default is not None:
                 raise ConfigError(f"key {key!r} must not be null")
         else:
+            types = types if isinstance(types, tuple) else (types,)
             if int in types and isinstance(value, bool):
                 raise ConfigError(f"key {key!r} must be an integer")
-            if float in types and isinstance(value, (int, float)) and not isinstance(value, bool):
+            if float in types and _is_number(value):
                 value = float(value)
             elif not isinstance(value, types):
                 raise ConfigError(f"key {key!r} must have type {types}")
@@ -129,38 +156,19 @@ def validate_config(cfg: dict) -> dict:
                     raise ConfigError(f"key {key!r} must be a list of {what}")
             if any(isinstance(v, float) and not math.isfinite(v) for r in rows for v in r):
                 raise ConfigError(f"key {key!r} must hold finite numbers only")
+        if isinstance(rule, dict):
+            if value not in rule:
+                raise ConfigError(f"{key} must be one of {sorted(rule)}, not {value!r}")
+            todo[:0] = rule[value].items()
+        elif rule is not None and value is not None and not rule[0](value):
+            raise ConfigError(f"{key} {rule[1]}")
         out[key] = value
-    for key, (types, default) in schema.items():
-        out.setdefault(key, default)
-    if out["tolerance"] is None:
-        out["tolerance"] = EXPERIMENTS[name]["tolerance"]
-    if out["tolerance"] < 0:
-        raise ConfigError("tolerance must be >= 0")
-    for key in ("trials", "threads", "atom_cap"):
-        if key in out and out[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if "sample_size" in out and not (out["sample_size"] == 0 or out["sample_size"] >= 2):
-        raise ConfigError("sample_size must be 0 (sum over all atoms) or >= 2 (the sample std needs two centers)")
-    for key in ("s_values", "s_grid"):
-        if key in out and not out[key]:
-            raise ConfigError(f"{key} must not be empty")
-    for key in ("p", "p_a", "p_b"):
-        if key in out and not 0.0 < out[key] <= 1.0:
-            raise ConfigError(f"{key} must lie in (0,1]")
-    for key in ("alphabet", "alphabet_a", "alphabet_b"):
-        if out.get(key) is not None and out[key] < 2:
-            raise ConfigError(f"{key} must be an integer >= 2")
-    for key in ("gamma_nmax", "n_max"):
-        if key in out and out[key] < 4:
-            raise ConfigError(f"{key} must be >= 4")
-    for key in ("beta_a", "beta_b"):
-        if key in out and not 0.0 < out[key] < 1.0:
-            raise ConfigError(f"{key} must lie in (0,1)")
+    for key in cfg:
+        if key not in out:
+            raise ConfigError(f"unknown key {key!r} for experiment {name!r}")
     for key, alphabet in (("base_probs", "alphabet"), ("probs_a", "alphabet_a"), ("probs_b", "alphabet_b")):
         probs = out.get(key)
-        if probs is not None and (
-            len(probs) != out[alphabet] or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-12
-        ):
+        if probs is not None and (len(probs) != out[alphabet] or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-12):
             raise ConfigError(f"{key} must be a probability vector of length {alphabet} = {out[alphabet]}")
     return out
 
@@ -216,19 +224,12 @@ def _build_system(cfg: dict, use: str, full_alphabet: int) -> tuple[Subshift, Af
 
 
 def _build_law(cfg: dict) -> WeightLaw:
+    """The ``WeightLaw`` constructor named by ``law``, called with that law's keys."""
     kind = cfg["law"]
-    if kind == "discrete" and (not cfg["values"] or not cfg["probs"]):
-        raise ConfigError("discrete law needs values and probs")
     try:
-        if kind == "percolation":
-            return WeightLaw.percolation(cfg["p"])
-        if kind == "lognormal":
-            return WeightLaw.lognormal(cfg["sigma"])
-        if kind == "discrete":
-            return WeightLaw.discrete(cfg["values"], cfg["probs"])
+        return getattr(WeightLaw, kind)(*(cfg[key] for key in _LAWS[kind]))
     except ValueError as exc:
         raise ConfigError(f"bad {kind} law: {exc}") from exc
-    raise ConfigError(f"unknown weight law {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +331,16 @@ def _collect_surviving(master: KeyedRng, need: int, worker, threads: int):
     """First ``need`` non-None worker(draw_rng, draw_index) results in index order.
 
     Draw index doubles as the derived-stream index, so the realizations and
-    their assignment to trials do not depend on the thread count.
+    their assignment to trials do not depend on the thread count.  Threads
+    past the core count gain nothing, so the pool and its waves stop there.
     """
     results = []
     discarded = 0
     draw = 0
-    wave = threads * 2
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        run = pool.map if threads > 1 else map
+    workers = min(threads, os.cpu_count() or 1)
+    wave = workers * 2
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = pool.map if workers > 1 else map
         while len(results) < need:
             outs = list(run(lambda i: worker(master.derive(i), i), range(draw, draw + wave)))
             draw += wave
@@ -378,7 +381,7 @@ def run_experiment(cfg: dict) -> ExperimentReport:
     verdict = "pass" if all(c["verdict"] == "pass" for c in found.checks) else "fail"
     return ExperimentReport(
         experiment=cfg["experiment"],
-        params={k: cfg[k] for k in spec["params"]},
+        params={k: v for k, v in cfg.items() if k not in _COMMON},
         seed=cfg["seed"],
         target=found.target,
         estimate={"value": worst["estimate"], "stderr": worst["stderr"]},
@@ -410,7 +413,7 @@ def run_cascade_dim(cfg: dict) -> Findings:
     h_v = law.weight_entropy()
     target = (h_mu - h_v) / math.log(a)
     warnings_list = []
-    if h_v >= h_mu:
+    if degenerate_regime(h_v, h_mu):
         warnings_list.append("degenerate regime: h_V >= h_mu, cascade dies almost surely")
     scales = default_scales(1.0 / a, depth)
 
@@ -519,8 +522,6 @@ def run_sumset_dim(cfg: dict) -> Findings:
     shift_a, shift_b = Subshift.full(a), Subshift.full(b)
     ifs_a, ifs_b = AffineIfs.tiling(a), AffineIfs.tiling(b)
     s_values = [float(s) for s in cfg["s_values"]]
-    if any(s == 0 for s in s_values):
-        raise ConfigError("s values must be nonzero")
     dim_sum = 2.0 + math.log(pa) / math.log(a) + math.log(pb) / math.log(b)
     target = min(1.0, dim_sum)
     rational = _rational_ratio_warnings(math.log(1.0 / a) / math.log(1.0 / b), "log delta / log rho")
@@ -651,90 +652,84 @@ def run_gamma(cfg: dict) -> Findings:
 
 
 # ---------------------------------------------------------------------------
-# the experiments: config schema beyond _COMMON, default tolerance, report
-# params in order (not every schema key is reported), runner
+# the experiments: config schema beyond _COMMON, in report order, and runner
 
 EXPERIMENTS = {
     "cascade-dim": {
         "schema": {
-            "alphabet": (int, 2),
-            "base_probs": (list, None),  # None -> uniform
-            "law": (str, "percolation"),  # percolation | lognormal | discrete
-            "p": (float, 0.7),
-            "sigma": (float, 0.5),
-            "values": (list, None),
-            "probs": (list, None),
-            "depth": (int, 16),
-            "trials": (int, 32),
+            "alphabet": (int, 2, _ALPHABET),
+            "base_probs": (list, None, None),  # None -> uniform
+            "law": (str, "percolation", _LAWS),
+            "depth": (int, 16, _AT_LEAST_1),
+            "trials": (int, 32, _AT_LEAST_1),
+            "tolerance": (float, 0.06, _NONNEGATIVE),
         },
-        "params": ("alphabet", "base_probs", "law", "p", "sigma", "depth", "trials", "tolerance"),
-        "tolerance": 0.06, "run": run_cascade_dim,
+        "run": run_cascade_dim,
     },
     "perc-image-dim": {
         "schema": {
-            "alphabet": (int, None),  # the subshift's; 2 for "full"
-            "subshift": ((str, list), "golden-mean"),  # full | golden-mean | matrix rows
-            "ifs": ((str, list), "tiling"),  # tiling | [[r, t], ...]
-            "p": (float, 0.8),
-            "depth": (int, 18),
-            "gamma_nmax": (int, 10),
-            "trials": (int, 32),
+            "alphabet": (int, None, _ALPHABET),  # the subshift's; 2 for "full"
+            "subshift": ((str, list), "golden-mean", None),  # full | golden-mean | matrix rows
+            "ifs": ((str, list), "tiling", None),  # tiling | [[r, t], ...]
+            "p": (float, 0.8, _PROBABILITY),
+            "depth": (int, 18, _AT_LEAST_1),
+            "gamma_nmax": (int, 10, _FIT_LENGTH),
+            "trials": (int, 32, _AT_LEAST_1),
+            "tolerance": (float, 0.08, _NONNEGATIVE),
         },
-        "params": ("alphabet", "subshift", "ifs", "p", "depth", "trials", "tolerance"),
-        "tolerance": 0.08, "run": run_percolation_image_dim,
+        "run": run_percolation_image_dim,
     },
     "sumset-dim": {
         "schema": {
-            "alphabet_a": (int, 2),
-            "alphabet_b": (int, 3),
-            "p_a": (float, 0.55),
-            "p_b": (float, 0.6),
-            "depth_a": (int, 16),
-            "depth_b": (int, 10),
-            "s_values": (list, [1.0, -1.0, math.sqrt(2.0)]),
-            "trials": (int, 32),
+            "alphabet_a": (int, 2, _ALPHABET),
+            "alphabet_b": (int, 3, _ALPHABET),
+            "p_a": (float, 0.55, _PROBABILITY),
+            "p_b": (float, 0.6, _PROBABILITY),
+            "depth_a": (int, 16, _AT_LEAST_1),
+            "depth_b": (int, 10, _AT_LEAST_1),
+            "s_values": (list, [1.0, -1.0, math.sqrt(2.0)], _NONZERO),
+            "trials": (int, 32, _AT_LEAST_1),
+            "tolerance": (float, 0.10, _NONNEGATIVE),
         },
-        "params": ("alphabet_a", "alphabet_b", "p_a", "p_b", "depth_a", "depth_b", "s_values", "trials", "tolerance"),
-        "tolerance": 0.10, "run": run_sumset_dim,
+        "run": run_sumset_dim,
     },
     "projection-scan": {
         "schema": {
-            "alphabet_a": (int, 2),
-            "probs_a": (list, [0.1, 0.9]),
-            "alphabet_b": (int, 3),
-            "probs_b": (list, [0.1, 0.8, 0.1]),
-            "depth_a": (int, 16),
-            "depth_b": (int, 10),
-            "s_grid": (list, [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]),
-            "atom_cap": (int, 2_000_000),
-            "sample_size": (int, 4000),
+            "alphabet_a": (int, 2, _ALPHABET),
+            "probs_a": (list, [0.1, 0.9], None),
+            "alphabet_b": (int, 3, _ALPHABET),
+            "probs_b": (list, [0.1, 0.8, 0.1], None),
+            "depth_a": (int, 16, _AT_LEAST_1),
+            "depth_b": (int, 10, _AT_LEAST_1),
+            "s_grid": (list, [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], _NONEMPTY),
+            "atom_cap": (int, 2_000_000, _AT_LEAST_1),
+            "sample_size": (int, 4000, _SAMPLE_SIZE),
+            "tolerance": (float, 0.08, _NONNEGATIVE),
         },
-        "params": ("alphabet_a", "probs_a", "alphabet_b", "probs_b", "depth_a", "depth_b", "s_grid", "atom_cap",
-                   "sample_size", "tolerance"),
-        "tolerance": 0.08, "run": run_projection_scan,
+        "run": run_projection_scan,
     },
     "bconv": {
         "schema": {
-            "beta_a": (float, 0.4),
-            "p_a": (float, 0.9),
-            "beta_b": (float, 0.35),
-            "p_b": (float, 0.85),
-            "depth": (int, 18),
-            "atom_cap": (int, 3_000_000),
-            "sample_size": (int, 4000),
+            "beta_a": (float, 0.4, _OPEN_UNIT),
+            "p_a": (float, 0.9, _PROBABILITY),
+            "beta_b": (float, 0.35, _OPEN_UNIT),
+            "p_b": (float, 0.85, _PROBABILITY),
+            "depth": (int, 18, _AT_LEAST_1),
+            "atom_cap": (int, 3_000_000, _AT_LEAST_1),
+            "sample_size": (int, 4000, _SAMPLE_SIZE),
+            "tolerance": (float, 0.08, _NONNEGATIVE),
         },
-        "params": ("beta_a", "p_a", "beta_b", "p_b", "depth", "atom_cap", "sample_size", "tolerance"),
-        "tolerance": 0.08, "run": run_bernoulli_convolution,
+        "run": run_bernoulli_convolution,
     },
     "gamma": {
         "schema": {
-            "alphabet": (int, None),  # the subshift's; 3 for "full"
-            "subshift": ((str, list), "full"),
-            "ifs": ((str, list), [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]]),
-            "n_max": (int, 13),
-            "expect_gamma": (float, 1.0),
+            "alphabet": (int, None, _ALPHABET),  # the subshift's; 3 for "full"
+            "subshift": ((str, list), "full", None),
+            "ifs": ((str, list), [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]], None),
+            "n_max": (int, 13, _FIT_LENGTH),
+            "expect_gamma": (float, 1.0, None),
+            "tolerance": (float, 0.05, _NONNEGATIVE),
         },
-        "params": ("alphabet", "subshift", "ifs", "n_max", "expect_gamma", "tolerance"),
-        "tolerance": 0.05, "run": run_gamma,
+        "run": run_gamma,
     },
 }

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cascadim import (
     Subshift,
     SymbolicMeasure,
     WeightLaw,
+    bernoulli_convolution,
     cascade_mass_trace,
     cascade_measure,
     percolation_codes,
@@ -159,6 +161,12 @@ class TestCascadeMeasure:
     def test_degenerate_regime_warns(self, uniform2):
         with pytest.warns(DegenerateCascadeWarning):
             cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.4), 8, KeyedRng(1))
+
+    def test_unit_law_never_degenerate(self):
+        # V = 1 keeps mass 1 at every depth: h_V = -0.0 >= h_mu = -0.0 must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateCascadeWarning)
+            bernoulli_convolution(0.4, 1.0, 8)
 
     def test_cap_exceeded(self, uniform2):
         with pytest.raises(CapExceeded):

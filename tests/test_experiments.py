@@ -85,6 +85,15 @@ class TestConfigValidation:
             ({"experiment": "gamma", "trials": 2}, "unknown key"),
             # the plot is the CLI's --plot, not a config key
             ({"experiment": "gamma", "plot": True}, "unknown key"),
+            ({"experiment": "sumset-dim", "s_values": [1.0, 0.0]}, "no zero entry"),
+            ({"experiment": "cascade-dim", "law": "gaussian"}, "law must be one of"),
+            # each law takes its own keys only
+            ({"experiment": "cascade-dim", "law": "lognormal", "p": 0.2}, "unknown key 'p'"),
+            ({"experiment": "cascade-dim", "law": "percolation", "sigma": 0.5}, "unknown key 'sigma'"),
+            ({"experiment": "cascade-dim", "law": "discrete", "values": [1.0], "probs": [1.0], "p": 0.5},
+             "unknown key 'p'"),
+            ({"experiment": "cascade-dim", "law": "discrete"}, "missing key: values"),
+            ({"experiment": "cascade-dim", "law": "discrete", "values": [1.0]}, "missing key: probs"),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
@@ -163,6 +172,50 @@ class TestReports:
         assert rep_s["estimate"] == rep_p["estimate"]
         assert rep_s["per_trial"] == rep_p["per_trial"]
         assert rep_s["discarded_seeds"] == rep_p["discarded_seeds"]
+
+    def test_threads_bounded_by_the_cores(self, monkeypatch, tmp_path):
+        # the pool and its waves stop at the core count; the stand-in pool
+        # records what it was asked for and runs on at most 2 threads
+        asked = []
+
+        class Pool(experiments.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+        for threads in (64, 1):
+            run_experiment(dict(SMALL_CASCADE, threads=threads)).write(tmp_path / str(threads))
+        assert asked == [1, 1]
+        assert (tmp_path / "64" / "scales.csv").read_bytes() == (tmp_path / "1" / "scales.csv").read_bytes()
+        reports = [_mask_runtime((tmp_path / sub / "report.json").read_text()) for sub in ("64", "1")]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "cfg, echoed",
+        [
+            ({"experiment": "cascade-dim", "law": "discrete", "values": [0.5, 1.5], "probs": [0.5, 0.5],
+              "depth": 10, "trials": 2}, ("values", "probs")),
+            ({"experiment": "cascade-dim", "law": "lognormal", "depth": 10, "trials": 2}, ("sigma",)),
+            ({"experiment": "perc-image-dim", "alphabet": 2, "depth": 8, "trials": 2, "gamma_nmax": 6},
+             ("gamma_nmax",)),
+            ({"experiment": "sumset-dim", "depth_a": 8, "depth_b": 5, "trials": 2}, ("s_values",)),
+            ({"experiment": "projection-scan", "depth_a": 10, "depth_b": 6, "s_grid": [1.0], "atom_cap": 20000,
+              "sample_size": 200}, ("sample_size",)),
+            ({"experiment": "bconv", "depth": 8, "atom_cap": 20000, "sample_size": 200}, ("beta_a",)),
+            ({"experiment": "gamma", "alphabet": 3, "n_max": 6}, ("expect_gamma",)),
+        ],
+        ids=["cascade-discrete", "cascade-lognormal", "perc-image", "sumset", "projection", "bconv", "gamma"],
+    )
+    def test_params_echo_the_keys_read(self, cfg, echoed):
+        # params is the validated config, in schema order, without the
+        # experiment, seed and thread count
+        read = validate_config(cfg)
+        rep = run_experiment(cfg)
+        unechoed = ("experiment", "seed", "threads")
+        assert list(rep.params.items()) == [(k, v) for k, v in read.items() if k not in unechoed]
+        assert set(echoed) <= set(rep.params)
 
     def test_threads_leave_the_warning_filters_alone(self):
         # the filter list is shared by every thread: workers that each set and
@@ -372,6 +425,10 @@ class TestCli:
             {"experiment": "perc-image-dim", "alphabet": 3, "subshift": [[1, 1], [1, 0]]},
             # bconv draws no trials
             {"experiment": "bconv", "trials": 5, "depth": 10, "atom_cap": 20000, "sample_size": 500},
+            # a depth of 0 fails in validation, not in the walk
+            {"experiment": "sumset-dim", "depth_a": 0},
+            {"experiment": "bconv", "depth": 0},
+            {"experiment": "projection-scan", "depth_b": 0},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):
@@ -447,21 +504,23 @@ class TestReportPins:
     Each small config runs through ``cascadim.cli.main`` with ``--plot``; a
     report that changes a target, check, verdict, fit row or plotted series
     changes its digests.  The digests were taken from the runners that each
-    assembled their own report.
+    assembled their own report; the ``report.json`` digests of the
+    ``cascade-*`` and ``image-*`` entries were retaken when ``params`` came to
+    echo exactly the keys a run reads (a law's own keys, and ``gamma_nmax``).
     """
 
     PINS = {
         "cascade-percolation": (
             {"experiment": "cascade-dim", "depth": 10, "trials": 4, "seed": 11},
             0,
-            "9422e8b8123abcc8f82e1b25b479db2a1bee9164e894754f80425fce8f4b9648",
+            "3b84304e56ba4ac24b2a44906489fe8f56e3e9af872a61b2a67594545d24e3ee",
             "c8fc1b42176adf8dcf072acf185d1785afe779aaf8834375e81d4d63ce0ba25c",
             "d85001f6d24eb38f67043a7c6c7a5e14a0a29385bd5518403f8d3158b424df74",
         ),
         "cascade-lognormal": (
             {"experiment": "cascade-dim", "law": "lognormal", "sigma": 0.5, "depth": 10, "trials": 4, "seed": 11},
             0,
-            "a96fac859ecf48340d4b0557d9e8f45f03691ec5b40c4c9860a77440528a712a",
+            "1736f41dac39c429ec5bb55cb32488ed54e3d29643cb6f61b3cedab2d520a59b",
             "6147046f1824a3fcdf7600da7424bb998949e0b8b70a2c84fe6d2c754aa88828",
             "50331b70c6acf4004340236c4b44ee7ef7c35ede160521178403fb4c4aedba40",
         ),
@@ -470,14 +529,14 @@ class TestReportPins:
             {"experiment": "cascade-dim", "alphabet": 4, "law": "lognormal", "sigma": 0.5, "depth": 8,
              "trials": 4, "seed": 11},
             0,
-            "ae447a2492171850311063e9b2192359afe27994d93ae318673097a6eafe11e5",
+            "8255003ee533425a5a7d488f5591e6e7846901493fddaaf6d541b2c8f5c9d91b",
             "960a593fed98277f907839e9010384253d046682c582c90f79cdc069a15dbb1f",
             "7de4b730d77eaaac8d9c60911068789114ccdf14aa82bb26a5d124d4b0c4d8f1",
         ),
         "image-additive": (
             {"experiment": "perc-image-dim", "depth": 10, "trials": 4, "gamma_nmax": 8, "seed": 3},
             0,
-            "bbe61716936d568a69d68e2b0bd039badc3bf3ee9208c42794a0c47ebf00d91f",
+            "1f4a14c4f5b3619308acb8275a67cb81de97012b1054b3af4e4d81ea75ac3728",
             "31c1b2a56050fa0e53f704cc8b686d95d8fe0ed997540c4785f3ab822c649279",
             "70a71e21fa3ceeea64c152fcefb3ff43e52df1310e83306074916eb3c6ba09ab",
         ),
@@ -485,7 +544,7 @@ class TestReportPins:
             {"experiment": "perc-image-dim", "alphabet": 3, "subshift": "full", "ifs": _EXACT_OVERLAP,
              "p": 0.8, "depth": 10, "trials": 4, "gamma_nmax": 8, "seed": 3},
             0,
-            "93d0ed6ce9431bc3128bd3738ade9c3acc3c9ccf12733ed44dd5fde930bdad39",
+            "7738c9b8132b32c6f736b42a7896d1fd01fd5a748b49adf3a3f0f9a74cec3f92",
             "024c67145fc0cda452639796578b596c71193b90ee16caad61f4c6d4bf4246a6",
             "bcd0a41df8cfea80eb2a0e2c6e27daea2cdac2b44f16f9e665593f0319e850a1",
         ),
@@ -494,7 +553,7 @@ class TestReportPins:
              "ifs": [[0.5, 0.0], [0.5, 0.1], [0.5, 0.5]], "p": 0.9, "depth": 10, "trials": 4,
              "gamma_nmax": 8, "seed": 3},
             0,
-            "8f5620e4c37dc1d0075217d90b2d2754be4a2a8cf69eb870963f3f28dcd32e43",
+            "ea6c97f1fee2dfe487939ff1dd898a42fda99eeea22c0f6881d796e49ebececa",
             "a3e7a6630bd5861f1714d33f036751c43068b6f272a5ce149ecef3642e59e755",
             "2e401bb07277bf593367ac52aabc6b31469000a5503d7239a73dec220696b82a",
         ),

@@ -6,9 +6,10 @@ BASE and HEAD are checkout directories.  Each ``configs/*.json`` of either
 side runs through that side's CLI (``python -m cascadim.cli`` with
 ``PYTHONPATH=<side>/src``) with ``--plot``.  The exit codes and the bytes of
 ``report.json`` (with its ``runtime_s`` masked), ``scales.csv`` and
-``plot.svg`` are compared.  Each ``demos/*.py`` of either side runs with
-that side's package, and the exit codes and stdout are compared.  One line
-is printed per difference; the exit code is 1 if any differ, else 0.
+``plot.svg`` are compared; a ``report.json`` that differs is named with
+the top-level keys whose values differ.  Each ``demos/*.py`` of either side
+runs with that side's package, and the exit codes and stdout are compared.
+One line is printed per difference; the exit code is 1 if any differ, else 0.
 """
 from __future__ import annotations
 
@@ -44,6 +45,12 @@ def read_output(path: Path) -> bytes | None:
     return _RUNTIME.sub(b'"runtime_s": null', data) if path.name == "report.json" else data
 
 
+def differing_keys(base: bytes, head: bytes) -> list[str]:
+    """The top-level keys whose values differ between two ``report.json`` texts."""
+    b, h = json.loads(base), json.loads(head)
+    return [key for key in {**b, **h} if key not in b or key not in h or b[key] != h[key]]
+
+
 def compare(base: Path, head: Path, scratch: Path) -> list[str]:
     """One line per difference between the two checkouts' config outputs."""
     names = sorted({p.name for side in (base, head) for p in (side / "configs").glob("*.json")})
@@ -66,6 +73,8 @@ def compare(base: Path, head: Path, scratch: Path) -> list[str]:
             got_b, got_h = read_output(out_b / output), read_output(out_h / output)
             if got_b != got_h:
                 what = "missing in BASE" if got_b is None else "missing in HEAD" if got_h is None else "differs"
+                if what == "differs" and output == "report.json":
+                    what += " in " + (", ".join(differing_keys(got_b, got_h)) or "layout only")
                 diffs.append(f"{name}: {output} {what}")
     return diffs
 
