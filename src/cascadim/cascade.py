@@ -19,15 +19,23 @@ and a depth-j prefix is absorbed once per deeper length.  That is as many
 mixes as re-folding each level from the root (4.93M for the 3.14M children
 of the first ``perc_image_overlap`` trial, 3.4 per leaf), but the walk runs
 in cache-sized blocks instead of full-width passes over each level.
+
+scipy is imported only for the lognormal law, whose weights need its
+``ndtri``: ``scipy.special`` takes about 0.3 s to import, more than most
+runs.  ``WeightLaw.lognormal`` imports it in the thread that builds the
+law, so ``weights_from_uniforms``, which worker threads call, finds it
+already loaded.  The import adds process-wide warning filters, which would
+be lost if it first ran inside the ``catch_warnings`` block that the
+experiment driver holds around its workers.
 """
 from __future__ import annotations
 
+import importlib
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateCascadeWarning
 from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure, walk_tree
@@ -146,6 +154,7 @@ class WeightLaw:
         """exp(sigma*Z - sigma^2/2): location pinned so E(V) = 1."""
         if sigma <= 0:
             raise ValueError("sigma must be positive")
+        importlib.import_module("scipy.special")  # see the module docstring
         return cls("lognormal", sigma=float(sigma))
 
     @classmethod
@@ -185,6 +194,8 @@ class WeightLaw:
         if self.kind == "percolation":
             return np.where(u < self.p, 1.0 / self.p, 0.0)
         if self.kind == "lognormal":
+            from scipy.special import ndtri
+
             s = self.sigma
             return np.exp(s * ndtri(u) - s * s / 2.0)
         return np.asarray(self.values)[_inverse_cdf(self.probs, 1.0, u)]

@@ -126,7 +126,7 @@ def validate_config(cfg: dict) -> dict:
     if "experiment" not in cfg:
         raise ConfigError("missing key: experiment")
     name = cfg["experiment"]
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     todo = [*_COMMON.items(), *EXPERIMENTS[name]["schema"].items()]
     out = {}

@@ -1,15 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cascadim import Subshift, cli, experiments
+from cascadim import Subshift, WeightLaw, cli, experiments
 from cascadim.cli import main
 from cascadim.errors import CascadimError, ConfigError, DegenerateCascadeWarning
 from cascadim.experiments import (
@@ -94,6 +96,9 @@ class TestConfigValidation:
              "unknown key 'p'"),
             ({"experiment": "cascade-dim", "law": "discrete"}, "missing key: values"),
             ({"experiment": "cascade-dim", "law": "discrete", "values": [1.0]}, "missing key: probs"),
+            # an unhashable name is an unknown experiment, not a TypeError
+            ({"experiment": ["gamma"]}, "unknown experiment"),
+            ({"experiment": {"a": 1}}, "unknown experiment"),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
@@ -219,7 +224,10 @@ class TestReports:
 
     def test_threads_leave_the_warning_filters_alone(self):
         # the filter list is shared by every thread: workers that each set and
-        # restored it would restore one another's "ignore"
+        # restored it would restore one another's "ignore".  Importing
+        # scipy.special adds filters of its own, and building a lognormal law
+        # is what imports it, so the snapshot is taken after one is built.
+        WeightLaw.lognormal(0.5)
         before = list(warnings.filters)
         for seed in range(6):
             run_experiment({"experiment": "cascade-dim", "law": "lognormal", "depth": 10, "trials": 16,
@@ -620,3 +628,59 @@ class TestReportPins:
         assert verdict.startswith("advisory-") == name.endswith("-advisory")
         if name == "sumset-advisory":
             assert verdict == "advisory-pass"
+
+
+class TestFreshInterpreter:
+    """Start-up imports, seen from a new interpreter.
+
+    The test process itself has scipy loaded (the acceptance tests import
+    ``scipy.stats``), so only a subprocess can show what a run imports.
+    """
+
+    @staticmethod
+    def _python(code, *args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_scipy_loads_only_with_a_lognormal_law(self):
+        # scipy.special costs about 0.3 s to import; only the lognormal law needs it.
+        # Every other pinned report mode runs first.
+        configs = [cfg for cfg, *_ in TestReportPins.PINS.values() if cfg.get("law") != "lognormal"]
+        seen = self._python(
+            "import json, sys\n"
+            "import cascadim, cascadim.cli\n"
+            "from cascadim import WeightLaw\n"
+            "from cascadim.experiments import run_experiment, validate_config\n"
+            "for cfg in json.loads(sys.argv[1]):\n"
+            "    validate_config(cfg)\n"
+            "    run_experiment(cfg)\n"
+            "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "WeightLaw.lognormal(0.5)\n"
+            "print(json.dumps([before, 'scipy.special' in sys.modules]))\n",
+            json.dumps(configs),
+        )
+        assert seen == [[], True]
+
+    def test_lognormal_threads_match_in_a_fresh_interpreter(self, tmp_path):
+        # the run that imports scipy: two worker threads against one
+        cfg = TestReportPins.PINS["cascade-lognormal"][0]
+        outputs = []
+        for threads in (2, 1):
+            path = tmp_path / f"cfg{threads}.json"
+            path.write_text(json.dumps({**cfg, "threads": threads}))
+            out = tmp_path / f"out{threads}"
+            loaded = self._python(
+                "import json, sys\n"
+                "from cascadim.cli import main\n"
+                "before = 'scipy' in sys.modules\n"
+                "code = main(sys.argv[1:])\n"
+                "print(json.dumps([before, code]))\n",
+                "cascade-dim", "--config", str(path), "--out", str(out),
+            )
+            assert loaded == [False, 0]
+            outputs.append([_mask_runtime((out / "report.json").read_text()), (out / "scales.csv").read_bytes()])
+        assert outputs[0] == outputs[1]
