@@ -20,6 +20,17 @@ mixes as re-folding each level from the root (4.93M for the 3.14M children
 of the first ``perc_image_overlap`` trial, 3.4 per leaf), but the walk runs
 in cache-sized blocks instead of full-width passes over each level.
 
+Keep test: a percolation node survives when its uniform u is below p.
+``_to_uniform`` reads only the top 53 bits v = h >> 11 of a hash, and it is
+monotone in v: v is exact as a float, and adding 0.5, scaling by 2^-53 and
+clamping never reverse an order.  So u < p holds exactly when v is below
+T(p), the least 53-bit v whose uniform is at least p, which
+``_keep_threshold`` finds by bisection over ``_to_uniform`` itself; that is
+h < T(p) * 2^11, one integer comparison per child.  ``percolation_codes``
+walks the boolean successor table on that test, with no float masses, and
+no realization moves.  ``cascade_measure`` keeps its float masses, which its
+reports need, and takes every weight from ``weights_from_uniforms``.
+
 scipy is imported only for the lognormal law, whose weights need its
 ``ndtri``: ``scipy.special`` takes about 0.3 s to import, more than most
 runs.  ``WeightLaw.lognormal`` imports it in the thread that builds the
@@ -280,6 +291,21 @@ def degenerate_regime(h_v: float, h_mu: float) -> bool:
     return h_v > 0 and h_v >= h_mu
 
 
+def _keep_threshold(p: float) -> int:
+    """T(p), the least 53-bit v with ``_to_uniform`` of ``v << 11`` at least p; 2^53 if none.
+
+    A hash h keeps its node (u < p) exactly when ``h >> 11 < T(p)``.
+    """
+    lo, hi = 0, 2**53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _to_uniform(np.array([mid << 11], dtype=np.uint64))[0] >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _grow(base, x, law, rng, depth, cap):
     """Keyed cascade walk: the codes and masses of the depth-n words (see ``walk_tree``)."""
     if base.alphabet_size != x.alphabet_size:
@@ -318,11 +344,19 @@ def cascade_measure(
 
 
 def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng) -> np.ndarray:
-    """Codes of the admissible depth-n words whose every prefix weight is positive."""
-    law = WeightLaw.percolation(p)
-    base = SymbolicMeasure.uniform(x.alphabet_size)
-    codes, _ = _grow(base, x, law, rng, depth, DEFAULT_WORD_CAP)
-    return codes
+    """Codes of the admissible depth-n words whose every prefix weight is positive.
+
+    The walk enumerates the successor table and keeps a child on the integer
+    keep test alone (see the module docstring); no node carries a mass.
+    """
+    WeightLaw.percolation(p)  # the same refusals as the law
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    table = x.successor_table()
+    if p == 1.0:
+        return walk_tree(table, depth, DEFAULT_WORD_CAP)[0]
+    bound = np.uint64(_keep_threshold(p) << 11)  # h >> 11 < T(p); T(p) < 2^53 for p < 1, so it fits
+    return walk_tree(table, depth, DEFAULT_WORD_CAP, rng, lambda hashes: hashes < bound)[0]
 
 
 def cascade_mass_trace(

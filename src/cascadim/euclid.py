@@ -278,28 +278,49 @@ def set_image(codes: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
     When ``ifs.lattice(length)`` routes the IFS (ratio 1/m with m a power of
     two, integer digits m*t_i and hull ends lo, hi, all exact below 2^53),
     every cylinder at depth n = ``length`` is ``[(P + lo) / m^n, (P + hi) / m^n]``
-    for an integer cell offset P.  Then the offsets are sorted as int64 and a
-    new interval starts wherever the next offset is more than ``w = hi - lo``
-    past the last; repeated offsets never start one.  That is the merge
-    ``IntervalSet`` makes of the float intervals, and the float path is exact
-    on such an IFS, so the result is the same bit for bit.  Every other IFS
-    takes the float path: ``points_for_codes`` at the two hull ends.
+    for an integer cell offset P.  Then the distinct offsets are taken in
+    order and a new interval starts wherever the next offset is more than
+    ``w = hi - lo`` past the last; repeated offsets never start one.  That is
+    the merge ``IntervalSet`` makes of the float intervals, and the float
+    path is exact on such an IFS, so the result is the same bit for bit.
+    Every offset lies in ``[min(d) S, max(d) S]`` with ``S = (m^n - 1)/(m - 1)``;
+    when that range has at most ``len(codes)`` cells, the offsets are marked
+    in a boolean array and read back in order, else they are sorted.  Every
+    other IFS takes the float path: ``hull_images``, the points at the two
+    hull ends.
     """
     if len(codes) == 0:
         return IntervalSet.empty()
     lattice = ifs.lattice(length)
     if lattice is None:
-        los = ifs.points_for_codes(codes, length, ifs.attractor_min)
-        his = ifs.points_for_codes(codes, length, ifs.attractor_max)
+        los, his = ifs.hull_images(codes, length)
         return IntervalSet(los, his, source_scale=float((his - los).max()))
-    m, _, lo, hi = lattice
+    m, digits, lo, hi = lattice
     cells = ifs.lattice_offsets(codes, length)
-    cells.sort()
+    span = (m**length - 1) // (m - 1)
+    cells = _ordered_cells(cells, min(digits) * span, max(digits) * span)
     breaks = np.flatnonzero(np.diff(cells) > hi - lo)
     scale = m**length
     los = (cells[np.concatenate([[0], breaks + 1])] + lo) / scale
     his = (cells[np.append(breaks, cells.size - 1)] + hi) / scale
     return IntervalSet(los, his, source_scale=(hi - lo) / scale, _merged=True)
+
+
+def _ordered_cells(cells: np.ndarray, first: int, last: int) -> np.ndarray:
+    """The int64 ``cells``, all in ``[first, last]``, in increasing order; may reuse ``cells``.
+
+    A range of at most ``len(cells)`` values is marked in a boolean array and
+    read back, which drops repeats; a wider range is sorted, repeats and all.
+    """
+    if last - first >= len(cells):
+        cells.sort()
+        return cells
+    cells -= first
+    marked = np.zeros(last - first + 1, dtype=bool)
+    marked[cells] = True
+    cells = np.flatnonzero(marked)
+    cells += first
+    return cells
 
 
 # ---------------------------------------------------------------------------

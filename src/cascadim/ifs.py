@@ -118,11 +118,23 @@ class AffineIfs:
         contraction) down the tree instead would compose left to right, which
         rounds differently for non-dyadic ratios.
         """
+        return self._points_from(codes, length, (x0,))[0]
+
+    def hull_images(self, codes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """f_u(attractor_min) and f_u(attractor_max), the ends of each cylinder image.
+
+        As ``points_for_codes`` at the two hull ends, bit for bit; the prefix
+        letters are decoded once for both.
+        """
+        return tuple(self._points_from(codes, length, (self.attractor_min, self.attractor_max)))
+
+    def _points_from(self, codes: np.ndarray, length: int, starts) -> list[np.ndarray]:
+        """``points_for_codes`` at each start in turn, sharing one decoded prefix matrix."""
         a = self.alphabet_size
-        codes = np.asarray(codes, dtype=np.int64)
         L = self._suffix_length(len(codes), length)
-        prefixes, suffixes = np.divmod(codes, a**L)
-        return self.points_for_letters(codes_to_letters(prefixes, length - L, a), self._suffix_table(x0, L)[suffixes])
+        prefixes, suffixes = _split(np.asarray(codes, dtype=np.int64), a**L)
+        letters = codes_to_letters(prefixes, length - L, a)
+        return [self.points_for_letters(letters, self._suffix_table(x0, L)[suffixes]) for x0 in starts]
 
     def points_for_letters(self, letters: np.ndarray, x0: float | np.ndarray) -> np.ndarray:
         """f_u(x0) for every row u of a letter matrix; ``x0`` may be one start per row."""
@@ -146,7 +158,7 @@ class AffineIfs:
         """
         m, digits, _, _ = self.lattice(length)
         L = self._suffix_length(len(codes), length)
-        prefixes, suffixes = np.divmod(np.asarray(codes, dtype=np.int64), self.alphabet_size**L)
+        prefixes, suffixes = _split(np.asarray(codes, dtype=np.int64), self.alphabet_size**L)
         table = _offset_table(m, digits, L)
         out = table[suffixes]
         del suffixes
@@ -154,7 +166,7 @@ class AffineIfs:
         k = length - L  # prefix letters not yet read
         while k > 0:
             if k > L:
-                prefixes, suffixes = np.divmod(prefixes, self.alphabet_size**L)
+                prefixes, suffixes = _split(prefixes, self.alphabet_size**L)
             else:
                 suffixes, table = prefixes, _offset_table(m, digits, k)
             part = table[suffixes]
@@ -191,13 +203,30 @@ class AffineIfs:
         return out
 
 
+def _split(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod(codes, base)`` for nonnegative codes, with one division."""
+    high = codes // base
+    low = high * base
+    np.subtract(codes, low, out=low)
+    return high, low
+
+
 def _offset_table(m: int, digits: Sequence[int], k: int) -> np.ndarray:
-    """P(s) = sum_j d(s_j) m^(k-j) for the a^k words s of length k, indexed by their codes."""
+    """P(s) = sum_j d(s_j) m^(k-j) for the a^k words s of length k, indexed by their codes.
+
+    A word of k letters splits into h = k - k//2 leading and l = k//2
+    trailing letters, P(s) = P(lead) m^l + P(trail), so the table is one
+    broadcast add of the two half tables, each built letter by letter.
+    """
     d = np.array(digits, dtype=np.int64)
-    table = np.zeros(1, dtype=np.int64)
-    for _ in range(k):
-        table = (table[:, None] * m + d).ravel()
-    return table
+    halves = []
+    for part in (k - k // 2, k // 2):
+        table = np.zeros(1, dtype=np.int64)
+        for _ in range(part):
+            table = (table[:, None] * m + d).ravel()
+        halves.append(table)
+    lead, trail = halves
+    return (lead[:, None] * m ** (k // 2) + trail).ravel()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from cascadim import (
     percolation_codes,
 )
 from cascadim import symbolic
-from cascadim.cascade import _grow, _to_uniform
+from cascadim.cascade import _grow, _keep_threshold, _to_uniform
 from cascadim.errors import CapExceeded, DegenerateCascadeWarning
 from cascadim.symbolic import codes_to_letters, walk_tree
 from oracles import cylinder_mass, draw_weight
@@ -109,6 +109,55 @@ class TestDrawWeight:
         u = _to_uniform(top)
         assert u[0] < 1.0 and u[1] < u[0]
         assert np.isfinite(WeightLaw.lognormal(0.5).weights_from_uniforms(u)).all()
+
+
+class TestKeepThreshold:
+    """The walk's integer keep test ``h >> 11 < T(p)`` against the float test ``u < p``."""
+
+    @staticmethod
+    def _uniform_of(v):
+        return float(_to_uniform(np.array([int(v) << 11], dtype=np.uint64))[0])
+
+    def test_unit_law_keeps_every_code(self):
+        # the top code's uniform is clamped to 1 - 2^-53 < 1
+        assert _keep_threshold(1.0) == 2**53
+
+    def test_one_half_and_its_neighbours(self):
+        # (v + 0.5) 2^-53 rounds half to even at v = 2^52 and above
+        below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+        assert (_keep_threshold(below), _keep_threshold(0.5), _keep_threshold(above)) == (
+            2**52 - 1,
+            2**52,
+            2**52 + 1,
+        )
+        for p in (below, 0.5, above):
+            t = _keep_threshold(p)
+            assert self._uniform_of(t - 1) < p <= self._uniform_of(t)
+
+    @pytest.mark.parametrize("p", [1e-9, 1 / 3, 0.5, 0.62, 0.8, 1 - 2**-53])
+    def test_agrees_with_the_float_test(self, p):
+        t = _keep_threshold(p)
+        assert 0 < t < 2**53
+        gen = np.random.default_rng(17)
+        random = gen.integers(0, 2**64, size=2_000_000, dtype=np.uint64)
+        # every top-53 value within 1000 of T, each with its lowest, highest and a random low part
+        top = np.arange(max(t - 1000, 0), min(t + 1001, 2**53), dtype=np.uint64) << np.uint64(11)
+        lows = (np.zeros_like(top), np.full_like(top, 2**11 - 1), gen.integers(0, 2**11, top.size, dtype=np.uint64))
+        near = np.tile(top, 3) | np.concatenate(lows)
+        for hashes in (random, near):
+            expected = _to_uniform(hashes) < p
+            assert np.array_equal((hashes >> np.uint64(11)) < np.uint64(t), expected)
+            # the walk's form: the bound on the whole hash
+            assert np.array_equal(hashes < np.uint64(t << 11), expected)
+        assert 0 < expected.sum() < expected.size
+
+    def test_percolation_codes_at_p_one_hash_nothing(self, golden_mean, monkeypatch):
+        def hashed(*args):
+            raise AssertionError("hashed a node")
+
+        monkeypatch.setattr(KeyedRng, "length_states", hashed)
+        monkeypatch.setattr(KeyedRng, "absorb", staticmethod(hashed))
+        assert np.array_equal(percolation_codes(golden_mean, 1.0, 12, KeyedRng(1)), golden_mean.admissible_codes(12))
 
 
 class TestCascadeMeasure:
@@ -537,6 +586,16 @@ class TestRealizationPins:
         monkeypatch.setattr(KeyedRng, "absorb", staticmethod(hashed))
         name = "bconv-bernoulli-depth18"
         assert _digests(*self._walk(name)) == self.PINS[name]
+
+    @pytest.mark.parametrize(
+        "name, shift", [("full3-percolation-depth16", Subshift.full(3)), ("golden-percolation-depth18", _GOLDEN)]
+    )
+    def test_percolation_codes_match_the_pinned_walk(self, name, shift):
+        # percolation_codes walks the boolean successor table on the integer keep test alone
+        codes, masses, _ = self._walk(name)
+        assert (masses > 0).all()
+        depth = int(name.rsplit("depth", 1)[1])
+        assert np.array_equal(percolation_codes(shift, 0.8, depth, KeyedRng(101).derive(0)), codes)
 
     def test_public_entry_points_match_the_pinned_walk(self):
         trial = KeyedRng(101).derive(0)

@@ -313,6 +313,55 @@ class TestLatticeImage:
         _assert_float_path_image(set_image(codes, ifs, length=n), ifs, codes, n)
 
 
+class TestLatticeCells:
+    """The distinct-cell step of the lattice image: a bitmap over a narrow cell range, else a sort."""
+
+    CASES = {
+        # name: (ifs, codes, depth, bitmap side)
+        "exact overlap, every depth-10 code": (EX_OVERLAP, np.arange(3**10), 10, True),
+        "digits (-1, -1, 0), every depth-10 code": (
+            AffineIfs.from_maps([(0.5, -0.5), (0.5, -0.5), (0.5, 0.0)]),
+            np.arange(3**10),
+            10,
+            True,
+        ),
+        "tiling(2), sparse depth-16 codes": (
+            AffineIfs.tiling(2),
+            np.unique(np.random.default_rng(3).integers(0, 2**16, 3000)),
+            16,
+            False,
+        ),
+        "bernoulli_pair(0.5), every depth-10 code": (AffineIfs.bernoulli_pair(0.5), np.arange(2**10), 10, False),
+    }
+
+    @staticmethod
+    def _range(ifs, n):
+        m, digits, _, _ = ifs.lattice(n)
+        span = (m**n - 1) // (m - 1)
+        return min(digits) * span, max(digits) * span
+
+    @pytest.mark.parametrize("name", list(CASES), ids=list(CASES))
+    def test_both_sides_match_the_float_path(self, name):
+        ifs, codes, n, bitmap = self.CASES[name]
+        first, last = self._range(ifs, n)
+        assert (last - first < len(codes)) == bitmap
+        cells = ifs.lattice_offsets(codes, n)
+        assert first <= cells.min() and cells.max() <= last
+        # the same cells on the other side of the rule: a range wide enough for the sort
+        marked = euclid._ordered_cells(cells.copy(), first, last)
+        sorted_ = euclid._ordered_cells(cells.copy(), first, first + len(cells))
+        assert np.array_equal(sorted_, np.sort(cells))
+        assert np.array_equal(marked, np.unique(cells) if bitmap else sorted_)
+        # repeating every code moves a sort-side set to the bitmap side; the image stays
+        img = set_image(codes, ifs, length=n)
+        _assert_float_path_image(img, ifs, codes, n)
+        repeated = np.tile(codes, (last - first) // len(codes) + 1)
+        assert last - first < len(repeated)
+        again = set_image(repeated, ifs, length=n)
+        assert again.los.tobytes() == img.los.tobytes() and again.his.tobytes() == img.his.tobytes()
+        assert again.source_scale == img.source_scale
+
+
 class TestProduct:
     def test_single_atoms(self):
         m = product(AtomicMeasure([1.0], [0.5], 0.0), AtomicMeasure([2.0], [0.25], 0.0), atom_cap=1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadim import AffineIfs, Subshift, gamma_estimate, overlap_count
+from cascadim import AffineIfs, Subshift, gamma_estimate, ifs as ifs_module, overlap_count
 from cascadim.errors import CapExceeded
 from cascadim.symbolic import codes_to_letters
 from oracles import apply_word, canonical_point, contraction, cylinder_interval
@@ -128,6 +128,67 @@ class TestCodesAgainstLetterPath:
         los = ifs.points_for_codes(codes, 5, ifs.attractor_min)
         his = ifs.points_for_codes(codes, 5, ifs.attractor_max)
         assert np.array_equal(np.column_stack([los, his]), [cylinder_interval(ifs, w) for w in words])
+
+
+    @pytest.mark.parametrize("name", list(NON_DYADIC), ids=list(NON_DYADIC))
+    def test_hull_images_decode_once(self, name, monkeypatch):
+        ifs = NON_DYADIC[name]
+        decoded = []
+
+        def counted(codes, length, a):
+            decoded.append(len(codes))
+            return codes_to_letters(codes, length, a)
+
+        monkeypatch.setattr(ifs_module, "codes_to_letters", counted)
+        for case, (codes, length) in self._cases(ifs.alphabet_size).items():
+            decoded.clear()
+            los, his = ifs.hull_images(codes, length)
+            assert decoded == [len(codes)], case
+            assert los.tobytes() == ifs.points_for_codes(codes, length, ifs.attractor_min).tobytes(), case
+            assert his.tobytes() == ifs.points_for_codes(codes, length, ifs.attractor_max).tobytes(), case
+
+
+class TestLatticeOffsets:
+    """The integer cell offsets P(u) = sum_j d(u_j) m^(n-j) against a per-word sum."""
+
+    SYSTEMS = {
+        "exact overlap": EX_OVERLAP,
+        "bernoulli_pair(0.5)": AffineIfs.bernoulli_pair(0.5),
+        "ratio 1/4, three maps": AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.5), (0.25, 0.75)]),
+    }
+
+    @staticmethod
+    def _per_word(ifs, codes, length):
+        m, digits, _, _ = ifs.lattice(length)
+        letters = codes_to_letters(codes, length, ifs.alphabet_size).tolist()
+        return [sum(digits[c - 1] * m ** (length - j) for j, c in enumerate(w, 1)) for w in letters]
+
+    @pytest.mark.parametrize("name", list(SYSTEMS), ids=list(SYSTEMS))
+    def test_offsets_match_per_word_sums(self, name):
+        ifs = self.SYSTEMS[name]
+        a = ifs.alphabet_size
+        rng = np.random.default_rng(4)
+        cases = {
+            "all a^n codes": (np.arange(a**7), 7),
+            # few codes of many letters: the prefix splits several times
+            "sparse, length 20": (np.unique(rng.integers(0, a**20, 30)), 20),
+            "one code": (np.array([a**9 - 1]), 9),
+        }
+        for case, (codes, length) in cases.items():
+            got = ifs.lattice_offsets(codes, length)
+            assert got.dtype == np.int64, case
+            assert got.tolist() == self._per_word(ifs, codes, length), case
+
+    @pytest.mark.parametrize("name", list(SYSTEMS), ids=list(SYSTEMS))
+    def test_offset_table_from_half_tables(self, name):
+        ifs = self.SYSTEMS[name]
+        m, digits, _, _ = ifs.lattice(1)
+        for k in range(0, 10):
+            expected = np.zeros(1, dtype=np.int64)  # letter by letter
+            for _ in range(k):
+                expected = (expected[:, None] * m + np.array(digits)).ravel()
+            got = ifs_module._offset_table(m, digits, k)
+            assert got.dtype == np.int64 and np.array_equal(got, expected), k
 
 
 class TestContractions:
