@@ -90,7 +90,7 @@ def _window(schedule: Sequence[float], floor: float) -> np.ndarray:
 
 def box_count(s, eps: float) -> int:
     """N(eps): grid cells [k*eps,(k+1)*eps) meeting the interval set ``s``, grid anchored at 0."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if eps < s.source_scale:
         raise ScaleBelowResolution(eps, s.source_scale)
@@ -118,10 +118,8 @@ def _entropy_at_scale(norm, r: float, centers) -> float:
 
     ``centers=None`` sums over all atoms with their weights (deterministic),
     reading the masses from ``atom_ball_masses``; an array averages over
-    those centers, drawn from the measure.
+    those centers, drawn from the measure.  Both refuse an r below the resolution.
     """
-    if r < norm.resolution:
-        raise ScaleBelowResolution(r, norm.resolution)
     if centers is None:
         masses = norm.atom_ball_masses(r)
         if (masses <= 0).any():

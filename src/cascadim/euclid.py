@@ -109,7 +109,7 @@ class AtomicMeasure:
 
     def ball_mass_many(self, centers, r: float) -> np.ndarray:
         """Total weight within the closed r-ball around each center; r must respect the resolution."""
-        if r < self.resolution:
+        if not r >= self.resolution:
             raise ScaleBelowResolution(r, self.resolution)
         centers = np.asarray(centers, dtype=float)
         cum = self._cumweights()
@@ -134,7 +134,7 @@ class AtomicMeasure:
         cells per atom (a sparse deep percolation would ask for 2^40 cells)
         take ``ball_mass_many``.
         """
-        if r < self.resolution:
+        if not r >= self.resolution:
             raise ScaleBelowResolution(r, self.resolution)
         cells = None
         if self.scale is not None and float(r * self.scale).is_integer():
@@ -202,16 +202,27 @@ class ProductPairs:
 
 
 class IntervalSet:
-    """A merged union of closed intervals, kept sorted and disjoint."""
+    """A merged union of closed intervals, kept sorted and disjoint.
 
-    def __init__(self, los, his, source_scale: float = 0.0, _merged: bool = False):
+    The constructor is the package's one interval merge.  It sorts by ``lo``
+    and joins overlapping or touching runs unless every ``los[i+1] > his[i]``
+    already.  It refuses non-finite endpoints and scales, and keeps copies.
+    """
+
+    def __init__(self, los, his, source_scale: float = 0.0):
         los = np.asarray(los, dtype=np.float64)
         his = np.asarray(his, dtype=np.float64)
         if los.shape != his.shape or los.ndim != 1:
             raise ValueError("need matching 1-d endpoint arrays")
+        if not (np.isfinite(los).all() and np.isfinite(his).all()):
+            raise ValueError("interval endpoints must be finite")
+        if not 0 <= source_scale < np.inf:
+            raise ValueError("source_scale must be finite and nonnegative")
         if (his < los).any():
             raise ValueError("intervals must satisfy lo <= hi")
-        if not _merged and los.size > 1:
+        if (los[1:] > his[:-1]).all():
+            los, his = los.copy(), his.copy()
+        else:
             order = np.argsort(los, kind="stable")
             los = los[order]
             his = his[order]
@@ -232,12 +243,12 @@ class IntervalSet:
         return len(self.los)
 
     def scale(self, c: float) -> "IntervalSet":
-        if c == 0:
-            raise ValueError("scale factor must be nonzero")
+        if not (np.isfinite(c) and c != 0):
+            raise ValueError("scale factor must be finite and nonzero")
         los, his = self.los * c, self.his * c
         if c < 0:
             los, his = his[::-1], los[::-1]
-        return IntervalSet(los, his, self.source_scale * abs(c), _merged=True)
+        return IntervalSet(los, his, self.source_scale * abs(c))
 
 
 # ---------------------------------------------------------------------------
@@ -275,45 +286,39 @@ def pushforward(cm: CylinderMeasure, ifs: AffineIfs) -> AtomicMeasure:
 def set_image(codes: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
     """Union of the cylinder image intervals of the words with these codes, merged.
 
-    When ``ifs.lattice(length)`` routes the IFS (ratio 1/m with m a power of
-    two, integer digits m*t_i and hull ends lo, hi, all exact below 2^53),
-    every cylinder at depth n = ``length`` is ``[(P + lo) / m^n, (P + hi) / m^n]``
-    for an integer cell offset P.  Then the distinct offsets are taken in
-    order and a new interval starts wherever the next offset is more than
-    ``w = hi - lo`` past the last; repeated offsets never start one.  That is
-    the merge ``IntervalSet`` makes of the float intervals, and the float
-    path is exact on such an IFS, so the result is the same bit for bit.
-    Every offset lies in ``[min(d) S, max(d) S]`` with ``S = (m^n - 1)/(m - 1)``;
-    when that range has at most ``len(codes)`` cells, the offsets are marked
-    in a boolean array and read back in order, else they are sorted.  Every
-    other IFS takes the float path: ``hull_images``, the points at the two
-    hull ends.
+    The codes must lie in ``[0, a^n)`` for n = ``length``.  When
+    ``ifs.lattice(length)`` routes the IFS (ratio 1/m with m a power of two,
+    integer digits m*t_i and hull ends lo, hi, all exact below 2^53), every
+    cylinder at depth n is ``[(P + lo) / m^n, (P + hi) / m^n]`` for an integer
+    cell offset P in ``[min(d) S, max(d) S]``, ``S = (m^n - 1)/(m - 1)``.
+    Both ends are exact, so the intervals are bit for bit those of the float
+    path that every other IFS takes (``hull_images``).  ``IntervalSet``
+    merges either.
     """
     if len(codes) == 0:
         return IntervalSet.empty()
+    if codes.min() < 0 or int(codes.max()) >= ifs.alphabet_size**length:
+        raise ValueError(f"codes must lie in [0, {ifs.alphabet_size}^{length})")
     lattice = ifs.lattice(length)
     if lattice is None:
         los, his = ifs.hull_images(codes, length)
-        return IntervalSet(los, his, source_scale=float((his - los).max()))
-    m, digits, lo, hi = lattice
-    cells = ifs.lattice_offsets(codes, length)
-    span = (m**length - 1) // (m - 1)
-    cells = _ordered_cells(cells, min(digits) * span, max(digits) * span)
-    breaks = np.flatnonzero(np.diff(cells) > hi - lo)
-    scale = m**length
-    los = (cells[np.concatenate([[0], breaks + 1])] + lo) / scale
-    his = (cells[np.append(breaks, cells.size - 1)] + hi) / scale
-    return IntervalSet(los, his, source_scale=(hi - lo) / scale, _merged=True)
+    else:
+        m, digits, lo, hi = lattice
+        span = (m**length - 1) // (m - 1)
+        cells = _ordered_cells(ifs.lattice_offsets(codes, length), min(digits) * span, max(digits) * span)
+        los = (cells + lo) / m**length
+        his = (cells + hi) / m**length
+    return IntervalSet(los, his, source_scale=float((his - los).max()))
 
 
 def _ordered_cells(cells: np.ndarray, first: int, last: int) -> np.ndarray:
-    """The int64 ``cells``, all in ``[first, last]``, in increasing order; may reuse ``cells``.
+    """The int64 ``cells``, all in ``[first, last]``, distinct and in order when that range is narrow.
 
     A range of at most ``len(cells)`` values is marked in a boolean array and
-    read back, which drops repeats; a wider range is sorted, repeats and all.
+    read back, which drops repeats and may reuse ``cells``; the cells of a
+    wider range are returned as they are, for ``IntervalSet`` to sort.
     """
     if last - first >= len(cells):
-        cells.sort()
         return cells
     cells -= first
     marked = np.zeros(last - first + 1, dtype=bool)
@@ -477,7 +482,7 @@ def _erosion_sumset(a_lo, a_hi, b_lo, b_hi, source: float) -> IntervalSet:
         c_lo = lo[run_end[open_count == k]]
         c_hi = hi[np.searchsorted(hi, c_lo, side="right")]
         done += k
-    return IntervalSet(c_hi[:-1], c_lo[1:], source, _merged=True)
+    return IntervalSet(c_hi[:-1], c_lo[1:], source)
 
 
 def sumset(
@@ -496,8 +501,8 @@ def sumset(
     bit for bit that of eroding by one family at a time, whatever the block
     sizes.
     """
-    if s == 0:
-        raise ValueError("s must be nonzero")
+    if not (np.isfinite(s) and s != 0):
+        raise ValueError("s must be finite and nonzero")
     if len(s1) == 0 or len(s2) == 0:
         return IntervalSet.empty()
     pairs = len(s1) * len(s2)

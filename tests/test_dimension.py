@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ class TestBoxCount:
 
     def test_empty_set(self):
         assert box_count(IntervalSet.empty(), 0.25) == 0
+
+    def test_nan_and_nonpositive_eps_rejected(self):
+        s = IntervalSet([0.0], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+            for eps in (np.nan, 0.0, -0.25):
+                with pytest.raises(ValueError, match="eps must be positive"):
+                    box_count(s, eps)
 
     def test_dyadic_exact_against_integer_oracle(self, golden_mean, tiling2):
         from cascadim import set_image

@@ -181,6 +181,52 @@ class TestInverseCdf:
         assert built == [(table + 2,)]
 
 
+class TestIntervalSet:
+    """The one interval merge: skipped when the input is already sorted and disjoint."""
+
+    def test_sorted_disjoint_input_matches_the_sorting_path(self):
+        rng = np.random.default_rng(6)
+        edges = np.cumsum(rng.random(2000) + 1e-3)
+        cases = [
+            (edges[0::2], edges[1::2]),
+            (np.array([-1.0, -0.0, 2.0]), np.array([-0.5, 0.0, 2.0])),  # a signed zero and a point
+            (np.array([0.25]), np.array([0.5])),
+        ]
+        for los, his in cases:
+            given_los, given_his = los.copy(), his.copy()
+            kept = IntervalSet(los, his)
+            assert not np.shares_memory(kept.los, los) and not np.shares_memory(kept.his, his)
+            assert los.tobytes() == given_los.tobytes() and his.tobytes() == given_his.tobytes()
+            merged = IntervalSet(los[::-1], his[::-1])  # reversed, so sorted and merged
+            assert kept.los.tobytes() == merged.los.tobytes() and kept.his.tobytes() == merged.his.tobytes()
+            assert kept.los.tobytes() == los.tobytes() and kept.his.tobytes() == his.tobytes()
+
+    def test_touching_overlapping_and_unsorted_input_merges(self):
+        cases = {
+            "touching": (([0.0, 1.0], [1.0, 2.0]), ([0.0], [2.0])),
+            "overlapping": (([0.0, 0.5], [1.0, 2.0]), ([0.0], [2.0])),
+            "nested": (([0.0, 0.2], [1.0, 0.5]), ([0.0], [1.0])),
+            "repeated": (([0.0, 0.0, 3.0], [1.0, 1.0, 4.0]), ([0.0, 3.0], [1.0, 4.0])),
+            "unsorted": (([2.0, 0.0, 5.0], [3.0, 1.0, 6.0]), ([0.0, 2.0, 5.0], [1.0, 3.0, 6.0])),
+            "unsorted, touching": (([1.0, 0.0], [2.0, 1.0]), ([0.0], [2.0])),
+        }
+        for name, ((los, his), (want_los, want_his)) in cases.items():
+            s = IntervalSet(los, his)
+            assert (s.los.tolist(), s.his.tolist()) == (want_los, want_his), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_endpoints_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            IntervalSet([0.0, bad, 1.0], [0.5, bad, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            IntervalSet([0.0], [bad])
+        with pytest.raises(ValueError, match="finite"):
+            IntervalSet([0.0, 1.0], [0.5, 2.0]).scale(bad)
+        for scale in (bad, -1.0):
+            with pytest.raises(ValueError, match="source_scale"):
+                IntervalSet([0.0], [1.0], source_scale=scale)
+
+
 class TestPushforward:
     def test_depth_one_uniform(self, uniform2, tiling2):
         m = pushforward(unit_cascade(uniform2, Subshift.full(2), 1), tiling2)
@@ -228,6 +274,27 @@ class TestSetImage:
         assert np.allclose(img.los, [m[0] for m in merged], atol=0)
         assert np.allclose(img.his, [m[1] for m in merged], atol=0)
         assert img.source_scale == pytest.approx(1 / 16)
+
+    @pytest.mark.parametrize(
+        "ifs, codes, n",
+        [
+            (AffineIfs.tiling(3), [0, 100], 3),  # float path; read as code 19 before the check
+            (AffineIfs.tiling(2), [-1], 3),  # lattice path; read as [0.875, 1] before the check
+            (AffineIfs.tiling(2), [8], 3),  # lattice path; an IndexError before the check
+            (AffineIfs.tiling(3), [-1, 5], 3),
+        ],
+        ids=["float path, 100 >= 3^3", "lattice path, -1", "lattice path, 8 = 2^3", "float path, -1"],
+    )
+    def test_codes_outside_the_range_rejected(self, ifs, codes, n):
+        with pytest.raises(ValueError, match=r"codes must lie in \[0, "):
+            set_image(np.array(codes), ifs, n)
+
+    @pytest.mark.parametrize("ifs", [AffineIfs.tiling(2), AffineIfs.tiling(3)], ids=["lattice path", "float path"])
+    def test_first_and_last_code_accepted(self, ifs):
+        a, n = ifs.alphabet_size, 3
+        img = set_image(np.array([0, a**n - 1]), ifs, n)
+        assert img.los.tolist() == pytest.approx([0.0, 1 - a**-n], abs=1e-15)
+        assert img.his.tolist() == pytest.approx([a**-n, 1.0], abs=1e-15)
 
 
 # equal-ratio IFSs whose images lie on the grid m^-n: set_image takes the lattice path
@@ -314,7 +381,7 @@ class TestLatticeImage:
 
 
 class TestLatticeCells:
-    """The distinct-cell step of the lattice image: a bitmap over a narrow cell range, else a sort."""
+    """The distinct-cell step of the lattice image: a bitmap over a narrow cell range, else the cells as given."""
 
     CASES = {
         # name: (ifs, codes, depth, bitmap side)
@@ -347,19 +414,27 @@ class TestLatticeCells:
         assert (last - first < len(codes)) == bitmap
         cells = ifs.lattice_offsets(codes, n)
         assert first <= cells.min() and cells.max() <= last
-        # the same cells on the other side of the rule: a range wide enough for the sort
-        marked = euclid._ordered_cells(cells.copy(), first, last)
-        sorted_ = euclid._ordered_cells(cells.copy(), first, first + len(cells))
-        assert np.array_equal(sorted_, np.sort(cells))
-        assert np.array_equal(marked, np.unique(cells) if bitmap else sorted_)
-        # repeating every code moves a sort-side set to the bitmap side; the image stays
-        img = set_image(codes, ifs, length=n)
-        _assert_float_path_image(img, ifs, codes, n)
-        repeated = np.tile(codes, (last - first) // len(codes) + 1)
-        assert last - first < len(repeated)
-        again = set_image(repeated, ifs, length=n)
-        assert again.los.tobytes() == img.los.tobytes() and again.his.tobytes() == img.his.tobytes()
-        assert again.source_scale == img.source_scale
+        # the bitmap side gives the distinct cells in order; the wide side hands
+        # its cells on unchanged, for IntervalSet to sort
+        given = cells.copy()
+        out = euclid._ordered_cells(given, first, last)
+        if bitmap:
+            assert np.array_equal(out, np.unique(cells))
+        else:
+            assert out is given and np.array_equal(out, cells)
+        wide = cells.copy()
+        assert euclid._ordered_cells(wide, first, first + len(cells)) is wide
+        assert np.array_equal(wide, cells)
+        _assert_float_path_image(set_image(codes, ifs, length=n), ifs, codes, n)
+        # the codes moved to the other side of the rule: repeated onto the
+        # bitmap side, or thinned and shuffled onto the wide side
+        if bitmap:
+            other = np.random.default_rng(1).permutation(codes[:: len(codes) // (last - first) + 1])
+            assert last - first >= len(other) and not (np.diff(ifs.lattice_offsets(other, n)) >= 0).all()
+        else:
+            other = np.tile(codes, (last - first) // len(codes) + 1)
+            assert last - first < len(other)
+        _assert_float_path_image(set_image(other, ifs, length=n), ifs, other, n)
 
 
 class TestProduct:
@@ -531,6 +606,13 @@ class TestSumset:
         with pytest.raises(ValueError):
             sumset(u, u, 0.0, pair_cap=1)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_non_finite_s_rejected(self, s):
+        u = IntervalSet([0.0, 2.0], [1.0, 3.0])
+        for a, b in ((u, u), (IntervalSet.empty(), u)):
+            with pytest.raises(ValueError, match="finite"):
+                sumset(a, b, s, pair_cap=4)
+
     def test_pair_cap(self):
         a = IntervalSet(np.arange(100.0) * 2, np.arange(100.0) * 2 + 0.5)
         with pytest.raises(CapExceeded):
@@ -680,6 +762,13 @@ class TestBallMass:
         m = AtomicMeasure([0.0], [1.0], resolution=1e-3)
         with pytest.raises(ScaleBelowResolution):
             m.ball_mass_many([0.0], 1e-4)
+
+    def test_nan_radius_rejected(self, uniform2, tiling2):
+        m = pushforward(unit_cascade(uniform2, Subshift.full(2), 8), tiling2)
+        assert m.scale is not None  # atom_ball_masses would read the cell table
+        for query in (lambda r: m.ball_mass_many([0.5], r), m.atom_ball_masses):
+            with pytest.raises(ScaleBelowResolution):
+                query(np.nan)
 
     def test_monotone_in_radius(self, uniform2, tiling2):
         m = pushforward(unit_cascade(uniform2, Subshift.full(2), 8), tiling2)
