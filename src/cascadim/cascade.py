@@ -163,8 +163,8 @@ class WeightLaw:
     @classmethod
     def lognormal(cls, sigma: float) -> "WeightLaw":
         """exp(sigma*Z - sigma^2/2): location pinned so E(V) = 1."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         importlib.import_module("scipy.special")  # see the module docstring
         return cls("lognormal", sigma=float(sigma))
 
@@ -174,8 +174,8 @@ class WeightLaw:
         q = tuple(float(x) for x in probs)
         if len(v) != len(q) or not v:
             raise ValueError("values and probs must match and be nonempty")
-        if any(x < 0 for x in v) or any(x < 0 for x in q):
-            raise ValueError("values and probs must be nonnegative")
+        if not all(0 <= x < np.inf for x in v + q):
+            raise ValueError("values and probs must be finite and nonnegative")
         if abs(sum(q) - 1.0) > 1e-12:
             raise ValueError("probs must sum to 1")
         mean = sum(vi * qi for vi, qi in zip(v, q))
@@ -343,20 +343,23 @@ def cascade_measure(
     return CylinderMeasure(codes, masses, depth, x.alphabet_size)
 
 
-def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng) -> np.ndarray:
+def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng, numeral=None) -> np.ndarray:
     """Codes of the admissible depth-n words whose every prefix weight is positive.
 
     The walk enumerates the successor table and keeps a child on the integer
     keep test alone (see the module docstring); no node carries a mass.
+    With ``numeral=(m, digits)`` the same words come out, in the same order,
+    numbered as ``walk_tree`` says: the cell offsets of
+    ``AffineIfs.lattice(depth)``, which ``set_image`` reads on that lattice.
     """
     WeightLaw.percolation(p)  # the same refusals as the law
     if depth < 1:
         raise ValueError("depth must be >= 1")
     table = x.successor_table()
     if p == 1.0:
-        return walk_tree(table, depth, DEFAULT_WORD_CAP)[0]
+        return walk_tree(table, depth, DEFAULT_WORD_CAP, numeral=numeral)[0]
     bound = np.uint64(_keep_threshold(p) << 11)  # h >> 11 < T(p); T(p) < 2^53 for p < 1, so it fits
-    return walk_tree(table, depth, DEFAULT_WORD_CAP, rng, lambda hashes: hashes < bound)[0]
+    return walk_tree(table, depth, DEFAULT_WORD_CAP, rng, lambda hashes: hashes < bound, numeral)[0]
 
 
 def cascade_mass_trace(

@@ -61,6 +61,8 @@ class AtomicMeasure:
             raise ValueError("points must be a 1-d array")
         if weights.shape != points.shape:
             raise ValueError("weights must align with points")
+        if not (np.isfinite(points).all() and np.isfinite(weights).all() and np.isfinite(resolution)):
+            raise ValueError("points, weights and resolution must be finite")
         if (weights < 0).any():
             raise ValueError("weights must be nonnegative")
         bits = weights.view(np.int64)
@@ -283,29 +285,38 @@ def pushforward(cm: CylinderMeasure, ifs: AffineIfs) -> AtomicMeasure:
     return atoms
 
 
-def set_image(codes: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
-    """Union of the cylinder image intervals of the words with these codes, merged.
+def set_image(words: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
+    """Union of the cylinder image intervals of a set of depth-n words, merged.
 
-    The codes must lie in ``[0, a^n)`` for n = ``length``.  When
-    ``ifs.lattice(length)`` routes the IFS (ratio 1/m with m a power of two,
-    integer digits m*t_i and hull ends lo, hi, all exact below 2^53), every
-    cylinder at depth n is ``[(P + lo) / m^n, (P + hi) / m^n]`` for an integer
-    cell offset P in ``[min(d) S, max(d) S]``, ``S = (m^n - 1)/(m - 1)``.
-    Both ends are exact, so the intervals are bit for bit those of the float
-    path that every other IFS takes (``hull_images``).  ``IntervalSet``
-    merges either.
+    When ``ifs.lattice(length)`` routes the IFS (ratio 1/m with m a power of
+    two, integer digits m*t_i and hull ends lo, hi, all exact below 2^53),
+    every cylinder at depth n = ``length`` is ``[(P + lo) / m^n, (P + hi) / m^n]``
+    for the integer cell offset ``P(u) = sum_j d(u_j) m^(n-j)`` in
+    ``[min(d) S, max(d) S]``, ``S = (m^n - 1)/(m - 1)``, and ``words`` are
+    those offsets, as ``percolation_codes`` numbers them with
+    ``numeral=lattice[:2]``.  On an m-adic tiling, such as tiling(2), the
+    offsets are the base-a codes.  Both ends are exact, so the intervals
+    are bit for bit those of the float path (``hull_images``), which every
+    other IFS takes, and there ``words`` are base-a codes in ``[0, a^n)``.
+    Words that are not integers, or lie outside their range, raise
+    ``ValueError``; ``words`` is not changed.  ``IntervalSet`` merges either.
     """
-    if len(codes) == 0:
+    if len(words) == 0:
         return IntervalSet.empty()
-    if codes.min() < 0 or int(codes.max()) >= ifs.alphabet_size**length:
-        raise ValueError(f"codes must lie in [0, {ifs.alphabet_size}^{length})")
+    if words.dtype.kind not in "iu":
+        raise ValueError("words must be integers")
     lattice = ifs.lattice(length)
     if lattice is None:
-        los, his = ifs.hull_images(codes, length)
+        if words.min() < 0 or int(words.max()) >= ifs.alphabet_size**length:
+            raise ValueError(f"codes must lie in [0, {ifs.alphabet_size}^{length})")
+        los, his = ifs.hull_images(words, length)
     else:
         m, digits, lo, hi = lattice
         span = (m**length - 1) // (m - 1)
-        cells = _ordered_cells(ifs.lattice_offsets(codes, length), min(digits) * span, max(digits) * span)
+        first, last = min(digits) * span, max(digits) * span
+        if words.min() < first or words.max() > last:
+            raise ValueError(f"cell offsets must lie in [{first}, {last}]")
+        cells = _ordered_cells(words, first, last)
         los = (cells + lo) / m**length
         his = (cells + hi) / m**length
     return IntervalSet(los, his, source_scale=float((his - los).max()))
@@ -315,14 +326,13 @@ def _ordered_cells(cells: np.ndarray, first: int, last: int) -> np.ndarray:
     """The int64 ``cells``, all in ``[first, last]``, distinct and in order when that range is narrow.
 
     A range of at most ``len(cells)`` values is marked in a boolean array and
-    read back, which drops repeats and may reuse ``cells``; the cells of a
-    wider range are returned as they are, for ``IntervalSet`` to sort.
+    read back, which drops repeats; the cells of a wider range are returned
+    as they are, for ``IntervalSet`` to sort.  ``cells`` is not changed.
     """
     if last - first >= len(cells):
         return cells
-    cells -= first
     marked = np.zeros(last - first + 1, dtype=bool)
-    marked[cells] = True
+    marked[cells - first if first else cells] = True
     cells = np.flatnonzero(marked)
     cells += first
     return cells

@@ -456,6 +456,12 @@ def _dedup_overlap_structure(ifs: AffineIfs):
     return None
 
 
+def _numeral(ifs: AffineIfs, depth: int):
+    """The word numbering ``set_image`` reads: cell offsets where the lattice routes ``ifs``, else codes (None)."""
+    lattice = ifs.lattice(depth)
+    return None if lattice is None else lattice[:2]
+
+
 def run_percolation_image_dim(cfg: dict) -> Findings:
     shift, ifs = _build_system(cfg, "percolation image experiment", 2)
     delta = ifs.equal_ratio
@@ -492,12 +498,13 @@ def run_percolation_image_dim(cfg: dict) -> Findings:
             )
             warnings_list.append(f"{reason}: checking the covering upper bound only")
     scales = default_scales(delta, depth)
+    numeral = _numeral(ifs, depth)
 
     def worker(rng, idx):
-        codes = percolation_codes(shift, p, depth, rng)
-        if codes.size == 0:
+        words = percolation_codes(shift, p, depth, rng, numeral)
+        if words.size == 0:
             return None
-        img = set_image(codes, ifs, length=depth)
+        img = set_image(words, ifs, length=depth)
         return box_dimension(img, scales)
 
     fits, discarded = _surviving(cfg, _survival(shift.successor_table(), p, depth), worker)
@@ -530,9 +537,11 @@ def run_sumset_dim(cfg: dict) -> Findings:
     ks = range(3, int(-math.log2(floor)) + 1)
     scales = [2.0**-k for k in ks]
 
+    numeral_a, numeral_b = _numeral(ifs_a, da), _numeral(ifs_b, db)
+
     def worker(rng, idx):
-        ca = percolation_codes(shift_a, pa, da, rng.derive(1))
-        cb = percolation_codes(shift_b, pb, db, rng.derive(2))
+        ca = percolation_codes(shift_a, pa, da, rng.derive(1), numeral_a)
+        cb = percolation_codes(shift_b, pb, db, rng.derive(2), numeral_b)
         if ca.size == 0 or cb.size == 0:
             return None
         img_a = set_image(ca, ifs_a, length=da)

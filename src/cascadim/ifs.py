@@ -146,36 +146,6 @@ class AffineIfs:
             x = r[idx] * x + t[idx]
         return x
 
-    def lattice_offsets(self, codes: np.ndarray, length: int) -> np.ndarray:
-        """P(u) = sum_j d(u_j) m^(length-j) for every base-a code u, as int64.
-
-        The codes split as in ``points_for_codes``: the last L letters index an
-        int64 table of P over all a^L words, and the first ``length - L``
-        index a table over the prefixes.  A prefix longer than L splits again,
-        L letters at a time, so no table has more than max(len(codes), a)
-        entries and no letter matrix is built.  ``m`` and the digits are
-        ``lattice(length)``'s; the sums are exact in int64 wherever it routes.
-        """
-        m, digits, _, _ = self.lattice(length)
-        L = self._suffix_length(len(codes), length)
-        prefixes, suffixes = _split(np.asarray(codes, dtype=np.int64), self.alphabet_size**L)
-        table = _offset_table(m, digits, L)
-        out = table[suffixes]
-        del suffixes
-        shift = m**L
-        k = length - L  # prefix letters not yet read
-        while k > 0:
-            if k > L:
-                prefixes, suffixes = _split(prefixes, self.alphabet_size**L)
-            else:
-                suffixes, table = prefixes, _offset_table(m, digits, k)
-            part = table[suffixes]
-            part *= shift
-            out += part
-            shift *= m**L
-            k -= L
-        return out
-
     def _suffix_length(self, count: int, length: int) -> int:
         """The largest L <= length with a^L <= max(count, a)."""
         L = 0
@@ -209,24 +179,6 @@ def _split(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     low = high * base
     np.subtract(codes, low, out=low)
     return high, low
-
-
-def _offset_table(m: int, digits: Sequence[int], k: int) -> np.ndarray:
-    """P(s) = sum_j d(s_j) m^(k-j) for the a^k words s of length k, indexed by their codes.
-
-    A word of k letters splits into h = k - k//2 leading and l = k//2
-    trailing letters, P(s) = P(lead) m^l + P(trail), so the table is one
-    broadcast add of the two half tables, each built letter by letter.
-    """
-    d = np.array(digits, dtype=np.int64)
-    halves = []
-    for part in (k - k // 2, k // 2):
-        table = np.zeros(1, dtype=np.int64)
-        for _ in range(part):
-            table = (table[:, None] * m + d).ravel()
-        halves.append(table)
-    lead, trail = halves
-    return (lead[:, None] * m ** (k // 2) + trail).ravel()
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ contraction in the same base.
 Large word sets are handled as sorted ``int64`` arrays of base-``a`` codes
 (``code = sum (letter_j - 1) * a**(n - j)``), which keeps lexicographic order
 equal to numeric order.  Where letters are needed, ``codes_to_letters``
-decodes the codes into an ``(N, n)`` letter matrix; codes and letter
-matrices are the only forms a word set takes.
+decodes the codes into an ``(N, n)`` letter matrix.  ``walk_tree`` can
+number its words by another numeral instead, such as the cell offsets of a
+lattice IFS (see there).
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def codes_to_letters(codes: np.ndarray, length: int, alphabet_size: int) -> np.n
     return out
 
 
-def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
+def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, numeral=None):
     """Grow the word tree one letter per level down to ``depth``.
 
     ``table`` is ``(a+1, a)``: a word ending in letter ``i+1`` (row ``a``: the
@@ -75,18 +76,32 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
     The walk runs breadth first until a level holds more than ``_BLOCK``
     nodes, then walks each contiguous block of that level down to ``depth``
     before the next, splitting again wherever a block grows past ``_BLOCK``.
-    Blocks go left to right, so the codes come out sorted.  A node's mass
-    depends only on its word, so level k of this walk is, node for node,
-    the leaves of the depth-k walk.
+    Blocks go left to right, so the words come out in code order.  A node's
+    mass depends only on its word, so level k of this walk is, node for
+    node, the leaves of the depth-k walk.
 
-    Returns the codes and masses of the length-``depth`` words; no shallower
-    level outlives its blocks.  Codes are int64, so a walk past 62 bits of
-    code range raises ``CapExceeded`` instead of wrapping; so does a level of
-    more than ``cap`` nodes.
+    A node is numbered by its base-``a`` code, ``code(parent)*a + letter - 1``,
+    so the codes come out sorted.  With ``numeral=(m, digits)`` it is
+    numbered ``N(parent)*m + digits[letter - 1]`` instead: with the
+    ``(m, digits)`` of ``AffineIfs.lattice(depth)`` that is the word's cell
+    offset ``P(u) = sum_j d(u_j) m^(depth-j)``, which need not be sorted
+    or distinct.
+
+    Returns the numbers and masses of the length-``depth`` words; no
+    shallower level outlives its blocks.  Numbers are int64, so a walk
+    whose numbers could reach 2^62 in size raises ``CapExceeded`` instead
+    of wrapping; so does a level of more than ``cap`` nodes.
     """
     a = table.shape[1]
-    if depth * math.log2(a) > 62:
-        raise CapExceeded(a**depth, 2**62, what="code range")
+    if numeral is None:
+        m, digits, reach = a, None, a**depth - 1
+    else:
+        m, digits = numeral[0], np.array(numeral[1], dtype=np.int64)
+        if digits.shape != (a,):
+            raise ValueError(f"numeral needs one digit per letter, {a}")
+        reach = int(np.abs(digits).max()) * sum(m**k for k in range(depth))
+    if reach >= 2**62:
+        raise CapExceeded(reach + 1, 2**62, what="code range")
     codes = np.zeros(1, dtype=np.int64)
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:
@@ -111,7 +126,7 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None):
         parent = kept // a
         row = kept - parent * a
         masses = np.take(masses, kept)
-        codes = np.take(codes, parent) * a + row
+        codes = np.take(codes, parent) * m + (row if digits is None else np.take(digits, row))
         counts[length] += len(codes)
         if counts[length] > cap:
             raise CapExceeded(counts[length], cap, what="tree nodes")
@@ -316,7 +331,7 @@ class SymbolicMeasure:
         p = tuple(float(x) for x in probs)
         if len(p) < 2:
             raise ValueError("need at least two letters")
-        if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
+        if not all(0.0 <= x <= 1.0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         return cls(p, (p,) * len(p))
 
@@ -330,10 +345,10 @@ class SymbolicMeasure:
         a = P.shape[0]
         if P.shape != (a, a) or a < 2:
             raise ValueError("transition must be square, a >= 2")
-        if (P < -1e-15).any() or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
+        if not np.isfinite(P).all() or (P < -1e-15).any() or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("transition rows must be probability vectors")
         pi = np.array([float(x) for x in initial], dtype=float)
-        if pi.shape != (a,) or (pi < -1e-15).any() or abs(pi.sum() - 1.0) > 1e-12:
+        if pi.shape != (a,) or not np.isfinite(pi).all() or (pi < -1e-15).any() or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("initial must be a probability vector of length a")
         if np.max(np.abs(pi @ P - pi)) > 1e-10:
             pi = _perron(P.T)[1]

@@ -6,13 +6,16 @@ evaluate it the slow, obvious way, so the tests can check the vectorized
 paths against them: ``cylinder_mass`` against
 ``SymbolicMeasure.cylinder_mass_batch``, ``apply_word``, ``canonical_point``
 and ``cylinder_interval`` against ``AffineIfs.points_for_codes``,
-``contraction`` against ``contractions_for_codes``,
-``draw_weight`` against the keyed tree walk, and ``merged_atoms`` against
-``AtomicMeasure``'s sort and merge.
+``contraction`` against ``contractions_for_codes``, ``cell_offset``
+against the cell numbering of the tree walk, ``draw_weight`` against the
+keyed tree walk, and ``merged_atoms`` against ``AtomicMeasure``'s sort and
+merge.  ``cell_offsets`` takes base-a codes and sums ``cell_offset``'s
+definition over all of them at once.
 """
 import numpy as np
 
 from cascadim.cascade import _to_uniform
+from cascadim.symbolic import codes_to_letters
 
 
 def cylinder_mass(measure, letters) -> float:
@@ -56,6 +59,33 @@ def contraction(ifs, letters) -> float:
     out = 1.0
     for l in letters:
         out *= ifs.ratios[l - 1]
+    return out
+
+
+def cell_offset(ifs, letters) -> int:
+    """P(u) = sum_j d(u_j) m^(n-j), the integer cell of u on the grid of ``ifs.lattice(n)``, n = len(u).
+
+    The cylinder image of u is ``[(P(u) + lo) / m^n, (P(u) + hi) / m^n]``.
+    """
+    letters = tuple(letters)
+    n = len(letters)
+    m, digits, _, _ = ifs.lattice(n)
+    return sum(digits[l - 1] * m ** (n - j) for j, l in enumerate(letters, 1))
+
+
+def cell_offsets(ifs, codes, length) -> np.ndarray:
+    """``cell_offset`` of the word of each base-a code of the given length, as int64.
+
+    The same sum, taken term by term over the decoded letter columns, so it
+    serves word sets too large for a loop in Python; every term and partial
+    sum is an integer below 2^53 wherever the lattice routes.
+    """
+    m, digits, _, _ = ifs.lattice(length)
+    letters = codes_to_letters(codes, length, ifs.alphabet_size)
+    d = np.array(digits, dtype=np.int64)
+    out = np.zeros(len(letters), dtype=np.int64)
+    for j in range(1, length + 1):
+        out += d[letters[:, j - 1] - 1] * m ** (length - j)
     return out
 
 

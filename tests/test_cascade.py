@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cascadim import (
+    AffineIfs,
     CylinderMeasure,
     KeyedRng,
     Subshift,
@@ -20,7 +21,7 @@ from cascadim import symbolic
 from cascadim.cascade import _grow, _keep_threshold, _to_uniform
 from cascadim.errors import CapExceeded, DegenerateCascadeWarning
 from cascadim.symbolic import codes_to_letters, walk_tree
-from oracles import cylinder_mass, draw_weight
+from oracles import cell_offsets, cylinder_mass, draw_weight
 
 
 class TestWeightLaw:
@@ -45,6 +46,20 @@ class TestWeightLaw:
     def test_percolation_range(self):
         with pytest.raises(ValueError):
             WeightLaw.percolation(0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_lognormal_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            WeightLaw.lognormal(sigma)
+
+    @pytest.mark.parametrize(
+        "values, probs",
+        [([math.nan, 1.0], [0.0, 1.0]), ([math.inf, 1.0], [0.0, 1.0]), ([2.0, 0.0], [math.nan, 0.5])],
+        ids=["nan value", "inf value", "nan prob"],
+    )
+    def test_discrete_non_finite_rejected(self, values, probs):
+        with pytest.raises(ValueError, match="finite"):
+            WeightLaw.discrete(values, probs)
 
     @pytest.mark.parametrize(
         "values, probs",
@@ -225,6 +240,11 @@ class TestCascadeMeasure:
             percolation_codes(Subshift.full(2), 0.6, 64, KeyedRng(5))
         with pytest.raises(CapExceeded, match="code range"):
             cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.6), 64, KeyedRng(5))
+        # a cell numbering is bounded by its own reach: 3 (4^40 - 1)/3 = 2^80 - 1
+        with pytest.raises(CapExceeded, match="code range"):
+            percolation_codes(Subshift.full(2), 0.6, 40, KeyedRng(5), numeral=(4, (0, 3)))
+        with pytest.raises(ValueError, match="one digit per letter"):
+            percolation_codes(Subshift.full(2), 0.6, 8, KeyedRng(5), numeral=(2, (0, 0, 1)))
 
 
 class TestCoarsening:
@@ -596,6 +616,13 @@ class TestRealizationPins:
         assert (masses > 0).all()
         depth = int(name.rsplit("depth", 1)[1])
         assert np.array_equal(percolation_codes(shift, 0.8, depth, KeyedRng(101).derive(0)), codes)
+
+    def test_pinned_overlap_walk_numbers_its_cells(self):
+        # the walk of perc_image_overlap's first trial, numbered by the cells of its IFS
+        ifs = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
+        codes, _, _ = self._walk("full3-percolation-depth16")
+        cells = percolation_codes(Subshift.full(3), 0.8, 16, KeyedRng(101).derive(0), ifs.lattice(16)[:2])
+        assert np.array_equal(cells, cell_offsets(ifs, codes, 16))
 
     def test_public_entry_points_match_the_pinned_walk(self):
         trial = KeyedRng(101).derive(0)

@@ -29,7 +29,7 @@ from cascadim import cascade, euclid
 from cascadim.errors import CapExceeded, ScaleBelowResolution
 from cascadim.cascade import _inverse_cdf, _to_uniform
 from cascadim.symbolic import codes_to_letters
-from oracles import cylinder_interval, merged_atoms
+from oracles import cell_offsets, cylinder_interval, merged_atoms
 
 EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
 
@@ -51,6 +51,16 @@ class TestAtomicMeasure:
     def test_planar_points_rejected(self):
         with pytest.raises(ValueError):
             AtomicMeasure([[0.9, 0.1], [0.1, 0.5], [0.5, 0.2]], [1.0, 2.0, 3.0], 0.0)
+
+    @pytest.mark.parametrize(
+        "points, weights, resolution",
+        [([0.0, np.nan], [1.0, 1.0], 0.0), ([0.0, 1.0], [np.nan, 1.0], 0.0), ([0.0, 1.0], [np.inf, 1.0], 0.0),
+         ([0.0, -np.inf], [1.0, 1.0], 0.0), ([0.0], [1.0], np.nan), ([0.0], [1.0], np.inf)],
+        ids=["nan point", "nan weight", "inf weight", "-inf point", "nan resolution", "inf resolution"],
+    )
+    def test_non_finite_input_rejected(self, points, weights, resolution):
+        with pytest.raises(ValueError, match="finite"):
+            AtomicMeasure(points, weights, resolution)
 
 
 class TestEqualWeightAtoms:
@@ -286,8 +296,15 @@ class TestSetImage:
         ids=["float path, 100 >= 3^3", "lattice path, -1", "lattice path, 8 = 2^3", "float path, -1"],
     )
     def test_codes_outside_the_range_rejected(self, ifs, codes, n):
-        with pytest.raises(ValueError, match=r"codes must lie in \[0, "):
+        # on tiling(2) the cell offsets are the codes
+        with pytest.raises(ValueError, match=r"must lie in \[0, "):
             set_image(np.array(codes), ifs, n)
+
+    @pytest.mark.parametrize("ifs", [AffineIfs.tiling(2), AffineIfs.tiling(3)], ids=["lattice path", "float path"])
+    def test_non_integer_words_rejected(self, ifs):
+        # 0.5 read as a cell gave [1/16, 3/16] on the lattice path; the float path read it as code 0
+        with pytest.raises(ValueError, match="integers"):
+            set_image(np.array([0.5]), ifs, 3)
 
     @pytest.mark.parametrize("ifs", [AffineIfs.tiling(2), AffineIfs.tiling(3)], ids=["lattice path", "float path"])
     def test_first_and_last_code_accepted(self, ifs):
@@ -339,11 +356,24 @@ class TestLatticeImage:
 
     @pytest.mark.parametrize("name", list(LATTICE_IFS), ids=list(LATTICE_IFS))
     def test_bitwise_equal_to_float_path(self, name):
+        # set_image of the cells against the float path from the codes
         ifs, shift, p = LATTICE_IFS[name]
         for case, (codes, n) in self._cases(ifs.alphabet_size, shift, p).items():
             assert ifs.lattice(n) is not None, case
             assert codes.size > 0, case
-            _assert_float_path_image(set_image(codes, ifs, length=n), ifs, codes, n)
+            cells = cell_offsets(ifs, codes, n)
+            _assert_float_path_image(set_image(cells, ifs, length=n), ifs, codes, n)
+
+    @pytest.mark.parametrize("name", list(LATTICE_IFS), ids=list(LATTICE_IFS))
+    def test_walk_numbers_the_cells(self, name):
+        # the walk's cell numbering against the oracle, word for word in walk order
+        ifs, shift, p = LATTICE_IFS[name]
+        for q, n in ((p, 16), (1.0, 8)):
+            for seed in (1, 2, 3):
+                codes = percolation_codes(shift, q, n, KeyedRng(seed))
+                cells = percolation_codes(shift, q, n, KeyedRng(seed), numeral=ifs.lattice(n)[:2])
+                assert cells.dtype == np.int64
+                assert np.array_equal(cells, cell_offsets(ifs, codes, n)), (q, seed)
 
     def test_lattice_data(self):
         assert EX_OVERLAP.lattice(16) == (2, (0, 0, 1), 0, 1)
@@ -373,7 +403,7 @@ class TestLatticeImage:
         def no_lattice(*args):
             raise AssertionError("lattice path taken")
 
-        monkeypatch.setattr(AffineIfs, "lattice_offsets", no_lattice)
+        monkeypatch.setattr(euclid, "_ordered_cells", no_lattice)
         a = ifs.alphabet_size
         codes = np.unique(np.random.default_rng(9).integers(0, a**n, 500))
         codes = np.concatenate([[0], codes])  # the all-ones word, where -0.0 can show
@@ -412,12 +442,13 @@ class TestLatticeCells:
         ifs, codes, n, bitmap = self.CASES[name]
         first, last = self._range(ifs, n)
         assert (last - first < len(codes)) == bitmap
-        cells = ifs.lattice_offsets(codes, n)
+        cells = cell_offsets(ifs, codes, n)
         assert first <= cells.min() and cells.max() <= last
         # the bitmap side gives the distinct cells in order; the wide side hands
         # its cells on unchanged, for IntervalSet to sort
         given = cells.copy()
         out = euclid._ordered_cells(given, first, last)
+        assert np.array_equal(given, cells)
         if bitmap:
             assert np.array_equal(out, np.unique(cells))
         else:
@@ -425,16 +456,42 @@ class TestLatticeCells:
         wide = cells.copy()
         assert euclid._ordered_cells(wide, first, first + len(cells)) is wide
         assert np.array_equal(wide, cells)
-        _assert_float_path_image(set_image(codes, ifs, length=n), ifs, codes, n)
+        _assert_float_path_image(set_image(cells, ifs, length=n), ifs, codes, n)
         # the codes moved to the other side of the rule: repeated onto the
         # bitmap side, or thinned and shuffled onto the wide side
         if bitmap:
             other = np.random.default_rng(1).permutation(codes[:: len(codes) // (last - first) + 1])
-            assert last - first >= len(other) and not (np.diff(ifs.lattice_offsets(other, n)) >= 0).all()
+            assert last - first >= len(other) and not (np.diff(cell_offsets(ifs, other, n)) >= 0).all()
         else:
             other = np.tile(codes, (last - first) // len(codes) + 1)
             assert last - first < len(other)
-        _assert_float_path_image(set_image(other, ifs, length=n), ifs, other, n)
+        _assert_float_path_image(set_image(cell_offsets(ifs, other, n), ifs, length=n), ifs, other, n)
+
+    HULL = LATTICE_IFS["hull [-1, 1]"][0]  # digits (-1, 1): first = -S
+
+    @pytest.mark.parametrize("ifs", [EX_OVERLAP, HULL], ids=["exact overlap", "digits (-1, 1)"])
+    def test_cells_outside_the_range_rejected(self, ifs):
+        n = 5
+        first, last = self._range(ifs, n)
+        for bad in (first - 1, last + 1):
+            with pytest.raises(ValueError, match=r"cell offsets must lie in"):
+                set_image(np.array([first, bad, last]), ifs, n)
+        # both ends themselves are cells
+        lo, hi = ifs.attractor_min, ifs.attractor_max
+        img = set_image(np.array([last, first]), ifs, n)
+        assert img.los[0] == (first + lo) / 2**n and img.his[-1] == (last + hi) / 2**n
+
+    def test_input_unchanged(self):
+        n = 6
+        first, last = self._range(self.HULL, n)
+        assert first == -(2**n - 1)
+        codes = np.arange(2**n)
+        cells = np.tile(cell_offsets(self.HULL, codes, n), 3)  # repeats: the bitmap side
+        assert last - first < len(cells)
+        given = cells.copy()
+        img = set_image(given, self.HULL, length=n)
+        assert np.array_equal(given, cells)
+        _assert_float_path_image(img, self.HULL, np.tile(codes, 3), n)
 
 
 class TestProduct:

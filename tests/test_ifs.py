@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cascadim import AffineIfs, Subshift, gamma_estimate, ifs as ifs_module, overlap_count
 from cascadim.errors import CapExceeded
-from cascadim.symbolic import codes_to_letters
-from oracles import apply_word, canonical_point, contraction, cylinder_interval
+from cascadim.symbolic import codes_to_letters, walk_tree
+from oracles import apply_word, canonical_point, cell_offset, cell_offsets, contraction, cylinder_interval
 
 EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
 
@@ -149,7 +149,7 @@ class TestCodesAgainstLetterPath:
 
 
 class TestLatticeOffsets:
-    """The integer cell offsets P(u) = sum_j d(u_j) m^(n-j) against a per-word sum."""
+    """The integer cell offsets P(u) = sum_j d(u_j) m^(n-j) against the per-word sum."""
 
     SYSTEMS = {
         "exact overlap": EX_OVERLAP,
@@ -157,38 +157,23 @@ class TestLatticeOffsets:
         "ratio 1/4, three maps": AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.5), (0.25, 0.75)]),
     }
 
-    @staticmethod
-    def _per_word(ifs, codes, length):
-        m, digits, _, _ = ifs.lattice(length)
-        letters = codes_to_letters(codes, length, ifs.alphabet_size).tolist()
-        return [sum(digits[c - 1] * m ** (length - j) for j, c in enumerate(w, 1)) for w in letters]
-
     @pytest.mark.parametrize("name", list(SYSTEMS), ids=list(SYSTEMS))
     def test_offsets_match_per_word_sums(self, name):
+        # the walk's cell numbering and the batch oracle, word for word
         ifs = self.SYSTEMS[name]
         a = ifs.alphabet_size
-        rng = np.random.default_rng(4)
+        walked = walk_tree(Subshift.full(a).successor_table(), 7, a**7, numeral=ifs.lattice(7)[:2])[0]
+        sparse = np.unique(np.random.default_rng(4).integers(0, a**20, 30))
+        last = np.array([a**9 - 1])
         cases = {
-            "all a^n codes": (np.arange(a**7), 7),
-            # few codes of many letters: the prefix splits several times
-            "sparse, length 20": (np.unique(rng.integers(0, a**20, 30)), 20),
-            "one code": (np.array([a**9 - 1]), 9),
+            "all a^7 words, numbered by the walk": (np.arange(a**7), 7, walked),
+            "sparse, length 20": (sparse, 20, cell_offsets(ifs, sparse, 20)),
+            "one code": (last, 9, cell_offsets(ifs, last, 9)),
         }
-        for case, (codes, length) in cases.items():
-            got = ifs.lattice_offsets(codes, length)
+        for case, (codes, length, got) in cases.items():
             assert got.dtype == np.int64, case
-            assert got.tolist() == self._per_word(ifs, codes, length), case
-
-    @pytest.mark.parametrize("name", list(SYSTEMS), ids=list(SYSTEMS))
-    def test_offset_table_from_half_tables(self, name):
-        ifs = self.SYSTEMS[name]
-        m, digits, _, _ = ifs.lattice(1)
-        for k in range(0, 10):
-            expected = np.zeros(1, dtype=np.int64)  # letter by letter
-            for _ in range(k):
-                expected = (expected[:, None] * m + np.array(digits)).ravel()
-            got = ifs_module._offset_table(m, digits, k)
-            assert got.dtype == np.int64 and np.array_equal(got, expected), k
+            letters = codes_to_letters(codes, length, a).tolist()
+            assert got.tolist() == [cell_offset(ifs, w) for w in letters], case
 
 
 class TestContractions:

@@ -37,7 +37,8 @@ def test_traced_name_resolves(owner, attr):
 
 # One small config per experiment, with the layer counts its run must reach.
 # A runner that stops calling a wrapped name through ``cascadim.experiments``
-# still resolves above, but its layer reads 0 here.
+# still resolves above, but its layer reads 0 here.  A case named otherwise
+# gives its experiment in its config.
 REACHED = {
     "cascade-dim": (
         {"depth": 10, "trials": 4, "seed": 11},
@@ -45,6 +46,12 @@ REACHED = {
     ),
     "perc-image-dim": (
         {"depth": 10, "trials": 4, "gamma_nmax": 8, "seed": 3},
+        ("cascade.walk_calls", "euclid.image_in", "ifs.gamma_s", "dimension.box_queries"),
+    ),
+    # the exact-overlap IFS on its cell lattice: the image reads every word the walk numbered
+    "perc-image-dim overlap": (
+        {"experiment": "perc-image-dim", "alphabet": 3, "subshift": "full", "ifs": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]], "p": 0.8,
+         "depth": 10, "trials": 4, "gamma_nmax": 8, "seed": 3},
         ("cascade.walk_calls", "euclid.image_in", "ifs.gamma_s", "dimension.box_queries"),
     ),
     "sumset-dim": (
@@ -66,10 +73,13 @@ REACHED = {
 @pytest.mark.parametrize("experiment", list(REACHED))
 def test_experiment_reaches_its_layers(experiment, tmp_path):
     cfg, reached = REACHED[experiment]
+    cfg = dict({"experiment": experiment}, **cfg)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(cfg, experiment=experiment)))
+    path.write_text(json.dumps(cfg))
     with layers.installed(layers.Tracer()) as tracer:
-        layers.traced_main(tracer, [experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+        layers.traced_main(tracer, [cfg["experiment"], "--config", str(path), "--out", str(tmp_path / "out")])
     summary = tracer.summary()
     assert [name for name in reached if summary[name] <= 0] == []
     assert summary["experiments.accepted"] == cfg.get("trials", 0)
+    if cfg["experiment"] == "perc-image-dim":
+        assert summary["euclid.image_in"] == summary["cascade.leaves"]

@@ -39,6 +39,25 @@ class TestEntropy:
         assert m.entropy() == pytest.approx(expected, abs=1e-12)
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize(
+        "probs", [[math.nan, 0.5], [math.inf, 0.5], [0.5, math.nan, 0.5]], ids=["nan", "inf", "nan of three"]
+    )
+    def test_bernoulli(self, probs):
+        with pytest.raises(ValueError, match="probabilities"):
+            SymbolicMeasure.bernoulli(probs)
+
+    @pytest.mark.parametrize(
+        "initial, transition",
+        [([0.5, 0.5], [[math.nan, 0.5], [0.5, 0.5]]), ([0.5, 0.5], [[math.inf, 0.5], [0.5, 0.5]]),
+         ([math.nan, 0.5], [[0.5, 0.5], [0.5, 0.5]])],
+        ids=["nan transition", "inf transition", "nan initial"],
+    )
+    def test_markov(self, initial, transition):
+        with pytest.raises(ValueError, match="probability vector"):
+            SymbolicMeasure.markov(initial, transition)
+
+
 class TestCylinderMass:
     def test_bernoulli_product(self):
         m = SymbolicMeasure.bernoulli([0.5, 0.5])
