@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dimension import fit_loglog
-from .symbolic import Subshift, codes_to_letters
+from .symbolic import Subshift, _capped_word_count, codes_to_letters
 
 __all__ = ["AffineIfs", "OverlapProfile", "overlap_count", "gamma_estimate"]
 
@@ -199,8 +199,17 @@ def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
     length ``delta^n * diameter``, so the lower ends place them.  At distinct
     lower end k the count is the multiplicity of those up to k, less that of
     the intervals whose touch ended, at ``lo + length + radius``, strictly
-    before.  The words come from ``x.admissible_codes(n)``, which refuses more
-    than ``DEFAULT_WORD_CAP`` of them.
+    before.  More than ``DEFAULT_WORD_CAP`` admissible words raise
+    ``CapExceeded``.
+
+    When ``ifs.lattice(n)`` routes the IFS and the cell range is no wider
+    than the word count (the rule of ``set_image``'s bitmap), the words are
+    never listed: ``_cell_histogram`` counts them per cell, and the count is
+    the largest sum over a window of ``hi - lo + 3`` consecutive cells, the
+    lower ends from k - length - 2 radius to k in units of m^-n.  Every
+    float step of the general path is exact on the lattice, so both give the
+    same count.  Otherwise the words come from ``x.admissible_codes(n)`` and
+    their lower ends from ``points_for_codes``.
     """
     delta = ifs.equal_ratio
     if delta is None:
@@ -209,6 +218,15 @@ def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
         raise ValueError("alphabet mismatch between subshift and IFS")
     if n < 1:
         raise ValueError("n must be >= 1")
+    words = _capped_word_count(x, n)
+    lattice = ifs.lattice(n)
+    if lattice is not None:
+        m, digits, lo, hi = lattice
+        if (max(digits) - min(digits)) * ((m**n - 1) // (m - 1)) + 1 <= words:
+            window = hi - lo + 3
+            cum = np.cumsum(_cell_histogram(x, m, digits, n))
+            cum = np.concatenate([np.zeros(window, dtype=np.int64), cum])
+            return int((cum[window:] - cum[:-window]).max())
     los = ifs.points_for_codes(x.admissible_codes(n), n, ifs.attractor_min)
     length = delta**n * ifs.diameter
     radius = delta**n
@@ -218,6 +236,27 @@ def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
     return int((cum[1:] - cum[ended]).max())
 
 
+def _cell_histogram(x: Subshift, m: int, digits: Sequence[int], n: int) -> np.ndarray:
+    """Admissible length-n words per cell offset ``P(u) - min(digits) (m^n - 1)/(m - 1)``.
+
+    ``H[j, c]`` counts the words ending in letter ``j+1`` at shifted offset c;
+    a word ``u`` followed by letter ``j+1`` lands at ``c m + d_j - min(d)``,
+    so each level is one product with the successor table, spread out by m.
+    """
+    table = x.successor_table()
+    a = x.alphabet_size
+    shift = np.array(digits, dtype=np.int64) - min(digits)
+    steps = table[:a].T.astype(np.int64)  # steps[j, i]: letter j+1 may follow letter i+1
+    H = np.zeros((a, shift.max() + 1), dtype=np.int64)
+    H[np.arange(a), shift] = table[a]
+    for _ in range(n - 1):
+        grown = steps @ H
+        H = np.zeros((a, (H.shape[1] - 1) * m + shift.max() + 1), dtype=np.int64)
+        for j in range(a):
+            H[j, shift[j] : shift[j] + m * (grown.shape[1] - 1) + 1 : m] = grown[j]
+    return H.sum(axis=0)
+
+
 def gamma_estimate(x: Subshift, ifs: AffineIfs, n_max: int) -> OverlapProfile:
     """Fit the growth exponent of the overlap counts over n in [ceil(n_max/2), n_max]."""
     if n_max < 4:
@@ -225,6 +264,7 @@ def gamma_estimate(x: Subshift, ifs: AffineIfs, n_max: int) -> OverlapProfile:
     delta = ifs.equal_ratio
     if delta is None:
         raise ValueError("overlap counting is defined for equal-ratio systems only")
+    _capped_word_count(x, n_max)  # word counts never fall as n grows: refuse before any level
     counts = [overlap_count(x, ifs, n) for n in range(1, n_max + 1)]
     n_lo = math.ceil(n_max / 2)
     ns = np.arange(n_lo, n_max + 1, dtype=float)

@@ -63,8 +63,7 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     ``table`` is ``(a+1, a)``: a word ending in letter ``i+1`` (row ``a``: the
     empty word) passes ``table[i, j]`` times its mass to its child with letter
     ``j+1``.  Children of zero mass are dropped, so a zero entry marks a
-    forbidden step.  Masses take the table's dtype: a boolean table just
-    enumerates words.
+    forbidden step.  Masses take the table's dtype.
 
     With ``rng`` and ``weigh`` each child's mass takes one more factor,
     ``weigh(hashes)``, from the keyed hashes of the children of one block.
@@ -72,6 +71,13 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     (``rng.length_states`` at the root); a child's hash is its parent's
     next-length state absorbing its letter (``rng.absorb``), and only the
     survivors absorb their letter into their remaining states.
+
+    A boolean table is a yes/no walk: a child is kept where the table allows
+    it and ``weigh`` is nonzero, and no node carries a mass.  When the table
+    is all True (the full shift) it is not read at all, so ``weigh`` alone
+    decides, and without ``weigh`` every child is kept.  The masses returned
+    are all True, built once at the end; the words are those that the same
+    walk on ``table.astype(float)`` gives positive mass.
 
     The walk runs breadth first until a level holds more than ``_BLOCK``
     nodes, then walks each contiguous block of that level down to ``depth``
@@ -106,26 +112,37 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:
         return codes, masses
+    yes_no = table.dtype == bool
+    full = yes_no and bool(table.all())
     child_letters = np.tile(np.arange(1, a + 1, dtype=np.uint64), _BLOCK)
     # states: one row per deeper word length, one column per node
     states = None if weigh is None else rng.length_states(depth)[:, None]
     # a node's row in ``table`` is its last letter - 1; the root's is a
-    pending = [(0, codes, np.full(1, a), masses, states)]
+    pending = [(0, codes, np.full(1, a), None if yes_no else masses, states)]
     counts = [0] * depth
     leaf_codes = [np.zeros(0, dtype=np.int64)]
     leaf_masses = [np.zeros(0, dtype=table.dtype)]
     while pending:
         length, codes, row, parent_masses, states = pending.pop()
-        masses = np.take(table, row, axis=0).ravel()
-        masses *= np.repeat(parent_masses, a)
         if weigh is not None:
             hashes = np.repeat(states[0], a)
             rng.absorb(hashes, child_letters[: len(hashes)])
-            masses *= weigh(hashes)
-        kept = np.flatnonzero(masses > 0)
+        if full:
+            kept = np.arange(len(codes) * a) if weigh is None else np.flatnonzero(weigh(hashes))
+        elif yes_no:
+            allowed = np.take(table, row, axis=0).ravel()
+            if weigh is not None:
+                np.logical_and(allowed, weigh(hashes), out=allowed)
+            kept = np.flatnonzero(allowed)
+        else:
+            masses = np.take(table, row, axis=0).ravel()
+            masses *= np.repeat(parent_masses, a)
+            if weigh is not None:
+                masses *= weigh(hashes)
+            kept = np.flatnonzero(masses > 0)
+            masses = np.take(masses, kept)
         parent = kept // a
         row = kept - parent * a
-        masses = np.take(masses, kept)
         codes = np.take(codes, parent) * m + (row if digits is None else np.take(digits, row))
         counts[length] += len(codes)
         if counts[length] > cap:
@@ -133,7 +150,8 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
         length += 1
         if length == depth:
             leaf_codes.append(codes)
-            leaf_masses.append(masses)
+            if not yes_no:
+                leaf_masses.append(masses)
             continue
         if weigh is not None:
             deeper = np.empty((len(states) - 1, len(parent)), dtype=np.uint64)
@@ -145,10 +163,13 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
         for start in reversed(range(0, len(codes), _BLOCK)):  # popped left to right
             block = slice(start, start + _BLOCK)
             pending.append(
-                (length, codes[block], row[block], masses[block],
+                (length, codes[block], row[block], None if yes_no else masses[block],
                  None if weigh is None else states[:, block])
             )
-    return np.concatenate(leaf_codes), np.concatenate(leaf_masses)
+    codes = np.concatenate(leaf_codes)
+    if yes_no:
+        return codes, np.ones(len(codes), dtype=bool)
+    return codes, np.concatenate(leaf_masses)
 
 
 def _perron(A: np.ndarray):
@@ -281,9 +302,7 @@ class Subshift:
         """Sorted int64 codes of the admissible length-n words, at most ``DEFAULT_WORD_CAP``."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        count = self.word_count(n)
-        if count > DEFAULT_WORD_CAP:
-            raise CapExceeded(count, DEFAULT_WORD_CAP, what="words")
+        _capped_word_count(self, n)
         codes, _ = walk_tree(self.successor_table(), n, DEFAULT_WORD_CAP)
         return codes
 
@@ -313,6 +332,14 @@ class Subshift:
         pi = u * v
         pi = pi / pi.sum()
         return SymbolicMeasure.markov(pi, P)
+
+
+def _capped_word_count(x: Subshift, n: int) -> int:
+    """``x.word_count(n)``, refused with ``CapExceeded`` past ``DEFAULT_WORD_CAP``."""
+    count = x.word_count(n)
+    if count > DEFAULT_WORD_CAP:
+        raise CapExceeded(count, DEFAULT_WORD_CAP, what="words")
+    return count
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,28 @@ against the cell numbering of the tree walk, ``draw_weight`` against the
 keyed tree walk, and ``merged_atoms`` against ``AtomicMeasure``'s sort and
 merge.  ``cell_offsets`` takes base-a codes and sums ``cell_offset``'s
 definition over all of them at once.
+
+``LATTICE_IFS`` holds the systems that ``AffineIfs.lattice`` routes, each
+with a subshift and a keep probability, for the tests of every lattice path.
 """
 import numpy as np
 
+from cascadim import AffineIfs, Subshift
 from cascadim.cascade import _to_uniform
 from cascadim.symbolic import codes_to_letters
+
+EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
+
+LATTICE_IFS = {
+    "exact overlap": (EX_OVERLAP, Subshift.full(3), 0.62),
+    "tiling(2)": (AffineIfs.tiling(2), Subshift.full(2), 0.8),
+    "tiling(2), golden mean": (AffineIfs.tiling(2), Subshift.golden_mean(), 0.9),
+    "hull width 2": (AffineIfs.from_maps([(0.5, 0.0), (0.5, 1.0)]), Subshift.full(2), 0.8),
+    "tiling(4)": (AffineIfs.tiling(4), Subshift.full(4), 0.5),
+    "ratio 1/4, three maps": (AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.5), (0.25, 0.75)]), Subshift.full(3), 0.7),
+    "hull [-1, 1]": (AffineIfs.from_maps([(0.5, -0.5), (0.5, 0.5)]), Subshift.full(2), 0.8),
+    "degenerate hull": (AffineIfs.from_maps([(0.5, 0.5), (0.5, 0.5)]), Subshift.full(2), 0.8),
+}
 
 
 def cylinder_mass(measure, letters) -> float:

@@ -489,6 +489,44 @@ class TestTreeHashes:
         self._check_depth_extension(uniform2)
 
 
+class TestYesNoWalk:
+    """A boolean table's walk, which carries no masses, against the same walk on float masses.
+
+    The full shift's table is all True, so its walk skips the table; the
+    golden mean's and the dead-letter shift's are not.  Each case runs with
+    and without the keyed keep test and the cell numeral, at the default
+    block size and again with blocks of 1 and 7 nodes.
+    """
+
+    SHIFTS = {
+        "full3": (Subshift.full(3), 8, (2, (0, 0, 1))),
+        "golden-mean": (Subshift.golden_mean(), 14, (2, (-1, 1))),
+        "dead-letter": (_DEAD_LETTER, 10, (4, (0, 2, 3))),
+    }
+
+    @staticmethod
+    def _check(name):
+        x, depth, numeral = TestYesNoWalk.SHIFTS[name]
+        table = x.successor_table()
+        assert table.dtype == bool and table.all() == (name == "full3")
+        bound = np.uint64(_keep_threshold(0.9) << 11)
+        for rng, weigh in ((None, None), (KeyedRng(5), lambda hashes: hashes < bound)):
+            for num in (None, numeral):
+                codes, masses = walk_tree(table, depth, 10**6, rng, weigh, num)
+                ref_codes, ref_masses = walk_tree(table.astype(float), depth, 10**6, rng, weigh, num)
+                assert codes.tobytes() == ref_codes[ref_masses > 0].tobytes(), (weigh, num)
+                assert masses.dtype == bool and masses.all() and len(masses) == len(codes)
+                assert len(codes) > 0
+
+    @pytest.mark.parametrize("name", list(SHIFTS), ids=list(SHIFTS))
+    def test_equals_float_walk(self, name):
+        self._check(name)
+
+    @pytest.mark.parametrize("name", list(SHIFTS), ids=list(SHIFTS))
+    def test_equals_float_walk_in_small_blocks(self, name, small_block):
+        self._check(name)
+
+
 @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
 class TestCapAcrossBlocks:
     """``cap`` bounds each level's node count summed over all blocks, not per block."""

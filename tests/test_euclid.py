@@ -29,9 +29,7 @@ from cascadim import cascade, euclid
 from cascadim.errors import CapExceeded, ScaleBelowResolution
 from cascadim.cascade import _inverse_cdf, _to_uniform
 from cascadim.symbolic import codes_to_letters
-from oracles import cell_offsets, cylinder_interval, merged_atoms
-
-EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
+from oracles import EX_OVERLAP, LATTICE_IFS, cell_offsets, cylinder_interval, merged_atoms
 
 
 def unit_cascade(measure, shift, depth, seed=1):
@@ -312,19 +310,6 @@ class TestSetImage:
         img = set_image(np.array([0, a**n - 1]), ifs, n)
         assert img.los.tolist() == pytest.approx([0.0, 1 - a**-n], abs=1e-15)
         assert img.his.tolist() == pytest.approx([a**-n, 1.0], abs=1e-15)
-
-
-# equal-ratio IFSs whose images lie on the grid m^-n: set_image takes the lattice path
-LATTICE_IFS = {
-    "exact overlap": (EX_OVERLAP, Subshift.full(3), 0.62),
-    "tiling(2)": (AffineIfs.tiling(2), Subshift.full(2), 0.8),
-    "tiling(2), golden mean": (AffineIfs.tiling(2), Subshift.golden_mean(), 0.9),
-    "hull width 2": (AffineIfs.from_maps([(0.5, 0.0), (0.5, 1.0)]), Subshift.full(2), 0.8),
-    "tiling(4)": (AffineIfs.tiling(4), Subshift.full(4), 0.5),
-    "ratio 1/4, three maps": (AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.5), (0.25, 0.75)]), Subshift.full(3), 0.7),
-    "hull [-1, 1]": (AffineIfs.from_maps([(0.5, -0.5), (0.5, 0.5)]), Subshift.full(2), 0.8),
-    "degenerate hull": (AffineIfs.from_maps([(0.5, 0.5), (0.5, 0.5)]), Subshift.full(2), 0.8),
-}
 
 
 def _assert_float_path_image(img, ifs, codes, n):

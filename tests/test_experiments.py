@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cascadim import Subshift, WeightLaw, cli, experiments
+from cascadim import Subshift, WeightLaw, cli, experiments, ifs as ifs_module
 from cascadim.cli import main
 from cascadim.errors import CascadimError, ConfigError, DegenerateCascadeWarning
 from cascadim.experiments import (
@@ -463,6 +463,19 @@ class TestCli:
         assert main(["bconv", "--trials", "5", "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown key 'trials'") and err.count("\n") == 1, err
+
+    def test_gamma_nmax_past_the_word_cap_counts_no_level(self, tmp_path, monkeypatch, capsys):
+        # 3^40 words at the last level: refused before levels 1..15 are counted
+        counted = []
+        monkeypatch.setattr(ifs_module, "overlap_count", lambda *args: counted.append(args))
+        cfg = {"experiment": "perc-image-dim", "alphabet": 3, "subshift": "full",
+               "ifs": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]], "gamma_nmax": 40}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["perc-image-dim", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: would need ") and err.count("\n") == 1, err
+        assert counted == []
 
     def test_plot_flag_writes_the_svg(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 from cascadim import AffineIfs, Subshift, gamma_estimate, ifs as ifs_module, overlap_count
 from cascadim.errors import CapExceeded
 from cascadim.symbolic import codes_to_letters, walk_tree
-from oracles import apply_word, canonical_point, cell_offset, cell_offsets, contraction, cylinder_interval
-
-EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
+from oracles import (
+    EX_OVERLAP,
+    LATTICE_IFS,
+    apply_word,
+    canonical_point,
+    cell_offset,
+    cell_offsets,
+    contraction,
+    cylinder_interval,
+)
 
 
 class TestAffineIfs:
@@ -252,6 +259,62 @@ class TestOverlapCount:
     def test_cap_propagates(self, tiling2):
         with pytest.raises(CapExceeded):
             overlap_count(Subshift.full(2), tiling2, 25)  # 2^25 words, past DEFAULT_WORD_CAP
+
+
+def _subshifts(a):
+    """Full, golden-mean-like (the last letter may not repeat) and dead-end (the last letter has no successor)."""
+    no_repeat = [[1] * a for _ in range(a)]
+    no_repeat[-1][-1] = 0
+    dead_end = [[1] * a for _ in range(a - 1)] + [[0] * a]
+    return {"full": Subshift.full(a), "golden mean": Subshift.sft(no_repeat), "dead end": Subshift.sft(dead_end)}
+
+
+class TestLatticeOverlapCount:
+    """overlap_count's cell histogram against the float path and the oracle, n = 1..8.
+
+    The histogram runs only where the cell range is no wider than the word
+    count; elsewhere the words are listed (``admissible_codes``).  The float
+    path is forced by routing no lattice.
+    """
+
+    @staticmethod
+    def _routes(ifs, monkeypatch):
+        listed = []
+        admissible = Subshift.admissible_codes
+
+        def counted(self, n):
+            listed.append(n)
+            return admissible(self, n)
+
+        monkeypatch.setattr(Subshift, "admissible_codes", counted)
+        routes = set()
+        for name, x in _subshifts(ifs.alphabet_size).items():
+            for n in range(1, 9):
+                m, digits, _, _ = ifs.lattice(n)
+                on_cells = (max(digits) - min(digits)) * (m**n - 1) // (m - 1) + 1 <= x.word_count(n)
+                listed.clear()
+                got = overlap_count(x, ifs, n)
+                assert listed == ([] if on_cells else [n]), (name, n)
+                routes.add("cells" if on_cells else "words")
+                with monkeypatch.context() as unrouted:
+                    unrouted.setattr(AffineIfs, "lattice", lambda self, length: None)
+                    assert overlap_count(x, ifs, n) == got, (name, n)
+                if x.word_count(n) <= 300:
+                    assert _overlap_oracle(x, ifs, n) == got, (name, n)
+        return routes
+
+    @pytest.mark.parametrize("name", list(LATTICE_IFS), ids=list(LATTICE_IFS))
+    def test_equals_float_path_and_oracle(self, name, monkeypatch):
+        self._routes(LATTICE_IFS[name][0], monkeypatch)
+
+    def test_histogram_runs_on_the_exact_overlap(self, monkeypatch):
+        assert self._routes(EX_OVERLAP, monkeypatch) == {"cells"}
+
+    def test_sparse_lattice_lists_the_words(self, monkeypatch):
+        # digits (0, 3) at ratio 1/4: 4^n cells for 2^n words
+        sparse = AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.75)])
+        assert sparse.lattice(8) == (4, (0, 3), 0, 1)
+        assert self._routes(sparse, monkeypatch) == {"words"}
 
 
 class TestGamma:
