@@ -292,7 +292,8 @@ def set_image(words: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
     two, integer digits m*t_i and hull ends lo, hi, all exact below 2^53),
     every cylinder at depth n = ``length`` is ``[(P + lo) / m^n, (P + hi) / m^n]``
     for the integer cell offset ``P(u) = sum_j d(u_j) m^(n-j)`` in
-    ``[min(d) S, max(d) S]``, ``S = (m^n - 1)/(m - 1)``, and ``words`` are
+    ``ifs.cell_range(length)``, ``[min(d) S, max(d) S]`` with
+    ``S = (m^n - 1)/(m - 1)``, and ``words`` are
     those offsets, as ``percolation_codes`` numbers them with
     ``numeral=lattice[:2]``.  On an m-adic tiling, such as tiling(2), the
     offsets are the base-a codes.  Both ends are exact, so the intervals
@@ -311,9 +312,8 @@ def set_image(words: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
             raise ValueError(f"codes must lie in [0, {ifs.alphabet_size}^{length})")
         los, his = ifs.hull_images(words, length)
     else:
-        m, digits, lo, hi = lattice
-        span = (m**length - 1) // (m - 1)
-        first, last = min(digits) * span, max(digits) * span
+        m, _, lo, hi = lattice
+        first, last = ifs.cell_range(length)
         if words.min() < first or words.max() > last:
             raise ValueError(f"cell offsets must lie in [{first}, {last}]")
         cells = _ordered_cells(words, first, last)

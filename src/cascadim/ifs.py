@@ -103,6 +103,19 @@ class AffineIfs:
             return None
         return m, tuple(digits), lo, hi
 
+    def cell_range(self, length: int) -> tuple[int, int] | None:
+        """``(first, last)``, the least and greatest cell offset P(u) on the grid of ``lattice(length)``.
+
+        They are ``min(d) S`` and ``max(d) S`` with ``S = (m^n - 1)/(m - 1)``,
+        n = ``length``; None when ``lattice(length)`` is.
+        """
+        lattice = self.lattice(length)
+        if lattice is None:
+            return None
+        m, digits, _, _ = lattice
+        span = (m**length - 1) // (m - 1)
+        return min(digits) * span, max(digits) * span
+
     # -- coding map over code arrays ------------------------------------------
 
     def points_for_codes(self, codes: np.ndarray, length: int, x0: float) -> np.ndarray:
@@ -202,9 +215,9 @@ def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
     before.  More than ``DEFAULT_WORD_CAP`` admissible words raise
     ``CapExceeded``.
 
-    When ``ifs.lattice(n)`` routes the IFS and the cell range is no wider
-    than the word count (the rule of ``set_image``'s bitmap), the words are
-    never listed: ``_cell_histogram`` counts them per cell, and the count is
+    When ``ifs.lattice(n)`` routes the IFS and ``ifs.cell_range(n)`` spans
+    at most as many cells as there are words (the rule of ``set_image``'s
+    bitmap), the words are never listed: ``_cell_histogram`` counts them per cell, and the count is
     the largest sum over a window of ``hi - lo + 3`` consecutive cells, the
     lower ends from k - length - 2 radius to k in units of m^-n.  Every
     float step of the general path is exact on the lattice, so both give the
@@ -219,14 +232,13 @@ def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     words = _capped_word_count(x, n)
-    lattice = ifs.lattice(n)
-    if lattice is not None:
-        m, digits, lo, hi = lattice
-        if (max(digits) - min(digits)) * ((m**n - 1) // (m - 1)) + 1 <= words:
-            window = hi - lo + 3
-            cum = np.cumsum(_cell_histogram(x, m, digits, n))
-            cum = np.concatenate([np.zeros(window, dtype=np.int64), cum])
-            return int((cum[window:] - cum[:-window]).max())
+    cells = ifs.cell_range(n)
+    if cells is not None and cells[1] - cells[0] < words:
+        m, digits, lo, hi = ifs.lattice(n)
+        window = hi - lo + 3
+        cum = np.cumsum(_cell_histogram(x, m, digits, n))
+        cum = np.concatenate([np.zeros(window, dtype=np.int64), cum])
+        return int((cum[window:] - cum[:-window]).max())
     los = ifs.points_for_codes(x.admissible_codes(n), n, ifs.attractor_min)
     length = delta**n * ifs.diameter
     radius = delta**n

@@ -72,12 +72,11 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     next-length state absorbing its letter (``rng.absorb``), and only the
     survivors absorb their letter into their remaining states.
 
-    A boolean table is a yes/no walk: a child is kept where the table allows
-    it and ``weigh`` is nonzero, and no node carries a mass.  When the table
-    is all True (the full shift) it is not read at all, so ``weigh`` alone
-    decides, and without ``weigh`` every child is kept.  The masses returned
-    are all True, built once at the end; the words are those that the same
-    walk on ``table.astype(float)`` gives positive mass.
+    An all-True boolean table (the full shift) is never read and no node
+    carries a mass: ``weigh`` alone decides, and without ``weigh`` every
+    child is kept.  The masses returned are all True, built once at the end;
+    the words are those that the same walk on ``table.astype(float)`` gives
+    positive mass.
 
     The walk runs breadth first until a level holds more than ``_BLOCK``
     nodes, then walks each contiguous block of that level down to ``depth``
@@ -112,13 +111,12 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:
         return codes, masses
-    yes_no = table.dtype == bool
-    full = yes_no and bool(table.all())
+    full = table.dtype == bool and bool(table.all())
     child_letters = np.tile(np.arange(1, a + 1, dtype=np.uint64), _BLOCK)
     # states: one row per deeper word length, one column per node
     states = None if weigh is None else rng.length_states(depth)[:, None]
     # a node's row in ``table`` is its last letter - 1; the root's is a
-    pending = [(0, codes, np.full(1, a), None if yes_no else masses, states)]
+    pending = [(0, codes, np.full(1, a), None if full else masses, states)]
     counts = [0] * depth
     leaf_codes = [np.zeros(0, dtype=np.int64)]
     leaf_masses = [np.zeros(0, dtype=table.dtype)]
@@ -129,11 +127,6 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
             rng.absorb(hashes, child_letters[: len(hashes)])
         if full:
             kept = np.arange(len(codes) * a) if weigh is None else np.flatnonzero(weigh(hashes))
-        elif yes_no:
-            allowed = np.take(table, row, axis=0).ravel()
-            if weigh is not None:
-                np.logical_and(allowed, weigh(hashes), out=allowed)
-            kept = np.flatnonzero(allowed)
         else:
             masses = np.take(table, row, axis=0).ravel()
             masses *= np.repeat(parent_masses, a)
@@ -150,7 +143,7 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
         length += 1
         if length == depth:
             leaf_codes.append(codes)
-            if not yes_no:
+            if not full:
                 leaf_masses.append(masses)
             continue
         if weigh is not None:
@@ -163,11 +156,11 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
         for start in reversed(range(0, len(codes), _BLOCK)):  # popped left to right
             block = slice(start, start + _BLOCK)
             pending.append(
-                (length, codes[block], row[block], None if yes_no else masses[block],
+                (length, codes[block], row[block], None if full else masses[block],
                  None if weigh is None else states[:, block])
             )
     codes = np.concatenate(leaf_codes)
-    if yes_no:
+    if full:
         return codes, np.ones(len(codes), dtype=bool)
     return codes, np.concatenate(leaf_masses)
 

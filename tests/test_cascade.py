@@ -490,10 +490,11 @@ class TestTreeHashes:
 
 
 class TestYesNoWalk:
-    """A boolean table's walk, which carries no masses, against the same walk on float masses.
+    """A boolean table's walk against the same walk on float masses.
 
-    The full shift's table is all True, so its walk skips the table; the
-    golden mean's and the dead-letter shift's are not.  Each case runs with
+    The full shift's table is all True, so its walk reads no table and
+    carries no masses; the golden mean's and the dead-letter shift's are not,
+    so their walks carry boolean masses.  Each case runs with
     and without the keyed keep test and the cell numeral, at the default
     block size and again with blocks of 1 and 7 nodes.
     """

@@ -364,6 +364,11 @@ class TestLatticeImage:
         assert EX_OVERLAP.lattice(16) == (2, (0, 0, 1), 0, 1)
         assert LATTICE_IFS["hull [-1, 1]"][0].lattice(3) == (2, (-1, 1), -1, 1)
         assert LATTICE_IFS["degenerate hull"][0].lattice(3) == (2, (1, 1), 1, 1)
+        # cell offsets run from min(d) S to max(d) S, S = (m^n - 1)/(m - 1)
+        assert EX_OVERLAP.cell_range(3) == (0, 7)
+        assert LATTICE_IFS["hull [-1, 1]"][0].cell_range(3) == (-7, 7)
+        assert LATTICE_IFS["ratio 1/4, three maps"][0].cell_range(2) == (0, 15)
+        assert AffineIfs.tiling(2).cell_range(52) is None
         # m^n (max|d| + |lo| + |hi|) < 2^53
         assert AffineIfs.tiling(2).lattice(51) is not None
         assert AffineIfs.tiling(2).lattice(52) is None

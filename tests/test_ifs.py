@@ -272,10 +272,22 @@ def _subshifts(a):
 class TestLatticeOverlapCount:
     """overlap_count's cell histogram against the float path and the oracle, n = 1..8.
 
-    The histogram runs only where the cell range is no wider than the word
-    count; elsewhere the words are listed (``admissible_codes``).  The float
-    path is forced by routing no lattice.
+    The histogram runs only where ``cell_range`` spans at most as many cells
+    as there are words; elsewhere the words are listed (``admissible_codes``).
+    ``ROUTES`` holds the paths each system takes over the three subshifts.
+    The float path is forced by routing no lattice.
     """
+
+    ROUTES = {
+        "exact overlap": {"cells"},
+        "tiling(2)": {"cells", "words"},
+        "tiling(2), golden mean": {"cells", "words"},
+        "hull width 2": {"words"},
+        "tiling(4)": {"cells", "words"},
+        "ratio 1/4, three maps": {"words"},
+        "hull [-1, 1]": {"words"},
+        "degenerate hull": {"cells"},
+    }
 
     @staticmethod
     def _routes(ifs, monkeypatch):
@@ -290,8 +302,8 @@ class TestLatticeOverlapCount:
         routes = set()
         for name, x in _subshifts(ifs.alphabet_size).items():
             for n in range(1, 9):
-                m, digits, _, _ = ifs.lattice(n)
-                on_cells = (max(digits) - min(digits)) * (m**n - 1) // (m - 1) + 1 <= x.word_count(n)
+                first, last = ifs.cell_range(n)
+                on_cells = last - first < x.word_count(n)
                 listed.clear()
                 got = overlap_count(x, ifs, n)
                 assert listed == ([] if on_cells else [n]), (name, n)
@@ -305,10 +317,7 @@ class TestLatticeOverlapCount:
 
     @pytest.mark.parametrize("name", list(LATTICE_IFS), ids=list(LATTICE_IFS))
     def test_equals_float_path_and_oracle(self, name, monkeypatch):
-        self._routes(LATTICE_IFS[name][0], monkeypatch)
-
-    def test_histogram_runs_on_the_exact_overlap(self, monkeypatch):
-        assert self._routes(EX_OVERLAP, monkeypatch) == {"cells"}
+        assert self._routes(LATTICE_IFS[name][0], monkeypatch) == self.ROUTES[name]
 
     def test_sparse_lattice_lists_the_words(self, monkeypatch):
         # digits (0, 3) at ratio 1/4: 4^n cells for 2^n words
