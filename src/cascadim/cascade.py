@@ -128,19 +128,30 @@ class KeyedRng:
         states ^= _LETTER_SALT + np.asarray(letters, dtype=np.uint64)
         _mix64(states)
 
-    def _counter_hashes(self, salt: int, n: int) -> np.ndarray:
-        """The first ``n`` hashes of the stream keyed by (salt, index)."""
+    def counter_stream(self, salt: int):
+        """``hashes(start, stop)``: the hashes of indices [start, stop) of the stream keyed by (salt, index).
+
+        The stream's base state is mixed once, here, so a sampler that walks
+        the stream in chunks mixes it once.  Every index is hashed on its
+        own, so the chunks of any split join up to the whole stream bit for
+        bit.
+        """
         with np.errstate(over="ignore"):
             base = _mix64(self._root() ^ (_STREAM_SALT + np.uint64(salt & 0xFFFFFFFFFFFFFFFF)))
-            return _mix64(base ^ (_COUNTER_SALT + np.arange(n, dtype=np.uint64)))
+
+        def hashes(start: int, stop: int) -> np.ndarray:
+            with np.errstate(over="ignore"):
+                return _mix64(base ^ (_COUNTER_SALT + np.arange(start, stop, dtype=np.uint64)))
+
+        return hashes
 
     def counter_uniforms(self, salt: int, n: int) -> np.ndarray:
         """The first ``n`` uniforms of the stream keyed by (salt, index); for samplers."""
-        return _to_uniform(self._counter_hashes(salt, n))
+        return _to_uniform(self.counter_stream(salt)(0, n))
 
     def derive(self, index: int) -> "KeyedRng":
         """An independent child stream, seeded by hash 0 of counter stream ``index``; for trials and factors."""
-        return KeyedRng(int(self._counter_hashes(index, 1)[0]))
+        return KeyedRng(int(self.counter_stream(index)(0, 1)[0]))
 
 
 @dataclass(frozen=True)
@@ -209,32 +220,51 @@ class WeightLaw:
 
             s = self.sigma
             return np.exp(s * ndtri(u) - s * s / 2.0)
-        return np.asarray(self.values)[_inverse_cdf(self.probs, 1.0, u)]
+        return np.asarray(self.values)[_inverse_cdf(self.probs, 1.0, u.size)(u)]
 
 
-def _inverse_cdf(weights, total: float, u: np.ndarray) -> np.ndarray:
-    """Indices ``min(searchsorted(cumsum(weights) / total, u, "right"), n - 1)``, bit for bit.
+def _inverse_cdf(weights, total: float, keys: int):
+    """``lookup(u)``: indices ``min(searchsorted(cumsum(weights) / total, u, "right"), n - 1)``, bit for bit.
 
-    The keys u lie in [0, 1]: ``KeyedRng.counter_uniforms`` stays below 1,
-    but any key of 1.0 is answered too.  With B the power of two at or above
-    n, a guide table (Chen & Asau's indexed search) holds ``edges[b]``, the
-    search result at b/B, for b = 0..B+1, so u = 1.0 has bucket B; every b/B
-    is exact.  The search is monotone in u and b = floor(u*B) is exact, so
-    the result for u lies in ``[edges[b], edges[b+1]]``, and a key whose two
-    ends agree needs no search.  Fewer keys than B take the plain search.
+    Built once for all ``keys`` keys a sampler will look up, in one call or
+    in chunks of any size.  The keys u lie in [0, 1]:
+    ``KeyedRng.counter_uniforms`` stays below 1, but any key of 1.0 is
+    answered too.  With B the power of two at or above n, a guide table
+    (Chen & Asau's indexed search) holds ``edges[b]``, the clamped search
+    result at b/B, for b = 0..B+1, so u = 1.0 has bucket B; every b/B is
+    exact.  The search and the clamp are monotone in u and b = floor(u*B)
+    is exact, so the result for u lies in ``[edges[b], edges[b+1]]``.  A
+    bucket whose two ends agree is closed: its keys need no search.  The
+    B+1 flags of the open buckets are kept as a boolean array, so finding
+    the open keys reads one byte per key.  The open keys are searched in
+    key order and their results scattered back: numpy's search starts from
+    the previous key's result, so the cache lines it reads stay warm.  Fewer
+    ``keys`` than B, counted over all chunks, take the plain search, and no
+    table is built.
     """
     cdf = np.cumsum(weights) / total
-    table = 1 << (cdf.size - 1).bit_length()
-    if u.size < table:
-        idx = np.searchsorted(cdf, u, side="right")
-    else:
-        edges = np.searchsorted(cdf, np.arange(table + 2) / table, side="right")
+    last = cdf.size - 1
+    table = 1 << last.bit_length()
+    if keys < table:
+
+        def lookup(u):
+            idx = np.searchsorted(cdf, u, side="right")
+            return np.minimum(idx, last, out=idx)
+
+        return lookup
+    edges = np.minimum(np.searchsorted(cdf, np.arange(table + 2) / table, side="right"), last)
+    open_bucket = edges[1:] != edges[:-1]
+
+    def lookup(u):
         bucket = (u * table).astype(np.intp)
         idx = edges[bucket]
-        bucket += 1
-        open_keys = np.flatnonzero(edges[bucket] != idx)
-        idx[open_keys] = np.searchsorted(cdf, u[open_keys], side="right")
-    return np.minimum(idx, cdf.size - 1, out=idx)
+        open_keys = np.flatnonzero(open_bucket[bucket])
+        open_keys = open_keys[np.argsort(u[open_keys])]
+        searched = np.searchsorted(cdf, u[open_keys], side="right")
+        idx[open_keys] = np.minimum(searched, last, out=searched)
+        return idx
+
+    return lookup
 
 
 class CylinderMeasure:

@@ -113,12 +113,15 @@ def box_dimension(s, eps_schedule: Sequence[float]) -> ScalingFit:
 # scaling entropy
 
 
-def _entropy_at_scale(norm, r: float, centers) -> float:
+def _entropy_at_scale(norm, r: float, centers, order=None) -> float:
     """H_r, minus the mean log mass of r-balls around typical points of a normalized measure.
 
     ``centers=None`` sums over all atoms with their weights (deterministic),
     reading the masses from ``atom_ball_masses``; an array averages over
-    those centers, drawn from the measure.  Both refuse an r below the resolution.
+    those centers, drawn from the measure.  With ``order`` the centers are
+    sorted, ``drawn[order]``: the masses are searched in that order and
+    scattered back to draw order before the mean, so H_r is that of the
+    drawn centers bit for bit.  Both refuse an r below the resolution.
     """
     if centers is None:
         masses = norm.atom_ball_masses(r)
@@ -126,6 +129,10 @@ def _entropy_at_scale(norm, r: float, centers) -> float:
             raise ZeroMassBall("atom with zero ball mass in full summation")
         return float(-(norm.weights * np.log(masses)).sum())
     masses = norm.ball_mass_many(centers, r)
+    if order is not None:
+        drawn = np.empty_like(masses)
+        drawn[order] = masses
+        masses = drawn
     if (masses <= 0).any():
         raise ZeroMassBall("sampled a point whose ball has zero mass")
     return float(-np.log(masses).mean())
@@ -135,8 +142,11 @@ def entropy_dimension(m, r_schedule: Sequence[float], sample_size: int | None = 
     """Slope of H_r against -log r over the radii of the schedule at or above the resolution.
 
     The measure is normalized once for all radii, and in Monte Carlo mode
-    its ``sample_size`` centers are drawn once, from the ``KeyedRng``
-    ``rng``, for all radii.  The full sum
+    its ``sample_size`` centers (a positive integer) are drawn once, from
+    the ``KeyedRng`` ``rng``, and sorted once, for all radii.  Each radius
+    searches with the sorted centers, so consecutive searches start near
+    each other in the atoms, and scatters the masses back to draw order
+    (see ``_entropy_at_scale``).  The full sum
     (``sample_size=None``) reads each radius's ball masses from
     ``AtomicMeasure.atom_ball_masses``: on a lattice-tagged measure at a
     lattice radius that is two reads of one cached integer-indexed
@@ -146,6 +156,10 @@ def entropy_dimension(m, r_schedule: Sequence[float], sample_size: int | None = 
         raise ValueError("Monte Carlo mode needs an rng")
     rs = _window(r_schedule, m.resolution)
     norm = m.normalized()
-    centers = None if sample_size is None else norm.sample_points(sample_size, rng)
-    hs = np.array([_entropy_at_scale(norm, r, centers) for r in rs])
+    centers = order = None
+    if sample_size is not None:
+        drawn = norm.sample_points(sample_size, rng)
+        order = np.argsort(drawn)
+        centers = drawn[order]
+    hs = np.array([_entropy_at_scale(norm, r, centers, order) for r in rs])
     return ScalingFit(rs, hs, *fit_loglog(-np.log(rs), hs))

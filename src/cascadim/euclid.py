@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CylinderMeasure, KeyedRng, WeightLaw, _inverse_cdf, cascade_measure
+from .cascade import CylinderMeasure, KeyedRng, WeightLaw, _inverse_cdf, _to_uniform, cascade_measure
 from .errors import CapExceeded, ScaleBelowResolution
 from .ifs import AffineIfs
 from .symbolic import Subshift, SymbolicMeasure
@@ -39,6 +39,11 @@ __all__ = [
 # A lattice measure reads its ball masses from a dense cumulative array only
 # while its cell range is at most this many cells per atom.
 _DENSE_CELLS_PER_ATOM = 16
+# Sampled pairs per chunk of a sampled product.  Each array of a chunk (hashes,
+# uniforms, buckets, indices) is 256 KB, so the few alive at once stay in a
+# core's L2 cache (2 MB on the 2-core Xeon of BENCH_24.json, where chunks of
+# 2^14 to 2^16 pairs ran alike).
+_PAIR_CHUNK = 1 << 15
 
 
 class AtomicMeasure:
@@ -162,12 +167,20 @@ class AtomicMeasure:
     def sample_points(self, count: int, rng: KeyedRng) -> np.ndarray:
         """Draw atom positions with probability proportional to weight.
 
-        The draws read ``rng``'s counter stream 0xE17.
+        The draws read ``rng``'s counter stream 0xE17.  ``count`` must be a
+        positive integer.
         """
+        _require_count(count, "sample count")
         tot = self.total_weight
         if tot <= 0:
             raise ValueError("cannot sample from a zero measure")
-        return self.points[_inverse_cdf(self.weights, tot, rng.counter_uniforms(0xE17, count))]
+        return self.points[_inverse_cdf(self.weights, tot, count)(rng.counter_uniforms(0xE17, count))]
+
+
+def _require_count(value, name: str) -> None:
+    """Refuse, with ``ValueError``, a count that is not a positive integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _sort_equal_weight_points(points: np.ndarray) -> np.ndarray:
@@ -343,22 +356,42 @@ def _ordered_cells(cells: np.ndarray, first: int, last: int) -> np.ndarray:
 
 
 def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: KeyedRng | None):
-    """Index pairs and weights (i, j, ws) of the atoms (m1.points[i], m2.points[j]).
+    """The weights ``ws`` of the atoms (m1.points[i], m2.points[j]), and their index pairs in chunks.
 
-    The exact grid comes x-major, so in (x, y) order; sampled pairs come in
-    draw order.
+    Returns ``(ws, chunks)``; ``chunks`` yields ``(part, i, j)``, the index
+    pairs of the atoms ``ws[part]``.  The exact grid is one chunk, x-major,
+    so in (x, y) order.  Sampled pairs come in draw order, ``_PAIR_CHUNK``
+    at a time: chunk [start, stop) reads keys [start, stop) of the counter
+    streams 0xA1 (for i) and 0xA2 (for j), each factor's inverse-CDF lookup
+    is built once for all ``atom_cap`` keys, and every sampled atom weighs
+    total/atom_cap.  So the pairs are those of drawing all ``atom_cap``
+    keys at once, bit for bit, while no array of ``atom_cap`` keys or
+    indices is built.  ``atom_cap`` must be a positive integer, and a
+    sampled product needs an ``rng`` and factors of positive total weight;
+    each is checked before any draw.
     """
+    _require_count(atom_cap, "atom_cap")
     n1, n2 = len(m1), len(m2)
     if n1 * n2 <= atom_cap:
         i = np.repeat(np.arange(n1), n2)
         j = np.tile(np.arange(n2), n1)
-        return i, j, (m1.weights[:, None] * m2.weights[None, :]).ravel()
+        return (m1.weights[:, None] * m2.weights[None, :]).ravel(), [(slice(None), i, j)]
     if rng is None:
         raise ValueError("a sampled product needs an rng")
-    i = _inverse_cdf(m1.weights, m1.total_weight, rng.counter_uniforms(0xA1, atom_cap))
-    j = _inverse_cdf(m2.weights, m2.total_weight, rng.counter_uniforms(0xA2, atom_cap))
-    w = m1.total_weight * m2.total_weight / atom_cap
-    return i, j, np.full(atom_cap, w)
+    t1, t2 = m1.total_weight, m2.total_weight
+    if not (t1 > 0 and t2 > 0):
+        raise ValueError("a sampled product needs factors of positive total weight")
+    return np.full(atom_cap, t1 * t2 / atom_cap), _sampled_chunks(m1, m2, atom_cap, rng)
+
+
+def _sampled_chunks(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: KeyedRng):
+    """The sampled ``(part, i, j)`` chunks of ``_product_pairs``."""
+    draw_i = _inverse_cdf(m1.weights, m1.total_weight, atom_cap)
+    draw_j = _inverse_cdf(m2.weights, m2.total_weight, atom_cap)
+    keys_i, keys_j = rng.counter_stream(0xA1), rng.counter_stream(0xA2)
+    for start in range(0, atom_cap, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, atom_cap)
+        yield slice(start, stop), draw_i(_to_uniform(keys_i(start, stop))), draw_j(_to_uniform(keys_j(start, stop)))
 
 
 def product(
@@ -372,10 +405,16 @@ def product(
 
     The sampled mode draws index pairs coordinate-wise proportionally to the
     weights (an exact sampler for the product law) from ``rng``, which it
-    needs, and gives every sampled atom the weight total/atom_cap.
+    needs, and gives every sampled atom the weight total/atom_cap.  The
+    pairs are drawn chunk by chunk into one preallocated ``xs`` and ``ys``
+    (see ``_product_pairs``, which also says what is refused).
     """
-    i, j, ws = _product_pairs(m1, m2, atom_cap, rng)
-    return ProductPairs(m1.points[i], m2.points[j], ws, max(m1.resolution, m2.resolution))
+    ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
+    xs, ys = np.empty(ws.size), np.empty(ws.size)
+    for part, i, j in chunks:
+        xs[part] = m1.points[i]
+        ys[part] = m2.points[j]
+    return ProductPairs(xs, ys, ws, max(m1.resolution, m2.resolution))
 
 
 def project(m: ProductPairs, s: float, sign: int, delta: float) -> AtomicMeasure:
@@ -404,10 +443,14 @@ def convolve(
 
     Identical to projecting the product with unit coefficient; the projection
     family is already the affinely normalized form, so the normalization pair
-    relating the two is (scale, shift) = (1, 0).  Cap semantics as product().
+    relating the two is (scale, shift) = (1, 0).  Cap semantics as product():
+    the sums ``x + y`` are written chunk by chunk into one preallocated array.
     """
-    i, j, ws = _product_pairs(m1, m2, atom_cap, rng)
-    return AtomicMeasure(m1.points[i] + m2.points[j], ws, m1.resolution + m2.resolution)
+    ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
+    points = np.empty(ws.size)
+    for part, i, j in chunks:
+        np.add(m1.points[i], m2.points[j], out=points[part])
+    return AtomicMeasure(points, ws, m1.resolution + m2.resolution)
 
 
 # ---------------------------------------------------------------------------

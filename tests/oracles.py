@@ -10,7 +10,10 @@ and ``cylinder_interval`` against ``AffineIfs.points_for_codes``,
 against the cell numbering of the tree walk, ``draw_weight`` against the
 keyed tree walk, and ``merged_atoms`` against ``AtomicMeasure``'s sort and
 merge.  ``cell_offsets`` takes base-a codes and sums ``cell_offset``'s
-definition over all of them at once.
+definition over all of them at once.  ``counter_hashes`` and
+``sampled_pairs`` draw a sampled product whole, every key of a counter
+stream in one array and a plain search per factor, against the chunked
+draw of ``product`` and ``convolve``.
 
 ``LATTICE_IFS`` holds the systems that ``AffineIfs.lattice`` routes, each
 with a subshift and a keep probability, for the tests of every lattice path.
@@ -18,7 +21,7 @@ with a subshift and a keep probability, for the tests of every lattice path.
 import numpy as np
 
 from cascadim import AffineIfs, Subshift
-from cascadim.cascade import _to_uniform
+from cascadim.cascade import _COUNTER_SALT, _STREAM_SALT, _mix64, _to_uniform
 from cascadim.symbolic import codes_to_letters
 
 EX_OVERLAP = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
@@ -124,3 +127,26 @@ def merged_atoms(points, weights):
         return points, weights
     starts = np.flatnonzero(np.concatenate([[True], points[1:] != points[:-1]]))
     return points[starts], np.add.reduceat(weights, starts)
+
+
+def counter_hashes(rng, salt, n) -> np.ndarray:
+    """The first ``n`` hashes of ``rng``'s counter stream ``salt``, built as one array of ``n`` keys."""
+    with np.errstate(over="ignore"):
+        root = _mix64(np.array([rng.master_seed], dtype=np.uint64))
+        base = _mix64(root ^ (_STREAM_SALT + np.uint64(salt)))
+        return _mix64(base ^ (_COUNTER_SALT + np.arange(n, dtype=np.uint64)))
+
+
+def sampled_pairs(m1, m2, atom_cap, rng):
+    """The index pairs (i, j) of a sampled product, drawn whole.
+
+    ``atom_cap`` uniforms of the counter streams 0xA1 (for i) and 0xA2 (for
+    j), each answered by ``min(searchsorted(cumsum(w) / total, u, "right"), n - 1)``.
+    """
+
+    def draw(m, salt):
+        cdf = np.cumsum(m.weights) / m.total_weight
+        u = _to_uniform(counter_hashes(rng, salt, atom_cap))
+        return np.minimum(np.searchsorted(cdf, u, side="right"), len(m) - 1)
+
+    return draw(m1, 0xA1), draw(m2, 0xA2)

@@ -234,6 +234,36 @@ class TestEntropyDimension:
         assert np.array_equal(fit.observable, hs)
         assert (fit.slope, fit.stderr) == fit_loglog(-np.log(fit.scales), hs)
 
+    def test_sorted_centers_match_plain_searches(self):
+        # atoms on the grid k/8 with +0.0 and -0.0 among them; centres with
+        # ties, both zeros, atoms (so atom +/- r lands on atoms for r = k/8)
+        # and points between atoms, in shuffled draw orders
+        grid = np.arange(-8, 9) / 8
+        points = np.concatenate([[-0.0], grid[grid != 0]])
+        m = AtomicMeasure(points, np.random.default_rng(8).random(points.size) + 0.05, 0.0)
+        norm = m.normalized()
+        base = np.concatenate([grid, [-0.0, 0.0, -0.0, 0.5, 0.5, 0.5, 1 / 16, -0.3, 0.999, 1.0, 1.0]])
+        for seed in range(5):
+            centers = np.random.default_rng(seed).permutation(np.tile(base, 3))
+            order = np.argsort(centers)
+            for r in (1 / 16, 1 / 8, 1 / 4, 3 / 8, 0.3, 2.0):
+                plain = norm.ball_mass_many(centers, r)
+                scattered = np.empty_like(plain)
+                scattered[order] = norm.ball_mass_many(centers[order], r)
+                assert np.array_equal(scattered.view(np.int64), plain.view(np.int64))
+                sorted_h = _entropy_at_scale(norm, r, centers[order], order)
+                assert sorted_h == _entropy_at_scale(norm, r, centers)
+
+    def test_monte_carlo_sample_count_must_be_a_positive_integer(self):
+        m = unit_pushforward([0.3, 0.7], 10)
+        scales = default_scales(0.5, 10)
+        for count in (0, -5, 2.5, True):
+            with pytest.raises(ValueError, match="sample count must be a positive integer"):
+                entropy_dimension(m, scales, sample_size=count, rng=KeyedRng(1))
+            with pytest.raises(ValueError, match="sample count must be a positive integer"):
+                m.sample_points(count, KeyedRng(1))
+        assert m.sample_points(np.int64(3), KeyedRng(1)).size == 3
+
     def test_monte_carlo_needs_rng(self):
         m = unit_pushforward([0.5, 0.5], 8)
         with pytest.raises(ValueError, match="needs an rng"):

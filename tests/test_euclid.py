@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from cascadim import cascade, euclid
 from cascadim.errors import CapExceeded, ScaleBelowResolution
 from cascadim.cascade import _inverse_cdf, _to_uniform
 from cascadim.symbolic import codes_to_letters
-from oracles import EX_OVERLAP, LATTICE_IFS, cell_offsets, cylinder_interval, merged_atoms
+from oracles import (
+    EX_OVERLAP, LATTICE_IFS, cell_offsets, counter_hashes, cylinder_interval, merged_atoms, sampled_pairs,
+)
 
 
 def unit_cascade(measure, shift, depth, seed=1):
@@ -102,7 +105,7 @@ class TestEqualWeightAtoms:
 
 
 class TestInverseCdf:
-    """The guide-table inverse CDF against the plain search and clamp, bit for bit."""
+    """The build-once guide-table lookup against the plain search and clamp, bit for bit."""
 
     @staticmethod
     def _assert_plain(weights, u):
@@ -111,7 +114,12 @@ class TestInverseCdf:
         total = float(weights.sum())
         cdf = np.cumsum(weights) / total
         want = np.minimum(np.searchsorted(cdf, u, side="right"), weights.size - 1)
-        got = _inverse_cdf(weights, total, u)
+        lookup = _inverse_cdf(weights, total, u.size)
+        got = lookup(u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the one lookup answers the same keys in chunks smaller than its table
+        chunk = max(1, TestInverseCdf._table(weights.size) // 3)
+        got = np.concatenate([lookup(u[k : k + chunk]) for k in range(0, u.size, chunk)])
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @staticmethod
@@ -170,8 +178,8 @@ class TestInverseCdf:
     def test_few_keys_take_the_plain_search(self, monkeypatch):
         w = np.random.default_rng(3).random(1000) + 0.01
         table = self._table(w.size)
-        # drawn before the spy goes in: counter_uniforms calls np.arange in cascade too
-        few, enough = (KeyedRng(4).counter_uniforms(0xA1, n) for n in (table - 1, table))
+        m1 = AtomicMeasure(np.arange(w.size) / 8, w, 0.0)
+        m2 = AtomicMeasure(np.arange(300) / 4, np.random.default_rng(4).random(300) + 0.01, 0.0)
         built = []
 
         class NumpySpy:  # numpy as cascade sees it, noting each guide-table build
@@ -179,14 +187,24 @@ class TestInverseCdf:
                 return getattr(np, name)
 
             def arange(self, *args, **kwargs):
-                built.append(args)
+                if not kwargs:  # the counter streams ask for dtype=uint64
+                    built.append(args)
                 return np.arange(*args, **kwargs)
 
         monkeypatch.setattr(cascade, "np", NumpySpy())
-        self._assert_plain(w, few)
+        _inverse_cdf(w, w.sum(), table - 1)
         assert built == []  # no table
-        self._assert_plain(w, enough)
+        _inverse_cdf(w, w.sum(), table)
         assert built == [(table + 2,)]
+        # one table per factor per sampled product, decided by atom_cap and
+        # built before the first chunk, however small the chunks
+        monkeypatch.setattr(euclid, "_PAIR_CHUNK", 100)
+        for atom_cap, tables in ((table - 1, [(512 + 2,)]), (table, [(table + 2,), (512 + 2,)]),
+                                 (3 * table + 5, [(table + 2,), (512 + 2,)])):
+            for build in (product, convolve):
+                built.clear()
+                build(m1, m2, atom_cap=atom_cap, rng=KeyedRng(5))
+                assert built == tables
 
 
 class TestIntervalSet:
@@ -524,6 +542,76 @@ class TestProduct:
             p = me / w
             sigma = w * math.sqrt(p * (1 - p) / n)
             assert abs(ms - me) < 4 * sigma + 1e-12
+
+
+class TestChunkedProduct:
+    """Sampled products drawn in chunks against the whole draw of ``oracles.sampled_pairs``, bit for bit."""
+
+    C = euclid._PAIR_CHUNK
+    CAPS = (1, C - 1, C, C + 1, 3 * C + 5)
+
+    @pytest.fixture(scope="class")
+    def factors(self):
+        small = bernoulli_convolution(0.4, 0.9, 10)  # its guide table runs from atom_cap C - 1 on
+        big = bernoulli_convolution(0.35, 0.85, 16)  # its table runs only at 3C + 5, past its 2^16 atoms
+        assert len(small) < self.C - 1 and self.C + 1 < len(big) < 3 * self.C + 5
+        return small, big
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("atom_cap", CAPS)
+    def test_product_and_convolve_match_the_whole_draw(self, factors, atom_cap):
+        small, big = factors
+        for m1, m2, seed in ((small, big, 3), (big, small, 4), (small, small, 5)):
+            rng = KeyedRng(seed)
+            i, j = sampled_pairs(m1, m2, atom_cap, rng)
+            w = np.full(atom_cap, m1.total_weight * m2.total_weight / atom_cap)
+            prod = product(m1, m2, atom_cap=atom_cap, rng=rng)
+            assert self._same_bits(prod.xs, m1.points[i]) and self._same_bits(prod.ys, m2.points[j])
+            assert self._same_bits(prod.weights, w)
+            conv = convolve(m1, m2, atom_cap=atom_cap, rng=rng)
+            want = AtomicMeasure(m1.points[i] + m2.points[j], w, m1.resolution + m2.resolution)
+            assert self._same_bits(conv.points, want.points) and self._same_bits(conv.weights, want.weights)
+            assert conv.resolution == want.resolution
+
+    def test_stream_ranges_are_slices_of_the_whole_stream(self):
+        C = self.C
+        ranges = [(0, 1), (0, C), (C - 3, C + 5), (C, 2 * C), (2 * C - 1, 2 * C + 1), (5, 3 * C + 5),
+                  (3 * C, 3 * C + 5)]
+        for seed, salt in ((3, 0xA1), (3, 0xA2), (11, 0xE17)):
+            rng = KeyedRng(seed)
+            whole = counter_hashes(rng, salt, 3 * C + 5)
+            hashes = rng.counter_stream(salt)
+            for start, stop in ranges:
+                assert np.array_equal(hashes(start, stop), whole[start:stop])
+            assert np.array_equal(rng.counter_uniforms(salt, 3 * C + 5), _to_uniform(whole))
+
+    class NoDraws:  # an rng that fails the test if anything is drawn from it
+        def counter_stream(self, salt):
+            raise AssertionError("drew before refusing")
+
+    def test_atom_cap_must_be_a_positive_integer(self):
+        m1 = AtomicMeasure([0.0, 1.0], [0.4, 0.6], 0.0)
+        m2 = AtomicMeasure([0.0, 0.5, 1.0], [0.2, 0.3, 0.5], 0.0)
+        for build in (product, convolve):
+            for atom_cap in (0, -3, 2.5, True, "5", None):
+                with pytest.raises(ValueError, match="atom_cap must be a positive integer"):
+                    build(m1, m2, atom_cap=atom_cap, rng=self.NoDraws())
+            assert build(m1, m2, atom_cap=np.int64(6)).weights.sum() == pytest.approx(1.0)
+
+    def test_sampled_product_refuses_a_zero_total_factor(self):
+        zero = AtomicMeasure([0.0, 0.5], [0.0, 0.0], 0.0)
+        some = AtomicMeasure([0.0, 1.0], [0.4, 0.6], 0.0)
+        for build in (product, convolve):
+            for m1, m2 in ((zero, some), (some, zero), (zero, zero)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="positive total weight"):
+                        build(m1, m2, atom_cap=3, rng=self.NoDraws())
+            # the exact grid keeps its zero-weight atoms
+            assert build(zero, some, atom_cap=4).weights.tolist() == [0.0] * 4
 
 
 class TestProjection:
