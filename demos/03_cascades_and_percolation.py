@@ -7,6 +7,7 @@ spreading trials over threads all yield the same measure bit for bit.
 import numpy as np
 
 from cascadim import (
+    AffineIfs,
     KeyedRng,
     Subshift,
     SymbolicMeasure,
@@ -19,6 +20,7 @@ from cascadim import (
 rng = KeyedRng(2028)
 law = WeightLaw.percolation(0.7)
 full2 = Subshift.full(2)
+tiling2 = AffineIfs.tiling(2)  # numbers the percolation words by their base-2 codes
 uniform = SymbolicMeasure.uniform(2)
 
 # the weight at a word is a function of the word's keyed hash
@@ -47,7 +49,7 @@ s = 1.0
 for _ in range(depth):
     s = 1.0 - (1.0 - p * s) ** 2
 alive = sum(
-    1 for i in range(trials) if percolation_codes(full2, p, depth, KeyedRng(5).derive(i)).size > 0
+    1 for i in range(trials) if percolation_codes(full2, p, depth, KeyedRng(5).derive(i), tiling2).size > 0
 )
 print(f"\nsurvival to depth {depth}: observed {alive/trials:.3f}, recursion gives {s:.3f}")
 

@@ -26,18 +26,19 @@ from cascadim import (
 pa, pb = 0.55, 0.6
 da, db = 14, 9
 target = min(1.0, 2 + math.log(pa) / math.log(2) + math.log(pb) / math.log(3))
+tiling2, tiling3 = AffineIfs.tiling(2), AffineIfs.tiling(3)
 slopes = []
 trial = 0
 while len(slopes) < 8:
     rng = KeyedRng(7).derive(trial)
     trial += 1
-    ca = percolation_codes(Subshift.full(2), pa, da, rng.derive(1))
-    cb = percolation_codes(Subshift.full(3), pb, db, rng.derive(2))
+    ca = percolation_codes(Subshift.full(2), pa, da, rng.derive(1), tiling2)
+    cb = percolation_codes(Subshift.full(3), pb, db, rng.derive(2), tiling3)
     if ca.size == 0 or cb.size == 0:
         continue
     total = sumset(
-        set_image(ca, AffineIfs.tiling(2), length=da),
-        set_image(cb, AffineIfs.tiling(3), length=db),
+        set_image(ca, tiling2, length=da),
+        set_image(cb, tiling3, length=db),
         math.sqrt(2.0),
         pair_cap=200_000_000,
     )

@@ -49,6 +49,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateCascadeWarning
+from .ifs import AffineIfs
 from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure, walk_tree
 from .symbolic import codes_to_letters  # noqa: F401  unused here, but perfbench/layers.py traces this name
 
@@ -373,18 +374,23 @@ def cascade_measure(
     return CylinderMeasure(codes, masses, depth, x.alphabet_size)
 
 
-def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng, numeral=None) -> np.ndarray:
-    """Codes of the admissible depth-n words whose every prefix weight is positive.
+def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng, ifs: AffineIfs) -> np.ndarray:
+    """The admissible depth-n words whose every prefix weight is positive, numbered for ``ifs``.
 
     The walk enumerates the successor table and keeps a child on the integer
-    keep test alone (see the module docstring); no node carries a mass.
-    With ``numeral=(m, digits)`` the same words come out, in the same order,
-    numbered as ``walk_tree`` says: the cell offsets of
-    ``AffineIfs.lattice(depth)``, which ``set_image`` reads on that lattice.
+    keep test alone (see the module docstring); no node carries a mass.  The
+    words are numbered as ``set_image(words, ifs, depth)`` reads them: by
+    their cell offsets where ``ifs.lattice(depth)`` routes (``walk_tree``'s
+    numeral), else by their base-a codes, which come out sorted.  On an
+    m-adic tiling the two agree, so ``AffineIfs.tiling(a)`` gives the codes.
     """
     WeightLaw.percolation(p)  # the same refusals as the law
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if ifs.alphabet_size != x.alphabet_size:
+        raise ValueError("alphabet mismatch between subshift and IFS")
+    lattice = ifs.lattice(depth)
+    numeral = None if lattice is None else lattice[:2]
     table = x.successor_table()
     if p == 1.0:
         return walk_tree(table, depth, DEFAULT_WORD_CAP, numeral=numeral)[0]

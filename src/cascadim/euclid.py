@@ -306,10 +306,9 @@ def set_image(words: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
     every cylinder at depth n = ``length`` is ``[(P + lo) / m^n, (P + hi) / m^n]``
     for the integer cell offset ``P(u) = sum_j d(u_j) m^(n-j)`` in
     ``ifs.cell_range(length)``, ``[min(d) S, max(d) S]`` with
-    ``S = (m^n - 1)/(m - 1)``, and ``words`` are
-    those offsets, as ``percolation_codes`` numbers them with
-    ``numeral=lattice[:2]``.  On an m-adic tiling, such as tiling(2), the
-    offsets are the base-a codes.  Both ends are exact, so the intervals
+    ``S = (m^n - 1)/(m - 1)``, and ``words`` are those offsets, as
+    ``percolation_codes`` numbers them for this ``ifs``; on an m-adic
+    tiling they are the base-a codes.  Both ends are exact, so the intervals
     are bit for bit those of the float path (``hull_images``), which every
     other IFS takes, and there ``words`` are base-a codes in ``[0, a^n)``.
     Words that are not integers, or lie outside their range, raise

@@ -81,6 +81,7 @@ def _rational_ratio_warnings(ratio: float, name: str) -> list:
 # value must be), or a dict that gives each value the keys that follow it.
 _REQUIRED = object()
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_DEPTH = (lambda v: 1 <= v <= 62, "must lie in [1, 62]: a longer word has no 62-bit code on any alphabet")
 _ALPHABET = (lambda v: v >= 2, "must be an integer >= 2")
 _FIT_LENGTH = (lambda v: v >= 4, "must be >= 4")
 _PROBABILITY = (lambda v: 0.0 < v <= 1.0, "must lie in (0,1]")
@@ -107,11 +108,11 @@ _COMMON = {
 }
 
 def load_config(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or an over-long integer
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a flat JSON object")
     return cfg
@@ -170,6 +171,10 @@ def validate_config(cfg: dict) -> dict:
         probs = out.get(key)
         if probs is not None and (len(probs) != out[alphabet] or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-12):
             raise ConfigError(f"{key} must be a probability vector of length {alphabet} = {out[alphabet]}")
+    for key, alphabet in (("depth_a", "alphabet_a"), ("depth_b", "alphabet_b")):
+        # the factors' walks number words by codes; refused here, not after the first factor's walk
+        if key in out and out[alphabet] ** out[key] > 2**62:
+            raise ConfigError(f"{key} must keep {alphabet}^{key} <= 2^62, the walk's code range")
     return out
 
 
@@ -456,12 +461,6 @@ def _dedup_overlap_structure(ifs: AffineIfs):
     return None
 
 
-def _numeral(ifs: AffineIfs, depth: int):
-    """The word numbering ``set_image`` reads: cell offsets where the lattice routes ``ifs``, else codes (None)."""
-    lattice = ifs.lattice(depth)
-    return None if lattice is None else lattice[:2]
-
-
 def run_percolation_image_dim(cfg: dict) -> Findings:
     shift, ifs = _build_system(cfg, "percolation image experiment", 2)
     delta = ifs.equal_ratio
@@ -498,10 +497,9 @@ def run_percolation_image_dim(cfg: dict) -> Findings:
             )
             warnings_list.append(f"{reason}: checking the covering upper bound only")
     scales = default_scales(delta, depth)
-    numeral = _numeral(ifs, depth)
 
     def worker(rng, idx):
-        words = percolation_codes(shift, p, depth, rng, numeral)
+        words = percolation_codes(shift, p, depth, rng, ifs)
         if words.size == 0:
             return None
         img = set_image(words, ifs, length=depth)
@@ -537,11 +535,9 @@ def run_sumset_dim(cfg: dict) -> Findings:
     ks = range(3, int(-math.log2(floor)) + 1)
     scales = [2.0**-k for k in ks]
 
-    numeral_a, numeral_b = _numeral(ifs_a, da), _numeral(ifs_b, db)
-
     def worker(rng, idx):
-        ca = percolation_codes(shift_a, pa, da, rng.derive(1), numeral_a)
-        cb = percolation_codes(shift_b, pb, db, rng.derive(2), numeral_b)
+        ca = percolation_codes(shift_a, pa, da, rng.derive(1), ifs_a)
+        cb = percolation_codes(shift_b, pb, db, rng.derive(2), ifs_b)
         if ca.size == 0 or cb.size == 0:
             return None
         img_a = set_image(ca, ifs_a, length=da)
@@ -669,7 +665,7 @@ EXPERIMENTS = {
             "alphabet": (int, 2, _ALPHABET),
             "base_probs": (list, None, None),  # None -> uniform
             "law": (str, "percolation", _LAWS),
-            "depth": (int, 16, _AT_LEAST_1),
+            "depth": (int, 16, _DEPTH),
             "trials": (int, 32, _AT_LEAST_1),
             "tolerance": (float, 0.06, _NONNEGATIVE),
         },
@@ -681,7 +677,7 @@ EXPERIMENTS = {
             "subshift": ((str, list), "golden-mean", None),  # full | golden-mean | matrix rows
             "ifs": ((str, list), "tiling", None),  # tiling | [[r, t], ...]
             "p": (float, 0.8, _PROBABILITY),
-            "depth": (int, 18, _AT_LEAST_1),
+            "depth": (int, 18, _DEPTH),
             "gamma_nmax": (int, 10, _FIT_LENGTH),
             "trials": (int, 32, _AT_LEAST_1),
             "tolerance": (float, 0.08, _NONNEGATIVE),
@@ -694,8 +690,8 @@ EXPERIMENTS = {
             "alphabet_b": (int, 3, _ALPHABET),
             "p_a": (float, 0.55, _PROBABILITY),
             "p_b": (float, 0.6, _PROBABILITY),
-            "depth_a": (int, 16, _AT_LEAST_1),
-            "depth_b": (int, 10, _AT_LEAST_1),
+            "depth_a": (int, 16, _DEPTH),
+            "depth_b": (int, 10, _DEPTH),
             "s_values": (list, [1.0, -1.0, math.sqrt(2.0)], _NONZERO),
             "trials": (int, 32, _AT_LEAST_1),
             "tolerance": (float, 0.10, _NONNEGATIVE),
@@ -708,8 +704,8 @@ EXPERIMENTS = {
             "probs_a": (list, [0.1, 0.9], None),
             "alphabet_b": (int, 3, _ALPHABET),
             "probs_b": (list, [0.1, 0.8, 0.1], None),
-            "depth_a": (int, 16, _AT_LEAST_1),
-            "depth_b": (int, 10, _AT_LEAST_1),
+            "depth_a": (int, 16, _DEPTH),
+            "depth_b": (int, 10, _DEPTH),
             "s_grid": (list, [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], _NONEMPTY),
             "atom_cap": (int, 2_000_000, _AT_LEAST_1),
             "sample_size": (int, 4000, _SAMPLE_SIZE),
@@ -723,7 +719,7 @@ EXPERIMENTS = {
             "p_a": (float, 0.9, _PROBABILITY),
             "beta_b": (float, 0.35, _OPEN_UNIT),
             "p_b": (float, 0.85, _PROBABILITY),
-            "depth": (int, 18, _AT_LEAST_1),
+            "depth": (int, 18, _DEPTH),
             "atom_cap": (int, 3_000_000, _AT_LEAST_1),
             "sample_size": (int, 4000, _SAMPLE_SIZE),
             "tolerance": (float, 0.08, _NONNEGATIVE),

@@ -145,7 +145,7 @@ class AffineIfs:
         """``points_for_codes`` at each start in turn, sharing one decoded prefix matrix."""
         a = self.alphabet_size
         L = self._suffix_length(len(codes), length)
-        prefixes, suffixes = _split(np.asarray(codes, dtype=np.int64), a**L)
+        prefixes, suffixes = np.divmod(np.asarray(codes, dtype=np.int64), a**L)
         letters = codes_to_letters(prefixes, length - L, a)
         return [self.points_for_letters(letters, self._suffix_table(x0, L)[suffixes]) for x0 in starts]
 
@@ -184,14 +184,6 @@ class AffineIfs:
         for j in range(letters.shape[1]):
             out *= r[letters[:, j] - 1]
         return out
-
-
-def _split(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.divmod(codes, base)`` for nonnegative codes, with one division."""
-    high = codes // base
-    low = high * base
-    np.subtract(codes, low, out=low)
-    return high, low
 
 
 @dataclass(frozen=True)

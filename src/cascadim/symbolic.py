@@ -99,14 +99,17 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     """
     a = table.shape[1]
     if numeral is None:
-        m, digits, reach = a, None, a**depth - 1
+        m, digits, top = a, None, a - 1
     else:
         m, digits = numeral[0], np.array(numeral[1], dtype=np.int64)
         if digits.shape != (a,):
             raise ValueError(f"numeral needs one digit per letter, {a}")
-        reach = int(np.abs(digits).max()) * sum(m**k for k in range(depth))
-    if reach >= 2**62:
-        raise CapExceeded(reach + 1, 2**62, what="code range")
+        top = int(np.abs(digits).max())
+    reach = 0  # the largest |number| at level k: top * (m^k - 1)/(m - 1)
+    for k in range(1, depth + 1):
+        reach = reach * m + top
+        if reach >= 2**62:  # refused at the first level past the cap, so the number stays short
+            raise CapExceeded(reach + 1, 2**62, what=f"code range at level {k} of {depth}")
     codes = np.zeros(1, dtype=np.int64)
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:

@@ -23,6 +23,9 @@ from cascadim.errors import CapExceeded, DegenerateCascadeWarning
 from cascadim.symbolic import codes_to_letters, walk_tree
 from oracles import cell_offsets, cylinder_mass, draw_weight
 
+# on the binary tiling the words that percolation_codes numbers for set_image are their codes
+TILING2 = AffineIfs.tiling(2)
+
 
 class TestWeightLaw:
     def test_percolation_unit(self):
@@ -172,7 +175,8 @@ class TestKeepThreshold:
 
         monkeypatch.setattr(KeyedRng, "length_states", hashed)
         monkeypatch.setattr(KeyedRng, "absorb", staticmethod(hashed))
-        assert np.array_equal(percolation_codes(golden_mean, 1.0, 12, KeyedRng(1)), golden_mean.admissible_codes(12))
+        codes = percolation_codes(golden_mean, 1.0, 12, KeyedRng(1), TILING2)
+        assert np.array_equal(codes, golden_mean.admissible_codes(12))
 
 
 class TestCascadeMeasure:
@@ -237,14 +241,21 @@ class TestCascadeMeasure:
             _grow(uniform2, Subshift.full(2), WeightLaw.percolation(1.0), KeyedRng(1), 12, 100)
         # binary words longer than 62 letters have no int64 code: raise, never wrap
         with pytest.raises(CapExceeded, match="code range"):
-            percolation_codes(Subshift.full(2), 0.6, 64, KeyedRng(5))
+            percolation_codes(Subshift.full(2), 0.6, 64, KeyedRng(5), TILING2)
         with pytest.raises(CapExceeded, match="code range"):
             cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.6), 64, KeyedRng(5))
         # a cell numbering is bounded by its own reach: 3 (4^40 - 1)/3 = 2^80 - 1
+        table = Subshift.full(2).successor_table()
         with pytest.raises(CapExceeded, match="code range"):
-            percolation_codes(Subshift.full(2), 0.6, 40, KeyedRng(5), numeral=(4, (0, 3)))
+            walk_tree(table, 40, 10**6, numeral=(4, (0, 3)))
+        # the check stops at the first level past 2^62, so no 60,000-digit range is built or printed
+        with pytest.raises(CapExceeded, match="at level 63 of 200000") as refused:
+            percolation_codes(Subshift.full(2), 0.6, 200000, KeyedRng(5), TILING2)
+        assert len(str(refused.value)) < 100
         with pytest.raises(ValueError, match="one digit per letter"):
-            percolation_codes(Subshift.full(2), 0.6, 8, KeyedRng(5), numeral=(2, (0, 0, 1)))
+            walk_tree(table, 8, 10**6, numeral=(2, (0, 0, 1)))
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            percolation_codes(Subshift.full(2), 0.6, 8, KeyedRng(5), AffineIfs.tiling(3))
 
 
 class TestCoarsening:
@@ -269,11 +280,11 @@ class TestCoarsening:
 
 class TestPercolation:
     def test_unit_retention_keeps_everything(self, golden_mean):
-        assert len(percolation_codes(golden_mean, 1.0, 6, KeyedRng(1))) == golden_mean.word_count(6)
+        assert len(percolation_codes(golden_mean, 1.0, 6, KeyedRng(1), TILING2)) == golden_mean.word_count(6)
         # letter 2 has no successor, so no infinite word passes through it
         dead_end = Subshift.sft([[1, 1], [0, 0]])
         for n in (1, 3, 6):
-            codes = percolation_codes(dead_end, 1.0, n, KeyedRng(1))
+            codes = percolation_codes(dead_end, 1.0, n, KeyedRng(1), TILING2)
             assert np.array_equal(codes, dead_end.admissible_codes(n))
             assert codes.size == dead_end.word_count(n)
 
@@ -281,7 +292,7 @@ class TestPercolation:
         for seed in range(20):
             rng = KeyedRng(600).derive(seed)
             cm = cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.7), 12, rng)
-            assert np.array_equal(cm.positive_codes(), percolation_codes(Subshift.full(2), 0.7, 12, rng))
+            assert np.array_equal(cm.positive_codes(), percolation_codes(Subshift.full(2), 0.7, 12, rng, TILING2))
 
     def test_prefix_nesting_inclusion(self):
         # prefixes of depth-(n+1) survivors are depth-n survivors; the reverse
@@ -289,8 +300,8 @@ class TestPercolation:
         full2 = Subshift.full(2)
         for seed in range(10):
             rng = KeyedRng(601).derive(seed)
-            deep = percolation_codes(full2, 0.7, 11, rng)
-            shallow = percolation_codes(full2, 0.7, 10, rng)
+            deep = percolation_codes(full2, 0.7, 11, rng, TILING2)
+            shallow = percolation_codes(full2, 0.7, 10, rng, TILING2)
             prefixes = np.unique(deep // 2)
             assert np.isin(prefixes, shallow).all()
 
@@ -299,7 +310,7 @@ class TestPercolation:
         # positive weight, in code order
         rng = KeyedRng(77)
         law = WeightLaw.percolation(0.8)
-        codes = percolation_codes(golden_mean, 0.8, 8, rng)
+        codes = percolation_codes(golden_mean, 0.8, 8, rng, TILING2)
         admissible = golden_mean.admissible_codes(8)
         alive = [
             all(draw_weight(law, rng, word[:k]) > 0 for k in range(1, 9))
@@ -317,7 +328,7 @@ class TestPercolation:
         alive = sum(
             1
             for i in range(trials)
-            if percolation_codes(Subshift.full(2), p, depth, KeyedRng(700).derive(i)).size > 0
+            if percolation_codes(Subshift.full(2), p, depth, KeyedRng(700).derive(i), TILING2).size > 0
         )
         se = math.sqrt(s * (1 - s) / trials)
         assert abs(alive / trials - s) < 4 * se
@@ -654,19 +665,20 @@ class TestRealizationPins:
         codes, masses, _ = self._walk(name)
         assert (masses > 0).all()
         depth = int(name.rsplit("depth", 1)[1])
-        assert np.array_equal(percolation_codes(shift, 0.8, depth, KeyedRng(101).derive(0)), codes)
+        tiling = AffineIfs.tiling(shift.alphabet_size)
+        assert np.array_equal(percolation_codes(shift, 0.8, depth, KeyedRng(101).derive(0), tiling), codes)
 
     def test_pinned_overlap_walk_numbers_its_cells(self):
         # the walk of perc_image_overlap's first trial, numbered by the cells of its IFS
         ifs = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
         codes, _, _ = self._walk("full3-percolation-depth16")
-        cells = percolation_codes(Subshift.full(3), 0.8, 16, KeyedRng(101).derive(0), ifs.lattice(16)[:2])
+        cells = percolation_codes(Subshift.full(3), 0.8, 16, KeyedRng(101).derive(0), ifs)
         assert np.array_equal(cells, cell_offsets(ifs, codes, 16))
 
     def test_public_entry_points_match_the_pinned_walk(self):
         trial = KeyedRng(101).derive(0)
         codes, masses, totals = self._walk("full3-percolation-depth16")
-        assert np.array_equal(percolation_codes(Subshift.full(3), 0.8, 16, trial), codes)
+        assert np.array_equal(percolation_codes(Subshift.full(3), 0.8, 16, trial, AffineIfs.tiling(3)), codes)
         cm = cascade_measure(SymbolicMeasure.uniform(3), Subshift.full(3), WeightLaw.percolation(0.8), 16, trial)
         assert np.array_equal(cm.codes, codes) and np.array_equal(cm.masses, masses)
         assert totals[-1] == cm.total_mass

@@ -354,7 +354,8 @@ class TestLatticeImage:
             "sparse, length 24": (np.unique(rng.integers(0, a**24, 3000)), 24),
         }
         for seed in (1, 2, 3):
-            cases[f"percolation, seed {seed}"] = (percolation_codes(shift, p, 16, KeyedRng(seed)), 16)
+            codes = percolation_codes(shift, p, 16, KeyedRng(seed), AffineIfs.tiling(a))
+            cases[f"percolation, seed {seed}"] = (codes, 16)
         return cases
 
     @pytest.mark.parametrize("name", list(LATTICE_IFS), ids=list(LATTICE_IFS))
@@ -373,10 +374,23 @@ class TestLatticeImage:
         ifs, shift, p = LATTICE_IFS[name]
         for q, n in ((p, 16), (1.0, 8)):
             for seed in (1, 2, 3):
-                codes = percolation_codes(shift, q, n, KeyedRng(seed))
-                cells = percolation_codes(shift, q, n, KeyedRng(seed), numeral=ifs.lattice(n)[:2])
+                codes = percolation_codes(shift, q, n, KeyedRng(seed), AffineIfs.tiling(ifs.alphabet_size))
+                cells = percolation_codes(shift, q, n, KeyedRng(seed), ifs)
                 assert cells.dtype == np.int64
                 assert np.array_equal(cells, cell_offsets(ifs, codes, n)), (q, seed)
+
+    def test_overlap_walk_images_as_its_words(self):
+        # seed 2 keeps one word, 1 3 1 (code 6), whose cell is P = 2: read as
+        # cell 6 it would give [0.75, 0.875]
+        shift = Subshift.full(3)
+        codes = percolation_codes(shift, 0.35, 3, KeyedRng(2), AffineIfs.tiling(3))
+        words = percolation_codes(shift, 0.35, 3, KeyedRng(2), EX_OVERLAP)
+        letters = codes_to_letters(codes, 3, 3).tolist()
+        assert letters == [[1, 3, 1]] and words.tolist() == [2]
+        img = set_image(words, EX_OVERLAP, 3)
+        oracle = IntervalSet(*zip(*(cylinder_interval(EX_OVERLAP, u) for u in letters)))
+        assert img.los.tolist() == oracle.los.tolist() == [0.25]
+        assert img.his.tolist() == oracle.his.tolist() == [0.375]
 
     def test_lattice_data(self):
         assert EX_OVERLAP.lattice(16) == (2, (0, 0, 1), 0, 1)
@@ -756,7 +770,7 @@ class TestSumset:
     def test_exhaustive_oracle_golden_triadic(self, golden_mean, tiling2):
         # incommensurable pairing: depth-6 golden-mean image + sqrt(2) * depth-4 triadic image
         img1 = set_image(golden_mean.admissible_codes(6), tiling2, 6)
-        c2 = percolation_codes(Subshift.full(3), 0.7, 4, KeyedRng(5))
+        c2 = percolation_codes(Subshift.full(3), 0.7, 4, KeyedRng(5), AffineIfs.tiling(3))
         img2 = set_image(c2, AffineIfs.tiling(3), length=4)
         s = math.sqrt(2.0)
         out = sumset(img1, img2, s, pair_cap=len(img1) * len(img2))
@@ -804,8 +818,8 @@ class TestSumset:
         # blocks before it shrinks to its two rays
         for seed in (3, 11):
             rng = KeyedRng(seed)
-            ca = percolation_codes(Subshift.full(2), 0.9, 16, rng.derive(1))
-            cb = percolation_codes(Subshift.full(3), 0.9, 10, rng.derive(2))
+            ca = percolation_codes(Subshift.full(2), 0.9, 16, rng.derive(1), AffineIfs.tiling(2))
+            cb = percolation_codes(Subshift.full(3), 0.9, 10, rng.derive(2), AffineIfs.tiling(3))
             a = set_image(ca, AffineIfs.tiling(2), length=16)
             b = set_image(cb, AffineIfs.tiling(3), length=10)
             assert len(a) > 1000 and len(b) > 1000

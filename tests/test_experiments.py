@@ -13,6 +13,7 @@ import pytest
 
 from cascadim import Subshift, WeightLaw, cli, experiments, ifs as ifs_module
 from cascadim.cli import main
+from cascadim.dimension import entropy_dimension
 from cascadim.errors import CascadimError, ConfigError, DegenerateCascadeWarning
 from cascadim.experiments import (
     load_config,
@@ -27,6 +28,12 @@ SMALL_CASCADE = {
     "trials": 5,
     "depth": 10,
 }
+
+
+def _src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, for a subprocess."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _mask_runtime(text: str) -> str:
@@ -364,10 +371,40 @@ class TestReports:
         assert ones | masked == full | masked
 
 
+class TestFullSumEntropy:
+    """``sample_size: 0`` takes the full-sum entropy: every estimate is ``entropy_dimension`` with no sampling."""
+
+    CONFIGS = {
+        "bconv": {"experiment": "bconv", "depth": 10, "atom_cap": 20000, "sample_size": 0},
+        "projection-scan": {"experiment": "projection-scan", "depth_a": 9, "depth_b": 6, "atom_cap": 20000,
+                            "s_grid": [0.5, 1.0], "sample_size": 0},
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS), ids=list(CONFIGS))
+    def test_estimates_are_the_full_sum(self, name, monkeypatch):
+        calls = []
+
+        def spy(measure, scales, sample_size=None, rng=None):
+            calls.append((measure, sample_size))
+            return entropy_dimension(measure, scales, sample_size, rng)
+
+        monkeypatch.setattr(experiments, "entropy_dimension", spy)
+        report = run_experiment(dict(self.CONFIGS[name]))
+        checks = report.scan or [{"estimate": report.estimate["value"]}]
+        rows = {}
+        for _, label, scale, _ in report.scales_rows:
+            rows.setdefault(label, []).append(scale)
+        assert len(calls) == len(checks) == len(rows) > 0
+        for (measure, sample_size), check, scales in zip(calls, checks, rows.values()):
+            assert sample_size is None
+            assert check["estimate"] == entropy_dimension(measure, scales, sample_size=None).slope
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run(
             [sys.executable, "-m", "cascadim.cli", *args],
+            env=_src_env(),
             capture_output=True,
             text=True,
         )
@@ -437,6 +474,8 @@ class TestCli:
             {"experiment": "sumset-dim", "depth_a": 0},
             {"experiment": "bconv", "depth": 0},
             {"experiment": "projection-scan", "depth_b": 0},
+            # 3^45 > 2^62: the walk refuses the code range before any node
+            {"experiment": "cascade-dim", "alphabet": 3, "depth": 45},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):
@@ -457,6 +496,40 @@ class TestCli:
         assert main(["gamma", "--out", str(blocker / sub)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # a word of more than 62 letters has no 62-bit code on any alphabet
+            {"experiment": "cascade-dim", "depth": 200000},
+            {"experiment": "perc-image-dim", "depth": 200000},
+            {"experiment": "sumset-dim", "depth_a": 200000},
+            {"experiment": "projection-scan", "depth_b": 200000},
+            {"experiment": "bconv", "depth": 200000},
+            # 3^40 > 2^62: refused before the first factor is walked
+            {"experiment": "sumset-dim", "depth_b": 40},
+            {"experiment": "projection-scan", "depth_b": 40},
+        ],
+    )
+    def test_depth_past_the_code_range_refused_before_any_recursion(self, tmp_path, monkeypatch, capsys, cfg):
+        def ran(*args):
+            raise AssertionError("ran past validation")
+
+        for name in ("_survival", "gamma_estimate", "percolation_codes", "cascade_measure", "bernoulli_convolution"):
+            monkeypatch.setattr(experiments, name, ran)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([cfg["experiment"], "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "must" in err, err
+
+    def test_config_not_utf8_one_error_line(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"experiment": "gamma", "n_max": 5\xff}')
+        out = self._run("gamma", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert "UTF-8" in out.stderr
 
     def test_trials_flag_refused_where_unread(self, tmp_path, capsys):
         # every subcommand keeps --trials; bconv draws no trials and refuses it
@@ -652,9 +725,7 @@ class TestFreshInterpreter:
 
     @staticmethod
     def _python(code, *args):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        out = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(), capture_output=True, text=True,
                              timeout=300)
         assert out.returncode == 0, out.stderr
         return json.loads(out.stdout.splitlines()[-1])
