@@ -219,8 +219,12 @@ class WeightLaw:
         if self.kind == "lognormal":
             from scipy.special import ndtri
 
+            # exp(s * ndtri(u) - s*s/2), the same operations in the same order, in place
             s = self.sigma
-            return np.exp(s * ndtri(u) - s * s / 2.0)
+            z = ndtri(u)
+            z *= s
+            z -= s * s / 2.0
+            return np.exp(z, out=z)
         return np.asarray(self.values)[_inverse_cdf(self.probs, 1.0, u.size)(u)]
 
 

@@ -127,7 +127,9 @@ def _entropy_at_scale(norm, r: float, centers, order=None) -> float:
         masses = norm.atom_ball_masses(r)
         if (masses <= 0).any():
             raise ZeroMassBall("atom with zero ball mass in full summation")
-        return float(-(norm.weights * np.log(masses)).sum())
+        log_masses = np.log(masses, out=masses)  # masses is this call's own array
+        log_masses *= norm.weights
+        return float(-log_masses.sum())
     masses = norm.ball_mass_many(centers, r)
     if order is not None:
         drawn = np.empty_like(masses)

@@ -73,10 +73,12 @@ class AtomicMeasure:
         bits = weights.view(np.int64)
         if bits.size and (bits == bits[0]).all():  # equal weights, as in every sampled product
             points = _sort_equal_weight_points(points)
-        else:
+        elif not (points[1:] >= points[:-1]).all():
             order = np.argsort(points, kind="stable")
             points = points[order]
             weights = weights[order]
+        else:  # a stable sort of sorted points is the identity; the measure still owns its arrays
+            points, weights = points.copy(), weights.copy()
         if points.size > 1:
             starts = np.flatnonzero(np.concatenate([[True], points[1:] != points[:-1]]))
             if starts.size != points.size:  # merge exactly coinciding atoms
@@ -140,6 +142,13 @@ class AtomicMeasure:
         lattice and cell ranges of more than ``_DENSE_CELLS_PER_ATOM`` = 16
         cells per atom (a sparse deep percolation would ask for 2^40 cells)
         take ``ball_mass_many``.
+
+        When the atoms fill every cell (a cascade on the full shift), atom i
+        sits in cell i and ``cum`` is ``_cumweights()``, so the masses are
+        two shifted slices of it and one subtraction, with no gather: the
+        upper ends are ``cum[R+1:]`` then ``cum[n]``, and the lower ends
+        ``cum[:n-R]`` are taken off from atom R on; below R the lower end is
+        ``cum[0]`` = +0.0, and ``x - 0.0`` is ``x``.
         """
         if not r >= self.resolution:
             raise ScaleBelowResolution(r, self.resolution)
@@ -150,18 +159,33 @@ class AtomicMeasure:
             return self.ball_mass_many(self.points, r)
         idx, cum = cells
         R = min(int(r * self.scale), cum.size)  # from R = n on, every ball holds every atom
-        return cum[np.minimum(idx + (R + 1), cum.size - 1)] - cum[np.maximum(idx - R, 0)]
+        if idx is not None:
+            return cum[np.minimum(idx + (R + 1), cum.size - 1)] - cum[np.maximum(idx - R, 0)]
+        n = cum.size - 1
+        masses = np.empty(n)
+        inner = max(n - R, 0)  # the atoms whose ball ends before the last cell
+        masses[:inner] = cum[R + 1 :]
+        masses[inner:] = cum[n]
+        np.subtract(masses[R:], cum[:inner], out=masses[R:])
+        return masses
 
-    def _cell_cumweights(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Dense cell index of every atom and the cumulative weights over the cells, or None."""
+    def _cell_cumweights(self) -> tuple[np.ndarray | None, np.ndarray] | None:
+        """Dense cell index of every atom and the cumulative weights over the cells, or None.
+
+        The index is None when the atoms fill every cell: it would be
+        ``arange(n)``, and the cumulative weights are then ``_cumweights()``.
+        """
         if self._cell_cum is None and len(self):
             span = (self.points[-1] - self.points[0]) * self.scale
             if span < _DENSE_CELLS_PER_ATOM * len(self):
                 idx = (self.points * self.scale).astype(np.int64)
                 idx -= idx[0]
-                dense = np.zeros(idx[-1] + 1)
-                dense[idx] = self.weights
-                self._cell_cum = idx, np.concatenate([[0.0], np.cumsum(dense)])
+                if idx[-1] + 1 == idx.size:
+                    self._cell_cum = None, self._cumweights()
+                else:
+                    dense = np.zeros(idx[-1] + 1)
+                    dense[idx] = self.weights
+                    self._cell_cum = idx, np.concatenate([[0.0], np.cumsum(dense)])
         return self._cell_cum
 
     def sample_points(self, count: int, rng: KeyedRng) -> np.ndarray:

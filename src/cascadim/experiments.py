@@ -37,7 +37,7 @@ from .euclid import (
 )
 from .ifs import AffineIfs, gamma_estimate
 from .svgplot import write_loglog_svg
-from .symbolic import Subshift, SymbolicMeasure
+from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure, _numbering
 
 __all__ = [
     "ExperimentReport",
@@ -82,7 +82,13 @@ def _rational_ratio_warnings(ratio: float, name: str) -> list:
 _REQUIRED = object()
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 _DEPTH = (lambda v: 1 <= v <= 62, "must lie in [1, 62]: a longer word has no 62-bit code on any alphabet")
-_ALPHABET = (lambda v: v >= 2, "must be an integer >= 2")
+# a run builds (a+1)-by-a successor and step tables before any walk, so every
+# alphabet key keeps (a+1)*a within DEFAULT_WORD_CAP entries: a <= 4,471
+_MAX_ALPHABET = (math.isqrt(4 * DEFAULT_WORD_CAP + 1) - 1) // 2
+_ALPHABET = (
+    lambda v: 2 <= v <= _MAX_ALPHABET,
+    f"must lie in [2, {_MAX_ALPHABET}]: a run's (a+1) x a tables hold at most {DEFAULT_WORD_CAP} entries",
+)
 _FIT_LENGTH = (lambda v: v >= 4, "must be >= 4")
 _PROBABILITY = (lambda v: 0.0 < v <= 1.0, "must lie in (0,1]")
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
@@ -466,6 +472,9 @@ def run_percolation_image_dim(cfg: dict) -> Findings:
     delta = ifs.equal_ratio
     p = cfg["p"]
     depth = cfg["depth"]
+    # the numbering percolation_codes walks with, refused past 2^62 before gamma_estimate runs
+    lattice = ifs.lattice(depth)
+    _numbering(shift.alphabet_size, depth, None if lattice is None else lattice[:2])
     profile = gamma_estimate(shift, ifs, cfg["gamma_nmax"])
     gamma = profile.gamma_estimate
     warnings_list = []

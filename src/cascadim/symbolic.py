@@ -57,6 +57,29 @@ def codes_to_letters(codes: np.ndarray, length: int, alphabet_size: int) -> np.n
     return out
 
 
+def _numbering(a: int, depth: int, numeral=None):
+    """``walk_tree``'s ``(m, digits)`` for ``numeral``; base-``a`` codes, with ``digits`` None, without one.
+
+    Numbers are int64, so a numbering whose largest ``|number|`` at level k,
+    ``top * (m^k - 1)/(m - 1)`` with ``top`` the largest ``|digit|``,
+    reaches 2^62 raises ``CapExceeded`` at the first such level, where the
+    number is still short to build and print.
+    """
+    if numeral is None:
+        m, digits, top = a, None, a - 1
+    else:
+        m, digits = numeral[0], np.array(numeral[1], dtype=np.int64)
+        if digits.shape != (a,):
+            raise ValueError(f"numeral needs one digit per letter, {a}")
+        top = int(np.abs(digits).max())
+    reach = 0  # the largest |number| at level k
+    for k in range(1, depth + 1):
+        reach = reach * m + top
+        if reach >= 2**62:
+            raise CapExceeded(reach + 1, 2**62, what=f"code range at level {k} of {depth}")
+    return m, digits
+
+
 def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, numeral=None):
     """Grow the word tree one letter per level down to ``depth``.
 
@@ -78,6 +101,14 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     the words are those that the same walk on ``table.astype(float)`` gives
     positive mass.
 
+    A step that keeps every child of its block (a lognormal weight is never
+    0, and an unweighed full-shift walk keeps everything) builds no index
+    array: the children are the parents repeated ``a`` times, each followed
+    by letters 1..a in turn, so their numbers are ``repeat(N*m, a)`` plus the
+    digits tiled, their rows the tiled ``0..a-1``, and their deeper prefix
+    states ``repeat(states[1:], a, axis=1)``: the same values, in the same
+    order, that the gathers of a pruning step pick for its kept children.
+
     The walk runs breadth first until a level holds more than ``_BLOCK``
     nodes, then walks each contiguous block of that level down to ``depth``
     before the next, splitting again wherever a block grows past ``_BLOCK``.
@@ -95,27 +126,20 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     Returns the numbers and masses of the length-``depth`` words; no
     shallower level outlives its blocks.  Numbers are int64, so a walk
     whose numbers could reach 2^62 in size raises ``CapExceeded`` instead
-    of wrapping; so does a level of more than ``cap`` nodes.
+    of wrapping (``_numbering``); so does a level of more than ``cap`` nodes.
     """
     a = table.shape[1]
-    if numeral is None:
-        m, digits, top = a, None, a - 1
-    else:
-        m, digits = numeral[0], np.array(numeral[1], dtype=np.int64)
-        if digits.shape != (a,):
-            raise ValueError(f"numeral needs one digit per letter, {a}")
-        top = int(np.abs(digits).max())
-    reach = 0  # the largest |number| at level k: top * (m^k - 1)/(m - 1)
-    for k in range(1, depth + 1):
-        reach = reach * m + top
-        if reach >= 2**62:  # refused at the first level past the cap, so the number stays short
-            raise CapExceeded(reach + 1, 2**62, what=f"code range at level {k} of {depth}")
+    m, digits = _numbering(a, depth, numeral)
     codes = np.zeros(1, dtype=np.int64)
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:
         return codes, masses
     full = table.dtype == bool and bool(table.all())
     child_letters = np.tile(np.arange(1, a + 1, dtype=np.uint64), _BLOCK)
+    if weigh is None or not full:  # a weighed full-shift walk gathers its kept children at every step
+        # the rows and digits of a block's children when every one is kept
+        child_rows = np.tile(np.arange(a), _BLOCK)
+        child_digits = child_rows if digits is None else np.tile(digits, _BLOCK)
     # states: one row per deeper word length, one column per node
     states = None if weigh is None else rng.length_states(depth)[:, None]
     # a node's row in ``table`` is its last letter - 1; the root's is a
@@ -125,21 +149,29 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     leaf_masses = [np.zeros(0, dtype=table.dtype)]
     while pending:
         length, codes, row, parent_masses, states = pending.pop()
+        children = len(codes) * a
         if weigh is not None:
             hashes = np.repeat(states[0], a)
-            rng.absorb(hashes, child_letters[: len(hashes)])
+            rng.absorb(hashes, child_letters[:children])
         if full:
-            kept = np.arange(len(codes) * a) if weigh is None else np.flatnonzero(weigh(hashes))
+            kept = None if weigh is None else np.flatnonzero(weigh(hashes))
         else:
             masses = np.take(table, row, axis=0).ravel()
             masses *= np.repeat(parent_masses, a)
             if weigh is not None:
                 masses *= weigh(hashes)
-            kept = np.flatnonzero(masses > 0)
-            masses = np.take(masses, kept)
-        parent = kept // a
-        row = kept - parent * a
-        codes = np.take(codes, parent) * m + (row if digits is None else np.take(digits, row))
+            keep = masses > 0
+            kept = None if keep.all() else np.flatnonzero(keep)
+        if kept is None:  # every child kept
+            codes = np.repeat(codes * m, a)
+            codes += child_digits[:children]
+            row, parent = child_rows[:children], None
+        else:
+            if not full:
+                masses = np.take(masses, kept)
+            parent = kept // a
+            row = kept - parent * a
+            codes = np.take(codes, parent) * m + (row if digits is None else np.take(digits, row))
         counts[length] += len(codes)
         if counts[length] > cap:
             raise CapExceeded(counts[length], cap, what="tree nodes")
@@ -150,11 +182,15 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
                 leaf_masses.append(masses)
             continue
         if weigh is not None:
-            deeper = np.empty((len(states) - 1, len(parent)), dtype=np.uint64)
-            # row by row: a row of a block is contiguous, the block is not
-            for state, out in zip(states[1:], deeper):
-                np.take(state, parent, out=out)
-            rng.absorb(deeper, row + 1)
+            if parent is None:
+                deeper = np.repeat(states[1:], a, axis=1)
+                rng.absorb(deeper, child_letters[:children])
+            else:
+                deeper = np.empty((len(states) - 1, len(parent)), dtype=np.uint64)
+                # row by row: a row of a block is contiguous, the block is not
+                for state, out in zip(states[1:], deeper):
+                    np.take(state, parent, out=out)
+                rng.absorb(deeper, row + 1)
             states = deeper
         for start in reversed(range(0, len(codes), _BLOCK)):  # popped left to right
             block = slice(start, start + _BLOCK)

@@ -539,6 +539,76 @@ class TestYesNoWalk:
         self._check(name)
 
 
+def _oracle_walk(table, depth, law, rng, numeral):
+    """Every admissible word's number and mass, word by word, from ``draw_weight``; the zero-mass words dropped.
+
+    A mass takes each letter's factors in the walk's order: the table entry,
+    times the parent's mass, times the keyed weight of the prefix.
+    """
+    a = table.shape[1]
+    m, digits = numeral if numeral is not None else (a, range(a))
+    level = [((), 0, 1.0, a)]  # (letters, number, mass, table row)
+    for _ in range(depth):
+        children = []
+        for letters, number, mass, row in level:
+            for letter in range(1, a + 1):
+                word = letters + (letter,)
+                child = table[row, letter - 1] * mass * draw_weight(law, rng, word)
+                if child > 0:
+                    children.append((word, number * m + digits[letter - 1], child, letter - 1))
+        level = children
+    return np.array([n for _, n, _, _ in level], dtype=np.int64), np.array([w for _, _, w, _ in level])
+
+
+class TestKeepEveryChild:
+    """Walks whose steps sometimes keep every child of a block and sometimes drop some.
+
+    A weight law with a rare zero value keeps every child of most small
+    blocks and drops some children of larger ones, so one walk takes both
+    kinds of step; the golden-mean Markov base also drops the letter 2 after
+    a 2.  Each walk is checked bit for bit against the word-by-word oracle,
+    at the default block size and again with blocks of 1 and 7 nodes.
+    """
+
+    RARE_ZERO = WeightLaw.discrete([0.0, 1.0 / 0.97], [0.03, 0.97])
+    CASES = {
+        "full2": (Subshift.full(2), SymbolicMeasure.uniform(2), 9, None),
+        "full3-numeral": (Subshift.full(3), SymbolicMeasure.uniform(3), 6, (2, (0, 0, 1))),
+        "golden-markov": (_GOLDEN, _GOLDEN.parry_measure(), 10, (4, (-1, 3))),
+    }
+
+    @staticmethod
+    def _check(name):
+        x, base, depth, numeral = TestKeepEveryChild.CASES[name]
+        law = TestKeepEveryChild.RARE_ZERO
+        table = x.successor_table() * base.step_table()
+        steps = []
+
+        def weigh(hashes):
+            weights = law.weights_from_uniforms(_to_uniform(hashes))
+            steps.append(bool(weights.all()))
+            return weights
+
+        for seed in (4, 77):
+            rng = KeyedRng(seed)
+            steps.clear()
+            codes, masses = walk_tree(table, depth, 10**6, rng, weigh, numeral)
+            want_codes, want_masses = _oracle_walk(table, depth, law, rng, numeral)
+            assert len(codes) > 0
+            assert codes.tobytes() == want_codes.tobytes()
+            assert masses.tobytes() == want_masses.tobytes()
+            if x.is_full_shift:  # no table entry is 0, so a step keeps every child when every weight is positive
+                assert True in steps and False in steps, steps
+
+    @pytest.mark.parametrize("name", list(CASES), ids=list(CASES))
+    def test_equals_word_oracle(self, name):
+        self._check(name)
+
+    @pytest.mark.parametrize("name", list(CASES), ids=list(CASES))
+    def test_equals_word_oracle_in_small_blocks(self, name, small_block):
+        self._check(name)
+
+
 @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
 class TestCapAcrossBlocks:
     """``cap`` bounds each level's node count summed over all blocks, not per block."""
@@ -596,6 +666,11 @@ class TestRealizationPins:
     re-hashed every prefix from the root at each level.  The level totals are
     read from ``cascade_mass_trace``, and for the enumeration from the leaves
     of each shallower walk.
+
+    The ``full2-lognormal-depth16`` digests assume numpy's ``X86_V4``
+    (AVX-512) ``exp`` kernels, under which they were taken: a lognormal
+    weight's last bit follows numpy's dispatched ``exp``, and with
+    ``NPY_DISABLE_CPU_FEATURES=X86_V4`` that pin fails.
     """
 
     PINS = {

@@ -64,6 +64,34 @@ class TestAtomicMeasure:
             AtomicMeasure(points, weights, resolution)
 
 
+class TestSortedAtoms:
+    """Points given in non-decreasing order take no sort, against the stable sort and merge."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [[-1.0, -0.0, 0.0, -0.0, 0.0, 0.5, 0.5, 0.5, 2.0], [0.0, -0.0], [-0.0, 0.0, 3.0], [1.5], []],
+        ids=["repeats-and-zeros", "zero-then-minus-zero", "minus-zero-first", "one", "empty"],
+    )
+    def test_sorted_input_equals_the_argsort_path(self, points, monkeypatch):
+        points = np.array(points, dtype=np.float64)
+        weights = np.arange(1.0, len(points) + 1) / 7  # unequal, so the stable sort would run
+        want_points, want_weights = merged_atoms(points, weights)
+        monkeypatch.setattr(euclid.np, "argsort", lambda *args, **kwargs: pytest.fail("sorted sorted points"))
+        m = AtomicMeasure(points, weights, 0.0)
+        assert m.points.tobytes() == want_points.tobytes()
+        assert m.weights.tobytes() == want_weights.tobytes()
+        if len(points) > 1:  # unequal weights: the measure owns both arrays
+            assert not np.shares_memory(m.points, points) and not np.shares_memory(m.weights, weights)
+
+    def test_unsorted_input_still_sorted(self):
+        points = [0.5, -0.0, 0.0, -1.0, 0.5]
+        weights = [0.1, 0.2, 0.3, 0.4, 0.5]
+        want_points, want_weights = merged_atoms(points, weights)
+        m = AtomicMeasure(points, weights, 0.0)
+        assert m.points.tobytes() == want_points.tobytes()
+        assert m.weights.tobytes() == want_weights.tobytes()
+
+
 class TestEqualWeightAtoms:
     """The value-only sort of equally weighted atoms against the stable sort and merge."""
 
@@ -979,6 +1007,27 @@ class TestLatticeBallMasses:
             assert m.points[0] < 0
         if name == "exact-overlap":
             assert len(m) < len(cm.codes)
+
+    @pytest.mark.parametrize("cells", [1, 2, 37, 1024])
+    def test_full_lattice_slices_equal_search(self, cells):
+        # every cell from -5 on holds one atom, so atom i sits in cell i and no index is kept
+        rng = np.random.default_rng(cells)
+        scale = 64.0
+        weights = rng.random(cells) ** 4  # spread in size, so the partial sums round
+        m = AtomicMeasure((np.arange(cells) - 5) / scale, weights, 0.0)
+        m.scale = scale
+        for measure in (m, m.normalized()):
+            for R in sorted({0, 1, cells // 2, cells - 1, cells, cells + 1, 10 * cells}):
+                got = measure.atom_ball_masses(R / scale)
+                assert measure._cell_cumweights()[0] is None
+                assert got.tobytes() == measure.ball_mass_many(measure.points, R / scale).tobytes(), R
+
+    def test_full_lattice_cascade_takes_the_slices(self):
+        cm = cascade_measure(SymbolicMeasure.uniform(2), Subshift.full(2), WeightLaw.lognormal(0.5), 10, KeyedRng(6))
+        m = pushforward(cm, AffineIfs.tiling(2))
+        assert m._cell_cumweights()[0] is None
+        for r in (m.resolution, *default_scales(0.5, 10), 2.0, 4.0):
+            assert m.atom_ball_masses(r).tobytes() == m.ball_mass_many(m.points, r).tobytes(), r
 
     def test_off_lattice_radius_falls_back(self, monkeypatch):
         m = pushforward(unit_cascade(SymbolicMeasure.uniform(2), Subshift.full(2), 10), AffineIfs.tiling(2))

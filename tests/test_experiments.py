@@ -523,6 +523,56 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "must" in err, err
 
+    @pytest.mark.parametrize("value", [4472, 100000])
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [("cascade-dim", "alphabet"), ("perc-image-dim", "alphabet"), ("gamma", "alphabet"),
+         ("sumset-dim", "alphabet_a"), ("sumset-dim", "alphabet_b"),
+         ("projection-scan", "alphabet_a"), ("projection-scan", "alphabet_b")],
+    )
+    def test_alphabet_past_the_table_bound_refused_before_any_table(
+        self, tmp_path, monkeypatch, capsys, experiment, key, value
+    ):
+        # (a+1)*a <= DEFAULT_WORD_CAP = 2*10^7 gives a <= 4,471: (4471+1)*4471 = 19,994,312
+        cfg = {"experiment": experiment, key: 4471}
+        if key != "alphabet":  # a factor keeps alphabet^depth <= 2^62
+            cfg["depth" + key[-2:]] = 4
+        if experiment == "projection-scan":  # and a factor law of one entry per letter
+            cfg["probs" + key[-2:]] = [1 / 4471] * 4471
+        assert validate_config(cfg)[key] == 4471
+
+        def built(*args):
+            raise AssertionError("built a successor table")
+
+        monkeypatch.setattr(Subshift, "successor_table", built)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, key: value}))
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must lie in [2, 4471]") and err.count("\n") == 1, err
+
+    def test_code_numbered_ifs_past_the_code_range_refused_before_gamma(self, tmp_path, monkeypatch, capsys):
+        class Fitted(Exception):
+            pass
+
+        def fit(*args):
+            raise Fitted
+
+        monkeypatch.setattr(experiments, "gamma_estimate", fit)
+        # ratio 0.33 routes no lattice, so the walk numbers base-3 codes: 3^45 > 2^62
+        cfg = {"experiment": "perc-image-dim", "alphabet": 3, "subshift": "full",
+               "ifs": [[0.33, 0.0], [0.33, 0.33], [0.33, 0.66]], "depth": 45}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["perc-image-dim", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: would need ") and "code range at level 40 of 45" in err, err
+        assert err.count("\n") == 1, err
+        # within the range the run goes on to gamma: base-2 codes at depth 62 stay below 2^62
+        path.write_text(json.dumps({**cfg, "alphabet": 2, "ifs": [[0.33, 0.0], [0.33, 0.66]], "depth": 62}))
+        with pytest.raises(Fitted):
+            main(["perc-image-dim", "--config", str(path), "--out", str(tmp_path / "out")])
+
     def test_config_not_utf8_one_error_line(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_bytes(b'{"experiment": "gamma", "n_max": 5\xff}')
@@ -601,6 +651,11 @@ class TestReportPins:
     assembled their own report; the ``report.json`` digests of the
     ``cascade-*`` and ``image-*`` entries were retaken when ``params`` came to
     echo exactly the keys a run reads (a law's own keys, and ``gamma_nmax``).
+
+    The ``cascade-lognormal`` and ``cascade-alphabet4`` digests assume numpy's
+    ``X86_V4`` (AVX-512) ``exp`` kernels, under which they were taken: a
+    lognormal weight's last bit follows numpy's dispatched ``exp``, and with
+    ``NPY_DISABLE_CPU_FEATURES=X86_V4`` those two pins fail.
     """
 
     PINS = {
