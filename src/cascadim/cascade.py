@@ -247,7 +247,8 @@ def _inverse_cdf(weights, total: float, keys: int):
     ``keys`` than B, counted over all chunks, take the plain search, and no
     table is built.
     """
-    cdf = np.cumsum(weights) / total
+    cdf = np.cumsum(weights)
+    cdf /= total
     last = cdf.size - 1
     table = 1 << last.bit_length()
     if keys < table:

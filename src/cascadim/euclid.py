@@ -66,14 +66,8 @@ class AtomicMeasure:
             raise ValueError("points must be a 1-d array")
         if weights.shape != points.shape:
             raise ValueError("weights must align with points")
-        if not (np.isfinite(points).all() and np.isfinite(weights).all() and np.isfinite(resolution)):
-            raise ValueError("points, weights and resolution must be finite")
-        if (weights < 0).any():
-            raise ValueError("weights must be nonnegative")
-        bits = weights.view(np.int64)
-        if bits.size and (bits == bits[0]).all():  # equal weights, as in every sampled product
-            points = _sort_equal_weight_points(points)
-        elif not (points[1:] >= points[:-1]).all():
+        _check_atoms(points, weights, resolution)
+        if not (points[1:] >= points[:-1]).all():
             order = np.argsort(points, kind="stable")
             points = points[order]
             weights = weights[order]
@@ -84,6 +78,10 @@ class AtomicMeasure:
             if starts.size != points.size:  # merge exactly coinciding atoms
                 weights = np.add.reduceat(weights, starts)
                 points = points[starts]
+        self._keep(points, weights, resolution)
+
+    def _keep(self, points: np.ndarray, weights: np.ndarray, resolution: float) -> None:
+        """Hold atoms already checked, sorted and merged, in arrays no caller holds."""
         self.points = points
         self.weights = weights
         self.resolution = float(resolution)
@@ -113,7 +111,7 @@ class AtomicMeasure:
 
     def _cumweights(self) -> np.ndarray:
         if self._cum is None:
-            self._cum = np.concatenate([[0.0], np.cumsum(self.weights)])
+            self._cum = _cumulative(self.weights)
         return self._cum
 
     def ball_mass_many(self, centers, r: float) -> np.ndarray:
@@ -183,9 +181,11 @@ class AtomicMeasure:
                 if idx[-1] + 1 == idx.size:
                     self._cell_cum = None, self._cumweights()
                 else:
-                    dense = np.zeros(idx[-1] + 1)
+                    cum = np.zeros(idx[-1] + 2)
+                    dense = cum[1:]
                     dense[idx] = self.weights
-                    self._cell_cum = idx, np.concatenate([[0.0], np.cumsum(dense)])
+                    np.cumsum(dense, out=dense)
+                    self._cell_cum = idx, cum
         return self._cell_cum
 
     def sample_points(self, count: int, rng: KeyedRng) -> np.ndarray:
@@ -207,28 +207,32 @@ def _require_count(value, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _sort_equal_weight_points(points: np.ndarray) -> np.ndarray:
-    """The points of equally weighted atoms in the order a stable sort gives them.
+def _check_atoms(points: np.ndarray, weights, resolution: float) -> None:
+    """Refuse, with ``ValueError``, atoms or a resolution that are not finite, or a negative weight."""
+    if not (np.isfinite(points).all() and np.isfinite(weights).all() and np.isfinite(resolution)):
+        raise ValueError("points, weights and resolution must be finite")
+    if (weights < 0).any():
+        raise ValueError("weights must be nonnegative")
 
-    With every weight the same, the order among equal points cannot change
-    a merged sum, so the values are sorted alone.  Only the signed zeros
-    compare equal and differ: a stable sort leads their run with the first
-    zero given, and so does this.
-    """
-    out = np.sort(points)
-    lead = np.searchsorted(out, 0.0)
-    if lead < out.size and out[lead] == 0:
-        out[lead] = points[np.argmax(points == 0)]
-    return out
+
+def _cumulative(weights: np.ndarray) -> np.ndarray:
+    """``concatenate([[0.0], cumsum(weights)])``, bit for bit, summed into its one array."""
+    cum = np.empty(weights.size + 1)
+    cum[0] = 0.0
+    np.cumsum(weights, out=cum[1:])
+    return cum
 
 
 @dataclass(eq=False)
 class ProductPairs:
     """The atoms (xs[k], ys[k]) of a product measure with their weights.
 
-    The exact grid comes x-major, sampled pairs in draw order.  The package
-    asks only one-dimensional questions of a product, through ``project`` and
-    ``marginal``, which sort by value, so it keeps no planar measure.
+    The exact grid comes x-major, sampled pairs in draw order.  The weights
+    of a sampled product are its one weight broadcast to every atom, a
+    read-only array of stride 0.  The package asks only one-dimensional
+    questions of a product, through ``project`` and ``marginal``, which sort
+    by value, so it keeps no planar measure.  ``xs`` and ``ys`` must have
+    the same shape.
     """
 
     xs: np.ndarray
@@ -236,8 +240,12 @@ class ProductPairs:
     weights: np.ndarray
     resolution: float
 
+    def __post_init__(self):
+        if np.shape(self.xs) != np.shape(self.ys):
+            raise ValueError("xs and ys must have the same shape")
+
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.xs)
 
 
 class IntervalSet:
@@ -387,9 +395,10 @@ def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Key
     at a time: chunk [start, stop) reads keys [start, stop) of the counter
     streams 0xA1 (for i) and 0xA2 (for j), each factor's inverse-CDF lookup
     is built once for all ``atom_cap`` keys, and every sampled atom weighs
-    total/atom_cap.  So the pairs are those of drawing all ``atom_cap``
-    keys at once, bit for bit, while no array of ``atom_cap`` keys or
-    indices is built.  ``atom_cap`` must be a positive integer, and a
+    total/atom_cap, so ``ws`` is that one weight broadcast to ``atom_cap``
+    atoms (stride 0).  The pairs are those of drawing all ``atom_cap`` keys
+    at once, bit for bit, while no array of ``atom_cap`` keys, indices or
+    weights is built.  ``atom_cap`` must be a positive integer, and a
     sampled product needs an ``rng`` and factors of positive total weight;
     each is checked before any draw.
     """
@@ -404,7 +413,7 @@ def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Key
     t1, t2 = m1.total_weight, m2.total_weight
     if not (t1 > 0 and t2 > 0):
         raise ValueError("a sampled product needs factors of positive total weight")
-    return np.full(atom_cap, t1 * t2 / atom_cap), _sampled_chunks(m1, m2, atom_cap, rng)
+    return np.broadcast_to(np.float64(t1 * t2 / atom_cap), (atom_cap,)), _sampled_chunks(m1, m2, atom_cap, rng)
 
 
 def _sampled_chunks(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: KeyedRng):
@@ -415,6 +424,69 @@ def _sampled_chunks(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Ke
     for start in range(0, atom_cap, _PAIR_CHUNK):
         stop = min(start + _PAIR_CHUNK, atom_cap)
         yield slice(start, stop), draw_i(_to_uniform(keys_i(start, stop))), draw_j(_to_uniform(keys_j(start, stop)))
+
+
+def _product_measure(weights: np.ndarray, fill, resolution: float) -> AtomicMeasure:
+    """The measure of a product's atoms on the line: ``fill(out)`` writes their points into ``out``.
+
+    ``out`` is a new array of ``weights.size`` points, written by ``fill``
+    rather than passed in so that no caller holds it.  An exact grid's
+    points and weights go to ``AtomicMeasure``.  A sampled product's weights
+    are its one weight broadcast (stride 0), and its measure is built here,
+    bit for bit the measure ``AtomicMeasure`` builds from the points and
+    ``np.full`` of the weight, with no array of weights per point:
+
+    - the checks are the constructor's;
+    - ``out`` is this call's alone, so it is sorted in place.  With every
+      weight the same, the order among equal points cannot change a merged
+      sum; only the signed zeros compare equal and differ, and a stable sort
+      leads their run with the first zero given, so the merged zero is that
+      one;
+    - the runs of equal points are found once, and ``out`` is dropped once
+      their first points are taken, before the run lengths are counted;
+    - each merged weight is that of its run's length (``_run_weights``).
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    points = np.empty(weights.size)
+    fill(points)
+    if not weights.size or weights.strides != (0,):
+        return AtomicMeasure(points, weights, resolution)
+    weight = weights[0]
+    _check_atoms(points, weight, resolution)
+    first_zero = points[np.argmax(points == 0)]
+    points.sort()
+    new_run = np.empty(points.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(points[1:], points[:-1], out=new_run[1:])
+    merged = points[new_run]
+    del points
+    lead = np.searchsorted(merged, 0.0)
+    if lead < merged.size and merged[lead] == 0:
+        merged[lead] = first_zero
+    lengths = np.flatnonzero(new_run)  # the runs' first indices, made their lengths in place
+    size = new_run.size
+    del new_run
+    np.subtract(lengths[1:], lengths[:-1], out=lengths[:-1])
+    lengths[-1] = size - lengths[-1]
+    measure = AtomicMeasure.__new__(AtomicMeasure)
+    measure._keep(merged, _run_weights(lengths, weight), resolution)
+    return measure
+
+
+def _run_weights(lengths: np.ndarray, weight) -> np.ndarray:
+    """``np.add.reduceat(np.full(L, weight), [0])[0]`` for each run length L in ``lengths``, bit for bit.
+
+    A reduction of equal values depends on their count only, so the merged
+    weights are read from a table indexed by run length.  The table is
+    filled by one ``np.add.reduceat`` over one run of each distinct length,
+    laid end to end: at most ``lengths.sum()`` weights.
+    """
+    present = np.zeros(lengths.max() + 1, dtype=bool)
+    present[lengths] = True
+    distinct = np.flatnonzero(present)
+    table = np.empty(present.size)
+    table[distinct] = np.add.reduceat(np.full(distinct.sum(), weight), np.cumsum(distinct) - distinct)
+    return table[lengths]
 
 
 def product(
@@ -428,9 +500,12 @@ def product(
 
     The sampled mode draws index pairs coordinate-wise proportionally to the
     weights (an exact sampler for the product law) from ``rng``, which it
-    needs, and gives every sampled atom the weight total/atom_cap.  The
-    pairs are drawn chunk by chunk into one preallocated ``xs`` and ``ys``
-    (see ``_product_pairs``, which also says what is refused).
+    needs.  Every sampled atom weighs total/atom_cap, and ``weights`` holds
+    that one weight, broadcast to the ``atom_cap`` atoms without an array of
+    its own.  The pairs are drawn chunk by chunk into one preallocated
+    ``xs`` and ``ys`` (see ``_product_pairs``, which also says what is
+    refused), so a sampled product allocates those two arrays and
+    chunk-sized scratch.
     """
     ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
     xs, ys = np.empty(ws.size), np.empty(ws.size)
@@ -441,18 +516,27 @@ def product(
 
 
 def project(m: ProductPairs, s: float, sign: int, delta: float) -> AtomicMeasure:
-    """Linear projection (x,y) -> delta^s * x +/- y of a product measure."""
+    """Linear projection (x,y) -> delta^s * x +/- y of a product measure; ``m`` is not changed."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     c = delta**s
-    return AtomicMeasure(c * m.xs + sign * m.ys, m.weights, m.resolution * (c + 1.0))
+
+    def points(out):  # c*x - y is c*x + (-1*y), bit for bit
+        np.multiply(m.xs, c, out=out)
+        (np.add if sign > 0 else np.subtract)(out, m.ys, out=out)
+
+    return _product_measure(m.weights, points, m.resolution * (c + 1.0))
 
 
 def marginal(m: ProductPairs, axis: int) -> AtomicMeasure:
-    """Coordinate projection of a product measure onto axis 0 (x) or 1 (y)."""
+    """Coordinate projection of a product measure onto axis 0 (x) or 1 (y); ``m`` is not changed."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    return AtomicMeasure(m.ys if axis else m.xs, m.weights, m.resolution)
+
+    def points(out):  # a copy: the measure sorts its points in place
+        out[...] = m.ys if axis else m.xs
+
+    return _product_measure(m.weights, points, m.resolution)
 
 
 def convolve(
@@ -467,13 +551,19 @@ def convolve(
     Identical to projecting the product with unit coefficient; the projection
     family is already the affinely normalized form, so the normalization pair
     relating the two is (scale, shift) = (1, 0).  Cap semantics as product():
-    the sums ``x + y`` are written chunk by chunk into one preallocated array.
+    the sums ``x + y`` are written chunk by chunk into one array of
+    ``atom_cap`` points, which the measure sorts in place and merges by runs,
+    with its one weight (see ``_product_measure``).  So a sampled
+    convolution allocates that array, the merged points and weights, and one
+    index array of the runs.
     """
     ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
-    points = np.empty(ws.size)
-    for part, i, j in chunks:
-        np.add(m1.points[i], m2.points[j], out=points[part])
-    return AtomicMeasure(points, ws, m1.resolution + m2.resolution)
+
+    def sums(out):
+        for part, i, j in chunks:
+            np.add(m1.points[i], m2.points[j], out=out[part])
+
+    return _product_measure(ws, sums, m1.resolution + m2.resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 loaded by path.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,47 @@ def test_summarize_pairs_runs_by_seed():
     assert summary["w.peak_rss_mb"]["wins"] == 1
     line = bench_pairs.report_line("w.run_s", summary["w.run_s"])
     assert "HEAD better in 2 of 2 pairs" in line and "beyond" in line
+
+
+def _traced(**counts):
+    metrics = {name.replace("_", ".", 1): {"value": value, "unit": "count"} for name, value in counts.items()}
+    metrics["euclid.atomic_s"] = {"value": 0.3, "unit": "s"}
+    return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+
+def test_count_differences_names_each_changed_count():
+    base = _traced(euclid_atoms=1648318, dimension_ball_queries=40000, cascade_leaves=7)
+    head = _traced(euclid_atoms=1648318, dimension_ball_queries=40001)
+    head["metrics"]["euclid.atomic_s"]["value"] = 0.2  # a time is not a count
+    assert bench_pairs.count_differences(base, head) == [
+        "cascade.leaves: BASE 7, HEAD None",
+        "dimension.ball_queries: BASE 40000, HEAD 40001",
+    ]
+    assert bench_pairs.count_differences(base, base) == []
+
+
+@pytest.mark.parametrize("head_atoms, code", [(1648318, 0), (1648319, 1)])
+def test_counts_pass_exits_1_on_any_changed_count(tmp_path, monkeypatch, capsys, head_atoms, code):
+    for side in ("base", "head"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "base" / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": [{"name": "run_s", "better": "lower"}]}')
+    calls = []
+
+    def run_side(side, workload, seed, seconds, trace=False):
+        calls.append((side.name, workload, seed, trace))
+        return 0, _traced(euclid_atoms=head_atoms if side.name == "head" else 1648318), ""
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "out.json"
+    argv = [str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "bconv", "--pairs", "0", "--counts",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == code
+    assert calls == [("base", "bconv", 1, True), ("head", "bconv", 1, True)]
+    printed = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    if code:
+        assert "count differs: euclid.atoms: BASE 1648318, HEAD 1648319" in printed
+        assert report["counts"]["differences"] == ["euclid.atoms: BASE 1648318, HEAD 1648319"]
+    else:
+        assert "every per-layer count is the same" in printed and report["counts"]["differences"] == []

@@ -92,44 +92,84 @@ class TestSortedAtoms:
         assert m.weights.tobytes() == want_weights.tobytes()
 
 
+def one_weight_pairs(points, weight):
+    """Atoms (points[k], points[k]) whose weights are one weight broadcast, as a sampled product holds them."""
+    points = np.asarray(points, dtype=np.float64)
+    return euclid.ProductPairs(points, points.copy(), np.broadcast_to(np.float64(weight), points.shape), 0.0)
+
+
 class TestEqualWeightAtoms:
-    """The value-only sort of equally weighted atoms against the stable sort and merge."""
+    """The one-weight path of sampled products (in-place sort, run-length merge) against the stable sort and merge."""
 
     @staticmethod
-    def _assert_same_bits(points, weights):
-        m = AtomicMeasure(points, weights, 0.0)
-        want_points, want_weights = merged_atoms(points, weights)
-        assert np.array_equal(m.points.view(np.int64), want_points.view(np.int64))
-        assert np.array_equal(m.weights.view(np.int64), want_weights.view(np.int64))
-        return m
+    def _assert_same_bits(points, weight):
+        want_points, want_weights = merged_atoms(points, np.full(len(points), weight))
+        pairs = one_weight_pairs(points, weight)
+        measures = marginal(pairs, 0), marginal(pairs, 1), AtomicMeasure(points, np.full(len(points), weight), 0.0)
+        for m in measures:
+            assert np.array_equal(m.points.view(np.int64), want_points.view(np.int64))
+            assert np.array_equal(m.weights.view(np.int64), want_weights.view(np.int64))
+        return measures[0]
 
     def test_repeated_points(self):
         rng = np.random.default_rng(4)
         points = rng.integers(-50, 50, size=5000) / 8
-        m = self._assert_same_bits(points, np.full(points.size, 0.1))
+        m = self._assert_same_bits(points, 0.1)
         assert len(m) < 101 and (np.diff(m.points) > 0).all()
 
     def test_one_atom(self):
         for x in (0.3, -0.0, 0.0):
-            self._assert_same_bits([x], [0.25])
+            self._assert_same_bits([x], 0.25)
 
     def test_mixed_signed_zeros(self):
         # -0.0 == +0.0, so the run of zeros merges into one atom whose point
         # is the first zero given, whichever its sign
         for points in ([0.0, -0.0, 1.0, -0.0], [-0.0, 0.5, 0.0, 0.0, -1.0], [2.0, 0.0, -0.0]):
-            m = self._assert_same_bits(points, np.full(len(points), 0.5))
+            m = self._assert_same_bits(points, 0.5)
             given = np.array(points)
             assert m.points[m.points == 0].tobytes() == given[given == 0][:1].tobytes()
         rng = np.random.default_rng(9)
         for _ in range(20):
             points = rng.choice([-0.0, 0.0, 0.25, -0.25], size=300)
-            self._assert_same_bits(points, np.full(points.size, 1 / 3))
+            self._assert_same_bits(points, 1 / 3)
+
+    def test_long_run(self):
+        rng = np.random.default_rng(5)
+        points = np.concatenate([np.full(2**15 + 5, 0.375), rng.integers(-9, 9, size=3000) / 4, [0.0, -0.0]])
+        m = self._assert_same_bits(rng.permutation(points), 1 / 3_000_000)
+        assert m.weights.max() == m.weights[m.points == 0.375][0]
+
+    def test_all_distinct(self):
+        points = np.random.default_rng(6).permutation(np.arange(-2000, 3000) / 7)
+        m = self._assert_same_bits(points, 0.2)
+        assert len(m) == 5000 and (m.weights == 0.2).all()
+
+    def test_run_weights_match_reduceat(self):
+        lengths = np.concatenate([np.arange(1, 4097), [2**15, 2**15 + 1, 100_003, 2**20 + 7]])
+        for w in (0.1, 1 / 3, 1 / 3_000_000, 2.0**-1074):
+            want = np.array([np.add.reduceat(np.full(k, w), [0])[0] for k in lengths])
+            order = np.random.default_rng(7).permutation(np.repeat(np.arange(lengths.size), 2))
+            got = euclid._run_weights(lengths[order], np.float64(w))
+            assert np.array_equal(got.view(np.int64), want[order].view(np.int64))
 
     def test_unequal_and_signed_zero_weights_take_the_stable_sort(self):
         # weights equal in value but not in bits (0.0 and -0.0), and unequal weights
         points = [0.5, 0.5, 0.0, -0.0, 0.5]
-        self._assert_same_bits(points, [0.0, -0.0, -0.0, 0.0, 0.0])
-        self._assert_same_bits(points, [0.1, 0.2, 0.3, 0.4, 0.5])
+        for weights in ([0.0, -0.0, -0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4, 0.5]):
+            m = AtomicMeasure(points, weights, 0.0)
+            want_points, want_weights = merged_atoms(points, weights)
+            assert np.array_equal(m.points.view(np.int64), want_points.view(np.int64))
+            assert np.array_equal(m.weights.view(np.int64), want_weights.view(np.int64))
+
+    def test_one_weight_is_checked_as_the_constructor_checks(self):
+        for points, weight, match in (([0.0, np.inf], 0.5, "finite"), ([0.0, 1.0], np.nan, "finite"),
+                                      ([0.0, 1.0], -0.5, "nonnegative")):
+            with pytest.raises(ValueError, match=match):
+                marginal(one_weight_pairs(points, weight), 0)
+        pairs = one_weight_pairs([0.0, 1.0], 0.5)
+        pairs.resolution = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            marginal(pairs, 0)
 
 
 class TestInverseCdf:
@@ -681,6 +721,42 @@ class TestProjection:
         assert np.allclose(my.weights, m2.weights, atol=1e-15)
 
 
+class TestSampledProjection:
+    """Projections and marginals of a sampled product against the constructor given its one weight, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def prod(self):
+        m1, m2 = bernoulli_convolution(0.4, 0.9, 10), bernoulli_convolution(0.35, 0.85, 9)
+        return product(m1, m2, atom_cap=3 * euclid._PAIR_CHUNK + 5, rng=KeyedRng(7))
+
+    def test_weights_are_one_weight_broadcast(self, prod):
+        assert len(prod) == prod.xs.size == 3 * euclid._PAIR_CHUNK + 5
+        assert prod.weights.shape == prod.xs.shape and prod.weights.strides == (0,)
+        assert not prod.weights.flags.writeable
+
+    def test_project_and_marginal_match_the_constructor_and_leave_the_pairs(self, prod):
+        xs, ys = prod.xs.copy(), prod.ys.copy()
+        w = np.full(len(prod), prod.weights[0])
+        built = [(project(prod, s, sign, 1 / 3), AtomicMeasure(3.0**-s * xs + sign * ys, w, 0.0))
+                 for s in (0.0, 0.7) for sign in (+1, -1)]
+        built += [(marginal(prod, axis), AtomicMeasure(ys if axis else xs, w, 0.0)) for axis in (0, 1)]
+        for got, want in built:
+            assert np.array_equal(got.points.view(np.int64), want.points.view(np.int64))
+            assert np.array_equal(got.weights.view(np.int64), want.weights.view(np.int64))
+            assert not np.shares_memory(got.points, prod.xs) and not np.shares_memory(got.points, prod.ys)
+        assert prod.xs.tobytes() == xs.tobytes() and prod.ys.tobytes() == ys.tobytes()
+
+    def test_pairs_of_different_shapes_refused(self):
+        with pytest.raises(ValueError, match="same shape"):
+            euclid.ProductPairs(np.zeros(3), np.zeros(4), np.ones(3), 0.0)
+        with pytest.raises(ValueError, match="same shape"):
+            euclid.ProductPairs(np.zeros((2, 2)), np.zeros(4), np.ones(4), 0.0)
+
+    def test_len_counts_the_atoms(self):
+        pairs = euclid.ProductPairs(np.zeros(5), np.ones(5), np.broadcast_to(np.float64(0.2), (5,)), 0.0)
+        assert len(pairs) == 5
+
+
 class TestConvolve:
     def test_point_masses_add(self):
         m = convolve(AtomicMeasure([1.5], [1.0], 0.0), AtomicMeasure([-0.5], [1.0], 0.0), atom_cap=1)
@@ -722,6 +798,38 @@ class TestConvolve:
             proj = project(product(m1, m2, **kwargs), 0.0, +1, 0.5)
             assert np.array_equal(conv.points, proj.points)
             assert np.array_equal(conv.weights, proj.weights)
+
+    def test_signed_zero_sums_in_both_draw_orders(self):
+        # x + y is -0.0 for (-0.0, -0.0) and +0.0 for (1, -1): the merged zero is the first drawn
+        m1 = AtomicMeasure([-0.0, 1.0, 2.0], [0.45, 0.45, 0.1], 0.0)
+        m2 = AtomicMeasure([-1.0, -0.0, 3.0], [0.45, 0.45, 0.1], 0.0)
+        seen = set()
+        for seed in range(40):
+            rng = KeyedRng(seed)
+            i, j = sampled_pairs(m1, m2, 8, rng)
+            sums = m1.points[i] + m2.points[j]
+            negative = np.signbit(sums[sums == 0])
+            if negative.any() and not negative.all():  # zeros of both signs: note which came first
+                seen.add(bool(negative[0]))
+            conv = convolve(m1, m2, atom_cap=8, rng=rng)
+            want_points, want_weights = merged_atoms(sums, np.full(8, m1.total_weight * m2.total_weight / 8))
+            assert np.array_equal(conv.points.view(np.int64), want_points.view(np.int64))
+            assert np.array_equal(conv.weights.view(np.int64), want_weights.view(np.int64))
+        assert seen == {False, True}
+
+    def test_sampled_convolution_peak_memory(self):
+        # the sums buffer, the run marks and the merged atoms, with no weight per sampled atom
+        # and no sorted copy: well below three arrays of atom_cap floats
+        atom_cap = 2**20
+        m1, m2 = bernoulli_convolution(0.4, 0.9, 16), bernoulli_convolution(0.35, 0.85, 16)
+        tracemalloc.start()
+        try:
+            conv = convolve(m1, m2, atom_cap=atom_cap, rng=KeyedRng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(conv) < atom_cap
+        assert peak < 3 * 8 * atom_cap
 
     def test_general_exponent_reduces_to_scaled_convolution(self):
         # project(product, s, +) == convolve(m1 scaled by delta^s, m2), (1, 0) map

@@ -1,6 +1,6 @@
 """Alternate the benchmark between two checkouts and compare their end-to-end metrics.
 
-Usage: python tools/bench_pairs.py BASE HEAD --workload W --pairs N [--seconds S] [--out FILE]
+Usage: python tools/bench_pairs.py BASE HEAD --workload W --pairs N [--seconds S] [--counts] [--out FILE]
 
 BASE and HEAD are checkout directories, BASE the parent.  Pair k (k = 1..N)
 runs ``python3 perfbench/run.py --workload W --seed k --seconds S --trace 0``
@@ -13,8 +13,13 @@ quartiles (``statistics.quantiles`` with the inclusive method), the pairs in
 which HEAD is better (ties count for neither side), and whether HEAD's median
 is better than BASE's by more than BASE's interquartile distance.  A gain may
 be claimed only when HEAD wins at least nine tenths of the pairs and that last
-test holds.  ``--out`` writes every run and the summary as JSON.  The exit
-code is 1 if any run exited non-zero, else 0.
+test holds.
+
+``--counts`` first runs one ``--trace 1`` pass of seed 1 in each checkout
+and prints every per-layer count (a metric of unit ``count``) that differs
+between the two; ``--pairs 0`` then runs no pairs.  ``--out`` writes every
+run, the summary and the count comparison as JSON.  The exit code is 1 if
+any run exited non-zero or any count differs, else 0.
 """
 from __future__ import annotations
 
@@ -91,10 +96,27 @@ def report_line(name: str, stats: dict) -> str:
     )
 
 
-def run_side(side: Path, workload: str, seed: int, seconds: float) -> tuple[int, dict | None, str]:
+def count_differences(base: dict, head: dict) -> list[str]:
+    """One line per per-layer count that differs between BASE's and HEAD's traced results.
+
+    A count is a metric of unit ``count``; one that only one side reports
+    differs too.
+    """
+    names = sorted({name for result in (base, head) for name, metric in result["metrics"].items()
+                    if metric["unit"] == "count"})
+    lines = []
+    for name in names:
+        b, h = (result["metrics"].get(name, {}).get("value") for result in (base, head))
+        if b != h:
+            lines.append(f"{name}: BASE {b}, HEAD {h}")
+    return lines
+
+
+def run_side(side: Path, workload: str, seed: int, seconds: float,
+             trace: bool = False) -> tuple[int, dict | None, str]:
     """One benchmark run in checkout ``side``: exit code, its JSON line (or None), and stderr."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(argv, cwd=side, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
@@ -108,12 +130,28 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float)
+    parser.add_argument("--counts", action="store_true")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    runs, failed = [], 0
+    runs, failed, counts = [], 0, None
+    if args.counts:
+        traced = {}
+        for label, side in (("BASE", args.base), ("HEAD", args.head)):
+            code, traced[label], err = run_side(side, args.workload, 1, seconds, trace=True)
+            print(f"counts {label}: exit {code} at {time.strftime('%H:%M:%S')}", flush=True)
+            if traced[label] is None:
+                failed += 1
+                sys.stderr.write(err)
+        if None not in traced.values():
+            differences = count_differences(traced["BASE"], traced["HEAD"])
+            counts = {"base": traced["BASE"], "head": traced["HEAD"], "differences": differences}
+            for line in differences:
+                print(f"count differs: {line}")
+            if not differences:
+                print("every per-layer count is the same")
     for seed in range(1, args.pairs + 1):
         order = [("BASE", args.base), ("HEAD", args.head)]
         for label, side in order if seed % 2 else order[::-1]:
@@ -132,8 +170,11 @@ def main(argv=None) -> int:
         print(report_line(name, stats))
     if args.out is not None:
         command = f"python3 perfbench/run.py --workload {args.workload} --seed N --seconds {seconds:g} --trace 0"
-        args.out.write_text(json.dumps({"command": command, "runs": runs, "summary": summary}, indent=1) + "\n")
-    return 1 if failed else 0
+        report = {"command": command, "runs": runs, "summary": summary}
+        if args.counts:
+            report["counts"] = counts
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 1 if failed or (counts and counts["differences"]) else 0
 
 
 if __name__ == "__main__":
