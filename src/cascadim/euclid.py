@@ -111,7 +111,8 @@ class AtomicMeasure:
 
     def _cumweights(self) -> np.ndarray:
         if self._cum is None:
-            self._cum = _cumulative(self.weights)
+            self._cum = np.zeros(self.weights.size + 1)  # cumsum(weights) after a 0.0, summed in place
+            np.cumsum(self.weights, out=self._cum[1:])
         return self._cum
 
     def ball_mass_many(self, centers, r: float) -> np.ndarray:
@@ -213,14 +214,6 @@ def _check_atoms(points: np.ndarray, weights, resolution: float) -> None:
         raise ValueError("points, weights and resolution must be finite")
     if (weights < 0).any():
         raise ValueError("weights must be nonnegative")
-
-
-def _cumulative(weights: np.ndarray) -> np.ndarray:
-    """``concatenate([[0.0], cumsum(weights)])``, bit for bit, summed into its one array."""
-    cum = np.empty(weights.size + 1)
-    cum[0] = 0.0
-    np.cumsum(weights, out=cum[1:])
-    return cum
 
 
 @dataclass(eq=False)
@@ -427,24 +420,18 @@ def _sampled_chunks(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Ke
 
 
 def _product_measure(weights: np.ndarray, fill, resolution: float) -> AtomicMeasure:
-    """The measure of a product's atoms on the line: ``fill(out)`` writes their points into ``out``.
+    """The measure of a product's atoms, whose points ``fill(out)`` writes into a new array ``out``.
 
-    ``out`` is a new array of ``weights.size`` points, written by ``fill``
-    rather than passed in so that no caller holds it.  An exact grid's
-    points and weights go to ``AtomicMeasure``.  A sampled product's weights
-    are its one weight broadcast (stride 0), and its measure is built here,
-    bit for bit the measure ``AtomicMeasure`` builds from the points and
-    ``np.full`` of the weight, with no array of weights per point:
-
-    - the checks are the constructor's;
-    - ``out`` is this call's alone, so it is sorted in place.  With every
-      weight the same, the order among equal points cannot change a merged
-      sum; only the signed zeros compare equal and differ, and a stable sort
-      leads their run with the first zero given, so the merged zero is that
-      one;
-    - the runs of equal points are found once, and ``out`` is dropped once
-      their first points are taken, before the run lengths are counted;
-    - each merged weight is that of its run's length (``_run_weights``).
+    ``fill`` writes them, rather than a caller passing an array, so that no
+    caller holds ``out``.  An exact grid goes to ``AtomicMeasure``.  A
+    sampled product has one weight (``weights`` has stride 0), and its
+    measure is bit for bit the one the constructor builds from ``np.full``
+    of it, with no weight per point.  ``out`` is sorted in place: with one
+    weight, the order among equal points cannot change a merged sum, and
+    the run of zeros is led by the first zero given, as a stable sort leads
+    it.  The runs are marked once, ``out`` is dropped once their first
+    points are taken, and each merged weight is read by run length
+    (``_run_weights``).
     """
     weights = np.asarray(weights, dtype=np.float64)
     points = np.empty(weights.size)
@@ -464,10 +451,8 @@ def _product_measure(weights: np.ndarray, fill, resolution: float) -> AtomicMeas
     if lead < merged.size and merged[lead] == 0:
         merged[lead] = first_zero
     lengths = np.flatnonzero(new_run)  # the runs' first indices, made their lengths in place
-    size = new_run.size
-    del new_run
     np.subtract(lengths[1:], lengths[:-1], out=lengths[:-1])
-    lengths[-1] = size - lengths[-1]
+    lengths[-1] = new_run.size - lengths[-1]
     measure = AtomicMeasure.__new__(AtomicMeasure)
     measure._keep(merged, _run_weights(lengths, weight), resolution)
     return measure
@@ -500,12 +485,11 @@ def product(
 
     The sampled mode draws index pairs coordinate-wise proportionally to the
     weights (an exact sampler for the product law) from ``rng``, which it
-    needs.  Every sampled atom weighs total/atom_cap, and ``weights`` holds
-    that one weight, broadcast to the ``atom_cap`` atoms without an array of
-    its own.  The pairs are drawn chunk by chunk into one preallocated
-    ``xs`` and ``ys`` (see ``_product_pairs``, which also says what is
-    refused), so a sampled product allocates those two arrays and
-    chunk-sized scratch.
+    needs.  Every sampled atom weighs total/atom_cap, and ``weights`` is
+    that one weight broadcast, with no array of its own.  The pairs are
+    drawn chunk by chunk into one preallocated ``xs`` and ``ys`` (see
+    ``_product_pairs``, which also says what is refused), so a sampled
+    product allocates those two arrays and chunk-sized scratch.
     """
     ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
     xs, ys = np.empty(ws.size), np.empty(ws.size)
@@ -551,11 +535,10 @@ def convolve(
     Identical to projecting the product with unit coefficient; the projection
     family is already the affinely normalized form, so the normalization pair
     relating the two is (scale, shift) = (1, 0).  Cap semantics as product():
-    the sums ``x + y`` are written chunk by chunk into one array of
-    ``atom_cap`` points, which the measure sorts in place and merges by runs,
-    with its one weight (see ``_product_measure``).  So a sampled
-    convolution allocates that array, the merged points and weights, and one
-    index array of the runs.
+    the sums ``x + y`` are written chunk by chunk into one array, which a
+    sampled convolution sorts in place and merges by runs of its one weight
+    (see ``_product_measure``).  So it allocates that array, a byte per sum
+    to mark the runs, and the merged points, run lengths and weights.
     """
     ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
 
