@@ -737,7 +737,7 @@ class TestSampledProjection:
     def test_project_and_marginal_match_the_constructor_and_leave_the_pairs(self, prod):
         xs, ys = prod.xs.copy(), prod.ys.copy()
         w = np.full(len(prod), prod.weights[0])
-        built = [(project(prod, s, sign, 1 / 3), AtomicMeasure(3.0**-s * xs + sign * ys, w, 0.0))
+        built = [(project(prod, s, sign, 1 / 3), AtomicMeasure((1 / 3) ** s * xs + sign * ys, w, 0.0))
                  for s in (0.0, 0.7) for sign in (+1, -1)]
         built += [(marginal(prod, axis), AtomicMeasure(ys if axis else xs, w, 0.0)) for axis in (0, 1)]
         for got, want in built:
@@ -752,9 +752,9 @@ class TestSampledProjection:
         with pytest.raises(ValueError, match="same shape"):
             euclid.ProductPairs(np.zeros((2, 2)), np.zeros(4), np.ones(4), 0.0)
 
-    def test_len_counts_the_atoms(self):
-        pairs = euclid.ProductPairs(np.zeros(5), np.ones(5), np.broadcast_to(np.float64(0.2), (5,)), 0.0)
-        assert len(pairs) == 5
+    def test_len_counts_the_atoms_whatever_holds_the_weights(self):
+        for weights in (np.broadcast_to(np.float64(0.2), (5,)), np.float64(0.2)):
+            assert len(euclid.ProductPairs(np.zeros(5), np.ones(5), weights, 0.0)) == 5
 
 
 class TestConvolve:
