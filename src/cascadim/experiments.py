@@ -19,12 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .cascade import KeyedRng, WeightLaw, cascade_measure, degenerate_regime, percolation_codes
 from .dimension import box_dimension, default_scales, entropy_dimension
-from .errors import CascadimError, ConfigError, DegenerateCascadeWarning
+from .errors import CapExceeded, CascadimError, ConfigError, DegenerateCascadeWarning
 from .euclid import (
     bernoulli_convolution,
     convolve,
@@ -37,7 +38,7 @@ from .euclid import (
 )
 from .ifs import AffineIfs, gamma_estimate
 from .svgplot import write_loglog_svg
-from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure, _numbering
+from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure, numbering
 
 __all__ = [
     "ExperimentReport",
@@ -81,7 +82,7 @@ def _rational_ratio_warnings(ratio: float, name: str) -> list:
 # value must be), or a dict that gives each value the keys that follow it.
 _REQUIRED = object()
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
-_DEPTH = (lambda v: 1 <= v <= 62, "must lie in [1, 62]: a longer word has no 62-bit code on any alphabet")
+_DEPTH = (lambda v: 1 <= v <= 62, "must lie in [1, 62], an input bound that keeps m^depth small in the lattice test")
 # a run builds (a+1)-by-a successor and step tables before any walk, so every
 # alphabet key keeps (a+1)*a within DEFAULT_WORD_CAP entries: a <= 4,471
 _MAX_ALPHABET = (math.isqrt(4 * DEFAULT_WORD_CAP + 1) - 1) // 2
@@ -89,6 +90,8 @@ _ALPHABET = (
     lambda v: 2 <= v <= _MAX_ALPHABET,
     f"must lie in [2, {_MAX_ALPHABET}]: a run's (a+1) x a tables hold at most {DEFAULT_WORD_CAP} entries",
 )
+_SUBSHIFT = (lambda v: isinstance(v, list) or v in ("full", "golden-mean"), "must be full, golden-mean or matrix rows")
+_IFS = (lambda v: v == "tiling" or all(len(row) == 2 for row in v), "must be tiling or [ratio, translation] maps")
 _FIT_LENGTH = (lambda v: v >= 4, "must be >= 4")
 _PROBABILITY = (lambda v: 0.0 < v <= 1.0, "must lie in (0,1]")
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
@@ -128,7 +131,9 @@ def validate_config(cfg: dict) -> dict:
     """Apply the typed schema: unknown keys are errors, defaults fill gaps.
 
     Returns exactly the keys the run reads, in schema order, with a law's
-    keys right after ``law``.
+    keys right after ``law``: the report's ``params``.  An ``alphabet`` left
+    out is the subshift's: a matrix's row count, 2 for ``"golden-mean"`` and
+    the experiment's ``full_alphabet`` for ``"full"``.  Nothing is built.
     """
     if "experiment" not in cfg:
         raise ConfigError("missing key: experiment")
@@ -173,14 +178,14 @@ def validate_config(cfg: dict) -> dict:
     for key in cfg:
         if key not in out:
             raise ConfigError(f"unknown key {key!r} for experiment {name!r}")
+    if out.get("alphabet", 0) is None:
+        spec = out["subshift"]
+        full = EXPERIMENTS[name]["full_alphabet"]
+        out["alphabet"] = len(spec) if isinstance(spec, list) else 2 if spec == "golden-mean" else full
     for key, alphabet in (("base_probs", "alphabet"), ("probs_a", "alphabet_a"), ("probs_b", "alphabet_b")):
         probs = out.get(key)
         if probs is not None and (len(probs) != out[alphabet] or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-12):
             raise ConfigError(f"{key} must be a probability vector of length {alphabet} = {out[alphabet]}")
-    for key, alphabet in (("depth_a", "alphabet_a"), ("depth_b", "alphabet_b")):
-        # the factors' walks number words by codes; refused here, not after the first factor's walk
-        if key in out and out[alphabet] ** out[key] > 2**62:
-            raise ConfigError(f"{key} must keep {alphabet}^{key} <= 2^62, the walk's code range")
     return out
 
 
@@ -188,59 +193,54 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _build_subshift(spec, alphabet: int) -> Subshift:
-    if spec == "full":
-        return Subshift.full(alphabet)
-    if spec == "golden-mean":
-        return Subshift.golden_mean()
-    if isinstance(spec, list):
-        try:
-            return Subshift.sft(spec)
-        except ValueError as exc:
-            raise ConfigError(f"bad subshift matrix: {exc}") from exc
-    raise ConfigError(f"bad subshift spec {spec!r}")
-
-
-def _build_ifs(spec, alphabet: int) -> AffineIfs:
-    if spec == "tiling":
-        return AffineIfs.tiling(alphabet)
-    if isinstance(spec, list):
-        if any(len(row) != 2 for row in spec):
-            raise ConfigError("bad ifs maps: each map must be a pair [ratio, translation]")
-        try:
-            return AffineIfs.from_maps(spec)
-        except ValueError as exc:
-            raise ConfigError(f"bad ifs maps: {exc}") from exc
-    raise ConfigError(f"bad ifs spec {spec!r}")
-
-
-def _build_system(cfg: dict, use: str, full_alphabet: int) -> tuple[Subshift, AffineIfs]:
-    """The config's subshift and IFS: equal-ratio, on one alphabet, as ``use`` needs them.
-
-    A stated ``alphabet`` must be the subshift's; one left out is the
-    subshift's, and ``full_alphabet`` for ``"full"``.  ``cfg["alphabet"]``
-    becomes the alphabet used, so the report echoes it.
-    """
-    stated = cfg["alphabet"]
-    shift = _build_subshift(cfg["subshift"], full_alphabet if stated is None else stated)
-    if stated not in (None, shift.alphabet_size):
-        raise ConfigError(f"alphabet {stated} differs from the subshift's {shift.alphabet_size}")
-    cfg["alphabet"] = shift.alphabet_size
-    ifs = _build_ifs(cfg["ifs"], shift.alphabet_size)
-    if ifs.alphabet_size != shift.alphabet_size:
-        raise ConfigError("ifs and subshift alphabets differ")
-    if ifs.equal_ratio is None:
-        raise ConfigError(f"{use} needs an equal-ratio IFS")
-    return shift, ifs
-
-
-def _build_law(cfg: dict) -> WeightLaw:
-    """The ``WeightLaw`` constructor named by ``law``, called with that law's keys."""
-    kind = cfg["law"]
+def _made(what: str, make, *args):
+    """``make(*args)``, its ``ValueError`` refused as one ``ConfigError``."""
     try:
-        return getattr(WeightLaw, kind)(*(cfg[key] for key in _LAWS[kind]))
+        return make(*args)
     except ValueError as exc:
-        raise ConfigError(f"bad {kind} law: {exc}") from exc
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _build(cfg) -> dict:
+    """The objects the run reads, by the names its runner takes, each walk's numbering checked first.
+
+    Each ``alphabet`` key is a factor, named by its suffix: a subshift and an
+    equal-ratio IFS on that alphabet.  A factor that walks a cascade also
+    gets its base measure, and the run its law (V = 1 without ``law``).  A
+    cascade walk numbers words by base-a codes, a percolation walk as
+    ``percolation_codes`` does for its IFS, and ``numbering`` checks each.
+    """
+    walks = EXPERIMENTS[cfg["experiment"]].get("walks")
+    built = {}
+    if walks == "cascade":
+        kind = cfg.get("law")
+        built["law"] = WeightLaw.percolation(1.0) if kind is None else _made(
+            f"{kind} law", getattr(WeightLaw, kind), *(cfg[key] for key in _LAWS[kind])
+        )
+    for key in [k for k in cfg if k.startswith("alphabet")]:
+        sfx, a = key[len("alphabet"):], cfg[key]
+        spec = cfg.get("subshift", "full")
+        shift = (_made("subshift matrix", Subshift.sft, spec) if isinstance(spec, list)
+                 else Subshift.golden_mean() if spec == "golden-mean" else Subshift.full(a))
+        spec = cfg.get("ifs", "tiling")
+        ifs = AffineIfs.tiling(a) if spec == "tiling" else _made("ifs maps", AffineIfs.from_maps, spec)
+        if shift.alphabet_size != a or ifs.alphabet_size != a:
+            raise ConfigError(f"{key} {a}: the subshift has {shift.alphabet_size} letters, the ifs {ifs.alphabet_size}")
+        if ifs.equal_ratio is None:
+            raise ConfigError(f"{cfg['experiment']} needs an equal-ratio IFS")
+        built |= {"shift" + sfx: shift, "ifs" + sfx: ifs}
+        if walks:
+            depth = cfg["depth" + sfx]
+            lattice = ifs.lattice(depth) if walks == "percolation" else None
+            try:
+                numbering(a, depth, None if lattice is None else lattice[:2])
+            except CapExceeded as exc:
+                raise ConfigError(f"{exc}: depth{sfx} must keep the walk's numbers under the cap") from exc
+        if walks == "cascade":
+            probs = cfg["probs" + sfx] if sfx else cfg["base_probs"]
+            # the uniform measure without a law of letters
+            built["base" + sfx] = _made("base measure", SymbolicMeasure.bernoulli, probs or [1.0 / a] * a)
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +383,10 @@ def _surviving(cfg: dict, survival: float, worker):
 
 
 def run_experiment(cfg: dict) -> ExperimentReport:
-    """Validate ``cfg``, run its experiment and report what it found."""
+    """Validate ``cfg``, build what its run reads, run its experiment on a read-only view and report."""
     cfg = validate_config(cfg)
-    spec = EXPERIMENTS[cfg["experiment"]]
     t0 = time.perf_counter()
-    found = spec["run"](cfg)
+    found = EXPERIMENTS[cfg["experiment"]]["run"](MappingProxyType(cfg), **_build(cfg))
     worst = max(found.checks, key=lambda c: abs(c["estimate"] - c["target"]))
     verdict = "pass" if all(c["verdict"] == "pass" for c in found.checks) else "fail"
     return ExperimentReport(
@@ -412,20 +411,14 @@ def run_experiment(cfg: dict) -> ExperimentReport:
 # runners
 
 
-def run_cascade_dim(cfg: dict) -> Findings:
+def run_cascade_dim(cfg, law, shift, ifs, base) -> Findings:
     a = cfg["alphabet"]
-    probs = cfg["base_probs"]
-    base = SymbolicMeasure.uniform(a) if probs is None else SymbolicMeasure.bernoulli(probs)
-    law = _build_law(cfg)
-    shift = Subshift.full(a)
-    ifs = AffineIfs.tiling(a)
     depth = cfg["depth"]
     h_mu = base.entropy()
     h_v = law.weight_entropy()
     target = (h_mu - h_v) / math.log(a)
-    warnings_list = []
-    if degenerate_regime(h_v, h_mu):
-        warnings_list.append("degenerate regime: h_V >= h_mu, cascade dies almost surely")
+    degenerate = degenerate_regime(h_v, h_mu)
+    warnings_list = ["degenerate regime: h_V >= h_mu, cascade dies almost surely"] if degenerate else []
     scales = default_scales(1.0 / a, depth)
 
     def worker(rng, idx):
@@ -467,14 +460,10 @@ def _dedup_overlap_structure(ifs: AffineIfs):
     return None
 
 
-def run_percolation_image_dim(cfg: dict) -> Findings:
-    shift, ifs = _build_system(cfg, "percolation image experiment", 2)
+def run_percolation_image_dim(cfg, shift, ifs) -> Findings:
     delta = ifs.equal_ratio
     p = cfg["p"]
     depth = cfg["depth"]
-    # the numbering percolation_codes walks with, refused past 2^62 before gamma_estimate runs
-    lattice = ifs.lattice(depth)
-    _numbering(shift.alphabet_size, depth, None if lattice is None else lattice[:2])
     profile = gamma_estimate(shift, ifs, cfg["gamma_nmax"])
     gamma = profile.gamma_estimate
     warnings_list = []
@@ -529,12 +518,10 @@ def run_percolation_image_dim(cfg: dict) -> Findings:
 _SUMSET_PAIR_CAP = 200_000_000
 
 
-def run_sumset_dim(cfg: dict) -> Findings:
+def run_sumset_dim(cfg, shift_a, ifs_a, shift_b, ifs_b) -> Findings:
     a, b = cfg["alphabet_a"], cfg["alphabet_b"]
     pa, pb = cfg["p_a"], cfg["p_b"]
     da, db = cfg["depth_a"], cfg["depth_b"]
-    shift_a, shift_b = Subshift.full(a), Subshift.full(b)
-    ifs_a, ifs_b = AffineIfs.tiling(a), AffineIfs.tiling(b)
     s_values = [float(s) for s in cfg["s_values"]]
     dim_sum = 2.0 + math.log(pa) / math.log(a) + math.log(pb) / math.log(b)
     target = min(1.0, dim_sum)
@@ -566,24 +553,17 @@ def run_sumset_dim(cfg: dict) -> Findings:
     )
 
 
-def run_projection_scan(cfg: dict) -> Findings:
+def run_projection_scan(cfg, law, shift_a, ifs_a, base_a, shift_b, ifs_b, base_b) -> Findings:
     a, b = cfg["alphabet_a"], cfg["alphabet_b"]
-    base_a = SymbolicMeasure.bernoulli(cfg["probs_a"])
-    base_b = SymbolicMeasure.bernoulli(cfg["probs_b"])
     da, db = cfg["depth_a"], cfg["depth_b"]
     delta = 1.0 / a
     d1 = base_a.entropy() / math.log(a)
     d2 = base_b.entropy() / math.log(b)
     target = min(1.0, d1 + d2)
-    warnings_list = []
-    if d1 + d2 >= 1.0:
-        warnings_list.append(
-            f"factor dimensions sum to {d1 + d2:.4f} >= 1: projections saturate at 1"
-        )
+    saturate = [f"factor dimensions sum to {d1 + d2:.4f} >= 1: projections saturate at 1"] if d1 + d2 >= 1.0 else []
     rng = KeyedRng(cfg["seed"])
-    triv = WeightLaw.percolation(1.0)
-    m1 = pushforward(cascade_measure(base_a, Subshift.full(a), triv, da, rng), AffineIfs.tiling(a))
-    m2 = pushforward(cascade_measure(base_b, Subshift.full(b), triv, db, rng), AffineIfs.tiling(b))
+    m1 = pushforward(cascade_measure(base_a, shift_a, law, da, rng), ifs_a)
+    m2 = pushforward(cascade_measure(base_b, shift_b, law, db, rng), ifs_b)
     prod = product(m1, m2, atom_cap=cfg["atom_cap"], rng=rng.derive(101))
     floor = prod.resolution * 8
     ks = range(5, max(9, int(-math.log2(floor))) + 1)
@@ -611,22 +591,18 @@ def run_projection_scan(cfg: dict) -> Findings:
         checks=checks,
         fits=fits,
         plot=(-np.log(f0_scales), f0_obs, checks[0]["estimate"], "projected scaling entropy"),
-        scan=True, warnings=warnings_list,
+        scan=True, warnings=saturate,
     )
 
 
-def run_bernoulli_convolution(cfg: dict) -> Findings:
+def run_bernoulli_convolution(cfg) -> Findings:
     b1, p1 = cfg["beta_a"], cfg["p_a"]
     b2, p2 = cfg["beta_b"], cfg["p_b"]
     depth = cfg["depth"]
-    warnings_list = []
-    for beta in (b1, b2):
-        if beta >= 0.5:
-            warnings_list.append(
-                f"beta {beta} >= 1/2: factor dimension formula assumes the separated regime"
-            )
     rational = _rational_ratio_warnings(math.log(b1) / math.log(b2), "log beta / log beta'")
-    warnings_list += rational
+    warnings_list = [
+        f"beta {beta} >= 1/2: factor dimension formula assumes the separated regime" for beta in (b1, b2) if beta >= 0.5
+    ] + rational
 
     def h(p):
         return -(p * math.log(p) + (1 - p) * math.log(1 - p)) if 0 < p < 1 else 0.0
@@ -650,8 +626,7 @@ def run_bernoulli_convolution(cfg: dict) -> Findings:
     )
 
 
-def run_gamma(cfg: dict) -> Findings:
-    shift, ifs = _build_system(cfg, "overlap counting", 3)
+def run_gamma(cfg, shift, ifs) -> Findings:
     profile = gamma_estimate(shift, ifs, cfg["n_max"])
     target = cfg["expect_gamma"]
     est = profile.gamma_estimate
@@ -666,7 +641,8 @@ def run_gamma(cfg: dict) -> Findings:
 
 
 # ---------------------------------------------------------------------------
-# the experiments: config schema beyond _COMMON, in report order, and runner
+# the experiments: config schema beyond _COMMON, in report order, runner, what
+# each factor walks (see _build) and the alphabet of an unstated "full" subshift
 
 EXPERIMENTS = {
     "cascade-dim": {
@@ -679,12 +655,13 @@ EXPERIMENTS = {
             "tolerance": (float, 0.06, _NONNEGATIVE),
         },
         "run": run_cascade_dim,
+        "walks": "cascade",
     },
     "perc-image-dim": {
         "schema": {
-            "alphabet": (int, None, _ALPHABET),  # the subshift's; 2 for "full"
-            "subshift": ((str, list), "golden-mean", None),  # full | golden-mean | matrix rows
-            "ifs": ((str, list), "tiling", None),  # tiling | [[r, t], ...]
+            "alphabet": (int, None, _ALPHABET),  # None: the subshift's
+            "subshift": ((str, list), "golden-mean", _SUBSHIFT),
+            "ifs": ((str, list), "tiling", _IFS),
             "p": (float, 0.8, _PROBABILITY),
             "depth": (int, 18, _DEPTH),
             "gamma_nmax": (int, 10, _FIT_LENGTH),
@@ -692,6 +669,8 @@ EXPERIMENTS = {
             "tolerance": (float, 0.08, _NONNEGATIVE),
         },
         "run": run_percolation_image_dim,
+        "walks": "percolation",
+        "full_alphabet": 2,
     },
     "sumset-dim": {
         "schema": {
@@ -706,6 +685,7 @@ EXPERIMENTS = {
             "tolerance": (float, 0.10, _NONNEGATIVE),
         },
         "run": run_sumset_dim,
+        "walks": "percolation",
     },
     "projection-scan": {
         "schema": {
@@ -721,6 +701,7 @@ EXPERIMENTS = {
             "tolerance": (float, 0.08, _NONNEGATIVE),
         },
         "run": run_projection_scan,
+        "walks": "cascade",
     },
     "bconv": {
         "schema": {
@@ -737,13 +718,14 @@ EXPERIMENTS = {
     },
     "gamma": {
         "schema": {
-            "alphabet": (int, None, _ALPHABET),  # the subshift's; 3 for "full"
-            "subshift": ((str, list), "full", None),
-            "ifs": ((str, list), [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]], None),
+            "alphabet": (int, None, _ALPHABET),  # None: the subshift's
+            "subshift": ((str, list), "full", _SUBSHIFT),
+            "ifs": ((str, list), [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]], _IFS),
             "n_max": (int, 13, _FIT_LENGTH),
             "expect_gamma": (float, 1.0, None),
             "tolerance": (float, 0.05, _NONNEGATIVE),
         },
         "run": run_gamma,
+        "full_alphabet": 3,
     },
 }

@@ -34,6 +34,7 @@ __all__ = [
     "Subshift",
     "SymbolicMeasure",
     "codes_to_letters",
+    "numbering",
     "walk_tree",
 ]
 
@@ -57,13 +58,15 @@ def codes_to_letters(codes: np.ndarray, length: int, alphabet_size: int) -> np.n
     return out
 
 
-def _numbering(a: int, depth: int, numeral=None):
+def numbering(a: int, depth: int, numeral=None):
     """``walk_tree``'s ``(m, digits)`` for ``numeral``; base-``a`` codes, with ``digits`` None, without one.
 
     Numbers are int64, so a numbering whose largest ``|number|`` at level k,
     ``top * (m^k - 1)/(m - 1)`` with ``top`` the largest ``|digit|``,
     reaches 2^62 raises ``CapExceeded`` at the first such level, where the
-    number is still short to build and print.
+    number is still short to build and print.  This is the one code-range
+    rule: a caller checks a walk before it runs by calling it with the
+    walk's numbering.
     """
     if numeral is None:
         m, digits, top = a, None, a - 1
@@ -126,10 +129,10 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     Returns the numbers and masses of the length-``depth`` words; no
     shallower level outlives its blocks.  Numbers are int64, so a walk
     whose numbers could reach 2^62 in size raises ``CapExceeded`` instead
-    of wrapping (``_numbering``); so does a level of more than ``cap`` nodes.
+    of wrapping (``numbering``); so does a level of more than ``cap`` nodes.
     """
     a = table.shape[1]
-    m, digits = _numbering(a, depth, numeral)
+    m, digits = numbering(a, depth, numeral)
     codes = np.zeros(1, dtype=np.int64)
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:
