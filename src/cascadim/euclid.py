@@ -13,6 +13,7 @@ at most the resolution.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "set_image",
     "product",
     "project",
+    "projection_coefficient",
     "marginal",
     "convolve",
     "sumset",
@@ -499,11 +501,27 @@ def product(
     return ProductPairs(xs, ys, ws, max(m1.resolution, m2.resolution))
 
 
+def projection_coefficient(delta: float, s: float) -> float:
+    """``delta**s``, refused with ``ValueError`` unless delta lies in (0, 1) and it is a finite positive float."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), not {delta!r}")
+    try:
+        c = delta**s
+    except OverflowError:
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"delta^s = {delta!r}^{s!r} is not a finite positive float")
+    return c
+
+
 def project(m: ProductPairs, s: float, sign: int, delta: float) -> AtomicMeasure:
-    """Linear projection (x,y) -> delta^s * x +/- y of a product measure; ``m`` is not changed."""
+    """Linear projection (x,y) -> delta^s * x +/- y of a product measure; ``m`` is not changed.
+
+    The coefficient is ``projection_coefficient(delta, s)``, with its refusals.
+    """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    c = delta**s
+    c = projection_coefficient(delta, s)
 
     def points(out):  # c*x - y is c*x + (-1*y), bit for bit
         np.multiply(m.xs, c, out=out)

@@ -32,6 +32,7 @@ from .euclid import (
     marginal,
     product,
     project,
+    projection_coefficient,
     pushforward,
     set_image,
     sumset,
@@ -75,6 +76,16 @@ def _rational_ratio_warnings(ratio: float, name: str) -> list:
         f"{name} ~ {approx[0]}/{approx[1]} is rational: "
         "the additivity hypothesis fails, verdict is advisory"
     ]
+
+
+def _extinction_warnings(p: float, shift: Subshift, name: str) -> list:
+    """The warning that makes a verdict advisory when percolation at ``p`` on ``shift`` dies almost surely,
+    that is when p e^h_top <= 1: the image is then almost surely empty, and its dimension formula fails."""
+    h_top = shift.topological_entropy()
+    if not degenerate_regime(-math.log(p), h_top):
+        return []
+    return [f"degenerate regime: {name} e^h_top = {p * math.exp(h_top):.4g} <= 1, the percolation dies "
+            "almost surely: verdict is advisory"]
 
 
 # A schema entry is (types, default, rule): a default of None makes the key
@@ -209,6 +220,7 @@ def _build(cfg) -> dict:
     gets its base measure, and the run its law (V = 1 without ``law``).  A
     cascade walk numbers words by base-a codes, a percolation walk as
     ``percolation_codes`` does for its IFS, and ``numbering`` checks each.
+    Each ``s_grid`` entry must give ``project`` a coefficient for delta = 1/a.
     """
     walks = EXPERIMENTS[cfg["experiment"]].get("walks")
     built = {}
@@ -240,6 +252,8 @@ def _build(cfg) -> dict:
             probs = cfg["probs" + sfx] if sfx else cfg["base_probs"]
             # the uniform measure without a law of letters
             built["base" + sfx] = _made("base measure", SymbolicMeasure.bernoulli, probs or [1.0 / a] * a)
+    for s in cfg.get("s_grid", ()):
+        _made(f"s_grid entry {s!r}", projection_coefficient, 1.0 / cfg["alphabet_a"], float(s))
     return built
 
 
@@ -466,7 +480,8 @@ def run_percolation_image_dim(cfg, shift, ifs) -> Findings:
     depth = cfg["depth"]
     profile = gamma_estimate(shift, ifs, cfg["gamma_nmax"])
     gamma = profile.gamma_estimate
-    warnings_list = []
+    degenerate = _extinction_warnings(p, shift, "p")
+    warnings_list = list(degenerate)
     bound = shift.topological_entropy() / math.log(1.0 / delta) + gamma - math.log(p) / math.log(delta)
     extra = {"gamma_estimate": gamma, "overlap_counts": list(profile.counts), "covering_bound": bound}
     mode = "additive"
@@ -487,12 +502,8 @@ def run_percolation_image_dim(cfg, shift, ifs) -> Findings:
             target = bound
             formula = "upper bound only: dim_B X_I + gamma - log(p)/log(delta)"
             mode = "bound-only"
-            reason = (
-                "exact-overlap pair with subcritical preimage branching "
-                "(log(m_left p) + log(m_right p) <= 0), no closed form"
-                if mults is not None
-                else "gamma > 0 and no known overlap structure"
-            )
+            reason = ("exact-overlap pair with subcritical preimage branching (log(m_left p) + log(m_right p) <= 0), "
+                      "no closed form" if mults is not None else "gamma > 0 and no known overlap structure")
             warnings_list.append(f"{reason}: checking the covering upper bound only")
     scales = default_scales(delta, depth)
 
@@ -510,7 +521,7 @@ def run_percolation_image_dim(cfg, shift, ifs) -> Findings:
         checks=[_check([f.slope for f in fits], target, cfg["tolerance"], upper=mode == "bound-only")],
         fits=[(i, "logN", f.scales, f.observable) for i, f in enumerate(fits)],
         plot=(np.log(1 / f0.scales), np.log(f0.observable), f0.slope, "percolation image box counts (trial 0)"),
-        warnings=warnings_list, extra=extra, discarded=discarded, trial_fits=fits,
+        warnings=warnings_list, extra=extra, discarded=discarded, trial_fits=fits, advisory=bool(degenerate),
     )
 
 
@@ -525,7 +536,8 @@ def run_sumset_dim(cfg, shift_a, ifs_a, shift_b, ifs_b) -> Findings:
     s_values = [float(s) for s in cfg["s_values"]]
     dim_sum = 2.0 + math.log(pa) / math.log(a) + math.log(pb) / math.log(b)
     target = min(1.0, dim_sum)
-    rational = _rational_ratio_warnings(math.log(1.0 / a) / math.log(1.0 / b), "log delta / log rho")
+    advisories = _rational_ratio_warnings(math.log(1.0 / a) / math.log(1.0 / b), "log delta / log rho")
+    advisories += _extinction_warnings(pa, shift_a, "p_a") + _extinction_warnings(pb, shift_b, "p_b")
     # probe scales: dyadic ladder floored at the coarser of the two set scales
     floor = max(1.0 / a**da, 1.0 / b**db) * 2
     ks = range(3, int(-math.log2(floor)) + 1)
@@ -549,7 +561,7 @@ def run_sumset_dim(cfg, shift_a, ifs_a, shift_b, ifs_b) -> Findings:
         checks=[_check([fits[s].slope for fits in results], target, cfg["tolerance"], s=s) for s in s_values],
         fits=[(i, f"s={s:g}", fits[s].scales, fits[s].observable) for i, fits in enumerate(results) for s in s_values],
         plot=(np.log(1 / f0.scales), np.log(f0.observable), f0.slope, "sumset box counts (trial 0)"),
-        scan=True, warnings=rational, discarded=discarded, advisory=bool(rational),
+        scan=True, warnings=advisories, discarded=discarded, advisory=bool(advisories),
     )
 
 

@@ -697,6 +697,23 @@ class TestChunkedProduct:
 
 
 class TestProjection:
+    @pytest.mark.parametrize(
+        "delta, s",
+        [(0.5, -2000.0), (0.5, 2000.0), (0.5, float("nan")), (1.0, 1.0), (0.0, 1.0), (-0.5, 2.0), (1.5, 1.0),
+         (float("nan"), 1.0)],
+    )
+    def test_coefficient_refused_unless_finite_positive(self, delta, s):
+        # 0.5^-2000 overflows a float, 0.5^2000 underflows to 0: neither is a projection
+        prod = product(AtomicMeasure([0.0], [1.0], 0.0), AtomicMeasure([0.0], [1.0], 0.0), atom_cap=1)
+        with pytest.raises(ValueError, match="delta"):
+            project(prod, s, +1, delta)
+        with pytest.raises(ValueError, match="delta"):
+            euclid.projection_coefficient(delta, s)
+
+    def test_coefficient_is_the_power(self):
+        assert euclid.projection_coefficient(0.5, -2.0) == 4.0
+        assert euclid.projection_coefficient(1 / 3, 1.5) == (1 / 3) ** 1.5
+
     def test_zero_exponent_plus(self):
         prod = product(AtomicMeasure([0.0], [1.0], 0.0), AtomicMeasure([0.0], [1.0], 0.0), atom_cap=1)
         m = project(prod, 0.0, +1, 0.5)

@@ -217,13 +217,20 @@ class TestReports:
               "sample_size": 200}, ("sample_size",)),
             ({"experiment": "bconv", "depth": 8, "atom_cap": 20000, "sample_size": 200}, ("beta_a",)),
             ({"experiment": "gamma", "alphabet": 3, "n_max": 6}, ("expect_gamma",)),
+            # an alphabet left out is the subshift's, resolved by validation
+            ({"experiment": "perc-image-dim", "depth": 8, "trials": 2, "gamma_nmax": 6}, ("alphabet",)),
+            ({"experiment": "gamma", "n_max": 6}, ("alphabet",)),
+            ({"experiment": "perc-image-dim", "subshift": [[1, 1, 0], [0, 1, 1], [1, 0, 1]], "depth": 8, "trials": 2,
+              "gamma_nmax": 5}, ("alphabet",)),
         ],
-        ids=["cascade-discrete", "cascade-lognormal", "perc-image", "sumset", "projection", "bconv", "gamma"],
+        ids=["cascade-discrete", "cascade-lognormal", "perc-image", "sumset", "projection", "bconv", "gamma",
+             "perc-image-golden-mean", "gamma-full", "perc-image-matrix"],
     )
     def test_params_echo_the_keys_read(self, cfg, echoed):
         # params is the validated config, in schema order, without the
         # experiment, seed and thread count
         read = validate_config(cfg)
+        assert read.get("alphabet", 0) is not None
         rep = run_experiment(cfg)
         unechoed = ("experiment", "seed", "threads")
         assert list(rep.params.items()) == [(k, v) for k, v in read.items() if k not in unechoed]
@@ -249,6 +256,27 @@ class TestReports:
                                   "threads": 2, "seed": 1})
         assert not [w for w in caught if issubclass(w.category, DegenerateCascadeWarning)]
         assert any(w.startswith("degenerate regime") for w in rep.warnings)
+
+    @pytest.mark.parametrize(
+        "cfg, alive",
+        [
+            ({"experiment": "sumset-dim", "p_a": 0.45, "depth_a": 10, "depth_b": 6, "trials": 4}, {"p_a": 0.55}),
+            ({"experiment": "perc-image-dim", "subshift": "full", "p": 0.5, "depth": 10, "trials": 4}, {"p": 0.55}),
+            # h_top = 0: only p = 1 survives
+            ({"experiment": "perc-image-dim", "subshift": [[0, 1], [1, 0]], "p": 0.8, "depth": 10, "trials": 4},
+             {"p": 1.0}),
+        ],
+        ids=["sumset-p_a", "image-full-critical", "image-periodic"],
+    )
+    def test_subcritical_percolation_is_advisory(self, cfg, alive):
+        # p e^h_top <= 1 (0.9, 1 and 0.8): the factor dies almost surely, so
+        # the target's dimension formula does not apply
+        rep = run_experiment(cfg)
+        assert rep.verdict.startswith("advisory-")
+        assert [w for w in rep.warnings if w.startswith("degenerate regime")], rep.warnings
+        rep = run_experiment({**cfg, **alive})
+        assert not rep.verdict.startswith("advisory-")
+        assert not [w for w in rep.warnings if w.startswith("degenerate regime")], rep.warnings
 
     def test_plot_written_when_asked(self, tmp_path):
         rep = run_experiment(SMALL_CASCADE)
@@ -476,6 +504,9 @@ class TestCli:
             {"experiment": "projection-scan", "depth_b": 0},
             # 3^45 > 2^62: the walk refuses the code range before any node
             {"experiment": "cascade-dim", "alphabet": 3, "depth": 45},
+            # 0.5^-2000 overflows a float
+            {"experiment": "projection-scan", "s_grid": [-2000.0], "depth_a": 8, "depth_b": 5, "atom_cap": 2000,
+             "sample_size": 100},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):
@@ -522,6 +553,41 @@ class TestCli:
         assert main([cfg["experiment"], "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "must" in err, err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"experiment": "perc-image-dim", "subshift": [[1, 1, 1], [1, 1]]},
+            # the golden mean shift has two letters
+            {"experiment": "perc-image-dim", "alphabet": 3},
+            {"experiment": "gamma", "alphabet": 2, "subshift": "full", "ifs": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]]},
+            {"experiment": "gamma", "alphabet": 2, "ifs": [[0.5, 0.0], [0.25, 0.5]]},
+            {"experiment": "perc-image-dim", "subshift": "full", "ifs": [[0.5, 0.0], [0.25, 0.5]]},
+            # E(V) = 0.75
+            {"experiment": "cascade-dim", "law": "discrete", "values": [0.5, 1.0], "probs": [0.5, 0.5]},
+            {"experiment": "sumset-dim", "depth_b": 40},
+            {"experiment": "perc-image-dim", "alphabet": 3, "subshift": "full",
+             "ifs": [[0.33, 0.0], [0.33, 0.33], [0.33, 0.66]], "depth": 45},
+            {"experiment": "projection-scan", "s_grid": [-2000.0], "depth_a": 8, "depth_b": 5, "atom_cap": 2000,
+             "sample_size": 100},
+        ],
+        ids=["matrix-not-square", "alphabet-not-the-subshifts", "ifs-alphabet", "gamma-unequal-ratio",
+             "image-unequal-ratio", "law-mean", "factor-code-range", "ifs-code-range", "s-grid-overflow"],
+    )
+    def test_refused_before_any_walk(self, tmp_path, monkeypatch, capsys, cfg):
+        # validation and the build step refuse each config before anything a run computes
+        def ran(*args, **kwargs):
+            raise AssertionError("ran past the build step")
+
+        for name in ("_survival", "gamma_estimate", "percolation_codes", "cascade_measure", "bernoulli_convolution",
+                     "product"):
+            monkeypatch.setattr(experiments, name, ran)
+        monkeypatch.setattr(Subshift, "successor_table", ran)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([cfg["experiment"], "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("value", [4472, 100000])
     @pytest.mark.parametrize(
@@ -803,6 +869,19 @@ class TestFreshInterpreter:
             json.dumps(configs),
         )
         assert seen == [[], True]
+
+    def test_validation_loads_no_scipy(self):
+        # the benchmark's setup_s times this call in a new interpreter: a
+        # lognormal config is validated there, and no law is built
+        config = Path(__file__).resolve().parent.parent / "configs" / "cascade_dim_lognormal.json"
+        seen = self._python(
+            "import json, sys\n"
+            "from cascadim.experiments import load_config, validate_config\n"
+            "cfg = validate_config(load_config(sys.argv[1]))\n"
+            "print(json.dumps([cfg['law'], sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n",
+            str(config),
+        )
+        assert seen == ["lognormal", []]
 
     def test_lognormal_threads_match_in_a_fresh_interpreter(self, tmp_path):
         # the run that imports scipy: two worker threads against one
