@@ -432,7 +432,8 @@ def run_cascade_dim(cfg, law, shift, ifs, base) -> Findings:
     h_v = law.weight_entropy()
     target = (h_mu - h_v) / math.log(a)
     degenerate = degenerate_regime(h_v, h_mu)
-    warnings_list = ["degenerate regime: h_V >= h_mu, cascade dies almost surely"] if degenerate else []
+    warning = "degenerate regime: h_V >= h_mu, cascade dies almost surely: verdict is advisory"
+    warnings_list = [warning] if degenerate else []
     scales = default_scales(1.0 / a, depth)
 
     def worker(rng, idx):
@@ -453,7 +454,7 @@ def run_cascade_dim(cfg, law, shift, ifs, base) -> Findings:
         checks=[_check([f.slope for f in fits], target, cfg["tolerance"])],
         fits=[(i, "H_r", f.scales, f.observable) for i, f in enumerate(fits)],
         plot=(-np.log(fits[0].scales), fits[0].observable, fits[0].slope, "cascade scaling entropy (trial 0)"),
-        warnings=warnings_list, discarded=discarded, trial_fits=fits,
+        warnings=warnings_list, discarded=discarded, trial_fits=fits, advisory=degenerate,
     )
 
 
@@ -502,8 +503,12 @@ def run_percolation_image_dim(cfg, shift, ifs) -> Findings:
             target = bound
             formula = "upper bound only: dim_B X_I + gamma - log(p)/log(delta)"
             mode = "bound-only"
-            reason = ("exact-overlap pair with subcritical preimage branching (log(m_left p) + log(m_right p) <= 0), "
-                      "no closed form" if mults is not None else "gamma > 0 and no known overlap structure")
+            reason = (
+                "exact-overlap pair with subcritical preimage branching "
+                "(log(m_left p) + log(m_right p) <= 0), no closed form"
+                if mults is not None
+                else "gamma > 0 and no known overlap structure"
+            )
             warnings_list.append(f"{reason}: checking the covering upper bound only")
     scales = default_scales(delta, depth)
 

@@ -263,7 +263,8 @@ class Subshift:
 
     @classmethod
     def sft(cls, matrix: Sequence[Sequence[int]]) -> "Subshift":
-        return cls(tuple(tuple(int(v) for v in r) for r in matrix))
+        # an entry other than 0 or 1 is kept as it is, for the 0/1 check to refuse
+        return cls(tuple(tuple(int(v) if v in (0, 1) else v for v in r) for r in matrix))
 
     @classmethod
     def golden_mean(cls) -> "Subshift":

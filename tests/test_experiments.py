@@ -257,6 +257,14 @@ class TestReports:
         assert not [w for w in caught if issubclass(w.category, DegenerateCascadeWarning)]
         assert any(w.startswith("degenerate regime") for w in rep.warnings)
 
+    def test_degenerate_cascade_is_advisory(self):
+        # h_V = -log 0.45 > log 2: the target (h_mu - h_V)/log 2 = -0.15 is no dimension
+        rep = run_experiment({"experiment": "cascade-dim", "p": 0.45, "depth": 8, "trials": 3, "seed": 1})
+        assert rep.target["value"] < 0 and rep.verdict.startswith("advisory-")
+        assert not run_experiment({"experiment": "cascade-dim", "p": 0.55, "depth": 8, "trials": 3}).verdict.startswith(
+            "advisory-"
+        )
+
     @pytest.mark.parametrize(
         "cfg, alive",
         [

@@ -155,6 +155,13 @@ class TestTopologicalEntropy:
         assert golden_mean.topological_entropy() == pytest.approx(math.log(lam), abs=1e-12)
         assert golden_mean.topological_entropy() == pytest.approx(math.log(PHI), abs=1e-12)
 
+    @pytest.mark.parametrize("entry", [0.5, 1.9, 2, -1])
+    def test_matrix_entries_not_truncated(self, entry):
+        # 0.5 would read as 0 and 1.9 as 1 if entries were truncated to int
+        with pytest.raises(ValueError, match="0/1"):
+            Subshift.sft([[1, entry], [1, 1]])
+        assert Subshift.sft([[1.0, 0.0], [1, 1]]) == Subshift.sft([[1, 0], [1, 1]])
+
     def test_permutation_matrix_zero(self):
         assert Subshift.sft([[0, 1], [1, 0]]).topological_entropy() == pytest.approx(0.0, abs=1e-12)
 
