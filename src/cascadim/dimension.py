@@ -117,7 +117,8 @@ def _entropy_at_scale(norm, r: float, centers, order=None) -> float:
     """H_r, minus the mean log mass of r-balls around typical points of a normalized measure.
 
     ``centers=None`` sums over all atoms with their weights (deterministic),
-    reading the masses from ``atom_ball_masses``; an array averages over
+    reading the masses from ``atom_ball_masses`` (two slices on a full
+    lattice, else the search); an array averages over
     those centers, drawn from the measure.  With ``order`` the centers are
     sorted, ``drawn[order]``: the masses are searched in that order and
     scattered back to draw order before the mean, so H_r is that of the
@@ -150,9 +151,10 @@ def entropy_dimension(m, r_schedule: Sequence[float], sample_size: int | None = 
     each other in the atoms, and scatters the masses back to draw order
     (see ``_entropy_at_scale``).  The full sum
     (``sample_size=None``) reads each radius's ball masses from
-    ``AtomicMeasure.atom_ball_masses``: on a lattice-tagged measure at a
-    lattice radius that is two reads of one cached integer-indexed
-    cumulative array, else two searches; the masses are the same bit for bit.
+    ``AtomicMeasure.atom_ball_masses``: on a lattice-tagged measure whose
+    atoms fill every cell, at a lattice radius, that is two shifted slices
+    of the cached cumulative weights, else two searches; the masses are the
+    same bit for bit.
     """
     if sample_size is not None and rng is None:
         raise ValueError("Monte Carlo mode needs an rng")

@@ -38,9 +38,6 @@ __all__ = [
     "bernoulli_convolution",
 ]
 
-# A lattice measure reads its ball masses from a dense cumulative array only
-# while its cell range is at most this many cells per atom.
-_DENSE_CELLS_PER_ATOM = 16
 # Sampled pairs per chunk of a sampled product.  Each array of a chunk (hashes,
 # uniforms, buckets, indices) is 256 KB, so the few alive at once stay in a
 # core's L2 cache (2 MB on the 2-core Xeon of BENCH_24.json, where chunks of
@@ -89,7 +86,6 @@ class AtomicMeasure:
         self.resolution = float(resolution)
         self.scale = None
         self._cum = None
-        self._cell_cum = None
 
     @property
     def total_weight(self) -> float:
@@ -106,7 +102,7 @@ class AtomicMeasure:
             return self
         out = copy.copy(self)
         out.weights = self.weights / tot
-        out._cum = out._cell_cum = None
+        out._cum = None
         return out
 
     # -- ball queries -------------------------------------------------------
@@ -130,66 +126,37 @@ class AtomicMeasure:
     def atom_ball_masses(self, r: float) -> np.ndarray:
         """``ball_mass_many(points, r)``, the r-ball mass around every atom, bit for bit.
 
-        On a tagged measure with ``R = r * scale`` an integer, the atoms sit
-        at integer cells ``points * scale`` (exact in int64), and the mass
-        around the atom in dense cell i is ``cum[min(i+R+1, n)] -
-        cum[max(i-R, 0)]``.  ``cum`` is ``np.cumsum`` of the weights spread
-        over the n cells from the first atom's to the last's, with +0.0 in
-        the empty cells and a 0.0 in front, built once and cached.  It is the
-        same float array the search path reads: each centre +/- r is a cell
-        edge, exactly, so the searched index is the cell index, and adding
-        +0.0 leaves every sequential partial sum of positive weights (as
-        ``pushforward`` keeps) unchanged.  Untagged measures, radii off the
-        lattice and cell ranges of more than ``_DENSE_CELLS_PER_ATOM`` = 16
-        cells per atom (a sparse deep percolation would ask for 2^40 cells)
-        take ``ball_mass_many``.
-
-        When the atoms fill every cell (a cascade on the full shift), atom i
-        sits in cell i and ``cum`` is ``_cumweights()``, so the masses are
-        two shifted slices of it and one subtraction, with no gather: the
-        upper ends are ``cum[R+1:]`` then ``cum[n]``, and the lower ends
-        ``cum[:n-R]`` are taken off from atom R on; below R the lower end is
-        ``cum[0]`` = +0.0, and ``x - 0.0`` is ``x``.
+        A tagged measure whose atoms fill every cell from the first to the
+        last (a cascade on the full shift) takes two slices, when ``R = r *
+        scale`` is an integer.  Its n atoms are n distinct integer cells
+        ``points * scale``, so they fill the range exactly when the range
+        spans n - 1 cells, and atom i sits in cell i.  Each centre +/- r is
+        then a cell edge, exactly, so the searched indices are ``max(i-R, 0)``
+        and ``min(i+R+1, n)``, and the masses are two shifted slices of
+        ``cum = _cumweights()`` and one subtraction, with no gather: the upper
+        ends are ``cum[R+1:]`` then ``cum[n]``, and the lower ends ``cum[:n-R]``
+        are taken off from atom R on; below R the lower end is ``cum[0]`` =
+        +0.0, and ``x - 0.0`` is ``x``.  Every other measure and radius takes
+        ``ball_mass_many``.
         """
         if not r >= self.resolution:
             raise ScaleBelowResolution(r, self.resolution)
-        cells = None
-        if self.scale is not None and float(r * self.scale).is_integer():
-            cells = self._cell_cumweights()
-        if cells is None:
+        n = len(self)
+        if not (
+            self.scale is not None
+            and float(r * self.scale).is_integer()
+            and n
+            and (self.points[-1] - self.points[0]) * self.scale == n - 1
+        ):
             return self.ball_mass_many(self.points, r)
-        idx, cum = cells
-        R = min(int(r * self.scale), cum.size)  # from R = n on, every ball holds every atom
-        if idx is not None:
-            return cum[np.minimum(idx + (R + 1), cum.size - 1)] - cum[np.maximum(idx - R, 0)]
-        n = cum.size - 1
+        cum = self._cumweights()
+        R = min(int(r * self.scale), n + 1)  # from R = n on, every ball holds every atom
         masses = np.empty(n)
         inner = max(n - R, 0)  # the atoms whose ball ends before the last cell
         masses[:inner] = cum[R + 1 :]
         masses[inner:] = cum[n]
         np.subtract(masses[R:], cum[:inner], out=masses[R:])
         return masses
-
-    def _cell_cumweights(self) -> tuple[np.ndarray | None, np.ndarray] | None:
-        """Dense cell index of every atom and the cumulative weights over the cells, or None.
-
-        The index is None when the atoms fill every cell: it would be
-        ``arange(n)``, and the cumulative weights are then ``_cumweights()``.
-        """
-        if self._cell_cum is None and len(self):
-            span = (self.points[-1] - self.points[0]) * self.scale
-            if span < _DENSE_CELLS_PER_ATOM * len(self):
-                idx = (self.points * self.scale).astype(np.int64)
-                idx -= idx[0]
-                if idx[-1] + 1 == idx.size:
-                    self._cell_cum = None, self._cumweights()
-                else:
-                    cum = np.zeros(idx[-1] + 2)
-                    dense = cum[1:]
-                    dense[idx] = self.weights
-                    np.cumsum(dense, out=dense)
-                    self._cell_cum = idx, cum
-        return self._cell_cum
 
     def sample_points(self, count: int, rng: KeyedRng) -> np.ndarray:
         """Draw atom positions with probability proportional to weight.

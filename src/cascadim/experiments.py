@@ -110,7 +110,12 @@ _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _NONEMPTY = (lambda v: len(v) > 0, "must not be empty")
 _NONZERO = (lambda v: len(v) > 0 and 0 not in v, "must be nonempty, with no zero entry")
-_SAMPLE_SIZE = (lambda v: v == 0 or v >= 2, "must be 0 (sum over all atoms) or >= 2 (the sample std needs two centers)")
+# a product's atoms and a run's drawn centres take the same budget as its tables
+_ATOM_CAP = (lambda v: 1 <= v <= DEFAULT_WORD_CAP, f"must lie in [1, {DEFAULT_WORD_CAP}]")
+_SAMPLE_SIZE = (
+    lambda v: v == 0 or 2 <= v <= DEFAULT_WORD_CAP,
+    f"must be 0 (sum over all atoms) or in [2, {DEFAULT_WORD_CAP}] (the sample std needs two centers)",
+)
 
 # each weight law's keys, in the order its WeightLaw constructor takes them
 _LAWS = {
@@ -212,6 +217,14 @@ def _made(what: str, make, *args):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def _numbered(key: str, a: int, depth: int, numeral=None) -> None:
+    """``numbering(a, depth, numeral)``, its ``CapExceeded`` refused as one ``ConfigError`` naming ``key``."""
+    try:
+        numbering(a, depth, numeral)
+    except CapExceeded as exc:
+        raise ConfigError(f"{exc}: {key} must keep the walk's numbers under the cap") from exc
+
+
 def _build(cfg) -> dict:
     """The objects the run reads, by the names its runner takes, each walk's numbering checked first.
 
@@ -219,8 +232,10 @@ def _build(cfg) -> dict:
     equal-ratio IFS on that alphabet.  A factor that walks a cascade also
     gets its base measure, and the run its law (V = 1 without ``law``).  A
     cascade walk numbers words by base-a codes, a percolation walk as
-    ``percolation_codes`` does for its IFS, and ``numbering`` checks each.
-    Each ``s_grid`` entry must give ``project`` a coefficient for delta = 1/a.
+    ``percolation_codes`` does for its IFS, and ``gamma_estimate``'s walks
+    (``n_max``, ``gamma_nmax``) by base-a codes, as ``overlap_count`` lists
+    words; ``numbering`` checks each.  Each ``s_grid`` entry must give
+    ``project`` a coefficient for delta = 1/a.
     """
     walks = EXPERIMENTS[cfg["experiment"]].get("walks")
     built = {}
@@ -244,14 +259,14 @@ def _build(cfg) -> dict:
         if walks:
             depth = cfg["depth" + sfx]
             lattice = ifs.lattice(depth) if walks == "percolation" else None
-            try:
-                numbering(a, depth, None if lattice is None else lattice[:2])
-            except CapExceeded as exc:
-                raise ConfigError(f"{exc}: depth{sfx} must keep the walk's numbers under the cap") from exc
+            _numbered("depth" + sfx, a, depth, None if lattice is None else lattice[:2])
         if walks == "cascade":
             probs = cfg["probs" + sfx] if sfx else cfg["base_probs"]
             # the uniform measure without a law of letters
             built["base" + sfx] = _made("base measure", SymbolicMeasure.bernoulli, probs or [1.0 / a] * a)
+    for key in ("n_max", "gamma_nmax"):
+        if key in cfg:
+            _numbered(key, cfg["alphabet"], cfg[key])
     for s in cfg.get("s_grid", ()):
         _made(f"s_grid entry {s!r}", projection_coefficient, 1.0 / cfg["alphabet_a"], float(s))
     return built
@@ -713,7 +728,7 @@ EXPERIMENTS = {
             "depth_a": (int, 16, _DEPTH),
             "depth_b": (int, 10, _DEPTH),
             "s_grid": (list, [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], _NONEMPTY),
-            "atom_cap": (int, 2_000_000, _AT_LEAST_1),
+            "atom_cap": (int, 2_000_000, _ATOM_CAP),
             "sample_size": (int, 4000, _SAMPLE_SIZE),
             "tolerance": (float, 0.08, _NONNEGATIVE),
         },
@@ -727,7 +742,7 @@ EXPERIMENTS = {
             "beta_b": (float, 0.35, _OPEN_UNIT),
             "p_b": (float, 0.85, _PROBABILITY),
             "depth": (int, 18, _DEPTH),
-            "atom_cap": (int, 3_000_000, _AT_LEAST_1),
+            "atom_cap": (int, 3_000_000, _ATOM_CAP),
             "sample_size": (int, 4000, _SAMPLE_SIZE),
             "tolerance": (float, 0.08, _NONNEGATIVE),
         },

@@ -1067,7 +1067,7 @@ class TestBallMass:
 
     def test_nan_radius_rejected(self, uniform2, tiling2):
         m = pushforward(unit_cascade(uniform2, Subshift.full(2), 8), tiling2)
-        assert m.scale is not None  # atom_ball_masses would read the cell table
+        assert m.scale is not None  # a full lattice: atom_ball_masses would take the slices
         for query in (lambda r: m.ball_mass_many([0.5], r), m.atom_ball_masses):
             with pytest.raises(ScaleBelowResolution):
                 query(np.nan)
@@ -1083,15 +1083,16 @@ class TestLatticeBallMasses:
 
     CASES = {
         "lognormal-tiling2": (2, AffineIfs.tiling(2), WeightLaw.lognormal(0.5), 10, 3),
-        # gaps inside the support, and balls clipped at both ends of the range;
-        # these 60 atoms span 364 cells, dense enough to route
+        # gaps inside the support, and balls clipped at both ends of the range
         "percolation": (2, AffineIfs.tiling(2), WeightLaw.percolation(0.7), 9, 8),
         "tiling4": (4, AffineIfs.tiling(4), WeightLaw.lognormal(0.5), 7, 3),
-        # tail fixed point -1: negative cells
+        # tail fixed point -1: negative cells, two apart
         "negative-cells": (2, AffineIfs.from_maps([(0.5, -0.5), (0.5, 0.5)]), WeightLaw.lognormal(0.5), 10, 3),
         # maps 1 and 2 coincide: merged atoms
         "exact-overlap": (3, EX_OVERLAP, WeightLaw.lognormal(0.5), 7, 3),
     }
+    # the cases whose atoms leave cells empty, so every radius takes the search
+    PARTIAL = {"percolation", "negative-cells"}
 
     @staticmethod
     def _spy(monkeypatch):
@@ -1118,9 +1119,9 @@ class TestLatticeBallMasses:
             for r in default_scales(ifs.equal_ratio, depth):
                 calls = self._spy(monkeypatch)
                 got = measure.atom_ball_masses(r)
-                assert calls == []  # the dense path ran
+                assert calls == ([r] if name in self.PARTIAL else [])  # the search, or the slices
                 monkeypatch.undo()
-                assert np.array_equal(got, measure.ball_mass_many(measure.points, r))
+                assert got.tobytes() == measure.ball_mass_many(measure.points, r).tobytes(), r
                 cells = np.round(measure.points * measure.scale)
                 R = r * measure.scale
                 clipped_low |= bool((cells - R < cells[0]).any())
@@ -1134,8 +1135,8 @@ class TestLatticeBallMasses:
             assert len(m) < len(cm.codes)
 
     @pytest.mark.parametrize("cells", [1, 2, 37, 1024])
-    def test_full_lattice_slices_equal_search(self, cells):
-        # every cell from -5 on holds one atom, so atom i sits in cell i and no index is kept
+    def test_full_lattice_slices_equal_search(self, cells, monkeypatch):
+        # every cell from -5 on holds one atom, so atom i sits in cell i
         rng = np.random.default_rng(cells)
         scale = 64.0
         weights = rng.random(cells) ** 4  # spread in size, so the partial sums round
@@ -1143,16 +1144,21 @@ class TestLatticeBallMasses:
         m.scale = scale
         for measure in (m, m.normalized()):
             for R in sorted({0, 1, cells // 2, cells - 1, cells, cells + 1, 10 * cells}):
+                calls = self._spy(monkeypatch)
                 got = measure.atom_ball_masses(R / scale)
-                assert measure._cell_cumweights()[0] is None
+                assert calls == []  # the slices ran
+                monkeypatch.undo()
                 assert got.tobytes() == measure.ball_mass_many(measure.points, R / scale).tobytes(), R
 
-    def test_full_lattice_cascade_takes_the_slices(self):
+    def test_full_lattice_cascade_takes_the_slices(self, monkeypatch):
         cm = cascade_measure(SymbolicMeasure.uniform(2), Subshift.full(2), WeightLaw.lognormal(0.5), 10, KeyedRng(6))
         m = pushforward(cm, AffineIfs.tiling(2))
-        assert m._cell_cumweights()[0] is None
         for r in (m.resolution, *default_scales(0.5, 10), 2.0, 4.0):
-            assert m.atom_ball_masses(r).tobytes() == m.ball_mass_many(m.points, r).tobytes(), r
+            calls = self._spy(monkeypatch)
+            got = m.atom_ball_masses(r)
+            assert calls == []  # the slices ran
+            monkeypatch.undo()
+            assert got.tobytes() == m.ball_mass_many(m.points, r).tobytes(), r
 
     def test_off_lattice_radius_falls_back(self, monkeypatch):
         m = pushforward(unit_cascade(SymbolicMeasure.uniform(2), Subshift.full(2), 10), AffineIfs.tiling(2))

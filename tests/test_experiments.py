@@ -40,6 +40,17 @@ def _mask_runtime(text: str) -> str:
     return re.sub(r'"runtime_s": [0-9.eE+-]+', '"runtime_s": X', text)
 
 
+# every integer key of every schema but three sizes something and must be
+# bounded: a seed is masked to 64 bits, threads are capped by the core count,
+# and a large trial count costs only time
+SIZE_KEYS = [
+    (name, key)
+    for name, exp in experiments.EXPERIMENTS.items()
+    for key, (types, _, _) in {**experiments._COMMON, **exp["schema"]}.items()
+    if int in (types if isinstance(types, tuple) else (types,)) and key not in ("seed", "threads", "trials")
+]
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -82,6 +93,9 @@ class TestConfigValidation:
             ({"experiment": "projection-scan", "s_grid": []}, "s_grid"),
             ({"experiment": "bconv", "sample_size": 1}, "sample_size"),
             ({"experiment": "projection-scan", "sample_size": 1}, "sample_size"),
+            # both take the tables' budget, DEFAULT_WORD_CAP = 2*10^7
+            ({"experiment": "bconv", "atom_cap": 20_000_001}, "atom_cap must lie in"),
+            ({"experiment": "projection-scan", "sample_size": 20_000_001}, "sample_size must be"),
             ({"experiment": "sumset-dim", "s_values": [float("nan")]}, "finite"),
             ({"experiment": "gamma", "tolerance": float("nan")}, "finite"),
             ({"experiment": "gamma", "tolerance": -1}, "tolerance"),
@@ -111,6 +125,12 @@ class TestConfigValidation:
     def test_bad_values_rejected(self, extra, match):
         with pytest.raises(ConfigError, match=match):
             validate_config(extra)
+
+    @pytest.mark.parametrize("name, key", SIZE_KEYS, ids=[f"{n}-{k}" for n, k in SIZE_KEYS])
+    def test_integer_key_refused_at_two_to_the_62(self, name, key):
+        # a new size key with no bound fails here, not in a walk or an allocation
+        with pytest.raises(ConfigError, match=key):
+            experiments._build(validate_config({"experiment": name, key: 2**62}))
 
     def test_defaults_applied(self):
         cfg = validate_config({"experiment": "cascade-dim"})
@@ -515,6 +535,9 @@ class TestCli:
             # 0.5^-2000 overflows a float
             {"experiment": "projection-scan", "s_grid": [-2000.0], "depth_a": 8, "depth_b": 5, "atom_cap": 2000,
              "sample_size": 100},
+            # past DEFAULT_WORD_CAP: a draw or an exact grid too large to allocate
+            {"experiment": "bconv", "depth": 10, "sample_size": 4611686018427387904},
+            {"experiment": "bconv", "depth": 18, "atom_cap": 10**11},
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):
@@ -578,9 +601,12 @@ class TestCli:
              "ifs": [[0.33, 0.0], [0.33, 0.33], [0.33, 0.66]], "depth": 45},
             {"experiment": "projection-scan", "s_grid": [-2000.0], "depth_a": 8, "depth_b": 5, "atom_cap": 2000,
              "sample_size": 100},
+            # two words per level, but overlap_count lists them by base-2 codes: 2^63 > 2^62
+            {"experiment": "gamma", "subshift": [[0, 1], [1, 0]], "ifs": "tiling", "n_max": 70, "expect_gamma": 0.0},
         ],
         ids=["matrix-not-square", "alphabet-not-the-subshifts", "ifs-alphabet", "gamma-unequal-ratio",
-             "image-unequal-ratio", "law-mean", "factor-code-range", "ifs-code-range", "s-grid-overflow"],
+             "image-unequal-ratio", "law-mean", "factor-code-range", "ifs-code-range", "s-grid-overflow",
+             "gamma-code-range"],
     )
     def test_refused_before_any_walk(self, tmp_path, monkeypatch, capsys, cfg):
         # validation and the build step refuse each config before anything a run computes
