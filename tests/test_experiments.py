@@ -93,9 +93,6 @@ class TestConfigValidation:
             ({"experiment": "projection-scan", "s_grid": []}, "s_grid"),
             ({"experiment": "bconv", "sample_size": 1}, "sample_size"),
             ({"experiment": "projection-scan", "sample_size": 1}, "sample_size"),
-            # both take the tables' budget, DEFAULT_WORD_CAP = 2*10^7
-            ({"experiment": "bconv", "atom_cap": 20_000_001}, "atom_cap must lie in"),
-            ({"experiment": "projection-scan", "sample_size": 20_000_001}, "sample_size must be"),
             ({"experiment": "sumset-dim", "s_values": [float("nan")]}, "finite"),
             ({"experiment": "gamma", "tolerance": float("nan")}, "finite"),
             ({"experiment": "gamma", "tolerance": -1}, "tolerance"),
@@ -120,6 +117,9 @@ class TestConfigValidation:
             # an unhashable name is an unknown experiment, not a TypeError
             ({"experiment": ["gamma"]}, "unknown experiment"),
             ({"experiment": {"a": 1}}, "unknown experiment"),
+            # both take the tables' budget, DEFAULT_WORD_CAP = 2*10^7
+            ({"experiment": "bconv", "atom_cap": 20_000_001}, "atom_cap must lie in"),
+            ({"experiment": "projection-scan", "sample_size": 20_000_001}, "sample_size must be"),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
