@@ -53,7 +53,7 @@ while len(slopes) < 12:
     cm = cascade_measure(SymbolicMeasure.uniform(2), full2, WeightLaw.percolation(p), 16,
                          KeyedRng(42).derive(seed))
     seed += 1
-    if cm.is_degenerate:
+    if not len(cm):
         continue
     slopes.append(entropy_dimension(pushforward(cm, tiling), default_scales(0.5, 16)).slope)
 print(f"\npercolation({p}) cascade dimension over {len(slopes)} surviving seeds: "

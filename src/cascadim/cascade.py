@@ -34,21 +34,22 @@ reports need, and takes every weight from ``weights_from_uniforms``.
 scipy is imported only for the lognormal law, whose weights need its
 ``ndtri``: ``scipy.special`` takes about 0.3 s to import, more than most
 runs.  ``WeightLaw.lognormal`` imports it in the thread that builds the
-law, so ``weights_from_uniforms``, which worker threads call, finds it
-already loaded.  The import adds process-wide warning filters, which would
-be lost if it first ran inside the ``catch_warnings`` block that the
-experiment driver holds around its workers.
+law, before any worker starts, so ``weights_from_uniforms``, which worker
+threads call, finds it already loaded.
+
+A realization is the walk's leaves, and the walk drops every child of
+mass 0, so every ``CylinderMeasure`` mass is positive.  Whether the limit
+degenerates (``degenerate_regime``) depends on the law and the base
+measure alone, and the experiment driver reports it once per run.
 """
 from __future__ import annotations
 
 import importlib
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateCascadeWarning
 from .ifs import AffineIfs
 from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure, walk_tree
 from .symbolic import codes_to_letters  # noqa: F401  unused here, but perfbench/layers.py traces this name
@@ -276,8 +277,9 @@ def _inverse_cdf(weights, total: float, keys: int):
 class CylinderMeasure:
     """Depth-n discretization of a measure: mass per admissible length-n word.
 
-    Words are stored as sorted base-a codes; ``masses`` aligns with ``codes``.
-    Treated as immutable once built.
+    Words are stored as sorted base-a codes; ``masses`` aligns with ``codes``
+    and is positive: a word of mass 0 is not stored, and a zero, negative or
+    NaN mass raises ``ValueError``.  Treated as immutable once built.
     """
 
     def __init__(self, codes: np.ndarray, masses: np.ndarray, depth: int, alphabet_size: int):
@@ -285,19 +287,14 @@ class CylinderMeasure:
         self.masses = np.asarray(masses, dtype=np.float64)
         if self.codes.shape != self.masses.shape:
             raise ValueError("codes and masses must align")
+        if not (self.masses > 0).all():
+            raise ValueError("masses must be positive")
         self.depth = int(depth)
         self.alphabet_size = int(alphabet_size)
 
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-    @property
-    def is_degenerate(self) -> bool:
-        return not (self.masses > 0).any()
-
-    def positive_codes(self) -> np.ndarray:
-        return self.codes[self.masses > 0]
 
     def coarsen(self, depth: int) -> "CylinderMeasure":
         """Sum masses over suffixes down to the requested depth.
@@ -364,19 +361,11 @@ def cascade_measure(
     """One realization of the depth-n cascade stage of the base measure.
 
     mass(u) = (product of keyed weights along the prefixes of u) * base([u])
-    for every admissible u of length ``depth``; zero-weight subtrees are
-    pruned without touching their descendants.
+    for every admissible u of length ``depth`` whose mass is positive;
+    zero-weight subtrees are pruned without touching their descendants, so
+    a cascade that dies out gives an empty measure.
     """
-    h_v = law.weight_entropy()
-    h_mu = base.entropy()
-    if degenerate_regime(h_v, h_mu):
-        warnings.warn(
-            f"weight entropy {h_v:.6g} >= base entropy {h_mu:.6g}: "
-            "the cascade limit is degenerate (finite stages still computed)",
-            DegenerateCascadeWarning,
-        )
-    codes, masses = _grow(base, x, law, rng, depth, DEFAULT_WORD_CAP)
-    return CylinderMeasure(codes, masses, depth, x.alphabet_size)
+    return CylinderMeasure(*_grow(base, x, law, rng, depth, DEFAULT_WORD_CAP), depth, x.alphabet_size)
 
 
 def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng, ifs: AffineIfs) -> np.ndarray:

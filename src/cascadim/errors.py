@@ -39,9 +39,5 @@ class ConfigError(CascadimError):
     """An experiment configuration is malformed."""
 
 
-class DegenerateCascadeWarning(UserWarning):
-    """The weight entropy reaches the base entropy: the cascade degenerates."""
-
-
 class NonStationaryWarning(UserWarning):
     """A supplied Markov initial distribution was replaced by the stationary one."""

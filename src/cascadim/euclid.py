@@ -276,16 +276,13 @@ def pushforward(cm: CylinderMeasure, ifs: AffineIfs) -> AtomicMeasure:
     """
     if cm.alphabet_size != ifs.alphabet_size:
         raise ValueError("alphabet mismatch")
-    keep = cm.masses > 0
-    codes = cm.codes[keep]
-    masses = cm.masses[keep]
     x0 = ifs.fixed_point(1)
-    pts = ifs.points_for_codes(codes, cm.depth, x0)
-    if codes.size:
-        res = ifs.diameter * float(ifs.contractions_for_codes(codes, cm.depth).max())
+    pts = ifs.points_for_codes(cm.codes, cm.depth, x0)
+    if cm.codes.size:
+        res = ifs.diameter * float(ifs.contractions_for_codes(cm.codes, cm.depth).max())
     else:
         res = 0.0
-    atoms = AtomicMeasure(pts, masses, res)
+    atoms = AtomicMeasure(pts, cm.masses, res)
     lattice = ifs.lattice(cm.depth)
     if lattice is not None and x0.is_integer():
         atoms.scale = float(lattice[0] ** cm.depth)
@@ -349,14 +346,17 @@ def _ordered_cells(cells: np.ndarray, first: int, last: int) -> np.ndarray:
 
 
 def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: KeyedRng | None):
-    """The weights ``ws`` of the atoms (m1.points[i], m2.points[j]), and their index pairs in chunks.
+    """The weights ``ws`` of the atoms (m1.points[i], m2.points[j]), and their points in chunks.
 
-    Returns ``(ws, chunks)``; ``chunks`` yields ``(part, i, j)``, the index
-    pairs of the atoms ``ws[part]``.  The exact grid is one chunk, x-major,
-    so in (x, y) order.  Sampled pairs come in draw order, ``_PAIR_CHUNK``
-    at a time: chunk [start, stop) reads keys [start, stop) of the counter
-    streams 0xA1 (for i) and 0xA2 (for j), each factor's inverse-CDF lookup
-    is built once for all ``atom_cap`` keys, and every sampled atom weighs
+    Returns ``(ws, chunks)``; ``chunks`` yields ``(part, x, y)``, where ``x``
+    and ``y`` broadcast to the shape of ``ws[part]`` and give its atoms'
+    points.  The exact grid is one chunk: ``ws`` is n1 x n2 (x-major, so in
+    (x, y) order once flattened), ``part`` is ``...``, and ``x`` and ``y``
+    are the factors' points as a column and a row, so no index array is
+    built.  Sampled pairs come in draw order, ``_PAIR_CHUNK`` at a time:
+    chunk [start, stop) reads keys [start, stop) of the counter streams
+    0xA1 (for i) and 0xA2 (for j), each factor's inverse-CDF lookup is built
+    once for all ``atom_cap`` keys, and every sampled atom weighs
     total/atom_cap, so ``ws`` is that one weight broadcast to ``atom_cap``
     atoms (stride 0).  The pairs are those of drawing all ``atom_cap`` keys
     at once, bit for bit, while no array of ``atom_cap`` keys, indices or
@@ -365,11 +365,8 @@ def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Key
     each is checked before any draw.
     """
     _require_count(atom_cap, "atom_cap")
-    n1, n2 = len(m1), len(m2)
-    if n1 * n2 <= atom_cap:
-        i = np.repeat(np.arange(n1), n2)
-        j = np.tile(np.arange(n2), n1)
-        return (m1.weights[:, None] * m2.weights[None, :]).ravel(), [(slice(None), i, j)]
+    if len(m1) * len(m2) <= atom_cap:
+        return m1.weights[:, None] * m2.weights[None, :], [(..., m1.points[:, None], m2.points[None, :])]
     if rng is None:
         raise ValueError("a sampled product needs an rng")
     t1, t2 = m1.total_weight, m2.total_weight
@@ -379,23 +376,25 @@ def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: Key
 
 
 def _sampled_chunks(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: KeyedRng):
-    """The sampled ``(part, i, j)`` chunks of ``_product_pairs``."""
+    """The sampled ``(part, x, y)`` chunks of ``_product_pairs``."""
     draw_i = _inverse_cdf(m1.weights, m1.total_weight, atom_cap)
     draw_j = _inverse_cdf(m2.weights, m2.total_weight, atom_cap)
     keys_i, keys_j = rng.counter_stream(0xA1), rng.counter_stream(0xA2)
     for start in range(0, atom_cap, _PAIR_CHUNK):
         stop = min(start + _PAIR_CHUNK, atom_cap)
-        yield slice(start, stop), draw_i(_to_uniform(keys_i(start, stop))), draw_j(_to_uniform(keys_j(start, stop)))
+        x = m1.points[draw_i(_to_uniform(keys_i(start, stop)))]
+        yield slice(start, stop), x, m2.points[draw_j(_to_uniform(keys_j(start, stop)))]
 
 
 def _product_measure(weights: np.ndarray, fill, resolution: float) -> AtomicMeasure:
     """The measure of a product's atoms, whose points ``fill(out)`` writes into a new array ``out``.
 
     ``fill`` writes them, rather than a caller passing an array, so that no
-    caller holds ``out``.  An exact grid goes to ``AtomicMeasure``.  A
-    sampled product has one weight (``weights`` has stride 0), and its
-    measure is bit for bit the one the constructor builds from ``np.full``
-    of it, with no weight per point.  ``out`` is sorted in place: with one
+    caller holds ``out``.  ``out`` takes the shape of ``weights``: an exact
+    grid's n1 x n2, flattened for ``AtomicMeasure``.  A sampled product has
+    one weight (``weights`` has stride 0), and its measure is bit for bit
+    the one the constructor builds from ``np.full`` of it, with no weight
+    per point.  ``out`` is sorted in place: with one
     weight, the order among equal points cannot change a merged sum, and
     the run of zeros is led by the first zero given, as a stable sort leads
     it.  The runs are marked once, ``out`` is dropped once their first
@@ -403,10 +402,10 @@ def _product_measure(weights: np.ndarray, fill, resolution: float) -> AtomicMeas
     (``_run_weights``).
     """
     weights = np.asarray(weights, dtype=np.float64)
-    points = np.empty(weights.size)
+    points = np.empty(weights.shape)
     fill(points)
     if not weights.size or weights.strides != (0,):
-        return AtomicMeasure(points, weights, resolution)
+        return AtomicMeasure(points.reshape(-1), weights.reshape(-1), resolution)
     weight = weights[0]
     _check_atoms(points, weight, resolution)
     first_zero = points[np.argmax(points == 0)]
@@ -457,15 +456,16 @@ def product(
     needs.  Every sampled atom weighs total/atom_cap, and ``weights`` is
     that one weight broadcast, with no array of its own.  The pairs are
     drawn chunk by chunk into one preallocated ``xs`` and ``ys`` (see
-    ``_product_pairs``, which also says what is refused), so a sampled
-    product allocates those two arrays and chunk-sized scratch.
+    ``_product_pairs``, which also says what is refused), so a product
+    allocates those two arrays and chunk-sized scratch, and an exact grid
+    its weights too.
     """
     ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
-    xs, ys = np.empty(ws.size), np.empty(ws.size)
-    for part, i, j in chunks:
-        xs[part] = m1.points[i]
-        ys[part] = m2.points[j]
-    return ProductPairs(xs, ys, ws, max(m1.resolution, m2.resolution))
+    xs, ys = np.empty(ws.shape), np.empty(ws.shape)
+    for part, x, y in chunks:
+        xs[part] = x
+        ys[part] = y
+    return ProductPairs(xs.reshape(-1), ys.reshape(-1), ws.reshape(-1), max(m1.resolution, m2.resolution))
 
 
 def projection_coefficient(delta: float, s: float) -> float:
@@ -528,8 +528,8 @@ def convolve(
     ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
 
     def sums(out):
-        for part, i, j in chunks:
-            np.add(m1.points[i], m2.points[j], out=out[part])
+        for part, x, y in chunks:
+            np.add(x, y, out=out[part])
 
     return _product_measure(ws, sums, m1.resolution + m2.resolution)
 

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +24,7 @@ import numpy as np
 
 from .cascade import KeyedRng, WeightLaw, cascade_measure, degenerate_regime, percolation_codes
 from .dimension import box_dimension, default_scales, entropy_dimension
-from .errors import CapExceeded, CascadimError, ConfigError, DegenerateCascadeWarning
+from .errors import CapExceeded, CascadimError, ConfigError
 from .euclid import (
     bernoulli_convolution,
     convolve,
@@ -453,17 +452,12 @@ def run_cascade_dim(cfg, law, shift, ifs, base) -> Findings:
 
     def worker(rng, idx):
         cm = cascade_measure(base, shift, law, depth, rng)
-        if cm.is_degenerate:
+        if len(cm) == 0:
             return None
         return entropy_dimension(pushforward(cm, ifs), scales)
 
     table = shift.successor_table() * base.step_table()
-    # the report carries the degenerate regime as a warning of its own; the
-    # filter is set here, not in the workers, because the filter list is
-    # shared by every thread
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateCascadeWarning)
-        fits, discarded = _surviving(cfg, _survival(table, law.positive_probability(), depth), worker)
+    fits, discarded = _surviving(cfg, _survival(table, law.positive_probability(), depth), worker)
     return Findings(
         target={"value": target, "formula": "(h_mu - h_V) / log(1/delta), delta = 1/a"},
         checks=[_check([f.slope for f in fits], target, cfg["tolerance"])],

@@ -130,7 +130,7 @@ def test_criterion_01_bitwise_consistency():
         stepwise = cm.coarsen(11).coarsen(10).coarsen(8)
         ok &= np.array_equal(direct.codes, stepwise.codes)
         ok &= np.array_equal(direct.masses, stepwise.masses)
-        ok &= np.array_equal(cm.positive_codes(), percolation_codes(full2, 0.7, 12, rng, AffineIfs.tiling(2)))
+        ok &= np.array_equal(cm.codes, percolation_codes(full2, 0.7, 12, rng, AffineIfs.tiling(2)))
     assert report("1b bitwise coarsening/support equality, 100 seeds", ok, "depth 12")
 
 

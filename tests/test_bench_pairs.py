@@ -56,6 +56,40 @@ def test_higher_is_better_and_worse_head():
     assert same["gain"] == 0.0 and str(same["gain"]) == "0.0"
 
 
+def test_loss_beyond_the_base_spread_is_a_loss():
+    base = [1.0, 1.01, 0.99, 1.0, 1.02]
+    head = [1.2, 1.19, 1.21, 1.2, 1.22]
+    stats = bench_pairs.compare(base, head, "lower")
+    assert stats["gain"] == pytest.approx(-0.2) and stats["base_iqr"] == pytest.approx(0.01)
+    assert stats["verdict"] == "loss" and stats["beyond_iqr"] is False
+    line = bench_pairs.report_line("w.run_s", stats)
+    assert "is a loss beyond the BASE interquartile distance" in line and "within" not in line
+    assert stats["bound"] is None and stats["past_bound"] is None  # no bound given, none printed
+    # the same loss inside a wider spread is within it
+    wide = bench_pairs.compare([0.7, 0.9, 1.0, 1.1, 1.3], head, "lower")
+    assert wide["verdict"] == "within"
+    assert "is within the BASE interquartile distance" in bench_pairs.report_line("w.run_s", wide)
+    gain = bench_pairs.compare(head, base, "lower")
+    assert gain["verdict"] == "gain" and "is a gain beyond" in bench_pairs.report_line("w.run_s", gain)
+
+
+@pytest.mark.parametrize(
+    "base, head, better, bound, change, past",
+    [
+        ([1.0, 1.0, 1.0], [1.3, 1.3, 1.3], "lower", 0.25, 0.3, True),
+        ([1.0, 1.0, 1.0], [1.2, 1.2, 1.2], "lower", 0.25, 0.2, False),
+        ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], "lower", 0.25, -0.5, False),  # a gain is never past its bound
+        ([1.0, 1.0], [0.98, 0.98], "higher", 0.01, -0.02, True),
+        ([1.0, 1.0], [0.995, 0.995], "higher", 0.01, -0.005, False),
+    ],
+)
+def test_relative_change_against_the_bound(base, head, better, bound, change, past):
+    stats = bench_pairs.compare(base, head, better, bound)
+    assert stats["relative_change"] == pytest.approx(change) and stats["past_bound"] is past
+    where = "past" if past else "within"
+    assert f"median change {change:+.2%}, {where} bound {bound:.0%}" in bench_pairs.report_line("w.m", stats)
+
+
 def test_unpaired_values_refused():
     with pytest.raises(ValueError):
         bench_pairs.compare([1.0, 2.0], [1.0], "lower")
@@ -121,3 +155,30 @@ def test_counts_pass_exits_1_on_any_changed_count(tmp_path, monkeypatch, capsys,
         assert report["counts"]["differences"] == ["euclid.atoms: BASE 1648318, HEAD 1648319"]
     else:
         assert "every per-layer count is the same" in printed and report["counts"]["differences"] == []
+
+
+def test_out_summary_holds_the_verdict_and_the_bound(tmp_path, monkeypatch, capsys):
+    for side in ("base", "head"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "base" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+        {"name": "run_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.25}]}))
+
+    def run_side(side, workload, seed, seconds, trace=False):
+        slow = side.name == "head"
+        metrics = {"run_s": {"value": (0.40 if slow else 0.30) + seed / 1000, "unit": "s"},
+                   "peak_rss_mb": {"value": 90.0 + seed / 100, "unit": "MB"}}
+        return 0, {"metrics": metrics}, ""
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "out.json"
+    argv = [str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "bconv", "--pairs", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    summary = json.loads(out.read_text())["summary"]
+    run_s, rss = summary["bconv.run_s"], summary["bconv.peak_rss_mb"]
+    assert run_s["verdict"] == "loss" and run_s["bound"] == 0.25 and run_s["past_bound"] is True
+    assert run_s["relative_change"] == pytest.approx(0.1 / 0.302)
+    assert rss["verdict"] == "within" and rss["past_bound"] is False and rss["relative_change"] == 0.0
+    printed = capsys.readouterr().out
+    assert "bconv.run_s:" in printed and "is a loss beyond" in printed and "past bound 25%" in printed
+    assert "median change +0.00%, within bound 25%" in printed

@@ -18,8 +18,8 @@ from cascadim import (
     percolation_codes,
 )
 from cascadim import symbolic
-from cascadim.cascade import _grow, _keep_threshold, _to_uniform
-from cascadim.errors import CapExceeded, DegenerateCascadeWarning
+from cascadim.cascade import _grow, _keep_threshold, _to_uniform, degenerate_regime
+from cascadim.errors import CapExceeded
 from cascadim.symbolic import codes_to_letters, walk_tree
 from oracles import cell_offsets, cylinder_mass, draw_weight
 
@@ -226,15 +226,34 @@ class TestCascadeMeasure:
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - target) < 4 * se
 
-    def test_degenerate_regime_warns(self, uniform2):
-        with pytest.warns(DegenerateCascadeWarning):
-            cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.4), 8, KeyedRng(1))
+    def test_degenerate_cascade_computes_its_stages_without_warning(self, uniform2):
+        # h_V = -log 0.4 > log 2: the limit dies, but each finite stage is the walk's leaves
+        law = WeightLaw.percolation(0.4)
+        assert degenerate_regime(law.weight_entropy(), uniform2.entropy())
+        for seed in range(8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cm = cascade_measure(uniform2, Subshift.full(2), law, 8, KeyedRng(1).derive(seed))
+            codes = percolation_codes(Subshift.full(2), 0.4, 8, KeyedRng(1).derive(seed), TILING2)
+            assert np.array_equal(cm.codes, codes)
+            assert cm.masses == pytest.approx(np.full(len(cm), 1.25**8), rel=1e-12)
 
     def test_unit_law_never_degenerate(self):
-        # V = 1 keeps mass 1 at every depth: h_V = -0.0 >= h_mu = -0.0 must not warn
+        # V = 1 keeps mass 1 at every depth: h_V = -0.0 >= h_mu = -0.0 is no degenerate regime
+        assert not degenerate_regime(WeightLaw.percolation(1.0).weight_entropy(),
+                                     SymbolicMeasure.bernoulli([1.0, 0.0]).entropy())
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DegenerateCascadeWarning)
+            warnings.simplefilter("error")
             bernoulli_convolution(0.4, 1.0, 8)
+
+    def test_dying_cascade_is_empty(self, uniform2):
+        law = WeightLaw.percolation(0.4)
+        dead = [seed for seed in range(20)
+                if not len(cascade_measure(uniform2, Subshift.full(2), law, 8, KeyedRng(1).derive(seed)))]
+        assert dead  # survival to depth 8 is about 0.03 here
+        cm = cascade_measure(uniform2, Subshift.full(2), law, 8, KeyedRng(1).derive(dead[0]))
+        assert cm.codes.size == cm.masses.size == 0 and cm.total_mass == 0.0
+        assert len(cm.coarsen(3)) == 0 and cm.coarsen(3).depth == 3
 
     def test_cap_exceeded(self, uniform2):
         with pytest.raises(CapExceeded):
@@ -258,6 +277,32 @@ class TestCascadeMeasure:
             percolation_codes(Subshift.full(2), 0.6, 8, KeyedRng(5), AffineIfs.tiling(3))
 
 
+class TestCylinderMeasure:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_non_positive_mass_refused(self, bad):
+        with pytest.raises(ValueError, match="masses must be positive"):
+            CylinderMeasure(np.array([0, 1, 3]), np.array([0.5, bad, 0.25]), 2, 2)
+
+    def test_empty_measure_accepted(self):
+        cm = CylinderMeasure(np.zeros(0, dtype=np.int64), np.zeros(0), 4, 2)
+        assert len(cm) == 0 and cm.total_mass == 0.0 and len(cm.coarsen(0)) == 0
+
+
+class TestDegenerateRegime:
+    @pytest.mark.parametrize(
+        "h_v, h_mu, degenerate",
+        [
+            (-math.log(0.4), math.log(2), True),  # percolation p = 0.4 on the uniform binary base
+            (-math.log(0.7), math.log(2), False),
+            (0.0, 0.0, False),  # the unit law keeps mass 1 at every depth
+            (math.log(2), math.log(2), True),  # h_V = h_mu > 0: the critical case dies too
+        ],
+        ids=["p0.4", "p0.7", "unit-law", "critical"],
+    )
+    def test_cases(self, h_v, h_mu, degenerate):
+        assert degenerate_regime(h_v, h_mu) is degenerate
+
+
 class TestCoarsening:
     def test_stepwise_equals_direct_bitwise(self, uniform2):
         cm = cascade_measure(uniform2, Subshift.full(2), WeightLaw.lognormal(0.5), 12, KeyedRng(9))
@@ -275,7 +320,7 @@ class TestCoarsening:
     def test_coarsened_support_is_prefix_set(self, uniform2):
         cm = cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.6), 10, KeyedRng(31))
         coarse = cm.coarsen(7)
-        assert np.array_equal(np.unique(cm.positive_codes() // 2**3), coarse.positive_codes())
+        assert np.array_equal(np.unique(cm.codes // 2**3), coarse.codes)
 
 
 class TestPercolation:
@@ -292,7 +337,7 @@ class TestPercolation:
         for seed in range(20):
             rng = KeyedRng(600).derive(seed)
             cm = cascade_measure(uniform2, Subshift.full(2), WeightLaw.percolation(0.7), 12, rng)
-            assert np.array_equal(cm.positive_codes(), percolation_codes(Subshift.full(2), 0.7, 12, rng, TILING2))
+            assert np.array_equal(cm.codes, percolation_codes(Subshift.full(2), 0.7, 12, rng, TILING2))
 
     def test_prefix_nesting_inclusion(self):
         # prefixes of depth-(n+1) survivors are depth-n survivors; the reverse

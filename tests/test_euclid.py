@@ -625,6 +625,36 @@ class TestProduct:
             sigma = w * math.sqrt(p * (1 - p) / n)
             assert abs(ms - me) < 4 * sigma + 1e-12
 
+    def test_exact_grid_is_x_major_bit_for_bit(self):
+        m1, m2 = bernoulli_convolution(0.4, 0.9, 5), bernoulli_convolution(0.35, 0.85, 4)
+        i, j = np.repeat(np.arange(len(m1)), len(m2)), np.tile(np.arange(len(m2)), len(m1))
+        w = m1.weights[i] * m2.weights[j]
+        prod = product(m1, m2, atom_cap=len(m1) * len(m2))
+        assert prod.xs.shape == prod.ys.shape == prod.weights.shape == (len(m1) * len(m2),)
+        for got, want in ((prod.xs, m1.points[i]), (prod.ys, m2.points[j]), (prod.weights, w)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        conv = convolve(m1, m2, atom_cap=len(m1) * len(m2))
+        want = AtomicMeasure(m1.points[i] + m2.points[j], w, m1.resolution + m2.resolution)
+        assert np.array_equal(conv.points.view(np.int64), want.points.view(np.int64))
+        assert np.array_equal(conv.weights.view(np.int64), want.weights.view(np.int64))
+
+    def test_exact_grid_peak_memory(self):
+        # no index array per atom: the points and weights of the grid, and what
+        # AtomicMeasure needs to sort and merge them (6.0 and 8.75 arrays of
+        # N floats with index arrays)
+        m1, m2 = bernoulli_convolution(0.6, 0.5, 10), bernoulli_convolution(0.7, 0.3, 10)
+        n = len(m1) * len(m2)
+        assert n == 2**20
+        peaks = {}
+        for build in (product, convolve):
+            tracemalloc.start()
+            try:
+                build(m1, m2, atom_cap=n)
+                peaks[build.__name__] = tracemalloc.get_traced_memory()[1] / (8 * n)
+            finally:
+                tracemalloc.stop()
+        assert peaks["product"] < 3.5 and peaks["convolve"] < 7.0, peaks
+
 
 class TestChunkedProduct:
     """Sampled products drawn in chunks against the whole draw of ``oracles.sampled_pairs``, bit for bit."""

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cascadim import Subshift, WeightLaw, cli, experiments, ifs as ifs_module
+from cascadim import KeyedRng, Subshift, WeightLaw, cli, experiments, ifs as ifs_module
 from cascadim.cli import main
 from cascadim.dimension import entropy_dimension
-from cascadim.errors import CascadimError, ConfigError, DegenerateCascadeWarning
+from cascadim.errors import CascadimError, ConfigError
 from cascadim.experiments import (
     load_config,
     rational_approximation,
@@ -257,10 +257,10 @@ class TestReports:
         assert set(echoed) <= set(rep.params)
 
     def test_threads_leave_the_warning_filters_alone(self):
-        # the filter list is shared by every thread: workers that each set and
-        # restored it would restore one another's "ignore".  Importing
-        # scipy.special adds filters of its own, and building a lognormal law
-        # is what imports it, so the snapshot is taken after one is built.
+        # the filter list is shared by every thread, so no run may change it.
+        # Importing scipy.special adds filters of its own, and building a
+        # lognormal law is what imports it, so the snapshot is taken after
+        # one is built.
         WeightLaw.lognormal(0.5)
         before = list(warnings.filters)
         for seed in range(6):
@@ -269,13 +269,26 @@ class TestReports:
             assert warnings.filters == before
 
     def test_degenerate_cascade_warning_stays_in_the_report(self):
-        # h_V = -log 0.45 > log 2: every draw warns, the report says it once
+        # h_V = -log 0.45 > log 2: the report says it once, and no draw warns
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = run_experiment({"experiment": "cascade-dim", "p": 0.45, "depth": 8, "trials": 3,
                                   "threads": 2, "seed": 1})
-        assert not [w for w in caught if issubclass(w.category, DegenerateCascadeWarning)]
-        assert any(w.startswith("degenerate regime") for w in rep.warnings)
+        assert caught == []
+        assert [w for w in rep.warnings if w.startswith("degenerate regime")] == [
+            "degenerate regime: h_V >= h_mu, cascade dies almost surely: verdict is advisory"
+        ]
+
+    def test_dying_cascades_are_the_discarded_draws(self):
+        # a draw whose cascade dies out is an empty measure, which the worker discards
+        cfg = validate_config({"experiment": "cascade-dim", "p": 0.55, "depth": 8, "trials": 4, "seed": 3,
+                               "threads": 1})
+        built = experiments._build(cfg)
+        alive = [len(experiments.cascade_measure(built["base"], built["shift"], built["law"], 8,
+                                                 KeyedRng(3).derive(i))) > 0 for i in range(200)]
+        last = [i for i, a in enumerate(alive) if a][3]
+        assert alive[: last + 1].count(False) > 0
+        assert run_experiment(cfg).discarded_seeds == alive[: last + 1].count(False)
 
     def test_degenerate_cascade_is_advisory(self):
         # h_V = -log 0.45 > log 2: the target (h_mu - h_V)/log 2 = -0.15 is no dimension

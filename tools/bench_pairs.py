@@ -11,9 +11,12 @@ W may be ``all``.
 For each end-to-end metric of each workload it prints both sides' median and
 quartiles (``statistics.quantiles`` with the inclusive method), the pairs in
 which HEAD is better (ties count for neither side), and whether HEAD's median
-is better than BASE's by more than BASE's interquartile distance.  A gain may
-be claimed only when HEAD wins at least nine tenths of the pairs and that last
-test holds.
+is better than BASE's by more than BASE's interquartile distance (a gain),
+worse by more than it (a loss), or neither (within).  A gain may be claimed
+only when HEAD wins at least nine tenths of the pairs and its median is a
+gain.  It also prints the median's relative change against the metric's
+``bound`` in BASE's ``BENCHMARK.json``: "past bound" when HEAD's median is
+worse than BASE's by more than that fraction of it, else "within bound".
 
 ``--counts`` first runs one ``--trace 1`` pass of seed 1 in each checkout
 and prints every per-layer count (a metric of unit ``count``) that differs
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -41,12 +45,16 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def compare(base, head, better: str) -> dict:
+def compare(base, head, better: str, bound: float | None = None) -> dict:
     """Paired comparison of one metric: ``base[k]`` and ``head[k]`` come from pair k.
 
     ``better`` is ``"lower"`` or ``"higher"``.  ``gain`` is how much better
     HEAD's median is than BASE's (negative when it is worse), and
     ``beyond_iqr`` whether that gain exceeds BASE's interquartile distance.
+    ``verdict`` is ``"gain"`` then, ``"loss"`` when the loss exceeds that
+    distance, else ``"within"``.  ``relative_change`` is HEAD's median less
+    BASE's, over BASE's; ``past_bound`` says whether HEAD is worse by more
+    than ``bound`` in those terms (None without a bound).
     """
     if len(base) != len(head) or not base:
         raise ValueError("need one BASE and one HEAD value per pair")
@@ -54,6 +62,8 @@ def compare(base, head, better: str) -> dict:
     b, h = quartiles(base), quartiles(head)
     gain = sign * (b[1] - h[1]) + 0.0  # + 0.0: no -0.0 for equal medians
     iqr = b[2] - b[0]
+    change = h[1] - b[1]
+    relative = change / abs(b[1]) if b[1] else (0.0 if change == 0 else math.copysign(math.inf, change))
     return {
         "pairs": len(base),
         "wins": sum(sign * (x - y) > 0 for x, y in zip(base, head)),
@@ -62,16 +72,22 @@ def compare(base, head, better: str) -> dict:
         "gain": gain,
         "base_iqr": iqr,
         "beyond_iqr": gain > iqr,
+        "verdict": "gain" if gain > iqr else "loss" if -gain > iqr else "within",
+        "relative_change": relative,
+        "bound": bound,
+        "past_bound": None if bound is None else sign * relative > bound,
     }
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict[str, dict]:
+def summarize(runs: list[dict], directions: dict[str, str], bounds: dict[str, float] | None = None) -> dict[str, dict]:
     """``compare`` for every metric of the runs, keyed by metric name.
 
     ``runs`` holds one ``{"side", "seed", "result"}`` entry per run, where
     ``result`` is the benchmark's JSON line; ``directions`` maps a metric's
-    last name part (``run_s``) to its ``better``.
+    last name part (``run_s``) to its ``better``, and ``bounds`` to its
+    ``bound``.
     """
+    bounds = bounds or {}
     values: dict[str, dict[str, dict[int, float]]] = {}
     for run in runs:
         for name, metric in run["result"]["metrics"].items():
@@ -81,19 +97,27 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict[str, dict]:
         seeds = sorted(set(sides["BASE"]) & set(sides["HEAD"]))
         base = [sides["BASE"][s] for s in seeds]
         head = [sides["HEAD"][s] for s in seeds]
-        summary[name] = compare(base, head, directions[name.rsplit(".", 1)[-1]])
+        last = name.rsplit(".", 1)[-1]
+        summary[name] = compare(base, head, directions[last], bounds.get(last))
     return summary
+
+
+_VERDICTS = {"gain": "is a gain beyond", "loss": "is a loss beyond", "within": "is within"}
 
 
 def report_line(name: str, stats: dict) -> str:
     b, h = stats["base"], stats["head"]
-    verdict = "beyond" if stats["beyond_iqr"] else "within"
-    return (
+    line = (
         f"{name}: BASE {b['median']:.6g} ({b['q1']:.6g}..{b['q3']:.6g}), "
         f"HEAD {h['median']:.6g} ({h['q1']:.6g}..{h['q3']:.6g}); "
         f"HEAD better in {stats['wins']} of {stats['pairs']} pairs; "
-        f"median gain {stats['gain']:.6g} is {verdict} the BASE interquartile distance {stats['base_iqr']:.6g}"
+        f"median gain {stats['gain']:.6g} {_VERDICTS[stats['verdict']]} "
+        f"the BASE interquartile distance {stats['base_iqr']:.6g}"
     )
+    if stats["bound"] is not None:
+        where = "past" if stats["past_bound"] else "within"
+        line += f"; median change {stats['relative_change']:+.2%}, {where} bound {stats['bound']:.0%}"
+    return line
 
 
 def count_differences(base: dict, head: dict) -> list[str]:
@@ -136,6 +160,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     runs, failed, counts = [], 0, None
     if args.counts:
         traced = {}
@@ -165,7 +190,7 @@ def main(argv=None) -> int:
             if args.workload != "all":  # name the metrics as a run of all workloads does
                 result["metrics"] = {f"{args.workload}.{k}": v for k, v in result["metrics"].items()}
             runs.append({"side": label, "seed": seed, "finished": finished, "result": result})
-    summary = summarize(runs, directions)
+    summary = summarize(runs, directions, bounds)
     for name, stats in summary.items():
         print(report_line(name, stats))
     if args.out is not None:
