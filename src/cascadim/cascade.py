@@ -377,6 +377,9 @@ def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng, ifs: Aff
     their cell offsets where ``ifs.lattice(depth)`` routes (``walk_tree``'s
     numeral), else by their base-a codes, which come out sorted.  On an
     m-adic tiling the two agree, so ``AffineIfs.tiling(a)`` gives the codes.
+    Cell offsets come one per word, in walk order, while the words number at
+    most ``last - first`` of ``ifs.cell_range(depth)``; past that the walk
+    returns the distinct cells, sorted (``walk_tree``).
     """
     WeightLaw.percolation(p)  # the same refusals as the law
     if depth < 1:

@@ -303,7 +303,10 @@ def set_image(words: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
     are bit for bit those of the float path (``hull_images``), which every
     other IFS takes, and there ``words`` are base-a codes in ``[0, a^n)``.
     Words that are not integers, or lie outside their range, raise
-    ``ValueError``; ``words`` is not changed.  ``IntervalSet`` merges either.
+    ``ValueError``; ``words`` is not changed.  ``IntervalSet`` merges either,
+    repeated cells too: a walk whose words outnumber their range's cells
+    hands on the distinct cells in order (``walk_tree``), so no step here
+    drops repeats.
     """
     if len(words) == 0:
         return IntervalSet.empty()
@@ -319,26 +322,9 @@ def set_image(words: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
         first, last = ifs.cell_range(length)
         if words.min() < first or words.max() > last:
             raise ValueError(f"cell offsets must lie in [{first}, {last}]")
-        cells = _ordered_cells(words, first, last)
-        los = (cells + lo) / m**length
-        his = (cells + hi) / m**length
+        los = (words + lo) / m**length
+        his = (words + hi) / m**length
     return IntervalSet(los, his, source_scale=float((his - los).max()))
-
-
-def _ordered_cells(cells: np.ndarray, first: int, last: int) -> np.ndarray:
-    """The int64 ``cells``, all in ``[first, last]``, distinct and in order when that range is narrow.
-
-    A range of at most ``len(cells)`` values is marked in a boolean array and
-    read back, which drops repeats; the cells of a wider range are returned
-    as they are, for ``IntervalSet`` to sort.  ``cells`` is not changed.
-    """
-    if last - first >= len(cells):
-        return cells
-    marked = np.zeros(last - first + 1, dtype=bool)
-    marked[cells - first if first else cells] = True
-    cells = np.flatnonzero(marked)
-    cells += first
-    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dimension import fit_loglog
-from .symbolic import Subshift, _capped_word_count, codes_to_letters
+from .symbolic import Subshift, _capped_word_count, codes_to_letters, numbering
 
 __all__ = ["AffineIfs", "OverlapProfile", "overlap_count", "gamma_estimate"]
 
@@ -107,14 +107,11 @@ class AffineIfs:
         """``(first, last)``, the least and greatest cell offset P(u) on the grid of ``lattice(length)``.
 
         They are ``min(d) S`` and ``max(d) S`` with ``S = (m^n - 1)/(m - 1)``,
-        n = ``length``; None when ``lattice(length)`` is.
+        n = ``length``, the range of the walk's ``numbering``; None when
+        ``lattice(length)`` is.
         """
         lattice = self.lattice(length)
-        if lattice is None:
-            return None
-        m, digits, _, _ = lattice
-        span = (m**length - 1) // (m - 1)
-        return min(digits) * span, max(digits) * span
+        return None if lattice is None else numbering(self.alphabet_size, length, lattice[:2])[2]
 
     # -- coding map over code arrays ------------------------------------------
 
@@ -208,9 +205,10 @@ def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
     ``CapExceeded``.
 
     When ``ifs.lattice(n)`` routes the IFS and ``ifs.cell_range(n)`` spans
-    at most as many cells as there are words (the rule of ``set_image``'s
-    bitmap), the words are never listed: ``_cell_histogram`` counts them per cell, and the count is
-    the largest sum over a window of ``hi - lo + 3`` consecutive cells, the
+    at most as many cells as there are words (the rule by which a lattice
+    ``walk_tree`` marks its cells), the words are never listed:
+    ``_cell_histogram`` counts them per cell, and the count is the largest
+    sum over a window of ``hi - lo + 3`` consecutive cells, the
     lower ends from k - length - 2 radius to k in units of m^-n.  Every
     float step of the general path is exact on the lattice, so both give the
     same count.  Otherwise the words come from ``x.admissible_codes(n)`` and

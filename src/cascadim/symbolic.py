@@ -13,7 +13,8 @@ Large word sets are handled as sorted ``int64`` arrays of base-``a`` codes
 equal to numeric order.  Where letters are needed, ``codes_to_letters``
 decodes the codes into an ``(N, n)`` letter matrix.  ``walk_tree`` can
 number its words by another numeral instead, such as the cell offsets of a
-lattice IFS (see there).
+lattice IFS, and then gives distinct cells where words would outnumber them
+(see there).
 """
 from __future__ import annotations
 
@@ -59,28 +60,32 @@ def codes_to_letters(codes: np.ndarray, length: int, alphabet_size: int) -> np.n
 
 
 def numbering(a: int, depth: int, numeral=None):
-    """``walk_tree``'s ``(m, digits)`` for ``numeral``; base-``a`` codes, with ``digits`` None, without one.
+    """``walk_tree``'s ``(m, digits, (first, last))`` for ``numeral``; base-``a`` codes without one.
 
-    Numbers are int64, so a numbering whose largest ``|number|`` at level k,
-    ``top * (m^k - 1)/(m - 1)`` with ``top`` the largest ``|digit|``,
-    reaches 2^62 raises ``CapExceeded`` at the first such level, where the
-    number is still short to build and print.  This is the one code-range
-    rule: a caller checks a walk before it runs by calling it with the
-    walk's numbering.
+    Codes have ``digits`` None.  ``first`` and ``last`` are the least and
+    greatest number a length-``depth`` word can take: ``min(d) S`` and
+    ``max(d) S`` with ``S = (m^n - 1)/(m - 1)`` and d the digits (``0..a-1``
+    for codes).  Numbers are int64, so a
+    numbering whose largest ``|number|`` at level k, ``max|d| S``, reaches
+    2^62 raises ``CapExceeded`` at the first such level, where the number is
+    still short to build and print.  This is the one code-range rule: a
+    caller checks a walk before it runs by calling it with the walk's
+    numbering.
     """
     if numeral is None:
-        m, digits, top = a, None, a - 1
+        m, digits, low, high = a, None, 0, a - 1
     else:
         m, digits = numeral[0], np.array(numeral[1], dtype=np.int64)
         if digits.shape != (a,):
             raise ValueError(f"numeral needs one digit per letter, {a}")
-        top = int(np.abs(digits).max())
-    reach = 0  # the largest |number| at level k
+        low, high = int(digits.min()), int(digits.max())
+    span = 0  # S at level k
     for k in range(1, depth + 1):
-        reach = reach * m + top
+        span = span * m + 1
+        reach = max(-low, high) * span  # the largest |number| at level k
         if reach >= 2**62:
             raise CapExceeded(reach + 1, 2**62, what=f"code range at level {k} of {depth}")
-    return m, digits
+    return m, digits, (low * span, high * span)
 
 
 def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, numeral=None):
@@ -124,7 +129,12 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     numbered ``N(parent)*m + digits[letter - 1]`` instead: with the
     ``(m, digits)`` of ``AffineIfs.lattice(depth)`` that is the word's cell
     offset ``P(u) = sum_j d(u_j) m^(depth-j)``, which need not be sorted
-    or distinct.
+    or distinct.  A boolean walk so numbered lists its leaf blocks until they
+    outnumber the cells of its number range ``[first, last]`` (``numbering``);
+    from then on it marks every leaf block in a boolean array over that range
+    and returns the marked cells, distinct and in increasing order, with all-True
+    masses.  So a many-to-one lattice walk gives its distinct cells, never
+    more numbers than the range holds, and no list of every word.
 
     Returns the numbers and masses of the length-``depth`` words; no
     shallower level outlives its blocks.  Numbers are int64, so a walk
@@ -132,7 +142,7 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     of wrapping (``numbering``); so does a level of more than ``cap`` nodes.
     """
     a = table.shape[1]
-    m, digits = numbering(a, depth, numeral)
+    m, digits, (first, last) = numbering(a, depth, numeral)
     codes = np.zeros(1, dtype=np.int64)
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:
@@ -150,6 +160,7 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     counts = [0] * depth
     leaf_codes = [np.zeros(0, dtype=np.int64)]
     leaf_masses = [np.zeros(0, dtype=table.dtype)]
+    listed, marked = 0, None
     while pending:
         length, codes, row, parent_masses, states = pending.pop()
         children = len(codes) * a
@@ -183,6 +194,13 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
             leaf_codes.append(codes)
             if not full:
                 leaf_masses.append(masses)
+            listed += len(codes)
+            if listed > last - first and digits is not None and table.dtype == bool:
+                if marked is None:
+                    marked = np.zeros(last - first + 1, dtype=bool)
+                for block in leaf_codes:
+                    marked[block - first] = True
+                del leaf_codes[:], leaf_masses[:]
             continue
         if weigh is not None:
             if parent is None:
@@ -201,6 +219,10 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
                 (length, codes[block], row[block], None if full else masses[block],
                  None if weigh is None else states[:, block])
             )
+    if marked is not None:
+        codes = np.flatnonzero(marked)
+        codes += first
+        return codes, np.ones(len(codes), dtype=bool)
     codes = np.concatenate(leaf_codes)
     if full:
         return codes, np.ones(len(codes), dtype=bool)

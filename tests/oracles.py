@@ -10,7 +10,9 @@ and ``cylinder_interval`` against ``AffineIfs.points_for_codes``,
 against the cell numbering of the tree walk, ``draw_weight`` against the
 keyed tree walk, and ``merged_atoms`` against ``AtomicMeasure``'s sort and
 merge.  ``cell_offsets`` takes base-a codes and sums ``cell_offset``'s
-definition over all of them at once.  ``counter_hashes`` and
+definition over all of them at once, and ``walked_numbers`` turns the
+numbers of a walk's words into what a boolean walk numbered that way
+returns.  ``counter_hashes`` and
 ``sampled_pairs`` draw a sampled product whole, every key of a counter
 stream in one array and a plain search per factor, against the chunked
 draw of ``product`` and ``convolve``.
@@ -107,6 +109,21 @@ def cell_offsets(ifs, codes, length) -> np.ndarray:
     for j in range(1, length + 1):
         out += d[letters[:, j - 1] - 1] * m ** (length - j)
     return out
+
+
+def walked_numbers(numbers, numeral, length):
+    """What a boolean walk numbered by ``numeral = (m, digits)`` returns for words of these ``numbers``, in walk order.
+
+    A length-n number lies in [first, last] = [min(d) S, max(d) S] with
+    S = 1 + m + ... + m^(n-1).  While the words number at most ``last - first``
+    the walk lists them, one number per word; past that it marks them and
+    gives the distinct numbers in increasing order.  Returns those numbers
+    and whether they are marked.
+    """
+    m, digits = numeral
+    span = sum(m**j for j in range(length))
+    marked = len(numbers) > (max(digits) - min(digits)) * span
+    return (np.unique(numbers) if marked else numbers), marked
 
 
 def draw_weight(law, rng, letters) -> float:

@@ -73,6 +73,18 @@ def test_loss_beyond_the_base_spread_is_a_loss():
     assert gain["verdict"] == "gain" and "is a gain beyond" in bench_pairs.report_line("w.run_s", gain)
 
 
+@pytest.mark.parametrize("head", [[1.5], [0.5], [1.0]], ids=["worse", "better", "equal"])
+def test_one_pair_is_unresolved(head):
+    # one pair has no interquartile distance, so no move is a gain or a loss beyond it
+    stats = bench_pairs.compare([1.0], head, "lower", 0.25)
+    assert stats["base_iqr"] == 0.0 and stats["verdict"] == "unresolved" and stats["beyond_iqr"] is False
+    line = bench_pairs.report_line("w.run_s", stats)
+    assert "is unresolved: one pair has no BASE interquartile distance" in line
+    assert "gain beyond" not in line and "loss beyond" not in line and "is within the" not in line
+    assert stats["past_bound"] is (head[0] > 1.25)  # the bound still reads the one pair
+    assert bench_pairs.compare([1.0, 1.0], [1.5, 1.5], "lower")["verdict"] == "loss"
+
+
 @pytest.mark.parametrize(
     "base, head, better, bound, change, past",
     [

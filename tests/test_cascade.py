@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from cascadim import symbolic
 from cascadim.cascade import _grow, _keep_threshold, _to_uniform, degenerate_regime
 from cascadim.errors import CapExceeded
 from cascadim.symbolic import codes_to_letters, walk_tree
-from oracles import cell_offsets, cylinder_mass, draw_weight
+from oracles import cell_offsets, cylinder_mass, draw_weight, walked_numbers
 
 # on the binary tiling the words that percolation_codes numbers for set_image are their codes
 TILING2 = AffineIfs.tiling(2)
@@ -552,7 +553,9 @@ class TestYesNoWalk:
     carries no masses; the golden mean's and the dead-letter shift's are not,
     so their walks carry boolean masses.  Each case runs with
     and without the keyed keep test and the cell numeral, at the default
-    block size and again with blocks of 1 and 7 nodes.
+    block size and again with blocks of 1 and 7 nodes.  With the numeral the
+    full shift's words outnumber their 256 cells, so its walk gives the
+    distinct cells; the float walk lists every word.
     """
 
     SHIFTS = {
@@ -571,7 +574,11 @@ class TestYesNoWalk:
             for num in (None, numeral):
                 codes, masses = walk_tree(table, depth, 10**6, rng, weigh, num)
                 ref_codes, ref_masses = walk_tree(table.astype(float), depth, 10**6, rng, weigh, num)
-                assert codes.tobytes() == ref_codes[ref_masses > 0].tobytes(), (weigh, num)
+                want = ref_codes[ref_masses > 0]
+                if num is not None:
+                    want, marked = walked_numbers(want, num, depth)
+                    assert marked == (name == "full3")
+                assert codes.tobytes() == want.tobytes(), (weigh, num)
                 assert masses.dtype == bool and masses.all() and len(masses) == len(codes)
                 assert len(codes) > 0
 
@@ -789,11 +796,26 @@ class TestRealizationPins:
         assert np.array_equal(percolation_codes(shift, 0.8, depth, KeyedRng(101).derive(0), tiling), codes)
 
     def test_pinned_overlap_walk_numbers_its_cells(self):
-        # the walk of perc_image_overlap's first trial, numbered by the cells of its IFS
+        # the walk of perc_image_overlap's first trial, numbered by the cells of
+        # its IFS: 1,465,888 words on 36,814 of 65,536 cells, so the walk marks
         ifs = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
         codes, _, _ = self._walk("full3-percolation-depth16")
         cells = percolation_codes(Subshift.full(3), 0.8, 16, KeyedRng(101).derive(0), ifs)
-        assert np.array_equal(cells, cell_offsets(ifs, codes, 16))
+        want, marked = walked_numbers(cell_offsets(ifs, codes, 16), ifs.lattice(16)[:2], 16)
+        assert marked and (len(codes), len(cells)) == (1_465_888, 36_814)
+        assert np.array_equal(cells, want)
+
+    def test_pinned_overlap_walk_lists_no_word(self):
+        # 1,465,888 int64 words listed and joined took 24 MB at their peak; the marked cells take 64 kB
+        ifs = AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5)])
+        trial = KeyedRng(101).derive(0)
+        tracemalloc.start()
+        try:
+            percolation_codes(Subshift.full(3), 0.8, 16, trial, ifs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_public_entry_points_match_the_pinned_walk(self):
         trial = KeyedRng(101).derive(0)

@@ -29,9 +29,10 @@ from cascadim import (
 from cascadim import cascade, euclid
 from cascadim.errors import CapExceeded, ScaleBelowResolution
 from cascadim.cascade import _inverse_cdf, _to_uniform
-from cascadim.symbolic import codes_to_letters
+from cascadim.symbolic import codes_to_letters, walk_tree
 from oracles import (
     EX_OVERLAP, LATTICE_IFS, cell_offsets, counter_hashes, cylinder_interval, merged_atoms, sampled_pairs,
+    walked_numbers,
 )
 
 
@@ -435,17 +436,29 @@ class TestLatticeImage:
             assert codes.size > 0, case
             cells = cell_offsets(ifs, codes, n)
             _assert_float_path_image(set_image(cells, ifs, length=n), ifs, codes, n)
+        # the walk's own cells: listed at p, marked where every word outnumbers the cells
+        for q, n in ((p, 16), (1.0, 8)):
+            codes = percolation_codes(shift, q, n, KeyedRng(1), AffineIfs.tiling(ifs.alphabet_size))
+            walked = percolation_codes(shift, q, n, KeyedRng(1), ifs)
+            _assert_float_path_image(set_image(walked, ifs, length=n), ifs, codes, n)
 
     @pytest.mark.parametrize("name", list(LATTICE_IFS), ids=list(LATTICE_IFS))
     def test_walk_numbers_the_cells(self, name):
-        # the walk's cell numbering against the oracle, word for word in walk order
+        # the walk's cell numbering against the oracle: word for word in walk
+        # order where the walk lists, the oracle's distinct cells where it marks.
+        # At p = 1 the exact overlap marks (6561 words on 256 cells), tiling(2)
+        # and tiling(4) mark at the boundary (as many words as cells), and the
+        # degenerate hull marks at every p (one cell); the rest list.
         ifs, shift, p = LATTICE_IFS[name]
         for q, n in ((p, 16), (1.0, 8)):
             for seed in (1, 2, 3):
                 codes = percolation_codes(shift, q, n, KeyedRng(seed), AffineIfs.tiling(ifs.alphabet_size))
                 cells = percolation_codes(shift, q, n, KeyedRng(seed), ifs)
+                want, marked = walked_numbers(cell_offsets(ifs, codes, n), ifs.lattice(n)[:2], n)
                 assert cells.dtype == np.int64
-                assert np.array_equal(cells, cell_offsets(ifs, codes, n)), (q, seed)
+                assert np.array_equal(cells, want), (q, seed)
+                full = name in ("exact overlap", "tiling(2)", "tiling(4)", "degenerate hull")
+                assert marked == (name == "degenerate hull" or q == 1.0 and full), (q, seed)
 
     def test_overlap_walk_images_as_its_words(self):
         # seed 2 keeps one word, 1 3 1 (code 6), whose cell is P = 2: read as
@@ -493,7 +506,7 @@ class TestLatticeImage:
         def no_lattice(*args):
             raise AssertionError("lattice path taken")
 
-        monkeypatch.setattr(euclid, "_ordered_cells", no_lattice)
+        monkeypatch.setattr(AffineIfs, "cell_range", no_lattice)
         a = ifs.alphabet_size
         codes = np.unique(np.random.default_rng(9).integers(0, a**n, 500))
         codes = np.concatenate([[0], codes])  # the all-ones word, where -0.0 can show
@@ -501,10 +514,14 @@ class TestLatticeImage:
 
 
 class TestLatticeCells:
-    """The distinct-cell step of the lattice image: a bitmap over a narrow cell range, else the cells as given."""
+    """The lattice image of cells from both sides of the walk's range rule.
+
+    A walk whose words outnumber the cells of their range gives the distinct
+    cells in order; otherwise one cell per word, in walk order.
+    """
 
     CASES = {
-        # name: (ifs, codes, depth, bitmap side)
+        # name: (ifs, codes, depth, marked side)
         "exact overlap, every depth-10 code": (EX_OVERLAP, np.arange(3**10), 10, True),
         "digits (-1, -1, 0), every depth-10 code": (
             AffineIfs.from_maps([(0.5, -0.5), (0.5, -0.5), (0.5, 0.0)]),
@@ -529,27 +546,25 @@ class TestLatticeCells:
 
     @pytest.mark.parametrize("name", list(CASES), ids=list(CASES))
     def test_both_sides_match_the_float_path(self, name):
-        ifs, codes, n, bitmap = self.CASES[name]
+        ifs, codes, n, marked = self.CASES[name]
         first, last = self._range(ifs, n)
-        assert (last - first < len(codes)) == bitmap
+        assert (last - first < len(codes)) == marked
         cells = cell_offsets(ifs, codes, n)
         assert first <= cells.min() and cells.max() <= last
-        # the bitmap side gives the distinct cells in order; the wide side hands
-        # its cells on unchanged, for IntervalSet to sort
-        given = cells.copy()
-        out = euclid._ordered_cells(given, first, last)
-        assert np.array_equal(given, cells)
-        if bitmap:
-            assert np.array_equal(out, np.unique(cells))
-        else:
-            assert out is given and np.array_equal(out, cells)
-        wide = cells.copy()
-        assert euclid._ordered_cells(wide, first, first + len(cells)) is wide
-        assert np.array_equal(wide, cells)
-        _assert_float_path_image(set_image(cells, ifs, length=n), ifs, codes, n)
+        # the cells as a walk of these words gives them: distinct and in order
+        # on the marked side, one per word on the listed side
+        walked, got = walked_numbers(cells, ifs.lattice(n)[:2], n)
+        assert got == marked
+        a = ifs.alphabet_size
+        if len(codes) == a**n:
+            full = walk_tree(Subshift.full(a).successor_table(), n, a**n, numeral=ifs.lattice(n)[:2])[0]
+            assert np.array_equal(full, walked)
+        # set_image takes either, and every cell, repeats and all, as well
+        for given in (walked, cells):
+            _assert_float_path_image(set_image(given, ifs, length=n), ifs, codes, n)
         # the codes moved to the other side of the rule: repeated onto the
-        # bitmap side, or thinned and shuffled onto the wide side
-        if bitmap:
+        # marked side, or thinned and shuffled onto the listed side
+        if marked:
             other = np.random.default_rng(1).permutation(codes[:: len(codes) // (last - first) + 1])
             assert last - first >= len(other) and not (np.diff(cell_offsets(ifs, other, n)) >= 0).all()
         else:
@@ -576,7 +591,7 @@ class TestLatticeCells:
         first, last = self._range(self.HULL, n)
         assert first == -(2**n - 1)
         codes = np.arange(2**n)
-        cells = np.tile(cell_offsets(self.HULL, codes, n), 3)  # repeats: the bitmap side
+        cells = np.tile(cell_offsets(self.HULL, codes, n), 3)  # repeats, more than the range's cells
         assert last - first < len(cells)
         given = cells.copy()
         img = set_image(given, self.HULL, length=n)

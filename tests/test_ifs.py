@@ -17,6 +17,7 @@ from oracles import (
     cell_offsets,
     contraction,
     cylinder_interval,
+    walked_numbers,
 )
 
 
@@ -159,28 +160,42 @@ class TestLatticeOffsets:
     """The integer cell offsets P(u) = sum_j d(u_j) m^(n-j) against the per-word sum."""
 
     SYSTEMS = {
-        "exact overlap": EX_OVERLAP,
-        "bernoulli_pair(0.5)": AffineIfs.bernoulli_pair(0.5),
-        "ratio 1/4, three maps": AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.5), (0.25, 0.75)]),
+        # name: (ifs, the depth of the whole walk); the walks of all a^n words
+        "exact overlap": (EX_OVERLAP, 7),  # 2187 words on 128 cells: marked
+        # 1024 words on 1024 cells: marked, the boundary; walk order is not cell order
+        "ratio 1/4, digits (3, 0, 1, 2)": (
+            AffineIfs.from_maps([(0.25, 0.75), (0.25, 0.0), (0.25, 0.25), (0.25, 0.5)]),
+            5,
+        ),
+        "bernoulli_pair(0.5)": (AffineIfs.bernoulli_pair(0.5), 7),  # 128 words on 509 cells: listed
+        "ratio 1/4, three maps": (AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.5), (0.25, 0.75)]), 7),  # listed
+        # 9 words on 10 cells, 0..9: listed, the boundary; 3 and 3 repeat
+        "digits (0, 1, 3)": (AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.5), (0.5, 1.5)]), 2),
     }
 
     @pytest.mark.parametrize("name", list(SYSTEMS), ids=list(SYSTEMS))
     def test_offsets_match_per_word_sums(self, name):
-        # the walk's cell numbering and the batch oracle, word for word
-        ifs = self.SYSTEMS[name]
+        # the walk's cell numbering and the batch oracle against the per-word
+        # sum: word for word, or the distinct cells where the walk marks
+        ifs, depth = self.SYSTEMS[name]
         a = ifs.alphabet_size
-        walked = walk_tree(Subshift.full(a).successor_table(), 7, a**7, numeral=ifs.lattice(7)[:2])[0]
+        numeral = ifs.lattice(depth)[:2]
+        walked = walk_tree(Subshift.full(a).successor_table(), depth, a**depth, numeral=numeral)[0]
         sparse = np.unique(np.random.default_rng(4).integers(0, a**20, 30))
         last = np.array([a**9 - 1])
         cases = {
-            "all a^7 words, numbered by the walk": (np.arange(a**7), 7, walked),
+            "all a^n words, numbered by the walk": (np.arange(a**depth), depth, walked),
             "sparse, length 20": (sparse, 20, cell_offsets(ifs, sparse, 20)),
             "one code": (last, 9, cell_offsets(ifs, last, 9)),
         }
         for case, (codes, length, got) in cases.items():
             assert got.dtype == np.int64, case
             letters = codes_to_letters(codes, length, a).tolist()
-            assert got.tolist() == [cell_offset(ifs, w) for w in letters], case
+            per_word = np.array([cell_offset(ifs, w) for w in letters])
+            if got is walked:
+                per_word, marked = walked_numbers(per_word, numeral, length)
+                assert marked == (name in ("exact overlap", "ratio 1/4, digits (3, 0, 1, 2)")), case
+            assert got.tolist() == per_word.tolist(), case
 
 
 class TestContractions:

@@ -12,7 +12,8 @@ For each end-to-end metric of each workload it prints both sides' median and
 quartiles (``statistics.quantiles`` with the inclusive method), the pairs in
 which HEAD is better (ties count for neither side), and whether HEAD's median
 is better than BASE's by more than BASE's interquartile distance (a gain),
-worse by more than it (a loss), or neither (within).  A gain may be claimed
+worse by more than it (a loss), or neither (within); one pair has no such
+distance, so its verdict is unresolved.  A gain may be claimed
 only when HEAD wins at least nine tenths of the pairs and its median is a
 gain.  It also prints the median's relative change against the metric's
 ``bound`` in BASE's ``BENCHMARK.json``: "past bound" when HEAD's median is
@@ -52,9 +53,11 @@ def compare(base, head, better: str, bound: float | None = None) -> dict:
     HEAD's median is than BASE's (negative when it is worse), and
     ``beyond_iqr`` whether that gain exceeds BASE's interquartile distance.
     ``verdict`` is ``"gain"`` then, ``"loss"`` when the loss exceeds that
-    distance, else ``"within"``.  ``relative_change`` is HEAD's median less
-    BASE's, over BASE's; ``past_bound`` says whether HEAD is worse by more
-    than ``bound`` in those terms (None without a bound).
+    distance, else ``"within"``; with one pair there is no distance, so
+    ``beyond_iqr`` is False and ``verdict`` is ``"unresolved"``.
+    ``relative_change`` is HEAD's median less BASE's, over BASE's;
+    ``past_bound`` says whether HEAD is worse by more than ``bound`` in those
+    terms (None without a bound).
     """
     if len(base) != len(head) or not base:
         raise ValueError("need one BASE and one HEAD value per pair")
@@ -62,6 +65,7 @@ def compare(base, head, better: str, bound: float | None = None) -> dict:
     b, h = quartiles(base), quartiles(head)
     gain = sign * (b[1] - h[1]) + 0.0  # + 0.0: no -0.0 for equal medians
     iqr = b[2] - b[0]
+    resolved = len(base) > 1
     change = h[1] - b[1]
     relative = change / abs(b[1]) if b[1] else (0.0 if change == 0 else math.copysign(math.inf, change))
     return {
@@ -71,8 +75,8 @@ def compare(base, head, better: str, bound: float | None = None) -> dict:
         "head": {"q1": h[0], "median": h[1], "q3": h[2], "runs": list(head)},
         "gain": gain,
         "base_iqr": iqr,
-        "beyond_iqr": gain > iqr,
-        "verdict": "gain" if gain > iqr else "loss" if -gain > iqr else "within",
+        "beyond_iqr": resolved and gain > iqr,
+        "verdict": "unresolved" if not resolved else "gain" if gain > iqr else "loss" if -gain > iqr else "within",
         "relative_change": relative,
         "bound": bound,
         "past_bound": None if bound is None else sign * relative > bound,
@@ -102,7 +106,12 @@ def summarize(runs: list[dict], directions: dict[str, str], bounds: dict[str, fl
     return summary
 
 
-_VERDICTS = {"gain": "is a gain beyond", "loss": "is a loss beyond", "within": "is within"}
+_VERDICTS = {
+    "gain": "is a gain beyond the BASE interquartile distance {iqr:.6g}",
+    "loss": "is a loss beyond the BASE interquartile distance {iqr:.6g}",
+    "within": "is within the BASE interquartile distance {iqr:.6g}",
+    "unresolved": "is unresolved: one pair has no BASE interquartile distance",
+}
 
 
 def report_line(name: str, stats: dict) -> str:
@@ -111,8 +120,7 @@ def report_line(name: str, stats: dict) -> str:
         f"{name}: BASE {b['median']:.6g} ({b['q1']:.6g}..{b['q3']:.6g}), "
         f"HEAD {h['median']:.6g} ({h['q1']:.6g}..{h['q3']:.6g}); "
         f"HEAD better in {stats['wins']} of {stats['pairs']} pairs; "
-        f"median gain {stats['gain']:.6g} {_VERDICTS[stats['verdict']]} "
-        f"the BASE interquartile distance {stats['base_iqr']:.6g}"
+        f"median gain {stats['gain']:.6g} " + _VERDICTS[stats["verdict"]].format(iqr=stats["base_iqr"])
     )
     if stats["bound"] is not None:
         where = "past" if stats["past_bound"] else "within"
