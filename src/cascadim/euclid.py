@@ -268,8 +268,9 @@ def pushforward(cm: CylinderMeasure, ifs: AffineIfs) -> AtomicMeasure:
     """Image of a cylinder measure under the coding map, one atom per word.
 
     Each word is continued by the constant tail 1, so its atom is f_u(x0)
-    with x0 the fixed point of letter 1.  Exactly coinciding atoms (exactly
-    overlapping maps) merge their weights.  When ``ifs.lattice(depth)``
+    with x0 the fixed point of letter 1, within the resolution
+    ``diameter * ratio**depth`` of every point of its cylinder.  Exactly
+    coinciding atoms (exactly overlapping maps) merge their weights.  When ``ifs.lattice(depth)``
     routes the IFS and x0 is an integer, the atom of u is
     ``(P(u) + x0) / m^n``, computed exactly by the float coding map, so the
     measure is tagged with ``scale = m^n`` (see ``AtomicMeasure``).
@@ -278,10 +279,7 @@ def pushforward(cm: CylinderMeasure, ifs: AffineIfs) -> AtomicMeasure:
         raise ValueError("alphabet mismatch")
     x0 = ifs.fixed_point(1)
     pts = ifs.points_for_codes(cm.codes, cm.depth, x0)
-    if cm.codes.size:
-        res = ifs.diameter * float(ifs.contractions_for_codes(cm.codes, cm.depth).max())
-    else:
-        res = 0.0
+    res = ifs.diameter * ifs.ratio**cm.depth if cm.codes.size else 0.0
     atoms = AtomicMeasure(pts, cm.masses, res)
     lattice = ifs.lattice(cm.depth)
     if lattice is not None and x0.is_integer():

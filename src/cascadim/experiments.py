@@ -228,7 +228,8 @@ def _build(cfg) -> dict:
     """The objects the run reads, by the names its runner takes, each walk's numbering checked first.
 
     Each ``alphabet`` key is a factor, named by its suffix: a subshift and an
-    equal-ratio IFS on that alphabet.  A factor that walks a cascade also
+    IFS on that alphabet, whose maps share one ratio (``AffineIfs.from_maps``
+    refuses any other).  A factor that walks a cascade also
     gets its base measure, and the run its law (V = 1 without ``law``).  A
     cascade walk numbers words by base-a codes, a percolation walk as
     ``percolation_codes`` does for its IFS, and ``gamma_estimate``'s walks
@@ -252,8 +253,6 @@ def _build(cfg) -> dict:
         ifs = AffineIfs.tiling(a) if spec == "tiling" else _made("ifs maps", AffineIfs.from_maps, spec)
         if shift.alphabet_size != a or ifs.alphabet_size != a:
             raise ConfigError(f"{key} {a}: the subshift has {shift.alphabet_size} letters, the ifs {ifs.alphabet_size}")
-        if ifs.equal_ratio is None:
-            raise ConfigError(f"{cfg['experiment']} needs an equal-ratio IFS")
         built |= {"shift" + sfx: shift, "ifs" + sfx: ifs}
         if walks:
             depth = cfg["depth" + sfx]
@@ -476,7 +475,7 @@ def _dedup_overlap_structure(ifs: AffineIfs):
     the ``overlap-example`` mode, and every other overlapping IFS is checked
     against the covering upper bound only.
     """
-    if ifs.equal_ratio != 0.5 or ifs.alphabet_size != 3:
+    if ifs.ratio != 0.5 or ifs.alphabet_size != 3:
         return None
     ts = sorted(ifs.translations)
     if ts[0] == ts[1] and ts[2] == ts[0] + 0.5:
@@ -485,7 +484,7 @@ def _dedup_overlap_structure(ifs: AffineIfs):
 
 
 def run_percolation_image_dim(cfg, shift, ifs) -> Findings:
-    delta = ifs.equal_ratio
+    delta = ifs.ratio
     p = cfg["p"]
     depth = cfg["depth"]
     profile = gamma_estimate(shift, ifs, cfg["gamma_nmax"])

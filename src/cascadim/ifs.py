@@ -23,44 +23,43 @@ __all__ = ["AffineIfs", "OverlapProfile", "overlap_count", "gamma_estimate"]
 
 @dataclass(frozen=True)
 class AffineIfs:
-    """Maps ``x -> ratio_i * x + translation_i`` with ratios in (0,1)."""
+    """Maps ``x -> ratio * x + translation_i``: one contraction ratio in (0,1) for every map."""
 
-    ratios: tuple[float, ...]
+    ratio: float
     translations: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.ratios) != len(self.translations) or len(self.ratios) < 1:
-            raise ValueError("need matching nonempty ratios/translations")
-        if not all(map(math.isfinite, self.ratios + self.translations)):
-            raise ValueError("ratios and translations must be finite")
-        if any(not 0.0 < r < 1.0 for r in self.ratios):
-            raise ValueError("ratios must lie strictly in (0,1)")
+        if len(self.translations) < 1:
+            raise ValueError("need at least one map")
+        if not all(map(math.isfinite, (self.ratio, *self.translations))):
+            raise ValueError("ratio and translations must be finite")
+        if not 0.0 < self.ratio < 1.0:
+            raise ValueError("ratio must lie strictly in (0,1)")
 
     @classmethod
     def from_maps(cls, maps: Sequence[tuple[float, float]]) -> "AffineIfs":
-        return cls(tuple(float(r) for r, _ in maps), tuple(float(t) for _, t in maps))
+        """The maps ``(ratio, translation)``, which must share one ratio."""
+        ratios = {float(r) for r, _ in maps}
+        if len(ratios) != 1:
+            raise ValueError(f"need maps that share one ratio, not the ratios {sorted(ratios)}")
+        return cls(ratios.pop(), tuple(float(t) for _, t in maps))
 
     @classmethod
     def tiling(cls, a: int) -> "AffineIfs":
         """The a-adic tiling of [0,1]: maps x/a + (i-1)/a."""
-        return cls(tuple(1.0 / a for _ in range(a)), tuple((i - 1) / a for i in range(1, a + 1)))
+        return cls(1.0 / a, tuple((i - 1) / a for i in range(1, a + 1)))
 
     @classmethod
     def bernoulli_pair(cls, beta: float) -> "AffineIfs":
         """The two maps beta*x - 1, beta*x + 1 behind Bernoulli convolutions."""
-        return cls((beta, beta), (-1.0, 1.0))
+        return cls(beta, (-1.0, 1.0))
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.ratios)
-
-    @property
-    def equal_ratio(self) -> float | None:
-        r0 = self.ratios[0]
-        return r0 if all(r == r0 for r in self.ratios) else None
+        return len(self.translations)
 
     def fixed_point(self, letter: int) -> float:
-        return self.translations[letter - 1] / (1.0 - self.ratios[letter - 1])
+        return self.translations[letter - 1] / (1.0 - self.ratio)
 
     @property
     def attractor_min(self) -> float:
@@ -78,7 +77,7 @@ class AffineIfs:
     def lattice(self, length: int) -> tuple[int, tuple[int, ...], int, int] | None:
         """``(m, digits, lo, hi)`` when the images at depth n = ``length`` lie on the grid m^-n.
 
-        That holds when every ratio is ``1/m`` with m a power of two (at most
+        That holds when the ratio is ``1/m`` with m a power of two (at most
         2^53), every ``m * t_i`` is an integer ``d_i`` (the digits), the hull
         ends ``attractor_min`` and ``attractor_max`` are integers ``lo`` and
         ``hi``, and ``m^n * (max|d_i| + |lo| + |hi|) < 2^53``.  Then the
@@ -89,8 +88,8 @@ class AffineIfs:
         give the same floats, bit for bit.  No translation may be -0.0, which
         the float path can carry to an endpoint.  Otherwise None.
         """
-        mant, exp = math.frexp(self.ratios[0])
-        if self.equal_ratio is None or mant != 0.5 or exp < -52:
+        mant, exp = math.frexp(self.ratio)
+        if mant != 0.5 or exp < -52:
             return None
         m = 2 ** (1 - exp)
         ends = [float(t) * m for t in self.translations] + [self.attractor_min, self.attractor_max]
@@ -126,7 +125,7 @@ class AffineIfs:
         ``points_for_letters``, so every point is bit for bit the one the full
         letter matrix gives.  Carrying each prefix's affine map (offset,
         contraction) down the tree instead would compose left to right, which
-        rounds differently for non-dyadic ratios.
+        rounds differently for a non-dyadic ratio.
         """
         return self._points_from(codes, length, (x0,))[0]
 
@@ -148,12 +147,10 @@ class AffineIfs:
 
     def points_for_letters(self, letters: np.ndarray, x0: float | np.ndarray) -> np.ndarray:
         """f_u(x0) for every row u of a letter matrix; ``x0`` may be one start per row."""
-        r = np.array(self.ratios)
         t = np.array(self.translations)
         x = np.full(letters.shape[0], x0, dtype=float)
         for j in range(letters.shape[1] - 1, -1, -1):
-            idx = letters[:, j] - 1
-            x = r[idx] * x + t[idx]
+            x = self.ratio * x + t[letters[:, j] - 1]
         return x
 
     def _suffix_length(self, count: int, length: int) -> int:
@@ -165,22 +162,11 @@ class AffineIfs:
 
     def _suffix_table(self, x0: float, L: int) -> np.ndarray:
         """f_s(x0) for the a^L words s of length L, indexed by their codes."""
-        r = np.array(self.ratios)[:, None]
         t = np.array(self.translations)[:, None]
         table = np.array([float(x0)])
         for _ in range(L):
-            table = (r * table + t).ravel()
+            table = (self.ratio * table + t).ravel()
         return table
-
-    def contractions_for_codes(self, codes: np.ndarray, length: int) -> np.ndarray:
-        if self.equal_ratio is not None:
-            return np.full(len(codes), self.equal_ratio**length)
-        letters = codes_to_letters(codes, length, self.alphabet_size)
-        r = np.array(self.ratios)
-        out = np.ones(letters.shape[0])
-        for j in range(letters.shape[1]):
-            out *= r[letters[:, j] - 1]
-        return out
 
 
 @dataclass(frozen=True)
@@ -214,9 +200,6 @@ def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
     same count.  Otherwise the words come from ``x.admissible_codes(n)`` and
     their lower ends from ``points_for_codes``.
     """
-    delta = ifs.equal_ratio
-    if delta is None:
-        raise ValueError("overlap counting is defined for equal-ratio systems only")
     if x.alphabet_size != ifs.alphabet_size:
         raise ValueError("alphabet mismatch between subshift and IFS")
     if n < 1:
@@ -230,8 +213,8 @@ def overlap_count(x: Subshift, ifs: AffineIfs, n: int) -> int:
         cum = np.concatenate([np.zeros(window, dtype=np.int64), cum])
         return int((cum[window:] - cum[:-window]).max())
     los = ifs.points_for_codes(x.admissible_codes(n), n, ifs.attractor_min)
-    length = delta**n * ifs.diameter
-    radius = delta**n
+    length = ifs.ratio**n * ifs.diameter
+    radius = ifs.ratio**n
     uniq, mult = np.unique(los, return_counts=True)
     cum = np.concatenate([[0], np.cumsum(mult)])
     ended = np.searchsorted(uniq + length + radius, uniq - radius, side="left")
@@ -263,9 +246,7 @@ def gamma_estimate(x: Subshift, ifs: AffineIfs, n_max: int) -> OverlapProfile:
     """Fit the growth exponent of the overlap counts over n in [ceil(n_max/2), n_max]."""
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
-    delta = ifs.equal_ratio
-    if delta is None:
-        raise ValueError("overlap counting is defined for equal-ratio systems only")
+    delta = ifs.ratio
     _capped_word_count(x, n_max)  # word counts never fall as n grows: refuse before any level
     counts = [overlap_count(x, ifs, n) for n in range(1, n_max + 1)]
     n_lo = math.ceil(n_max / 2)

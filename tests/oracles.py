@@ -6,8 +6,7 @@ evaluate it the slow, obvious way, so the tests can check the vectorized
 paths against them: ``cylinder_mass`` against
 ``SymbolicMeasure.cylinder_mass_batch``, ``apply_word``, ``canonical_point``
 and ``cylinder_interval`` against ``AffineIfs.points_for_codes``,
-``contraction`` against ``contractions_for_codes``, ``cell_offset``
-against the cell numbering of the tree walk, ``draw_weight`` against the
+``cell_offset`` against the cell numbering of the tree walk, ``draw_weight`` against the
 keyed tree walk, and ``merged_atoms`` against ``AtomicMeasure``'s sort and
 merge.  ``cell_offsets`` takes base-a codes and sums ``cell_offset``'s
 definition over all of them at once, and ``walked_numbers`` turns the
@@ -58,7 +57,7 @@ def cylinder_mass(measure, letters) -> float:
 def apply_word(ifs, letters, x: float) -> float:
     """f_u(x): the maps of the letters of u applied right to left."""
     for l in reversed(tuple(letters)):
-        x = ifs.ratios[l - 1] * x + ifs.translations[l - 1]
+        x = ifs.ratio * x + ifs.translations[l - 1]
     return x
 
 
@@ -66,7 +65,7 @@ def canonical_point(ifs, letters, tail: int = 1) -> float:
     """Image of the sequence u . tail^infinity under the coding map.
 
     Exact: the composed map applied to the fixed point of the tail letter.
-    Any other continuation of u lands within diameter * prod(ratios of u).
+    Any other continuation of u lands within ``contraction(ifs, u)`` times the diameter.
     """
     return apply_word(ifs, letters, ifs.fixed_point(tail))
 
@@ -77,11 +76,8 @@ def cylinder_interval(ifs, letters) -> tuple[float, float]:
 
 
 def contraction(ifs, letters) -> float:
-    """The contraction ratio of f_u, multiplied left to right."""
-    out = 1.0
-    for l in letters:
-        out *= ifs.ratios[l - 1]
-    return out
+    """The contraction ratio of f_u: the ratio to the power len(u)."""
+    return ifs.ratio ** len(tuple(letters))
 
 
 def cell_offset(ifs, letters) -> int:

@@ -1156,12 +1156,12 @@ class TestLatticeBallMasses:
         a, ifs, law, depth, seed = self.CASES[name]
         cm = cascade_measure(SymbolicMeasure.uniform(a), Subshift.full(a), law, depth, KeyedRng(seed))
         m = pushforward(cm, ifs)
-        assert m.scale == ifs.equal_ratio**-depth
+        assert m.scale == ifs.ratio**-depth
         norm = m.normalized()
         assert norm.scale == m.scale
         clipped_low = clipped_high = False
         for measure in (m, norm):
-            for r in default_scales(ifs.equal_ratio, depth):
+            for r in default_scales(ifs.ratio, depth):
                 calls = self._spy(monkeypatch)
                 got = measure.atom_ball_masses(r)
                 assert calls == ([r] if name in self.PARTIAL else [])  # the search, or the slices

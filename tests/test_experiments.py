@@ -530,7 +530,7 @@ class TestCli:
             {"experiment": "gamma", "tolerance": -1},
             {"experiment": "perc-image-dim", "ifs": [[0.5, 0.0], [0.5, float("inf")]]},
             {"experiment": "cascade-dim", "p": 0.3},
-            # overlap counting needs an equal-ratio IFS on the subshift's alphabet
+            # an IFS's maps share one ratio, and it has the subshift's alphabet
             {"experiment": "gamma", "alphabet": 2, "ifs": [[0.5, 0.0], [0.25, 0.5]]},
             {"experiment": "gamma", "alphabet": 2, "ifs": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.5]]},
             # a stated alphabet must be the subshift's

@@ -24,7 +24,13 @@ from oracles import (
 class TestAffineIfs:
     def test_ratio_range_enforced(self):
         with pytest.raises(ValueError):
-            AffineIfs.from_maps([(1.0, 0.0), (0.5, 0.5)])
+            AffineIfs.from_maps([(1.0, 0.0), (1.0, 0.5)])
+
+    @pytest.mark.parametrize("maps", [[(0.4, 0.0), (0.5, 0.5)], [(0.5, 0.0), (0.5, 0.5), (0.25, 0.75)], []])
+    def test_mixed_ratio_rejected(self, maps):
+        # one contraction ratio per IFS: maps of two ratios, or none, are refused
+        with pytest.raises(ValueError, match="share one ratio"):
+            AffineIfs.from_maps(maps)
 
     @pytest.mark.parametrize("maps", [[(0.5, 0.0), (0.5, math.inf)], [(0.5, math.nan)], [(math.nan, 0.0)]])
     def test_non_finite_maps_rejected(self, maps):
@@ -36,10 +42,10 @@ class TestAffineIfs:
         assert tiling2.attractor_max == 1.0
         assert tiling2.diameter == 1.0
 
-    def test_mixed_ratio_hull_is_fixed_point_envelope(self):
-        ifs = AffineIfs.from_maps([(0.1, 0.0), (0.9, -0.05)])
-        assert ifs.attractor_min == pytest.approx(-0.5)
-        assert ifs.attractor_max == pytest.approx(0.0)
+    def test_hull_is_fixed_point_envelope(self):
+        ifs = AffineIfs.from_maps([(0.4, 0.0), (0.4, -0.05), (0.4, 0.3)])
+        assert ifs.attractor_min == pytest.approx(-0.05 / 0.6)
+        assert ifs.attractor_max == pytest.approx(0.5)
 
 
 class TestCanonicalPoint:
@@ -58,7 +64,7 @@ class TestCanonicalPoint:
     @given(st.lists(st.integers(1, 2), max_size=6), st.lists(st.integers(1, 2), max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_composition_associativity(self, u, v):
-        ifs = AffineIfs.from_maps([(0.4, -1.0), (0.55, 0.3)])
+        ifs = AffineIfs.from_maps([(0.4, -1.0), (0.4, 0.3)])
         left = canonical_point(ifs, tuple(u) + tuple(v), tail=1)
         right = apply_word(ifs, tuple(u), canonical_point(ifs, tuple(v), tail=1))
         assert left == right  # identical composition order, bitwise
@@ -87,7 +93,7 @@ class TestCylinderInterval:
     @given(st.lists(st.integers(1, 2), max_size=5), st.lists(st.integers(1, 2), min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_nestedness(self, u, v):
-        ifs = AffineIfs.from_maps([(0.5, 0.0), (0.3, 0.6)])
+        ifs = AffineIfs.from_maps([(0.4, 0.0), (0.4, 0.6)])
         lo_u, hi_u = cylinder_interval(ifs, tuple(u))
         lo_uv, hi_uv = cylinder_interval(ifs, tuple(u) + tuple(v))
         assert lo_u - 1e-12 <= lo_uv and hi_uv <= hi_u + 1e-12
@@ -95,7 +101,7 @@ class TestCylinderInterval:
 
 NON_DYADIC = {
     "bernoulli-pair-0.4": AffineIfs.bernoulli_pair(0.4),
-    "unequal-3-map": AffineIfs.from_maps([(0.3, 0.0), (0.45, 0.2), (0.17, 0.8)]),
+    "ratio-0.3-3-map": AffineIfs.from_maps([(0.3, 0.0), (0.3, 0.2), (0.3, 0.8)]),
 }
 
 
@@ -198,20 +204,9 @@ class TestLatticeOffsets:
             assert got.tolist() == per_word.tolist(), case
 
 
-class TestContractions:
-    def test_unequal_ratios_match_per_word_product(self):
-        ifs = AffineIfs.from_maps([(0.3, 0.0), (0.5, 0.5)])
-        assert ifs.equal_ratio is None
-        codes = np.arange(2**6)
-        expected = [contraction(ifs, w) for w in codes_to_letters(codes, 6, 2).tolist()]
-        got = ifs.contractions_for_codes(codes, 6)
-        assert np.array_equal(got, expected)  # same left-to-right order: exact
-        assert len(np.unique(got)) == 7  # 0.3^k 0.5^(6-k), k = 0..6
-
-
 def _overlap_oracle(x, ifs, n):
     """Independent O(N^2) overlap counter: test every event point directly."""
-    delta = ifs.equal_ratio
+    delta = ifs.ratio
     codes = x.admissible_codes(n)
     los = ifs.points_for_codes(codes, n, ifs.attractor_min)
     his = ifs.points_for_codes(codes, n, ifs.attractor_max)
@@ -265,11 +260,6 @@ class TestOverlapCount:
         separated = AffineIfs.from_maps([(0.3, 0.0), (0.3, 0.7)])
         for n in (2, 5, 8):
             assert overlap_count(full2, separated, n) <= 4
-
-    def test_mixed_ratio_rejected(self):
-        mixed = AffineIfs.from_maps([(0.4, 0.0), (0.5, 0.5)])
-        with pytest.raises(ValueError):
-            overlap_count(Subshift.full(2), mixed, 3)
 
     def test_cap_propagates(self, tiling2):
         with pytest.raises(CapExceeded):
