@@ -1,6 +1,6 @@
 """The overlap counter and its growth exponent.
 
-For an equal-ratio system, count how many depth-n cylinder images can meet a
+For a system of one contraction ratio delta, count how many depth-n cylinder images can meet a
 single ball of radius delta^n.  Separated systems keep the count bounded; a
 system with an exactly repeated map doubles it every level, and the fitted
 growth exponent cleanly separates the two regimes.

@@ -320,6 +320,7 @@ def set_image(words: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
         first, last = ifs.cell_range(length)
         if words.min() < first or words.max() > last:
             raise ValueError(f"cell offsets must lie in [{first}, {last}]")
+        words = words.astype(np.int64, copy=False)  # unsigned or narrow words would overflow adding lo
         los = (words + lo) / m**length
         his = (words + hi) / m**length
     return IntervalSet(los, his, source_scale=float((his - los).max()))

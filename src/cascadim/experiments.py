@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -135,7 +136,7 @@ def load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or an over-long integer
+        except (ValueError, RecursionError) as exc:  # bad JSON, bytes not UTF-8, an over-long integer, deep nesting
             raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a flat JSON object")
@@ -170,19 +171,21 @@ def validate_config(cfg: dict) -> dict:
             types = types if isinstance(types, tuple) else (types,)
             if int in types and isinstance(value, bool):
                 raise ConfigError(f"key {key!r} must be an integer")
-            if float in types and _is_number(value):
-                value = float(value)
-            elif not isinstance(value, types):
+            numeric = float in types and _is_number(value)
+            if not (numeric or isinstance(value, types)):
                 raise ConfigError(f"key {key!r} must have type {types}")
-            rows = [[value]]
+            rows = [[value]] if numeric else []
             if isinstance(value, list):
                 # subshift matrices and IFS maps are lists of rows
                 rows = value if str in types else [value]
                 if not all(isinstance(r, list) and all(map(_is_number, r)) for r in rows):
                     what = "lists of numbers" if str in types else "numbers"
                     raise ConfigError(f"key {key!r} must be a list of {what}")
-            if any(isinstance(v, float) and not math.isfinite(v) for r in rows for v in r):
+            # each number a run reads as a float; float() of an int past the largest float overflows
+            if not all(abs(v) <= sys.float_info.max for r in rows for v in r):
                 raise ConfigError(f"key {key!r} must hold finite numbers only")
+            if numeric:
+                value = float(value)
         if isinstance(rule, dict):
             if value not in rule:
                 raise ConfigError(f"{key} must be one of {sorted(rule)}, not {value!r}")
@@ -198,8 +201,9 @@ def validate_config(cfg: dict) -> dict:
         full = EXPERIMENTS[name]["full_alphabet"]
         out["alphabet"] = len(spec) if isinstance(spec, list) else 2 if spec == "golden-mean" else full
     for key, alphabet in (("base_probs", "alphabet"), ("probs_a", "alphabet_a"), ("probs_b", "alphabet_b")):
-        probs = out.get(key)
-        if probs is not None and (len(probs) != out[alphabet] or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-12):
+        probs = out.get(key)  # summed as floats: a sum of ints may pass the largest float
+        if probs is not None and (len(probs) != out[alphabet] or min(probs) < 0
+                                  or abs(sum(map(float, probs)) - 1.0) > 1e-12):
             raise ConfigError(f"{key} must be a probability vector of length {alphabet} = {out[alphabet]}")
     return out
 

@@ -1,4 +1,4 @@
-"""Affine iterated function systems on the line.
+"""Affine iterated function systems on the line, whose maps share one contraction ratio.
 
 Canonical coding maps (at the hull ends they give cylinder images), and the
 overlap counter:

@@ -398,6 +398,21 @@ class TestSetImage:
         assert img.los.tolist() == pytest.approx([0.0, 1 - a**-n], abs=1e-15)
         assert img.his.tolist() == pytest.approx([a**-n, 1.0], abs=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int8])
+    @pytest.mark.parametrize(
+        "ifs, words, n",
+        [
+            (AffineIfs.from_maps([(0.5, -0.5), (0.5, 0.5)]), [0, 3], 3),  # words + lo, lo = -1: OverflowError on uint64
+            (AffineIfs.tiling(2), [0, 127], 7),  # words + hi, hi = 1: 127 wrapped to -128 in int8
+            (AffineIfs.tiling(3), [0, 26], 3),
+        ],
+        ids=["lattice path, digits (-1, 1)", "lattice path, last cell", "float path"],
+    )
+    def test_unsigned_and_narrow_words_give_the_int64_image(self, ifs, words, n, dtype):
+        img = set_image(np.array(words, dtype=dtype), ifs, n)
+        ref = set_image(np.array(words), ifs, n)
+        assert img.los.tobytes() == ref.los.tobytes() and img.his.tobytes() == ref.his.tobytes()
+
 
 def _assert_float_path_image(img, ifs, codes, n):
     """``img`` against the merged float intervals, bit for bit."""

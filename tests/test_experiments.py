@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cascadim import KeyedRng, Subshift, WeightLaw, cli, experiments, ifs as ifs_module
 from cascadim.cli import main
@@ -48,6 +50,36 @@ SIZE_KEYS = [
     for name, exp in experiments.EXPERIMENTS.items()
     for key, (types, _, _) in {**experiments._COMMON, **exp["schema"]}.items()
     if int in (types if isinstance(types, tuple) else (types,)) and key not in ("seed", "threads", "trials")
+]
+
+# every key of every schema, with the keys that select it: a law's keys follow
+# their law, and a discrete law's other key takes a valid value
+LAW_CONFIGS = {"percolation": {}, "lognormal": {}, "discrete": {"values": [1.0], "probs": [1.0]}}
+SCHEMA_KEYS = [pytest.param(name, {}, key, id=f"{name}-{key}") for name, exp in experiments.EXPERIMENTS.items()
+               for key in {**experiments._COMMON, **exp["schema"]}] + [
+    pytest.param(name, {"law": law, **LAW_CONFIGS[law]}, key, id=f"{name}-{law}-{key}")
+    for name, exp in experiments.EXPERIMENTS.items() if "law" in exp["schema"]
+    for law, keys in experiments._LAWS.items() for key in keys
+]
+
+# any JSON value: integers past a float's range, past int64 and within every
+# size key's range, non-finite floats, and nested lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.floats()
+    | st.integers(-10**400, 10**400) | st.integers(-2**64, 2**64) | st.integers(-3, 70),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+
+# an integer past the largest float, where a run reads every number as a float
+HUGE_INTEGERS = [
+    {"experiment": "cascade-dim", "p": 10**400},
+    {"experiment": "gamma", "tolerance": -10**400},
+    {"experiment": "sumset-dim", "s_values": [10**400]},
+    {"experiment": "projection-scan", "s_grid": [10**400]},
+    {"experiment": "cascade-dim", "base_probs": [10**400, 0]},
+    {"experiment": "cascade-dim", "law": "discrete", "values": [10**400], "probs": [1]},
+    {"experiment": "gamma", "ifs": [[0.5, 10**400], [0.5, 0.5]]},
 ]
 
 
@@ -120,6 +152,7 @@ class TestConfigValidation:
             # both take the tables' budget, DEFAULT_WORD_CAP = 2*10^7
             ({"experiment": "bconv", "atom_cap": 20_000_001}, "atom_cap must lie in"),
             ({"experiment": "projection-scan", "sample_size": 20_000_001}, "sample_size must be"),
+            *((cfg, "must hold finite numbers only") for cfg in HUGE_INTEGERS),
         ],
     )
     def test_bad_values_rejected(self, extra, match):
@@ -132,6 +165,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=key):
             experiments._build(validate_config({"experiment": name, key: 2**62}))
 
+    @pytest.mark.parametrize("name, selected, key", SCHEMA_KEYS)
+    @given(value=JSON_VALUES)
+    @example(value=10**400)  # past the largest float, drawn too rarely to rely on
+    @example(value=[10**400])
+    @example(value=[[0.5, 10**400], [0.5, 0.0]])
+    @settings(max_examples=40, deadline=None)
+    def test_any_json_value_builds_or_is_refused(self, name, selected, key, value):
+        # validation and the build step either accept a value or raise ConfigError, never anything else
+        try:
+            experiments._build(validate_config({"experiment": name, **selected, key: value}))
+        except ConfigError:
+            pass
+
     def test_defaults_applied(self):
         cfg = validate_config({"experiment": "cascade-dim"})
         assert cfg["depth"] == 16
@@ -140,9 +186,11 @@ class TestConfigValidation:
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        # the second is nested too deep to parse
+        for text in ("{not json", '{"ifs": ' + "[" * 100_000 + "]" * 100_000 + "}"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config(path)
 
 
 class TestRationalityCheck:
@@ -551,6 +599,7 @@ class TestCli:
             # past DEFAULT_WORD_CAP: a draw or an exact grid too large to allocate
             {"experiment": "bconv", "depth": 10, "sample_size": 4611686018427387904},
             {"experiment": "bconv", "depth": 18, "atom_cap": 10**11},
+            *HUGE_INTEGERS,
         ],
     )
     def test_bad_config_one_error_line(self, tmp_path, cfg):
