@@ -226,27 +226,31 @@ class WeightLaw:
             z *= s
             z -= s * s / 2.0
             return np.exp(z, out=z)
-        return np.asarray(self.values)[_inverse_cdf(self.probs, 1.0, u.size)(u)]
+        return _inverse_cdf(self.probs, 1.0, u.size, np.asarray(self.values))(u)
 
 
-def _inverse_cdf(weights, total: float, keys: int):
-    """``lookup(u)``: indices ``min(searchsorted(cumsum(weights) / total, u, "right"), n - 1)``, bit for bit.
+def _inverse_cdf(weights, total: float, keys: int, values: np.ndarray):
+    """``lookup(u)``: ``values[min(searchsorted(cumsum(weights) / total, u, "right"), n - 1)]``, bit for bit.
 
-    Built once for all ``keys`` keys a sampler will look up, in one call or
-    in chunks of any size.  The keys u lie in [0, 1]:
+    ``values`` is the array a caller would index with the drawn indices
+    (the atoms' points, or a law's values), so a lookup gives the drawn
+    values themselves.  Built once for all ``keys`` keys a sampler will look
+    up, in one call or in chunks of any size.  The keys u lie in [0, 1]:
     ``KeyedRng.counter_uniforms`` stays below 1, but any key of 1.0 is
     answered too.  With B the power of two at or above n, a guide table
-    (Chen & Asau's indexed search) holds ``edges[b]``, the clamped search
-    result at b/B, for b = 0..B+1, so u = 1.0 has bucket B; every b/B is
-    exact.  The search and the clamp are monotone in u and b = floor(u*B)
-    is exact, so the result for u lies in ``[edges[b], edges[b+1]]``.  A
-    bucket whose two ends agree is closed: its keys need no search.  The
-    B+1 flags of the open buckets are kept as a boolean array, so finding
-    the open keys reads one byte per key.  The open keys are searched in
-    key order and their results scattered back: numpy's search starts from
-    the previous key's result, so the cache lines it reads stay warm.  Fewer
-    ``keys`` than B, counted over all chunks, take the plain search, and no
-    table is built.
+    (Chen & Asau's indexed search) is built from ``edges[b]``, the clamped
+    search result at b/B, for b = 0..B+1, so u = 1.0 has bucket B; every
+    b/B is exact.  The search and the clamp are monotone in u and b =
+    floor(u*B) is exact, so the result for u lies in ``[edges[b],
+    edges[b+1]]``.  A bucket whose two ends agree is closed: its keys need
+    no search, and the table holds ``values[edges[b]]``, so a closed key
+    takes two gathers (its open flag and its value).  The B+1 flags of the
+    open buckets are kept as a boolean array, so finding the open keys
+    reads one byte per key.  The open keys are searched in key order, and
+    their clamped results' values scattered back: numpy's search starts
+    from the previous key's result, so the cache lines it reads stay warm.
+    Fewer ``keys`` than B, counted over all chunks, take the plain search,
+    and no table is built.
     """
     cdf = np.cumsum(weights)
     cdf /= total
@@ -256,20 +260,21 @@ def _inverse_cdf(weights, total: float, keys: int):
 
         def lookup(u):
             idx = np.searchsorted(cdf, u, side="right")
-            return np.minimum(idx, last, out=idx)
+            return values[np.minimum(idx, last, out=idx)]
 
         return lookup
     edges = np.minimum(np.searchsorted(cdf, np.arange(table + 2) / table, side="right"), last)
     open_bucket = edges[1:] != edges[:-1]
+    edge_values = values[edges]
 
     def lookup(u):
         bucket = (u * table).astype(np.intp)
-        idx = edges[bucket]
+        drawn = edge_values[bucket]
         open_keys = np.flatnonzero(open_bucket[bucket])
         open_keys = open_keys[np.argsort(u[open_keys])]
         searched = np.searchsorted(cdf, u[open_keys], side="right")
-        idx[open_keys] = np.minimum(searched, last, out=searched)
-        return idx
+        drawn[open_keys] = values[np.minimum(searched, last, out=searched)]
+        return drawn
 
     return lookup
 

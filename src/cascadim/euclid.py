@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # Sampled pairs per chunk of a sampled product.  Each array of a chunk (hashes,
-# uniforms, buckets, indices) is 256 KB, so the few alive at once stay in a
+# uniforms, buckets, drawn points) is 256 KB, so the few alive at once stay in a
 # core's L2 cache (2 MB on the 2-core Xeon of BENCH_24.json, where chunks of
 # 2^14 to 2^16 pairs ran alike).
 _PAIR_CHUNK = 1 << 15
@@ -161,14 +161,15 @@ class AtomicMeasure:
     def sample_points(self, count: int, rng: KeyedRng) -> np.ndarray:
         """Draw atom positions with probability proportional to weight.
 
-        The draws read ``rng``'s counter stream 0xE17.  ``count`` must be a
-        positive integer.
+        The draws read ``rng``'s counter stream 0xE17, and ``_inverse_cdf``
+        returns the drawn points themselves, through a table of points when
+        ``count`` reaches it.  ``count`` must be a positive integer.
         """
         _require_count(count, "sample count")
         tot = self.total_weight
         if tot <= 0:
             raise ValueError("cannot sample from a zero measure")
-        return self.points[_inverse_cdf(self.weights, tot, count)(rng.counter_uniforms(0xE17, count))]
+        return _inverse_cdf(self.weights, tot, count, self.points)(rng.counter_uniforms(0xE17, count))
 
 
 def _require_count(value, name: str) -> None:
@@ -331,44 +332,51 @@ def set_image(words: np.ndarray, ifs: AffineIfs, length: int) -> IntervalSet:
 
 
 def _product_pairs(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: KeyedRng | None):
-    """The weights ``ws`` of the atoms (m1.points[i], m2.points[j]), and their points in chunks.
+    """The weights ``ws`` of the atoms (m1.points[i], m2.points[j]), and their points in two passes.
 
-    Returns ``(ws, chunks)``; ``chunks`` yields ``(part, x, y)``, where ``x``
-    and ``y`` broadcast to the shape of ``ws[part]`` and give its atoms'
-    points.  The exact grid is one chunk: ``ws`` is n1 x n2 (x-major, so in
-    (x, y) order once flattened), ``part`` is ``...``, and ``x`` and ``y``
-    are the factors' points as a column and a row, so no index array is
-    built.  Sampled pairs come in draw order, ``_PAIR_CHUNK`` at a time:
-    chunk [start, stop) reads keys [start, stop) of the counter streams
-    0xA1 (for i) and 0xA2 (for j), each factor's inverse-CDF lookup is built
-    once for all ``atom_cap`` keys, and every sampled atom weighs
-    total/atom_cap, so ``ws`` is that one weight broadcast to ``atom_cap``
-    atoms (stride 0).  The pairs are those of drawing all ``atom_cap`` keys
-    at once, bit for bit, while no array of ``atom_cap`` keys, indices or
-    weights is built.  ``atom_cap`` must be a positive integer, and a
-    sampled product needs an ``rng`` and factors of positive total weight;
-    each is checked before any draw.
+    Returns ``(ws, (first, second))``.  ``first`` yields ``(part, x)`` and
+    ``second`` yields ``(part, y)``, where ``x`` and ``y`` broadcast to the
+    shape of ``ws[part]`` and give its atoms' first and second points; a
+    caller runs all of ``first`` before ``second``.  The exact grid is one
+    part: ``ws`` is n1 x n2 (x-major, so in (x, y) order once flattened),
+    ``part`` is ``...``, and ``x`` and ``y`` are the factors' points as a
+    column and a row, so no index array is built.  Sampled pairs come in
+    draw order, ``_PAIR_CHUNK`` at a time, one factor per pass (see
+    ``_sampled_factor``): chunk [start, stop) of ``first`` reads keys
+    [start, stop) of the counter stream 0xA1, and that of ``second`` those
+    of 0xA2.  Every sampled atom weighs total/atom_cap, so ``ws`` is that
+    one weight broadcast to ``atom_cap`` atoms (stride 0).  The points are
+    those of drawing all ``atom_cap`` keys at once, bit for bit, while no
+    array of ``atom_cap`` keys, indices or weights is built.  ``atom_cap``
+    must be a positive integer, and a sampled product needs an ``rng`` and
+    factors of positive total weight; each is checked before any draw.
     """
     _require_count(atom_cap, "atom_cap")
     if len(m1) * len(m2) <= atom_cap:
-        return m1.weights[:, None] * m2.weights[None, :], [(..., m1.points[:, None], m2.points[None, :])]
+        ws = m1.weights[:, None] * m2.weights[None, :]
+        return ws, ([(..., m1.points[:, None])], [(..., m2.points[None, :])])
     if rng is None:
         raise ValueError("a sampled product needs an rng")
     t1, t2 = m1.total_weight, m2.total_weight
     if not (t1 > 0 and t2 > 0):
         raise ValueError("a sampled product needs factors of positive total weight")
-    return np.broadcast_to(np.float64(t1 * t2 / atom_cap), (atom_cap,)), _sampled_chunks(m1, m2, atom_cap, rng)
+    ws = np.broadcast_to(np.float64(t1 * t2 / atom_cap), (atom_cap,))
+    return ws, (_sampled_factor(m1, atom_cap, rng, 0xA1), _sampled_factor(m2, atom_cap, rng, 0xA2))
 
 
-def _sampled_chunks(m1: AtomicMeasure, m2: AtomicMeasure, atom_cap: int, rng: KeyedRng):
-    """The sampled ``(part, x, y)`` chunks of ``_product_pairs``."""
-    draw_i = _inverse_cdf(m1.weights, m1.total_weight, atom_cap)
-    draw_j = _inverse_cdf(m2.weights, m2.total_weight, atom_cap)
-    keys_i, keys_j = rng.counter_stream(0xA1), rng.counter_stream(0xA2)
+def _sampled_factor(m: AtomicMeasure, atom_cap: int, rng: KeyedRng, salt: int):
+    """One factor's sampled points ``(part, points)``, chunk by chunk, from counter stream ``salt``.
+
+    The inverse-CDF lookup, built once for all ``atom_cap`` keys, returns
+    ``m.points`` themselves, and it is built before the first chunk, so
+    only the factor being drawn keeps its cdf, guide table and points in
+    cache.
+    """
+    draw = _inverse_cdf(m.weights, m.total_weight, atom_cap, m.points)
+    keys = rng.counter_stream(salt)
     for start in range(0, atom_cap, _PAIR_CHUNK):
         stop = min(start + _PAIR_CHUNK, atom_cap)
-        x = m1.points[draw_i(_to_uniform(keys_i(start, stop)))]
-        yield slice(start, stop), x, m2.points[draw_j(_to_uniform(keys_j(start, stop)))]
+        yield slice(start, stop), draw(_to_uniform(keys(start, stop)))
 
 
 def _product_measure(weights: np.ndarray, fill, resolution: float) -> AtomicMeasure:
@@ -439,17 +447,18 @@ def product(
     The sampled mode draws index pairs coordinate-wise proportionally to the
     weights (an exact sampler for the product law) from ``rng``, which it
     needs.  Every sampled atom weighs total/atom_cap, and ``weights`` is
-    that one weight broadcast, with no array of its own.  The pairs are
-    drawn chunk by chunk into one preallocated ``xs`` and ``ys`` (see
-    ``_product_pairs``, which also says what is refused), so a product
-    allocates those two arrays and chunk-sized scratch, and an exact grid
-    its weights too.
+    that one weight broadcast, with no array of its own.  The points are
+    drawn in two passes, chunk by chunk: every ``x`` into one preallocated
+    ``xs``, then every ``y`` into ``ys`` (see ``_product_pairs``, which also
+    says what is refused).  So a product allocates those two arrays, one
+    factor's value table and chunk-sized scratch at a time, and an exact
+    grid its weights too.
     """
-    ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
+    ws, passes = _product_pairs(m1, m2, atom_cap, rng)
     xs, ys = np.empty(ws.shape), np.empty(ws.shape)
-    for part, x, y in chunks:
-        xs[part] = x
-        ys[part] = y
+    for out, drawn in zip((xs, ys), passes):
+        for part, points in drawn:
+            out[part] = points
     return ProductPairs(xs.reshape(-1), ys.reshape(-1), ws.reshape(-1), max(m1.resolution, m2.resolution))
 
 
@@ -505,16 +514,20 @@ def convolve(
     Identical to projecting the product with unit coefficient; the projection
     family is already the affinely normalized form, so the normalization pair
     relating the two is (scale, shift) = (1, 0).  Cap semantics as product():
-    the sums ``x + y`` are written chunk by chunk into one array, which a
-    sampled convolution sorts in place and merges by runs of its one weight
-    (see ``_product_measure``).  So it allocates that array, a byte per sum
-    to mark the runs, and the merged points, run lengths and weights.
+    the sums are written into one array in two passes, every ``x`` and then
+    every ``y`` added to it in place (the same IEEE sum as
+    ``np.add(x, y)``).  A sampled convolution sorts that array in place and
+    merges it by runs of its one weight (see ``_product_measure``).  So it
+    allocates that array, a byte per sum to mark the runs, and the merged
+    points, run lengths and weights.
     """
-    ws, chunks = _product_pairs(m1, m2, atom_cap, rng)
+    ws, (first, second) = _product_pairs(m1, m2, atom_cap, rng)
 
     def sums(out):
-        for part, x, y in chunks:
-            np.add(x, y, out=out[part])
+        for part, x in first:
+            out[part] = x
+        for part, y in second:
+            out[part] += y
 
     return _product_measure(ws, sums, m1.resolution + m2.resolution)
 

@@ -10,6 +10,7 @@ surviving draws to trials in draw order, independent of thread count.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -374,15 +375,16 @@ def _collect_surviving(master: KeyedRng, need: int, worker, threads: int):
 
     Draw index doubles as the derived-stream index, so the realizations and
     their assignment to trials do not depend on the thread count.  Threads
-    past the core count gain nothing, so the pool and its waves stop there.
+    past the core count gain nothing, so the pool and its waves stop there;
+    one worker runs the draws in this thread, with no pool.
     """
     results = []
     discarded = 0
     draw = 0
     workers = min(threads, os.cpu_count() or 1)
     wave = workers * 2
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run = pool.map if workers > 1 else map
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        run = pool.map if pool else map
         while len(results) < need:
             outs = list(run(lambda i: worker(master.derive(i), i), range(draw, draw + wave)))
             draw += wave

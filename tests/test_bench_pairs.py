@@ -194,3 +194,32 @@ def test_out_summary_holds_the_verdict_and_the_bound(tmp_path, monkeypatch, caps
     printed = capsys.readouterr().out
     assert "bconv.run_s:" in printed and "is a loss beyond" in printed and "past bound 25%" in printed
     assert "median change +0.00%, within bound 25%" in printed
+
+
+def test_out_records_each_sides_machine(tmp_path, capsys):
+    # two stand-in checkouts whose benchmark prints a machine line, a metric line and its JSON line
+    script = (
+        "import json, sys\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "print('machine ' + json.dumps({'cores': 2, 'cpu': CPU}))\n"
+        "print('bconv run_s 0.3 s')\n"
+        "traced = sys.argv[sys.argv.index('--trace') + 1] == '1'\n"
+        "metric = {'euclid.atoms': {'value': 5, 'unit': 'count'}} if traced else {\n"
+        "    'run_s': {'value': 0.3 + seed / 100, 'unit': 's'}}\n"
+        "print(json.dumps({'metrics': metric}))\n"
+    )
+    for side in ("base", "head"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(f"CPU = {side + ' cpu'!r}\n" + script)
+    (tmp_path / "base" / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": [{"name": "run_s", "better": "lower"}]}')
+    out = tmp_path / "out.json"
+    argv = [str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "bconv", "--pairs", "2", "--counts",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["machine"] == {"BASE": {"cores": 2, "cpu": "base cpu"}, "HEAD": {"cores": 2, "cpu": "head cpu"}}
+    assert all("machine" not in run["result"] for run in report["runs"])  # stated once per side
+    assert "machine" not in report["counts"]["base"] and report["counts"]["differences"] == []
+    assert report["summary"]["bconv.run_s"]["base"]["runs"] == [0.31, 0.32]
+    assert "every per-layer count is the same" in capsys.readouterr().out

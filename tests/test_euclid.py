@@ -174,22 +174,33 @@ class TestEqualWeightAtoms:
 
 
 class TestInverseCdf:
-    """The build-once guide-table lookup against the plain search and clamp, bit for bit."""
+    """The build-once lookup of drawn values against the plain search, clamp and gather, bit for bit."""
 
     @staticmethod
-    def _assert_plain(weights, u):
+    def _assert_plain(weights, u, values=None):
+        """Answers ``values[min(searchsorted(cdf, u, "right"), n - 1)]`` with the guide table and without.
+
+        ``values`` defaults to n distinct floats in a shuffled order, so a
+        wrong index gives a wrong value.
+        """
         weights = np.asarray(weights, dtype=np.float64)
         u = np.asarray(u, dtype=np.float64)
+        n = weights.size
+        if values is None:
+            values = np.random.default_rng(n).permutation(n) / 7 - 1.5
+        table = TestInverseCdf._table(n)
+        assert u.size >= table  # so both paths below run
         total = float(weights.sum())
         cdf = np.cumsum(weights) / total
-        want = np.minimum(np.searchsorted(cdf, u, side="right"), weights.size - 1)
-        lookup = _inverse_cdf(weights, total, u.size)
-        got = lookup(u)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        # the one lookup answers the same keys in chunks smaller than its table
-        chunk = max(1, TestInverseCdf._table(weights.size) // 3)
-        got = np.concatenate([lookup(u[k : k + chunk]) for k in range(0, u.size, chunk)])
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = values[np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)]
+        for keys in (u.size, table - 1):  # with the guide table, then with the plain search
+            lookup = _inverse_cdf(weights, total, keys, values)
+            got = lookup(u)
+            assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+            # the one lookup answers the same keys in chunks smaller than its table
+            chunk = max(1, table // 3)
+            got = np.concatenate([lookup(u[k : k + chunk]) for k in range(0, u.size, chunk)])
+            assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @staticmethod
     def _table(n):
@@ -226,6 +237,16 @@ class TestInverseCdf:
         self._assert_plain([0.7], [self.TOP])
         self._assert_plain([0.7], [1.0])
 
+    def test_signed_zeros_and_repeated_values(self):
+        # equal values of either sign come back with their own bits, from the table and from the search
+        w = np.random.default_rng(5).random(700) + 0.01
+        w[[3, 300, 301]] = [5.0, 0.0, 40.0]
+        values = np.tile([-0.0, 0.0, 0.25, 0.25, -1.0], 140)
+        assert values.size == w.size
+        self._assert_plain(w, self._keys(w, 20_000, seed=6), values)
+        self._assert_plain([0.7], [self.TOP, 1.0], np.array([-0.0]))
+        self._assert_plain([0.5, 0.5], np.arange(3) / 2, np.array([0.0, -0.0]))
+
     def test_zero_weight_atoms(self):
         w = np.array([0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.5, 0.2, 0.0, 0.0])
         self._assert_plain(w, self._keys(w, 5000))
@@ -261,12 +282,12 @@ class TestInverseCdf:
                 return np.arange(*args, **kwargs)
 
         monkeypatch.setattr(cascade, "np", NumpySpy())
-        _inverse_cdf(w, w.sum(), table - 1)
+        _inverse_cdf(w, w.sum(), table - 1, m1.points)
         assert built == []  # no table
-        _inverse_cdf(w, w.sum(), table)
+        _inverse_cdf(w, w.sum(), table, m1.points)
         assert built == [(table + 2,)]
         # one table per factor per sampled product, decided by atom_cap and
-        # built before the first chunk, however small the chunks
+        # built before that factor's first chunk, however small the chunks
         monkeypatch.setattr(euclid, "_PAIR_CHUNK", 100)
         for atom_cap, tables in ((table - 1, [(512 + 2,)]), (table, [(table + 2,), (512 + 2,)]),
                                  (3 * table + 5, [(table + 2,), (512 + 2,)])):
@@ -717,6 +738,48 @@ class TestChunkedProduct:
             want = AtomicMeasure(m1.points[i] + m2.points[j], w, m1.resolution + m2.resolution)
             assert self._same_bits(conv.points, want.points) and self._same_bits(conv.weights, want.weights)
             assert conv.resolution == want.resolution
+
+    @pytest.fixture(scope="class")
+    def zero_factors(self):
+        """Factors of 400 atoms on a grid of eighths, one with -0.0 and one with +0.0 among its points.
+
+        Their products outnumber every cap, so each is sampled.  The zero
+        atom weighs about as much as the pairs (x, -x) together, so a run of
+        zero sums mixes -0.0 + -0.0 with x + (-x) = +0.0.
+        """
+        points = np.arange(-200, 200) / 8
+        weights = np.random.default_rng(8).random(400) + 0.01
+        weights[200] = 10.0
+        negative = points.copy()
+        negative[200] = -0.0
+        made = AtomicMeasure(negative, weights, 0.0), AtomicMeasure(points, weights[::-1], 0.0)
+        assert [np.signbit(m.points[200]) for m in made] == [True, False] and 400 * 400 > 3 * self.C + 5
+        return made
+
+    @pytest.mark.parametrize("atom_cap", CAPS)
+    def test_signed_zeros_match_the_whole_draw(self, zero_factors, atom_cap):
+        negative, positive = zero_factors
+        zero_signs = []
+        for m1, m2, seed in ((negative, positive, 3), (positive, negative, 4), (negative, negative, 5),
+                             (negative, negative, 7)):
+            rng = KeyedRng(seed)
+            i, j = sampled_pairs(m1, m2, atom_cap, rng)
+            x, y = m1.points[i], m2.points[j]
+            prod = product(m1, m2, atom_cap=atom_cap, rng=rng)
+            assert self._same_bits(prod.xs, x) and self._same_bits(prod.ys, y)
+            sums = x + y
+            w = np.full(atom_cap, m1.total_weight * m2.total_weight / atom_cap)
+            conv = convolve(m1, m2, atom_cap=atom_cap, rng=rng)
+            want = AtomicMeasure(sums, w, 0.0)
+            assert self._same_bits(conv.points, want.points) and self._same_bits(conv.weights, want.weights)
+            zeros = sums[sums == 0]
+            if zeros.size:  # the merged zero atom takes the sign of the first zero drawn
+                zero = conv.points[conv.points == 0]
+                assert zero.size == 1 and np.signbit(zero[0]) == np.signbit(zeros[0])
+                zero_signs.append((bool(np.signbit(zeros).any()), bool(np.signbit(zero[0]))))
+        # (a -0.0 among the zero sums, the merged zero's sign): past atom_cap 1 the
+        # last two draws mix both signs, one led by +0.0 and one by -0.0
+        assert zero_signs == ([] if atom_cap == 1 else [(False, False), (False, False), (True, False), (True, True)])
 
     def test_stream_ranges_are_slices_of_the_whole_stream(self):
         C = self.C

@@ -254,8 +254,9 @@ class TestReports:
         assert rep_s["discarded_seeds"] == rep_p["discarded_seeds"]
 
     def test_threads_bounded_by_the_cores(self, monkeypatch, tmp_path):
-        # the pool and its waves stop at the core count; the stand-in pool
-        # records what it was asked for and runs on at most 2 threads
+        # the pool and its waves stop at the core count, and one worker builds
+        # no pool; the stand-in pool records what it was asked for and runs
+        # on at most 2 threads
         asked = []
 
         class Pool(experiments.ThreadPoolExecutor):
@@ -263,14 +264,15 @@ class TestReports:
                 asked.append(max_workers)
                 super().__init__(max_workers=min(max_workers, 2))
 
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
-        for threads in (64, 1):
-            run_experiment(dict(SMALL_CASCADE, threads=threads)).write(tmp_path / str(threads))
-        assert asked == [1, 1]
-        assert (tmp_path / "64" / "scales.csv").read_bytes() == (tmp_path / "1" / "scales.csv").read_bytes()
-        reports = [_mask_runtime((tmp_path / sub / "report.json").read_text()) for sub in ("64", "1")]
-        assert reports[0] == reports[1]
+        runs = ((1, 64), (1, 1), (2, 64), (2, 1))
+        for cores, threads in runs:
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda cores=cores: cores)
+            run_experiment(dict(SMALL_CASCADE, threads=threads)).write(tmp_path / f"{cores}-{threads}")
+        assert asked == [2]
+        outs = [tmp_path / f"{cores}-{threads}" for cores, threads in runs]
+        assert len({(out / "scales.csv").read_bytes() for out in outs}) == 1
+        assert len({_mask_runtime((out / "report.json").read_text()) for out in outs}) == 1
 
     @pytest.mark.parametrize(
         "cfg, echoed",

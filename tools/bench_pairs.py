@@ -22,8 +22,9 @@ worse than BASE's by more than that fraction of it, else "within bound".
 ``--counts`` first runs one ``--trace 1`` pass of seed 1 in each checkout
 and prints every per-layer count (a metric of unit ``count``) that differs
 between the two; ``--pairs 0`` then runs no pairs.  ``--out`` writes every
-run, the summary and the count comparison as JSON.  The exit code is 1 if
-any run exited non-zero or any count differs, else 0.
+run, the summary and the count comparison as JSON, with each side's
+``machine`` line as its first run printed it.  The exit code is 1 if any
+run exited non-zero or any count differs, else 0.
 """
 from __future__ import annotations
 
@@ -146,12 +147,19 @@ def count_differences(base: dict, head: dict) -> list[str]:
 
 def run_side(side: Path, workload: str, seed: int, seconds: float,
              trace: bool = False) -> tuple[int, dict | None, str]:
-    """One benchmark run in checkout ``side``: exit code, its JSON line (or None), and stderr."""
+    """One benchmark run in checkout ``side``: exit code, its JSON line (or None), and stderr.
+
+    The JSON line gains ``"machine"``: the first ``machine {...}`` line the
+    run printed, parsed, or None without one.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(argv, cwd=side, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    if proc.returncode or not lines:
+        return proc.returncode, None, proc.stderr
+    result = json.loads(lines[-1])
+    result["machine"] = next((json.loads(line.partition(" ")[2]) for line in lines if line.startswith("machine {")), None)
     return proc.returncode, result, proc.stderr
 
 
@@ -169,7 +177,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
-    runs, failed, counts = [], 0, None
+    runs, failed, counts, machines = [], 0, None, {}
     if args.counts:
         traced = {}
         for label, side in (("BASE", args.base), ("HEAD", args.head)):
@@ -178,6 +186,8 @@ def main(argv=None) -> int:
             if traced[label] is None:
                 failed += 1
                 sys.stderr.write(err)
+            else:
+                machines.setdefault(label, traced[label].pop("machine", None))
         if None not in traced.values():
             differences = count_differences(traced["BASE"], traced["HEAD"])
             counts = {"base": traced["BASE"], "head": traced["HEAD"], "differences": differences}
@@ -195,6 +205,7 @@ def main(argv=None) -> int:
                 failed += 1
                 sys.stderr.write(err)
                 continue
+            machines.setdefault(label, result.pop("machine", None))
             if args.workload != "all":  # name the metrics as a run of all workloads does
                 result["metrics"] = {f"{args.workload}.{k}": v for k, v in result["metrics"].items()}
             runs.append({"side": label, "seed": seed, "finished": finished, "result": result})
@@ -203,7 +214,7 @@ def main(argv=None) -> int:
         print(report_line(name, stats))
     if args.out is not None:
         command = f"python3 perfbench/run.py --workload {args.workload} --seed N --seconds {seconds:g} --trace 0"
-        report = {"command": command, "runs": runs, "summary": summary}
+        report = {"command": command, "machine": machines, "runs": runs, "summary": summary}
         if args.counts:
             report["counts"] = counts
         args.out.write_text(json.dumps(report, indent=1) + "\n")
