@@ -38,11 +38,13 @@ __all__ = [
     "bernoulli_convolution",
 ]
 
-# Sampled pairs per chunk of a sampled product.  Each array of a chunk (hashes,
-# uniforms, buckets, drawn points) is 256 KB, so the few alive at once stay in a
-# core's L2 cache (2 MB on the 2-core Xeon of BENCH_24.json, where chunks of
-# 2^14 to 2^16 pairs ran alike).
-_PAIR_CHUNK = 1 << 15
+# Keys per chunk of a sampled product's factor pass.  Each array of a chunk
+# (hashes, uniforms, buckets, drawn points) is 512 KB.  With one factor drawn
+# per pass, drawing bconv's two factors took 0.156 s at 2^16 against 0.172 s
+# at 2^15 and 0.16 s at 2^17 on the 2-core Xeon of BENCH_33.json (2 MB of L2
+# per core): fewer chunks cost fewer numpy calls, while larger ones crowd the
+# factor's tables out of the cache.
+_PAIR_CHUNK = 1 << 16
 
 
 class AtomicMeasure:

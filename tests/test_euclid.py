@@ -716,7 +716,7 @@ class TestChunkedProduct:
     @pytest.fixture(scope="class")
     def factors(self):
         small = bernoulli_convolution(0.4, 0.9, 10)  # its guide table runs from atom_cap C - 1 on
-        big = bernoulli_convolution(0.35, 0.85, 16)  # its table runs only at 3C + 5, past its 2^16 atoms
+        big = bernoulli_convolution(0.35, 0.85, 17)  # its table runs only at 3C + 5, past its 2^17 atoms
         assert len(small) < self.C - 1 and self.C + 1 < len(big) < 3 * self.C + 5
         return small, big
 
@@ -741,19 +741,19 @@ class TestChunkedProduct:
 
     @pytest.fixture(scope="class")
     def zero_factors(self):
-        """Factors of 400 atoms on a grid of eighths, one with -0.0 and one with +0.0 among its points.
+        """Factors of 600 atoms on a grid of eighths, one with -0.0 and one with +0.0 among its points.
 
         Their products outnumber every cap, so each is sampled.  The zero
         atom weighs about as much as the pairs (x, -x) together, so a run of
         zero sums mixes -0.0 + -0.0 with x + (-x) = +0.0.
         """
-        points = np.arange(-200, 200) / 8
-        weights = np.random.default_rng(8).random(400) + 0.01
-        weights[200] = 10.0
+        points = np.arange(-300, 300) / 8
+        weights = np.random.default_rng(8).random(600) + 0.01
+        weights[300] = 10.0
         negative = points.copy()
-        negative[200] = -0.0
+        negative[300] = -0.0
         made = AtomicMeasure(negative, weights, 0.0), AtomicMeasure(points, weights[::-1], 0.0)
-        assert [np.signbit(m.points[200]) for m in made] == [True, False] and 400 * 400 > 3 * self.C + 5
+        assert [np.signbit(m.points[300]) for m in made] == [True, False] and 600 * 600 > 3 * self.C + 5
         return made
 
     @pytest.mark.parametrize("atom_cap", CAPS)
@@ -761,7 +761,7 @@ class TestChunkedProduct:
         negative, positive = zero_factors
         zero_signs = []
         for m1, m2, seed in ((negative, positive, 3), (positive, negative, 4), (negative, negative, 5),
-                             (negative, negative, 7)):
+                             (negative, negative, 6)):
             rng = KeyedRng(seed)
             i, j = sampled_pairs(m1, m2, atom_cap, rng)
             x, y = m1.points[i], m2.points[j]
