@@ -36,12 +36,7 @@ while len(slopes) < 8:
     cb = percolation_codes(Subshift.full(3), pb, db, rng.derive(2), tiling3)
     if ca.size == 0 or cb.size == 0:
         continue
-    total = sumset(
-        set_image(ca, tiling2, length=da),
-        set_image(cb, tiling3, length=db),
-        math.sqrt(2.0),
-        pair_cap=200_000_000,
-    )
+    total = sumset(set_image(ca, tiling2, length=da), set_image(cb, tiling3, length=db), math.sqrt(2.0))
     slopes.append(box_dimension(total, [2.0**-k for k in range(3, 13)]).slope)
 print(f"sumset of percolation images, s = sqrt(2): dim {np.mean(slopes):.4f} "
       f"over {len(slopes)} surviving pairs (formula {target:.4f})")

@@ -51,7 +51,7 @@ from typing import Iterable
 import numpy as np
 
 from .ifs import AffineIfs
-from .symbolic import DEFAULT_WORD_CAP, Subshift, SymbolicMeasure, walk_tree
+from .symbolic import Subshift, SymbolicMeasure, walk_tree
 from .symbolic import codes_to_letters  # noqa: F401  unused here, but perfbench/layers.py traces this name
 
 __all__ = [
@@ -344,7 +344,7 @@ def _keep_threshold(p: float) -> int:
     return lo
 
 
-def _grow(base, x, law, rng, depth, cap):
+def _grow(base, x, law, rng, depth):
     """Keyed cascade walk: the codes and masses of the depth-n words (see ``walk_tree``)."""
     if base.alphabet_size != x.alphabet_size:
         raise ValueError("measure and subshift alphabets differ")
@@ -356,8 +356,8 @@ def _grow(base, x, law, rng, depth, cap):
 
     table = x.successor_table() * base.step_table()
     if law == WeightLaw.percolation(1.0):
-        return walk_tree(table, depth, cap)  # unit weights: no node needs its hash
-    return walk_tree(table, depth, cap, rng, weigh)
+        return walk_tree(table, depth)  # unit weights: no node needs its hash
+    return walk_tree(table, depth, rng, weigh)
 
 
 def cascade_measure(
@@ -370,21 +370,23 @@ def cascade_measure(
     zero-weight subtrees are pruned without touching their descendants, so
     a cascade that dies out gives an empty measure.
     """
-    return CylinderMeasure(*_grow(base, x, law, rng, depth, DEFAULT_WORD_CAP), depth, x.alphabet_size)
+    return CylinderMeasure(*_grow(base, x, law, rng, depth), depth, x.alphabet_size)
 
 
 def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng, ifs: AffineIfs) -> np.ndarray:
     """The admissible depth-n words whose every prefix weight is positive, numbered for ``ifs``.
 
-    The walk enumerates the successor table and keeps a child on the integer
-    keep test alone (see the module docstring); no node carries a mass.  The
-    words are numbered as ``set_image(words, ifs, depth)`` reads them: by
-    their cell offsets where ``ifs.lattice(depth)`` routes (``walk_tree``'s
+    The walk reads the boolean successor table, unread on the full shift,
+    and keeps a child when its entry allows it and the child passes the
+    integer keep test (see the module docstring); no node carries a mass.
+    The words are numbered as ``set_image(words, ifs, depth)`` reads them:
+    by their cell offsets where ``ifs.lattice(depth)`` routes (``walk_tree``'s
     numeral), else by their base-a codes, which come out sorted.  On an
     m-adic tiling the two agree, so ``AffineIfs.tiling(a)`` gives the codes.
-    Cell offsets come one per word, in walk order, while the words number at
-    most ``last - first`` of ``ifs.cell_range(depth)``; past that the walk
-    returns the distinct cells, sorted (``walk_tree``).
+    Numbers come one per word, in walk order, while the words number at
+    most ``last - first`` of their range (``ifs.cell_range(depth)``, or
+    [0, a^n - 1] for codes); past that the walk returns the distinct
+    numbers, sorted (``walk_tree``), which for codes are the same a^n codes.
     """
     WeightLaw.percolation(p)  # the same refusals as the law
     if depth < 1:
@@ -395,9 +397,9 @@ def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng, ifs: Aff
     numeral = None if lattice is None else lattice[:2]
     table = x.successor_table()
     if p == 1.0:
-        return walk_tree(table, depth, DEFAULT_WORD_CAP, numeral=numeral)[0]
+        return walk_tree(table, depth, numeral=numeral)[0]
     bound = np.uint64(_keep_threshold(p) << 11)  # h >> 11 < T(p); T(p) < 2^53 for p < 1, so it fits
-    return walk_tree(table, depth, DEFAULT_WORD_CAP, rng, lambda hashes: hashes < bound, numeral)[0]
+    return walk_tree(table, depth, rng, lambda hashes: hashes < bound, numeral)[0]
 
 
 def cascade_mass_trace(
@@ -410,5 +412,5 @@ def cascade_mass_trace(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    totals = [_grow(base, x, law, rng, k, DEFAULT_WORD_CAP)[1].sum() for k in range(1, depth + 1)]
+    totals = [_grow(base, x, law, rng, k)[1].sum() for k in range(1, depth + 1)]
     return np.array(totals)

@@ -542,6 +542,8 @@ def convolve(
 _EROSION_BUDGET = 10_000
 # Gaps added on each side of a guessed candidate range before it is checked.
 _EROSION_MARGIN = 2
+# The most interval pairs ``sumset`` takes: a product of two set sizes past it is refused.
+_SUMSET_PAIR_CAP = 200_000_000
 
 
 def _erosion_sumset(a_lo, a_hi, b_lo, b_hi, source: float) -> IntervalSet:
@@ -619,13 +621,7 @@ def _erosion_sumset(a_lo, a_hi, b_lo, b_hi, source: float) -> IntervalSet:
     return IntervalSet(c_hi[:-1], c_lo[1:], source)
 
 
-def sumset(
-    s1: IntervalSet,
-    s2: IntervalSet,
-    s: float,
-    *,
-    pair_cap: int,
-) -> IntervalSet:
+def sumset(s1: IntervalSet, s2: IntervalSet, s: float) -> IntervalSet:
     """The arithmetic sum {x + s*y} of two interval sets, exactly merged.
 
     One exact algorithm serves every input: complement erosion by blocks of
@@ -633,15 +629,15 @@ def sumset(
     ``_erosion_sumset``).  Its endpoints are the floating-point sums of
     endpoints that the pairwise Minkowski sums would give, and the result is
     bit for bit that of eroding by one family at a time, whatever the block
-    sizes.
+    sizes.  More than ``_SUMSET_PAIR_CAP`` interval pairs raise ``CapExceeded``.
     """
     if not (np.isfinite(s) and s != 0):
         raise ValueError("s must be finite and nonzero")
     if len(s1) == 0 or len(s2) == 0:
         return IntervalSet.empty()
     pairs = len(s1) * len(s2)
-    if pairs > pair_cap:
-        raise CapExceeded(pairs, pair_cap, what="interval pairs")
+    if pairs > _SUMSET_PAIR_CAP:
+        raise CapExceeded(pairs, _SUMSET_PAIR_CAP, what="interval pairs")
     sb = s2.scale(s)
     return _erosion_sumset(s1.los, s1.his, sb.los, sb.his, s1.source_scale + sb.source_scale)
 

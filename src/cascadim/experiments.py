@@ -376,7 +376,10 @@ def _collect_surviving(master: KeyedRng, need: int, worker, threads: int):
     Draw index doubles as the derived-stream index, so the realizations and
     their assignment to trials do not depend on the thread count.  Threads
     past the core count gain nothing, so the pool and its waves stop there;
-    one worker runs the draws in this thread, with no pool.
+    one worker runs the draws in this thread, with no pool.  It gives up past
+    20,000 draws per trial, 20 times ``_surviving``'s budget, as a backstop:
+    a run that ``_surviving`` accepts (s_n >= 1e-3) needs more with a chance
+    below (1 - 1e-3)^20000 < e^-20 for one trial, and less for more.
     """
     results = []
     discarded = 0
@@ -395,7 +398,7 @@ def _collect_surviving(master: KeyedRng, need: int, worker, threads: int):
                     discarded += 1
                 else:
                     results.append(out)
-            if draw > 1000 * max(need, 1):
+            if draw > 20_000 * max(need, 1):
                 raise CascadimError(
                     f"survival conditioning gave up after {draw} draws with {len(results)} of "
                     f"{need} realizations alive: the process almost surely dies out by this depth"
@@ -544,10 +547,6 @@ def run_percolation_image_dim(cfg, shift, ifs) -> Findings:
     )
 
 
-# The most interval pairs a sumset of two percolation images may take.
-_SUMSET_PAIR_CAP = 200_000_000
-
-
 def run_sumset_dim(cfg, shift_a, ifs_a, shift_b, ifs_b) -> Findings:
     a, b = cfg["alphabet_a"], cfg["alphabet_b"]
     pa, pb = cfg["p_a"], cfg["p_b"]
@@ -569,7 +568,7 @@ def run_sumset_dim(cfg, shift_a, ifs_a, shift_b, ifs_b) -> Findings:
             return None
         img_a = set_image(ca, ifs_a, length=da)
         img_b = set_image(cb, ifs_b, length=db)
-        return {s: box_dimension(sumset(img_a, img_b, s, pair_cap=_SUMSET_PAIR_CAP), scales) for s in s_values}
+        return {s: box_dimension(sumset(img_a, img_b, s), scales) for s in s_values}
 
     # a draw counts when both factors survive
     survival = _survival(shift_a.successor_table(), pa, da) * _survival(shift_b.successor_table(), pb, db)

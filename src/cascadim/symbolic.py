@@ -8,13 +8,13 @@ chain whose rows all equal its initial law.  Entropies are in nats
 throughout; dimension formulas downstream divide by the log of the metric
 contraction in the same base.
 
-Large word sets are handled as sorted ``int64`` arrays of base-``a`` codes
-(``code = sum (letter_j - 1) * a**(n - j)``), which keeps lexicographic order
-equal to numeric order.  Where letters are needed, ``codes_to_letters``
-decodes the codes into an ``(N, n)`` letter matrix.  ``walk_tree`` can
-number its words by another numeral instead, such as the cell offsets of a
-lattice IFS, and then gives distinct cells where words would outnumber them
-(see there).
+A word set is an ``int64`` array with one number per word, from
+``walk_tree``: a numeral ``(m, d)`` numbers a length-n word u by
+``sum_j d(u_j) m^(n - j)``.  Base-``a`` codes are the numeral
+``(a, (0, ..., a-1))``, whose numbers keep lexicographic order as numeric
+order; where letters are needed, ``codes_to_letters`` decodes codes into an
+``(N, n)`` letter matrix.  The cell offsets of a lattice IFS are another
+numeral, which may give two words one number (see ``walk_tree``).
 """
 from __future__ import annotations
 
@@ -62,23 +62,21 @@ def codes_to_letters(codes: np.ndarray, length: int, alphabet_size: int) -> np.n
 def numbering(a: int, depth: int, numeral=None):
     """``walk_tree``'s ``(m, digits, (first, last))`` for ``numeral``; base-``a`` codes without one.
 
-    Codes have ``digits`` None.  ``first`` and ``last`` are the least and
-    greatest number a length-``depth`` word can take: ``min(d) S`` and
-    ``max(d) S`` with ``S = (m^n - 1)/(m - 1)`` and d the digits (``0..a-1``
-    for codes).  Numbers are int64, so a
+    Base-``a`` codes are the numeral ``(a, (0, ..., a-1))``.  ``first`` and
+    ``last`` are the least and greatest number a length-``depth`` word can
+    take: ``min(d) S`` and ``max(d) S`` with ``S = (m^n - 1)/(m - 1)`` and d
+    the digits.  Numbers are int64, so a
     numbering whose largest ``|number|`` at level k, ``max|d| S``, reaches
     2^62 raises ``CapExceeded`` at the first such level, where the number is
     still short to build and print.  This is the one code-range rule: a
     caller checks a walk before it runs by calling it with the walk's
     numbering.
     """
-    if numeral is None:
-        m, digits, low, high = a, None, 0, a - 1
-    else:
-        m, digits = numeral[0], np.array(numeral[1], dtype=np.int64)
-        if digits.shape != (a,):
-            raise ValueError(f"numeral needs one digit per letter, {a}")
-        low, high = int(digits.min()), int(digits.max())
+    m, digits = (a, range(a)) if numeral is None else numeral
+    digits = np.array(digits, dtype=np.int64)
+    if digits.shape != (a,):
+        raise ValueError(f"numeral needs one digit per letter, {a}")
+    low, high = int(digits.min()), int(digits.max())
     span = 0  # S at level k
     for k in range(1, depth + 1):
         span = span * m + 1
@@ -88,7 +86,7 @@ def numbering(a: int, depth: int, numeral=None):
     return m, digits, (low * span, high * span)
 
 
-def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, numeral=None):
+def walk_tree(table: np.ndarray, depth: int, rng=None, weigh=None, numeral=None):
     """Grow the word tree one letter per level down to ``depth``.
 
     ``table`` is ``(a+1, a)``: a word ending in letter ``i+1`` (row ``a``: the
@@ -103,9 +101,9 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     next-length state absorbing its letter (``rng.absorb``), and only the
     survivors absorb their letter into their remaining states.
 
-    An all-True boolean table (the full shift) is never read and no node
-    carries a mass: ``weigh`` alone decides, and without ``weigh`` every
-    child is kept.  The masses returned are all True, built once at the end;
+    A boolean table carries no masses: a child is kept when its table entry
+    allows it and ``weigh`` keeps it, and an all-True table (the full shift)
+    is never read.  The masses returned are all True, built once at the end;
     the words are those that the same walk on ``table.astype(float)`` gives
     positive mass.
 
@@ -124,22 +122,23 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     mass depends only on its word, so level k of this walk is, node for
     node, the leaves of the depth-k walk.
 
-    A node is numbered by its base-``a`` code, ``code(parent)*a + letter - 1``,
-    so the codes come out sorted.  With ``numeral=(m, digits)`` it is
-    numbered ``N(parent)*m + digits[letter - 1]`` instead: with the
-    ``(m, digits)`` of ``AffineIfs.lattice(depth)`` that is the word's cell
-    offset ``P(u) = sum_j d(u_j) m^(depth-j)``, which need not be sorted
-    or distinct.  A boolean walk so numbered lists its leaf blocks until they
-    outnumber the cells of its number range ``[first, last]`` (``numbering``);
-    from then on it marks every leaf block in a boolean array over that range
-    and returns the marked cells, distinct and in increasing order, with all-True
-    masses.  So a many-to-one lattice walk gives its distinct cells, never
-    more numbers than the range holds, and no list of every word.
+    A node is numbered ``N(parent)*m + digits[letter - 1]`` by the numeral
+    ``(m, digits)`` of ``numbering``: base-``a`` codes without ``numeral``,
+    which come out sorted; with the ``(m, digits)`` of
+    ``AffineIfs.lattice(depth)``, the word's cell offset
+    ``P(u) = sum_j d(u_j) m^(depth-j)``, which need not be sorted or
+    distinct.  A boolean walk lists its leaf blocks until they outnumber the
+    numbers of its range ``[first, last]``; from then on it marks every leaf
+    block in a boolean array over that range and returns the marked numbers,
+    distinct and in increasing order.  So a lattice walk gives its distinct
+    cells and no list of every word, and a code walk, which marks only once
+    all a^n words are listed, gives the same sorted codes.
 
     Returns the numbers and masses of the length-``depth`` words; no
     shallower level outlives its blocks.  Numbers are int64, so a walk
     whose numbers could reach 2^62 in size raises ``CapExceeded`` instead
-    of wrapping (``numbering``); so does a level of more than ``cap`` nodes.
+    of wrapping (``numbering``); so does a level of more than
+    ``DEFAULT_WORD_CAP`` nodes.
     """
     a = table.shape[1]
     m, digits, (first, last) = numbering(a, depth, numeral)
@@ -147,16 +146,16 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
     masses = np.ones(1, dtype=table.dtype)
     if depth == 0:
         return codes, masses
-    full = table.dtype == bool and bool(table.all())
+    boolean = table.dtype == bool
+    full = boolean and bool(table.all())
     child_letters = np.tile(np.arange(1, a + 1, dtype=np.uint64), _BLOCK)
-    if weigh is None or not full:  # a weighed full-shift walk gathers its kept children at every step
-        # the rows and digits of a block's children when every one is kept
-        child_rows = np.tile(np.arange(a), _BLOCK)
-        child_digits = child_rows if digits is None else np.tile(digits, _BLOCK)
+    # the rows and digits of a block's children when every one is kept
+    child_rows = np.tile(np.arange(a), _BLOCK)
+    child_digits = np.tile(digits, _BLOCK)
     # states: one row per deeper word length, one column per node
     states = None if weigh is None else rng.length_states(depth)[:, None]
     # a node's row in ``table`` is its last letter - 1; the root's is a
-    pending = [(0, codes, np.full(1, a), None if full else masses, states)]
+    pending = [(0, codes, np.full(1, a), None if boolean else masses, states)]
     counts = [0] * depth
     leaf_codes = [np.zeros(0, dtype=np.int64)]
     leaf_masses = [np.zeros(0, dtype=table.dtype)]
@@ -167,40 +166,42 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
         if weigh is not None:
             hashes = np.repeat(states[0], a)
             rng.absorb(hashes, child_letters[:children])
-        if full:
-            kept = None if weigh is None else np.flatnonzero(weigh(hashes))
+        if boolean:
+            keep = None if full else np.take(table, row, axis=0).ravel()
+            if weigh is not None:
+                keep = weigh(hashes) if full else keep & weigh(hashes)
         else:
             masses = np.take(table, row, axis=0).ravel()
             masses *= np.repeat(parent_masses, a)
             if weigh is not None:
                 masses *= weigh(hashes)
             keep = masses > 0
-            kept = None if keep.all() else np.flatnonzero(keep)
-        if kept is None:  # every child kept
+        if keep is None or keep.all():  # every child kept
             codes = np.repeat(codes * m, a)
             codes += child_digits[:children]
             row, parent = child_rows[:children], None
         else:
-            if not full:
+            kept = np.flatnonzero(keep)
+            if not boolean:
                 masses = np.take(masses, kept)
             parent = kept // a
             row = kept - parent * a
-            codes = np.take(codes, parent) * m + (row if digits is None else np.take(digits, row))
+            codes = np.take(codes, parent) * m + np.take(digits, row)
         counts[length] += len(codes)
-        if counts[length] > cap:
-            raise CapExceeded(counts[length], cap, what="tree nodes")
+        if counts[length] > DEFAULT_WORD_CAP:
+            raise CapExceeded(counts[length], DEFAULT_WORD_CAP, what="tree nodes")
         length += 1
         if length == depth:
             leaf_codes.append(codes)
-            if not full:
+            if not boolean:
                 leaf_masses.append(masses)
             listed += len(codes)
-            if listed > last - first and digits is not None and table.dtype == bool:
+            if boolean and listed > last - first:
                 if marked is None:
                     marked = np.zeros(last - first + 1, dtype=bool)
                 for block in leaf_codes:
                     marked[block - first] = True
-                del leaf_codes[:], leaf_masses[:]
+                del leaf_codes[:]
             continue
         if weigh is not None:
             if parent is None:
@@ -216,15 +217,15 @@ def walk_tree(table: np.ndarray, depth: int, cap: int, rng=None, weigh=None, num
         for start in reversed(range(0, len(codes), _BLOCK)):  # popped left to right
             block = slice(start, start + _BLOCK)
             pending.append(
-                (length, codes[block], row[block], None if full else masses[block],
+                (length, codes[block], row[block], None if boolean else masses[block],
                  None if weigh is None else states[:, block])
             )
     if marked is not None:
         codes = np.flatnonzero(marked)
         codes += first
-        return codes, np.ones(len(codes), dtype=bool)
-    codes = np.concatenate(leaf_codes)
-    if full:
+    else:
+        codes = np.concatenate(leaf_codes)
+    if boolean:
         return codes, np.ones(len(codes), dtype=bool)
     return codes, np.concatenate(leaf_masses)
 
@@ -361,7 +362,7 @@ class Subshift:
         if n < 0:
             raise ValueError("n must be >= 0")
         _capped_word_count(self, n)
-        codes, _ = walk_tree(self.successor_table(), n, DEFAULT_WORD_CAP)
+        codes, _ = walk_tree(self.successor_table(), n)
         return codes
 
     # -- spectral quantities ----------------------------------------------

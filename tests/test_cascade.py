@@ -256,9 +256,10 @@ class TestCascadeMeasure:
         assert cm.codes.size == cm.masses.size == 0 and cm.total_mass == 0.0
         assert len(cm.coarsen(3)) == 0 and cm.coarsen(3).depth == 3
 
-    def test_cap_exceeded(self, uniform2):
-        with pytest.raises(CapExceeded):
-            _grow(uniform2, Subshift.full(2), WeightLaw.percolation(1.0), KeyedRng(1), 12, 100)
+    def test_cap_exceeded(self, uniform2, monkeypatch):
+        with monkeypatch.context() as patched, pytest.raises(CapExceeded):
+            patched.setattr(symbolic, "DEFAULT_WORD_CAP", 100)
+            _grow(uniform2, Subshift.full(2), WeightLaw.percolation(1.0), KeyedRng(1), 12)
         # binary words longer than 62 letters have no int64 code: raise, never wrap
         with pytest.raises(CapExceeded, match="code range"):
             percolation_codes(Subshift.full(2), 0.6, 64, KeyedRng(5), TILING2)
@@ -267,13 +268,13 @@ class TestCascadeMeasure:
         # a cell numbering is bounded by its own reach: 3 (4^40 - 1)/3 = 2^80 - 1
         table = Subshift.full(2).successor_table()
         with pytest.raises(CapExceeded, match="code range"):
-            walk_tree(table, 40, 10**6, numeral=(4, (0, 3)))
+            walk_tree(table, 40, numeral=(4, (0, 3)))
         # the check stops at the first level past 2^62, so no 60,000-digit range is built or printed
         with pytest.raises(CapExceeded, match="at level 63 of 200000") as refused:
             percolation_codes(Subshift.full(2), 0.6, 200000, KeyedRng(5), TILING2)
         assert len(str(refused.value)) < 100
         with pytest.raises(ValueError, match="one digit per letter"):
-            walk_tree(table, 8, 10**6, numeral=(2, (0, 0, 1)))
+            walk_tree(table, 8, numeral=(2, (0, 0, 1)))
         with pytest.raises(ValueError, match="alphabet mismatch"):
             percolation_codes(Subshift.full(2), 0.6, 8, KeyedRng(5), AffineIfs.tiling(3))
 
@@ -470,7 +471,7 @@ def small_block(request, monkeypatch):
     return request.param
 
 
-def _walk_per_level(table, depth, law, rng, reference, cap=10**6):
+def _walk_per_level(table, depth, law, rng, reference):
     """``walk_tree`` with the keyed weights; also the hashes it drew, per length, in call order.
 
     A hash absorbs its word's length first, so each block's length is looked
@@ -484,7 +485,7 @@ def _walk_per_level(table, depth, law, rng, reference, cap=10**6):
         seen.setdefault(length_of[int(hashes[0])], []).append(hashes.copy())
         return law.weights_from_uniforms(_to_uniform(hashes))
 
-    return walk_tree(table, depth, cap, rng, weigh), {k: np.concatenate(v) for k, v in seen.items()}
+    return walk_tree(table, depth, rng, weigh), {k: np.concatenate(v) for k, v in seen.items()}
 
 
 class TestTreeHashes:
@@ -502,7 +503,7 @@ class TestTreeHashes:
             rng = KeyedRng(seed)
             reference = _reference_walk(table, depth, law, rng)
             (codes, masses), seen = _walk_per_level(table, depth, law, rng, reference)
-            grown = _grow(base, x, law, rng, depth, 10**6)
+            grown = _grow(base, x, law, rng, depth)
             totals = cascade_mass_trace(base, x, law, depth, rng)
             assert list(seen) and sorted(seen) == list(range(1, len(seen) + 1))
             for length, got in seen.items():
@@ -549,9 +550,10 @@ class TestTreeHashes:
 class TestYesNoWalk:
     """A boolean table's walk against the same walk on float masses.
 
-    The full shift's table is all True, so its walk reads no table and
-    carries no masses; the golden mean's and the dead-letter shift's are not,
-    so their walks carry boolean masses.  Each case runs with
+    No boolean walk carries masses: a child is kept when its table entry
+    allows it and the keep test passes.  The full shift's table is all True,
+    so its walk reads no table; the golden mean's and the dead-letter
+    shift's are read at every step.  Each case runs with
     and without the keyed keep test and the cell numeral, at the default
     block size and again with blocks of 1 and 7 nodes.  With the numeral the
     full shift's words outnumber their 256 cells, so its walk gives the
@@ -572,8 +574,8 @@ class TestYesNoWalk:
         bound = np.uint64(_keep_threshold(0.9) << 11)
         for rng, weigh in ((None, None), (KeyedRng(5), lambda hashes: hashes < bound)):
             for num in (None, numeral):
-                codes, masses = walk_tree(table, depth, 10**6, rng, weigh, num)
-                ref_codes, ref_masses = walk_tree(table.astype(float), depth, 10**6, rng, weigh, num)
+                codes, masses = walk_tree(table, depth, rng, weigh, num)
+                ref_codes, ref_masses = walk_tree(table.astype(float), depth, rng, weigh, num)
                 want = ref_codes[ref_masses > 0]
                 if num is not None:
                     want, marked = walked_numbers(want, num, depth)
@@ -644,7 +646,7 @@ class TestKeepEveryChild:
         for seed in (4, 77):
             rng = KeyedRng(seed)
             steps.clear()
-            codes, masses = walk_tree(table, depth, 10**6, rng, weigh, numeral)
+            codes, masses = walk_tree(table, depth, rng, weigh, numeral)
             want_codes, want_masses = _oracle_walk(table, depth, law, rng, numeral)
             assert len(codes) > 0
             assert codes.tobytes() == want_codes.tobytes()
@@ -663,41 +665,54 @@ class TestKeepEveryChild:
 
 @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
 class TestCapAcrossBlocks:
-    """``cap`` bounds each level's node count summed over all blocks, not per block."""
+    """``DEFAULT_WORD_CAP`` bounds each level's node count summed over all blocks, not per block.
+
+    Each check lowers the cap to a level's width, then to one less.
+    """
 
     @pytest.fixture(autouse=True)
     def _block(self, block, monkeypatch):
         if block is not None:
             monkeypatch.setattr(symbolic, "_BLOCK", block)
 
-    def test_weighted_walk(self, uniform2):
+    @staticmethod
+    def _cap(monkeypatch, cap):
+        monkeypatch.setattr(symbolic, "DEFAULT_WORD_CAP", cap)
+
+    def test_weighted_walk(self, uniform2, monkeypatch):
         # lognormal weights prune nothing: level k holds 2**k nodes, and at the
         # default block level 15 comes from two blocks
         law = WeightLaw.lognormal(0.5)
-        codes, _ = _grow(uniform2, Subshift.full(2), law, KeyedRng(3), 15, 2**15)
+        self._cap(monkeypatch, 2**15)
+        codes, _ = _grow(uniform2, Subshift.full(2), law, KeyedRng(3), 15)
         assert np.array_equal(codes, np.arange(2**15))
+        self._cap(monkeypatch, 2**15 - 1)
         with pytest.raises(CapExceeded, match="tree nodes"):
-            _grow(uniform2, Subshift.full(2), law, KeyedRng(3), 15, 2**15 - 1)
+            _grow(uniform2, Subshift.full(2), law, KeyedRng(3), 15)
 
-    def test_pruned_walk(self):
+    def test_pruned_walk(self, monkeypatch):
         x, base, law = Subshift.full(3), SymbolicMeasure.uniform(3), WeightLaw.percolation(0.8)
         rng = KeyedRng(3)
         reference = _reference_walk(x.successor_table() * base.step_table(), 10, law, rng)
         widest = max(len(codes) for _, _, codes, _ in reference)
-        codes, _ = _grow(base, x, law, rng, 10, widest)
+        self._cap(monkeypatch, widest)
+        codes, _ = _grow(base, x, law, rng, 10)
         assert np.array_equal(codes, reference[-1][2])
+        self._cap(monkeypatch, widest - 1)
         with pytest.raises(CapExceeded, match="tree nodes"):
-            _grow(base, x, law, rng, 10, widest - 1)
+            _grow(base, x, law, rng, 10)
 
-    def test_admissible_codes(self, golden_mean):
+    def test_admissible_codes(self, golden_mean, monkeypatch):
         table = golden_mean.successor_table()
         # the last level is the widest; at the default block it comes from two blocks
         widest = golden_mean.word_count(20)
         assert widest == 17711
-        codes, _ = walk_tree(table, 20, widest)
+        self._cap(monkeypatch, widest)
+        codes, _ = walk_tree(table, 20)
         assert np.array_equal(codes, golden_mean.admissible_codes(20))
+        self._cap(monkeypatch, widest - 1)
         with pytest.raises(CapExceeded, match="tree nodes"):
-            walk_tree(table, 20, widest - 1)
+            walk_tree(table, 20)
         # 2^25 words: word_count refuses them before any walk
         with pytest.raises(CapExceeded, match="words"):
             Subshift.full(2).admissible_codes(25)
@@ -753,9 +768,9 @@ class TestRealizationPins:
         if name == "sft-admissible-depth20":
             sft = Subshift.sft([[1, 1], [1, 0]])
             table = sft.successor_table()
-            codes, masses = walk_tree(table, 20, 10**8)
+            codes, masses = walk_tree(table, 20)
             assert np.array_equal(codes, sft.admissible_codes(20))
-            return codes, masses, [walk_tree(table, k, 10**8)[1].sum() for k in range(1, 21)]
+            return codes, masses, [walk_tree(table, k)[1].sum() for k in range(1, 21)]
         rng = KeyedRng(101).derive(0)
         if name == "full3-percolation-depth16":
             # the first realization of the overlap image: percolation_codes' walk
@@ -768,7 +783,7 @@ class TestRealizationPins:
             # bernoulli_convolution's walk: the p_a = 0.9 base, unit weights, seed 101's stream 1
             base = SymbolicMeasure.bernoulli([0.9, 0.1])
             x, law, depth, rng = Subshift.full(2), WeightLaw.percolation(1.0), 18, KeyedRng(101).derive(1)
-        return (*_grow(base, x, law, rng, depth, 10**8), cascade_mass_trace(base, x, law, depth, rng))
+        return (*_grow(base, x, law, rng, depth), cascade_mass_trace(base, x, law, depth, rng))
 
     @pytest.mark.parametrize("name", list(PINS), ids=list(PINS))
     def test_walk_digest(self, name):

@@ -593,7 +593,7 @@ class TestLatticeCells:
         assert got == marked
         a = ifs.alphabet_size
         if len(codes) == a**n:
-            full = walk_tree(Subshift.full(a).successor_table(), n, a**n, numeral=ifs.lattice(n)[:2])[0]
+            full = walk_tree(Subshift.full(a).successor_table(), n, numeral=ifs.lattice(n)[:2])[0]
             assert np.array_equal(full, walked)
         # set_image takes either, and every cell, repeats and all, as well
         for given in (walked, cells):
@@ -1016,32 +1016,33 @@ def _one_family_erosion(a, bs):
 class TestSumset:
     def test_unit_plus_unit(self):
         u = IntervalSet([0.0], [1.0])
-        out = sumset(u, u, 1.0, pair_cap=1)
+        out = sumset(u, u, 1.0)
         assert len(out) == 1 and (out.los[0], out.his[0]) == (0.0, 2.0)
 
     def test_singleton_second_set(self):
         pts = IntervalSet([0.0, 1.0], [0.0, 1.0])
         single = IntervalSet([0.0], [0.0])
-        out = sumset(pts, single, 2.5, pair_cap=2)
+        out = sumset(pts, single, 2.5)
         assert out.los.tolist() == [0.0, 1.0]
         assert out.his.tolist() == [0.0, 1.0]
 
     def test_zero_s_rejected(self):
         u = IntervalSet([0.0], [1.0])
         with pytest.raises(ValueError):
-            sumset(u, u, 0.0, pair_cap=1)
+            sumset(u, u, 0.0)
 
     @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
     def test_non_finite_s_rejected(self, s):
         u = IntervalSet([0.0, 2.0], [1.0, 3.0])
         for a, b in ((u, u), (IntervalSet.empty(), u)):
             with pytest.raises(ValueError, match="finite"):
-                sumset(a, b, s, pair_cap=4)
+                sumset(a, b, s)
 
-    def test_pair_cap(self):
+    def test_pair_cap(self, monkeypatch):
         a = IntervalSet(np.arange(100.0) * 2, np.arange(100.0) * 2 + 0.5)
+        monkeypatch.setattr(euclid, "_SUMSET_PAIR_CAP", 100)
         with pytest.raises(CapExceeded):
-            sumset(a, a, 1.0, pair_cap=100)
+            sumset(a, a, 1.0)
 
     def test_exhaustive_oracle_golden_triadic(self, golden_mean, tiling2):
         # incommensurable pairing: depth-6 golden-mean image + sqrt(2) * depth-4 triadic image
@@ -1049,7 +1050,7 @@ class TestSumset:
         c2 = percolation_codes(Subshift.full(3), 0.7, 4, KeyedRng(5), AffineIfs.tiling(3))
         img2 = set_image(c2, AffineIfs.tiling(3), length=4)
         s = math.sqrt(2.0)
-        out = sumset(img1, img2, s, pair_cap=len(img1) * len(img2))
+        out = sumset(img1, img2, s)
         # oracle: python double loop + merge
         pairs = sorted(
             (lo1 + s * lo2, hi1 + s * hi2)
@@ -1080,12 +1081,12 @@ class TestSumset:
                     bs = b.scale(s)
                     los, his = np.add.outer(a.los, bs.los), np.add.outer(a.his, bs.his)
                     brute = IntervalSet(los.ravel(), his.ravel())
-                    eroded = sumset(a, b, s, pair_cap=n * m)
+                    eroded = sumset(a, b, s)
                     assert np.array_equal(brute.los, eroded.los)
                     assert np.array_equal(brute.his, eroded.his)
         # isolated points survive: {0, 1} + {0}
         pts = IntervalSet([0.0, 1.0], [0.0, 1.0])
-        out = sumset(pts, IntervalSet([0.0], [0.0]), 1.0, pair_cap=2)
+        out = sumset(pts, IntervalSet([0.0], [0.0]), 1.0)
         assert out.los.tolist() == [0.0, 1.0] and out.his.tolist() == [0.0, 1.0]
 
     def test_blocked_erosion_matches_one_family_loop(self, monkeypatch):
@@ -1100,7 +1101,7 @@ class TestSumset:
             b = set_image(cb, AffineIfs.tiling(3), length=10)
             assert len(a) > 1000 and len(b) > 1000
             for s in (1.0, -1.0, sqrt2):
-                out = sumset(a, b, s, pair_cap=200_000_000)
+                out = sumset(a, b, s)
                 los, his = _one_family_erosion(a, b.scale(s))
                 assert np.array_equal(out.los, los) and np.array_equal(out.his, his)
         # small families on the 1/8 lattice: zero-length pieces, shared
@@ -1123,7 +1124,7 @@ class TestSumset:
                 los, his = _one_family_erosion(a, b.scale(s))
                 for budget in budgets:
                     monkeypatch.setattr(euclid, "_EROSION_BUDGET", budget)
-                    out = sumset(a, b, s, pair_cap=len(a) * len(b))
+                    out = sumset(a, b, s)
                     assert np.array_equal(out.los, los) and np.array_equal(out.his, his)
 
     def test_reflection_identity(self):
@@ -1134,8 +1135,8 @@ class TestSumset:
         lo2 = np.sort(rng.random(30)) * 2
         s2 = IntervalSet(lo2, lo2 + 0.02)
         for s in (2.0, -0.7):
-            left = sumset(s1, s2, s, pair_cap=1200)
-            right = sumset(s2, s1, 1.0 / s, pair_cap=1200).scale(s)
+            left = sumset(s1, s2, s)
+            right = sumset(s2, s1, 1.0 / s).scale(s)
             assert len(left) == len(right)
             assert np.allclose(left.los, right.los, atol=1e-12)
             assert np.allclose(left.his, right.his, atol=1e-12)

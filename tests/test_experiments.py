@@ -405,6 +405,16 @@ class TestReports:
         with pytest.raises(CascadimError, match=f"probability {survival} < 1e-3"):
             run_experiment(cfg)
 
+    def test_survival_backstop_past_the_budget(self):
+        # one trial whose only survivor is draw 1500: past the refusal's budget
+        # of 1000 draws a trial, inside the backstop of 20,000
+        def worker(rng, index):
+            return index if index == 1500 else None
+
+        assert experiments._collect_surviving(KeyedRng(1), 1, worker, 1) == ([1500], 1500)
+        with pytest.raises(CascadimError, match="gave up after 20002 draws with 0 of 1"):
+            experiments._collect_surviving(KeyedRng(1), 1, lambda rng, index: None, 1)
+
     def test_survival_recursion(self):
         # full 2-shift, one type: s_n = 1 - (1 - p s_{n-1})^2
         s = 1.0

@@ -186,7 +186,7 @@ class TestLatticeOffsets:
         ifs, depth = self.SYSTEMS[name]
         a = ifs.alphabet_size
         numeral = ifs.lattice(depth)[:2]
-        walked = walk_tree(Subshift.full(a).successor_table(), depth, a**depth, numeral=numeral)[0]
+        walked = walk_tree(Subshift.full(a).successor_table(), depth, numeral=numeral)[0]
         sparse = np.unique(np.random.default_rng(4).integers(0, a**20, 30))
         last = np.array([a**9 - 1])
         cases = {
