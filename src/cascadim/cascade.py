@@ -376,17 +376,15 @@ def cascade_measure(
 def percolation_codes(x: Subshift, p: float, depth: int, rng: KeyedRng, ifs: AffineIfs) -> np.ndarray:
     """The admissible depth-n words whose every prefix weight is positive, numbered for ``ifs``.
 
-    The walk reads the boolean successor table, unread on the full shift,
-    and keeps a child when its entry allows it and the child passes the
+    The walk reads the boolean successor table (not at all on the full
+    shift) and keeps a child when its entry allows it and it passes the
     integer keep test (see the module docstring); no node carries a mass.
     The words are numbered as ``set_image(words, ifs, depth)`` reads them:
     by their cell offsets where ``ifs.lattice(depth)`` routes (``walk_tree``'s
-    numeral), else by their base-a codes, which come out sorted.  On an
-    m-adic tiling the two agree, so ``AffineIfs.tiling(a)`` gives the codes.
-    Numbers come one per word, in walk order, while the words number at
-    most ``last - first`` of their range (``ifs.cell_range(depth)``, or
-    [0, a^n - 1] for codes); past that the walk returns the distinct
-    numbers, sorted (``walk_tree``), which for codes are the same a^n codes.
+    numeral), else by their base-a codes.  On an m-adic tiling the two
+    agree, so ``AffineIfs.tiling(a)`` gives the codes.  Numbers come one per
+    word, in walk order, until the words outnumber the numbers of their
+    range; then the walk returns the distinct numbers, sorted (``walk_tree``).
     """
     WeightLaw.percolation(p)  # the same refusals as the law
     if depth < 1:

@@ -377,9 +377,8 @@ def _collect_surviving(master: KeyedRng, need: int, worker, threads: int):
     their assignment to trials do not depend on the thread count.  Threads
     past the core count gain nothing, so the pool and its waves stop there;
     one worker runs the draws in this thread, with no pool.  It gives up past
-    20,000 draws per trial, 20 times ``_surviving``'s budget, as a backstop:
-    a run that ``_surviving`` accepts (s_n >= 1e-3) needs more with a chance
-    below (1 - 1e-3)^20000 < e^-20 for one trial, and less for more.
+    20,000 draws per trial, a backstop at 20 times ``_surviving``'s budget: a
+    run that ``_surviving`` accepts needs more with a chance below e^-20.
     """
     results = []
     discarded = 0

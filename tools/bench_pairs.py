@@ -6,7 +6,11 @@ BASE and HEAD are checkout directories, BASE the parent.  Pair k (k = 1..N)
 runs ``python3 perfbench/run.py --workload W --seed k --seconds S --trace 0``
 in each checkout, BASE first at odd k and HEAD first at even k, one run at a
 time.  ``--seconds`` defaults to BASE's ``BENCHMARK.json`` ``run_seconds``;
-W may be ``all``.
+W may be ``all``.  ``perfbench/run.py --seed`` only rotates the order of its
+fixed pool of four experiment seeds (``POOL``, 101-104, by ``pool_order``), so
+seeds k and k + 4 run the same inputs in the same order: a second set of
+pairs, or a longer one, replicates the first on the same inputs rather than
+drawing fresh ones.
 
 For each end-to-end metric of each workload it prints both sides' median and
 quartiles (``statistics.quantiles`` with the inclusive method), the pairs in
@@ -168,7 +172,11 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path)
     parser.add_argument("head", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument(
+        "--pairs", type=int, required=True,
+        help="pairs k = 1..N, run as --seed k; seeds k and k + 4 run the same inputs, so a second set is a "
+        "replication of the first, not fresh inputs",
+    )
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--counts", action="store_true")
     parser.add_argument("--out", type=Path)
