@@ -15,10 +15,12 @@ first, a child's hash cannot reuse its parent's.  The tree walk instead
 carries, for each node, its prefix state for every deeper word length
 (``KeyedRng.length_states`` at the root, one ``KeyedRng.absorb`` per
 letter: XOR the letter's salt, then ``_mix64``): a child's hash is one mix,
-and a depth-j prefix is absorbed once per deeper length.  That is as many
-mixes as re-folding each level from the root (4.93M for the 3.14M children
-of the first ``perc_image_overlap`` trial, 3.4 per leaf), but the walk runs
-in cache-sized blocks instead of full-width passes over each level.
+and a depth-j prefix is absorbed once per deeper length.  A walk that does
+not mark takes as many mixes as re-folding each level from the root (4.93M
+for the 3.14M children of the first ``perc_image_overlap`` trial, numbered
+as codes, 3.4 per leaf), but runs in cache-sized blocks instead of
+full-width passes over each level.  Numbered by its cells, the same trial
+marks and skips the subtrees of marked cells (``walk_tree``): 2.07M mixes.
 
 Keep test: a percolation node survives when its uniform u is below p.
 ``_to_uniform`` reads only the top 53 bits v = h >> 11 of a hash, and it is

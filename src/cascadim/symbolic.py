@@ -29,6 +29,7 @@ from .errors import CapExceeded, NonStationaryWarning, NotIrreducible
 
 DEFAULT_WORD_CAP = 20_000_000
 _BLOCK = 8192  # nodes per block of walk_tree's depth-first pass
+_READS_PER_ABSORB = 3  # cell reads that cost about one KeyedRng.absorb (see _reach)
 
 __all__ = [
     "DEFAULT_WORD_CAP",
@@ -86,6 +87,33 @@ def numbering(a: int, depth: int, numeral=None):
     return m, digits, (low * span, high * span)
 
 
+def _reach(m: int, digits: np.ndarray, depth: int) -> list:
+    """``[(m^j, D_j)]`` for the heights j at which a marked walk tests a child (see ``walk_tree``).
+
+    D_j is the sorted set of distinct sums ``sum_{i<j} d_i m^i`` over j
+    digits, so a child numbered c with j letters below it reaches only the
+    cells ``c m^j + D_j``.  Both are built by repeated multiplication,
+    ``D_(j+1) = D_j + d m^j``, which holds for any numeral, m = 1 included.
+
+    Testing a child at height j reads its ``|D_j|`` cells; keeping it costs
+    j + 1 absorbs (its hash and its j deeper prefix states), and an absorb,
+    about ten elementwise passes over uint64, costs about as much as
+    ``_READS_PER_ABSORB`` cell reads (an add, a gather and an AND each).  So
+    the heights run up from 0 while ``|D_j| <= _READS_PER_ABSORB (j + 1)``:
+    j <= 3 for the overlap numeral (2, (0, 0, 1)), whose D_j are the 2^j
+    cells ``[0, 2^j)``.  They also stop before m^j reaches 2^62, which only
+    digits that are all 0 allow (``numbering`` bounds m^j otherwise).
+    """
+    out, power, sums = [], 1, np.zeros(1, dtype=np.int64)
+    for j in range(depth):
+        if len(sums) > _READS_PER_ABSORB * (j + 1) or power >= 2**62:
+            break
+        out.append((power, sums))
+        sums = np.unique(sums + (digits * power)[:, None])
+        power *= m
+    return out
+
+
 def walk_tree(table: np.ndarray, depth: int, rng=None, weigh=None, numeral=None):
     """Grow the word tree one letter per level down to ``depth``.
 
@@ -134,11 +162,25 @@ def walk_tree(table: np.ndarray, depth: int, rng=None, weigh=None, numeral=None)
     cells and no list of every word, and a code walk, which marks only once
     all a^n words are listed, gives the same sorted codes.
 
+    Once it marks, a walk drops a child before hashing, gathering or
+    carrying it when every cell its subtree could reach is marked.  A child
+    numbered c with j letters below it reaches only ``c m^j + D_j``, D_j
+    the distinct sums ``sum_{i<j} d_i m^i`` over the digits (at j = 0 its
+    own cell), and it is tested at the heights j that ``_reach`` picks
+    from the numeral.  Marks are never cleared, and a skipped subtree's
+    surviving leaves would only mark cells already marked, so the walk
+    returns the same cells, bit for bit, as one that skips nothing; every
+    kept child still takes its hash from its own word.  A walk that lists,
+    a code walk and a float walk never skip.
+
     Returns the numbers and masses of the length-``depth`` words; no
     shallower level outlives its blocks.  Numbers are int64, so a walk
     whose numbers could reach 2^62 in size raises ``CapExceeded`` instead
     of wrapping (``numbering``); so does a level of more than
-    ``DEFAULT_WORD_CAP`` nodes.
+    ``DEFAULT_WORD_CAP`` nodes.  The cap counts the nodes the walk carries,
+    never a skipped child, so a marked walk counts no more than one that
+    skips nothing: no walk that finished before skipping is refused, and a
+    marked walk refused before may now finish.
     """
     a = table.shape[1]
     m, digits, (first, last) = numbering(a, depth, numeral)
@@ -159,29 +201,46 @@ def walk_tree(table: np.ndarray, depth: int, rng=None, weigh=None, numeral=None)
     counts = [0] * depth
     leaf_codes = [np.zeros(0, dtype=np.int64)]
     leaf_masses = [np.zeros(0, dtype=table.dtype)]
-    listed, marked = 0, None
+    listed, marked, reach = 0, None, []
     while pending:
         length, codes, row, parent_masses, states = pending.pop()
         children = len(codes) * a
-        if weigh is not None:
-            hashes = np.repeat(states[0], a)
-            rng.absorb(hashes, child_letters[:children])
-        if boolean:
-            keep = None if full else np.take(table, row, axis=0).ravel()
+        below = depth - 1 - length  # letters below a child
+        if below < len(reach):  # a marked walk: drop the children whose cells are all marked
+            power, offsets = reach[below]
+            cells = np.repeat(codes * m, a)  # the children's numbers, then their first cells
+            cells += child_digits[:children]
+            cells *= power
+            cells -= first
+            keep = ~np.take(marked, cells + offsets[:, None]).all(axis=0)
+            if not full:
+                keep &= np.take(table, row, axis=0).ravel()
+            kept = np.flatnonzero(keep)
             if weigh is not None:
-                keep = weigh(hashes) if full else keep & weigh(hashes)
+                parent = kept // a
+                hashes = np.take(states[0], parent)
+                rng.absorb(hashes, kept - parent * a + 1)
+                kept = np.take(kept, np.flatnonzero(weigh(hashes)))
         else:
-            masses = np.take(table, row, axis=0).ravel()
-            masses *= np.repeat(parent_masses, a)
             if weigh is not None:
-                masses *= weigh(hashes)
-            keep = masses > 0
-        if keep is None or keep.all():  # every child kept
+                hashes = np.repeat(states[0], a)
+                rng.absorb(hashes, child_letters[:children])
+            if boolean:
+                keep = None if full else np.take(table, row, axis=0).ravel()
+                if weigh is not None:
+                    keep = weigh(hashes) if full else keep & weigh(hashes)
+            else:
+                masses = np.take(table, row, axis=0).ravel()
+                masses *= np.repeat(parent_masses, a)
+                if weigh is not None:
+                    masses *= weigh(hashes)
+                keep = masses > 0
+            kept = None if keep is None or keep.all() else np.flatnonzero(keep)
+        if kept is None:  # every child kept
             codes = np.repeat(codes * m, a)
             codes += child_digits[:children]
             row, parent = child_rows[:children], None
         else:
-            kept = np.flatnonzero(keep)
             if not boolean:
                 masses = np.take(masses, kept)
             parent = kept // a
@@ -199,6 +258,7 @@ def walk_tree(table: np.ndarray, depth: int, rng=None, weigh=None, numeral=None)
             if boolean and listed > last - first:
                 if marked is None:
                     marked = np.zeros(last - first + 1, dtype=bool)
+                    reach = _reach(m, digits, depth)
                 for block in leaf_codes:
                     marked[block - first] = True
                 del leaf_codes[:]

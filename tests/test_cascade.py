@@ -22,7 +22,7 @@ from cascadim import symbolic
 from cascadim.cascade import _grow, _keep_threshold, _to_uniform, degenerate_regime
 from cascadim.errors import CapExceeded
 from cascadim.symbolic import codes_to_letters, walk_tree
-from oracles import cell_offsets, cylinder_mass, draw_weight, walked_numbers
+from oracles import EX_OVERLAP, cell_offsets, cylinder_mass, draw_weight, walked_numbers
 
 # on the binary tiling the words that percolation_codes numbers for set_image are their codes
 TILING2 = AffineIfs.tiling(2)
@@ -663,6 +663,91 @@ class TestKeepEveryChild:
         self._check(name)
 
 
+def _absorbed(monkeypatch):
+    """A one-item list that counts the states ``KeyedRng.absorb`` mixes from now on."""
+    count = [0]
+    absorb = KeyedRng.absorb
+
+    def counted(states, letters):
+        count[0] += states.size
+        absorb(states, letters)
+
+    monkeypatch.setattr(KeyedRng, "absorb", staticmethod(counted))
+    return count
+
+
+class TestSkippedSubtrees:
+    """A marked lattice walk drops each child whose reachable cells are all marked, and returns the same cells.
+
+    Each walk is checked against the code-numbered walk of the same
+    realization, whose words' cell offsets (``cell_offsets``) give, through
+    ``walked_numbers``, the cells a walk that skips nothing returns.  The
+    numerals cover exact overlaps, repeated and negative digits, m = 4 and
+    a gapped digit set; the tables the full shift, the golden mean and two
+    SFTs; each walk runs with its keep probability and unweighed (p = 1),
+    in blocks of 7 and 64 nodes and at the default block size.  Every case
+    marks, so every one skips.
+    """
+
+    CASES = {
+        # name: (ifs, subshift, depth, p), the ifs giving the numeral ifs.lattice(depth)[:2]
+        "overlap (2, (0, 0, 1))": (EX_OVERLAP, Subshift.full(3), 9, 0.8),
+        "overlap, SFT": (EX_OVERLAP, Subshift.sft([[1, 1, 1], [1, 1, 0], [1, 1, 1]]), 9, 0.9),
+        "repeated digits, a = 4": (
+            AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5), (0.5, 0.5)]), Subshift.full(4), 7, 0.7),
+        "repeated digits, a = 4, SFT": (
+            AffineIfs.from_maps([(0.5, 0.0), (0.5, 0.0), (0.5, 0.5), (0.5, 0.5)]),
+            Subshift.sft([[1, 1, 1, 0], [1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]),
+            7,
+            0.8,
+        ),
+        "negative digits (2, (-1, -1, 0))": (
+            AffineIfs.from_maps([(0.5, -0.5), (0.5, -0.5), (0.5, 0.0)]), Subshift.full(3), 9, 0.8),
+        "m = 4 (4, (0, 1, 1, 2, 3))": (
+            AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.25), (0.25, 0.25), (0.25, 0.5), (0.25, 0.75)]),
+            Subshift.full(5),
+            6,
+            0.9,
+        ),
+        "gapped (4, (0, 0, 3, 3, 3))": (
+            AffineIfs.from_maps([(0.25, 0.0), (0.25, 0.0), (0.25, 0.75), (0.25, 0.75), (0.25, 0.75)]),
+            Subshift.full(5),
+            6,
+            0.9,
+        ),
+        # one cell for every word: after the first leaf, every subtree is skipped at its root
+        "golden mean, one cell (2, (1, 1))": (
+            AffineIfs.from_maps([(0.5, 0.5), (0.5, 0.5)]), _GOLDEN, 12, 0.9),
+    }
+
+    @pytest.mark.parametrize("block", [7, 64, None], ids=["block-7", "block-64", "default-block"])
+    @pytest.mark.parametrize("weighed", [True, False], ids=["keep-p", "p=1"])
+    @pytest.mark.parametrize("name", list(CASES), ids=list(CASES))
+    def test_equals_the_cells_of_the_code_walk(self, name, weighed, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(symbolic, "_BLOCK", block)
+        ifs, x, depth, p = self.CASES[name]
+        p = p if weighed else 1.0
+        rng = KeyedRng(29)
+        codes = percolation_codes(x, p, depth, rng, AffineIfs.tiling(x.alphabet_size))
+        want, marked = walked_numbers(cell_offsets(ifs, codes, depth), ifs.lattice(depth)[:2], depth)
+        assert marked
+        cells = percolation_codes(x, p, depth, rng, ifs)
+        assert cells.tobytes() == want.tobytes()
+
+    def test_overlap_trial_hashes_under_half(self, monkeypatch):
+        # perc_image_overlap's first trial: its code-numbered walk absorbs
+        # 4,932,368 states for its 3.14M children; the cell-numbered walk skips
+        # the subtrees of marked cells, so it absorbs fewer than half as many
+        trial = KeyedRng(101).derive(0)
+        absorbed = _absorbed(monkeypatch)
+        percolation_codes(Subshift.full(3), 0.8, 16, trial, AffineIfs.tiling(3))
+        assert absorbed[0] == 4_932_368
+        absorbed[0] = 0
+        percolation_codes(Subshift.full(3), 0.8, 16, trial, EX_OVERLAP)
+        assert 0 < absorbed[0] < 4_932_368 / 2
+
+
 @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
 class TestCapAcrossBlocks:
     """``DEFAULT_WORD_CAP`` bounds each level's node count summed over all blocks, not per block.
@@ -701,6 +786,35 @@ class TestCapAcrossBlocks:
         self._cap(monkeypatch, widest - 1)
         with pytest.raises(CapExceeded, match="tree nodes"):
             _grow(base, x, law, rng, 10)
+
+    def test_marked_lattice_walk(self, block, monkeypatch):
+        # the cap counts the nodes a marked walk carries: a child skipped because
+        # its cells are all marked is never counted.  Blocks of 7 or 64 nodes
+        # start the marking early, so the widest carried level is narrower
+        # than that of the walk that skips nothing.
+        monkeypatch.setattr(symbolic, "_BLOCK", block or 64)
+        x, law, depth = Subshift.full(3), WeightLaw.percolation(0.8), 10
+        rng = KeyedRng(3)
+        reference = _reference_walk(x.successor_table() * SymbolicMeasure.uniform(3).step_table(), depth, law, rng)
+        level_of = {int(h): k for k, (_, hashes, _, _) in enumerate(reference) for h in hashes}
+        carried = [0] * depth
+        bound = np.uint64(_keep_threshold(0.8) << 11)
+
+        def weigh(hashes):
+            keep = hashes < bound
+            if len(hashes):  # a block whose children are all skipped hashes none
+                carried[level_of[int(hashes[0])]] += int(keep.sum())
+            return keep
+
+        numeral = EX_OVERLAP.lattice(depth)[:2]
+        cells = walk_tree(x.successor_table(), depth, rng, weigh, numeral)[0]
+        widest = max(carried)
+        assert widest < max(len(codes) for _, _, codes, _ in reference)
+        self._cap(monkeypatch, widest)
+        assert np.array_equal(walk_tree(x.successor_table(), depth, rng, weigh, numeral)[0], cells)
+        self._cap(monkeypatch, widest - 1)
+        with pytest.raises(CapExceeded, match="tree nodes"):
+            walk_tree(x.successor_table(), depth, rng, weigh, numeral)
 
     def test_admissible_codes(self, golden_mean, monkeypatch):
         table = golden_mean.successor_table()
