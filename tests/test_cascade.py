@@ -686,7 +686,9 @@ class TestSkippedSubtrees:
     a gapped digit set; the tables the full shift, the golden mean and two
     SFTs; each walk runs with its keep probability and unweighed (p = 1),
     in blocks of 7 and 64 nodes and at the default block size.  Every case
-    marks, so every one skips.
+    marks.  In blocks of 7 and 64 nodes every walk skips children; at the
+    default block these small walks fit in one breadth-first pass, mark
+    only once every leaf is listed, and skip nothing.
     """
 
     CASES = {
@@ -734,6 +736,20 @@ class TestSkippedSubtrees:
         assert marked
         cells = percolation_codes(x, p, depth, rng, ifs)
         assert cells.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "numeral", [(1, (0, 1, 1)), (1, (0, 0, 0)), (2**40, (0, 0, 0))], ids=["m=1", "m=1, zero digits", "m=2^40, zero digits"]
+    )
+    def test_numerals_no_ifs_routes(self, numeral):
+        # m^j and D_j come by repeated multiplication, so m = 1 needs no
+        # (m^j - 1)/(m - 1); zero digits test every height until m^j nears 2^62
+        table = Subshift.full(3).successor_table()
+        bound = np.uint64(_keep_threshold(0.8) << 11)
+        for rng, weigh in ((None, None), (KeyedRng(5), lambda hashes: hashes < bound)):
+            cells, _ = walk_tree(table, 9, rng, weigh, numeral)
+            numbers, masses = walk_tree(table.astype(float), 9, rng, weigh, numeral)
+            want, marked = walked_numbers(numbers[masses > 0], numeral, 9)
+            assert marked and cells.tobytes() == want.tobytes()
 
     def test_overlap_trial_hashes_under_half(self, monkeypatch):
         # perc_image_overlap's first trial: its code-numbered walk absorbs
